@@ -8,6 +8,7 @@ reproducible from the file plus the command line seed.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,6 +162,8 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
             )
         except KeyError as err:
             raise ConfigError(f"rule labeler spec missing {err}") from err
+        except re.error as err:
+            raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
         except ValueError as err:
             raise ConfigError(str(err)) from err
     if kind == "event":
@@ -171,11 +174,12 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
     if kind == "endpoint":
         try:
             endpoint = build_model({"type": "endpoint", **spec["endpoint"]})
+            vocabulary = frozenset(spec["vocabulary"])
         except KeyError as err:
             raise ConfigError(f"endpoint labeler spec missing {err}") from err
         return EndpointLabeler(
             endpoint=endpoint,
-            vocabulary=frozenset(spec["vocabulary"]),
+            vocabulary=vocabulary,
             temperature=float(spec.get("temperature", 0.0)),
             max_context_chars=int(spec.get("max_context_chars", 8000)),
         )

@@ -132,14 +132,14 @@ class GuardedSession:
         self.stop_token = stop_token
         self.action_temperature = action_temperature
         self.sampling_temperature = sampling_temperature
+        self.cache = ProgressionCache()
         self.states: dict[str, MonitorState] = {
-            cid: new_state(cid, constraints[cid], reset_mode=reset_mode)
+            cid: new_state(cid, constraints[cid], reset_mode, self.cache)
             for cid in sorted(constraints)
         }
         self.rules_text = rules_text or "\n".join(
             f"- {render(self.states[cid].objective, 'english')}" for cid in sorted(constraints)
         )
-        self.cache = ProgressionCache()
         self.steps: list[StepRecord] = []
         self.outcomes: list[GuardedStepOutcome] = []
         self.verdict_log: dict[str, list[Verdict]] = {cid: [] for cid in self.states}

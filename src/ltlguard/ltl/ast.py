@@ -1,8 +1,9 @@
 """Abstract syntax trees for linear temporal logic formulas.
 
 Nodes are immutable, hashable dataclasses; every rewrite builds new values.
-Structural equality (generated ``__eq__``) is the equality used throughout
-the monitor, in particular for residual-change detection.
+Structural equality (generated ``__eq__``) is the equality of the reference
+semantics.  Within one ``Interner`` table (see ``progression``) equal nodes
+are the same object, so the compiled monitor compares residuals by identity.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class Always(Formula):
 
 
 def _cache_hash(cls):
-    # Formulas are immutable and hashed constantly (simplification dedupe,
-    # progression memos); memoize the generated structural hash per node.
+    # Formulas are immutable and used as dictionary keys (the lasso oracle's
+    # memo, for one); memoize the generated structural hash per node.
     generated = cls.__hash__
 
     def __hash__(self):

@@ -3,7 +3,9 @@
 ``progress`` rewrites a formula against one truth assignment into the
 requirement on the rest of the trace.  It is total and returns the raw
 rewrite; callers compose with ``simplify`` to reach the ``true``/``false``
-literals that terminal verdicts are read from.
+literals that terminal verdicts are read from.  These two are the
+reference semantics.  ``Interner`` computes the same composition on
+hash-consed nodes, normalizing as it builds instead of in a second pass.
 """
 
 from __future__ import annotations
@@ -131,6 +133,168 @@ def simplify(phi: Formula) -> Formula:
         case Always(child):
             return Always(simplify(child))
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _operands(kind: type, phi: Formula) -> list[Formula]:
+    # Normal-form chains are right-nested and no left operand is itself of
+    # the chain's kind, so walking the right spine flattens them.
+    out = []
+    while type(phi) is kind:
+        out.append(phi.left)  # type: ignore[attr-defined]
+        phi = phi.right  # type: ignore[attr-defined]
+    out.append(phi)
+    return out
+
+
+class Interner:
+    """Hash-consing table whose constructors normalize as they build.
+
+    Each node is built once per table, keyed by its class and the
+    identities of its children (a proposition by its name), so two nodes
+    of one table are structurally equal exactly when they are the same
+    object.  ``not_``, ``and_`` and ``or_`` apply the ``simplify`` rules at
+    construction: flatten same-kind chains, drop units, short-circuit on
+    the absorbing element, drop duplicates, collapse double negation.
+    Hence ``normalize(phi)`` is ``simplify(phi)`` and, for a node of this
+    table, ``progress(phi, sigma)`` is ``simplify(progress(phi, sigma))``,
+    both as nodes of this table.  The table keeps every node it built
+    alive, which keeps the identities in its keys unique, and so lives
+    only as long as its owner.
+    """
+
+    __slots__ = ("_nodes", "_props")
+
+    def __init__(self) -> None:
+        self._nodes: dict[tuple, Formula] = {}
+        self._props: dict[int, frozenset[str]] = {}  # id(node) -> props_of(node)
+
+    def _node(self, cls: type, *children: Formula) -> Formula:
+        key = (cls, *map(id, children))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = cls(*children)
+        return node
+
+    def not_(self, child: Formula) -> Formula:
+        if child is TRUE:
+            return FALSE
+        if child is FALSE:
+            return TRUE
+        if type(child) is Not:
+            return child.child
+        return self._node(Not, child)
+
+    def and_(self, left: Formula, right: Formula) -> Formula:
+        return self._connective(And, TRUE, FALSE, left, right)
+
+    def or_(self, left: Formula, right: Formula) -> Formula:
+        return self._connective(Or, FALSE, TRUE, left, right)
+
+    def _connective(
+        self, kind: type, unit: Formula, zero: Formula, left: Formula, right: Formula
+    ) -> Formula:
+        # Both operands are normal: their chain operands are distinct and
+        # neither unit nor zero, so only the operands themselves and
+        # duplicates across the two chains need checking.
+        if left is zero or right is zero:
+            return zero
+        if left is unit or left is right:
+            return right
+        if right is unit:
+            return left
+        children = _operands(kind, left)
+        seen = set(map(id, children))
+        children.extend(c for c in _operands(kind, right) if id(c) not in seen)
+        node = children[-1]
+        for child in reversed(children[:-1]):
+            node = self._node(kind, child, node)
+        return node
+
+    def normalize(self, phi: Formula) -> Formula:
+        """``simplify(phi)`` as a node of this table; ``phi`` may be any formula."""
+        match phi:
+            case TrueBool():
+                return TRUE
+            case FalseBool():
+                return FALSE
+            case Prop(name):
+                return self._nodes.setdefault((Prop, name), phi)
+            case Not(child):
+                return self.not_(self.normalize(child))
+            case And(left, right):
+                return self.and_(self.normalize(left), self.normalize(right))
+            case Or(left, right):
+                return self.or_(self.normalize(left), self.normalize(right))
+            case Implies(left, right):
+                left, right = self.normalize(left), self.normalize(right)
+                if left is TRUE:
+                    return right
+                if left is FALSE:
+                    return TRUE
+                return self._node(Implies, left, right)
+            case Next(child) | Eventually(child) | Always(child):
+                return self._node(type(phi), self.normalize(child))
+            case Until(left, right):
+                return self._node(Until, self.normalize(left), self.normalize(right))
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def props(self, phi: Formula) -> frozenset[str]:
+        """``props_of(phi)`` for a node ``phi`` of this table, memoized per node."""
+        found = self._props.get(id(phi))
+        if found is None:
+            match phi:
+                case Prop(name):
+                    found = frozenset((name,))
+                case Not(child) | Next(child) | Eventually(child) | Always(child):
+                    found = self.props(child)
+                case And(left, right) | Or(left, right) | Implies(left, right) | Until(
+                    left, right
+                ):
+                    found = self.props(left) | self.props(right)
+                case _:
+                    found = frozenset()
+            self._props[id(phi)] = found
+        return found
+
+    def progress(self, phi: Formula, sigma: TruthAssignment) -> Formula:
+        """``simplify(progress(phi, sigma))`` for a node ``phi`` of this table.
+
+        Shared subformulas are progressed once per call.
+        """
+        done: dict[int, Formula] = {}
+        not_, and_, or_ = self.not_, self.and_, self.or_
+
+        def go(f: Formula) -> Formula:
+            result = done.get(id(f))
+            if result is not None:
+                return result
+            match f:
+                case TrueBool() | FalseBool():
+                    result = f
+                case Prop(name):
+                    result = TRUE if name in sigma else FALSE
+                case Not(child):
+                    result = not_(go(child))
+                case And(left, right):
+                    result = and_(go(left), go(right))
+                case Or(left, right):
+                    result = or_(go(left), go(right))
+                case Implies(left, right):
+                    result = or_(not_(go(left)), go(right))
+                case Next(child):
+                    result = child
+                case Until(left, right):
+                    result = or_(go(right), and_(go(left), f))
+                case Eventually(child):
+                    result = or_(go(child), f)
+                case Always(child):
+                    result = and_(go(child), f)
+                case _:
+                    raise TypeError(f"not a formula: {f!r}")
+            done[id(f)] = result
+            return result
+
+        return go(phi)
 
 
 def verdict_of(phi: Formula) -> Verdict:

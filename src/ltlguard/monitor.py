@@ -13,7 +13,16 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .ltl import Formula, TruthAssignment, Verdict, progress, props_of, simplify, verdict_of
+from .ltl import (
+    Formula,
+    Interner,
+    TruthAssignment,
+    Verdict,
+    progress,
+    render,
+    simplify,
+    verdict_of,
+)
 from .trace import (
     StepRecord,
     Trace,
@@ -25,37 +34,60 @@ from .trace import (
 
 
 class CrossCheckError(AssertionError):
-    """Incremental monitoring disagreed with from-scratch prefix replay."""
+    """Compiled monitoring disagreed with the reference progression."""
+
+
+class _Residual:
+    """One state of the residual automaton: an interned residual, the
+    propositions it reads, and its transitions found so far, keyed by
+    the step's labels restricted to those propositions."""
+
+    __slots__ = ("formula", "props", "successors")
+
+    def __init__(self, formula: Formula, props: frozenset[str]):
+        self.formula = formula
+        self.props = props
+        self.successors: dict[frozenset[str], Formula] = {}
 
 
 class ProgressionCache:
-    """Memo for simplify-after-progress steps.
+    """The residual automaton of one monitored run.
 
-    Progression only reads the labels that occur in the formula, so steps
-    are keyed by (residual, labels restricted to its propositions); on
-    long traces most steps repeat a key.  Results that equal the input
-    formula are canonicalized to the same object, keeping lookups O(1).
+    Residuals are nodes of one ``Interner``, so equal residuals are the
+    same object and a state is found by identity.  A step is one lookup
+    in the state's transition table; a miss progresses the residual once
+    through the interner's normalizing constructors.  Formulas the cache
+    did not produce are normalized into it first, so any formula gives
+    the result ``simplify(progress(phi, labels))`` would.  The tables live
+    as long as the cache: one per ``run_monitor`` call or guarded session.
     """
 
-    __slots__ = ("_steps", "_props")
+    __slots__ = ("_nodes", "_states")
 
     def __init__(self):
-        self._steps: dict[tuple[Formula, frozenset[str]], Formula] = {}
-        self._props: dict[Formula, frozenset[str]] = {}
+        self._nodes = Interner()
+        self._states: dict[int, _Residual] = {}  # id(formula) -> its state
+
+    def _state(self, formula: Formula) -> _Residual:
+        state = self._states.get(id(formula))
+        if state is None:
+            state = self._states[id(formula)] = _Residual(formula, self._nodes.props(formula))
+        return state
+
+    def normalize(self, phi: Formula) -> Formula:
+        """``simplify(phi)`` as a state of this cache."""
+        return self._state(self._nodes.normalize(phi)).formula
 
     def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
-        props = self._props.get(phi)
-        if props is None:
-            props = props_of(phi)
-            self._props[phi] = props
-        key = (phi, labels & props)
-        result = self._steps.get(key)
-        if result is None:
-            result = simplify(progress(phi, labels))
-            if result == phi:
-                result = phi
-            self._steps[key] = result
-        return result
+        # Every formula this cache returns is a state, so a lookup by
+        # identity misses only on formulas from elsewhere.
+        state = self._states.get(id(phi)) or self._state(self._nodes.normalize(phi))
+        key = state.props & labels
+        successor = state.successors.get(key)
+        if successor is None:
+            successor = self._state(self._nodes.progress(state.formula, key)).formula
+            state.successors[key] = successor
+        return successor
 
 
 @dataclass(frozen=True)
@@ -73,8 +105,14 @@ class MonitorState:
     last_verdict: Verdict = Verdict.INCONCLUSIVE
 
 
-def new_state(constraint_id: str, objective: Formula, reset_mode: bool = False) -> MonitorState:
-    simplified = simplify(objective)
+def new_state(
+    constraint_id: str,
+    objective: Formula,
+    reset_mode: bool = False,
+    cache: ProgressionCache | None = None,
+) -> MonitorState:
+    """Initial state; with ``cache`` the objective is normalized into it."""
+    simplified = simplify(objective) if cache is None else cache.normalize(objective)
     return MonitorState(
         constraint_id=constraint_id,
         objective=simplified,
@@ -89,18 +127,25 @@ def step(
     record: StepRecord,
     cache: ProgressionCache | None = None,
 ) -> tuple[MonitorState, Verdict]:
-    """Progress one step; returns the successor state and its verdict."""
+    """Progress one step; returns the successor state and its verdict.
+
+    Without ``cache`` the step runs the reference ``simplify(progress(...))``.
+    A step that keeps the same residual object and an inconclusive verdict,
+    as before, returns ``state`` itself.
+    """
     if cache is not None:
         residual = cache.progress_simplify(state.residual, labels)
     else:
         residual = simplify(progress(state.residual, labels))
-    changed = residual != state.residual
+    verdict = verdict_of(residual)
+    if residual is state.residual and verdict is state.last_verdict is Verdict.INCONCLUSIVE:
+        return state, verdict
+    changed = residual is not state.residual and residual != state.residual
     witness = state.witness
     if changed:
         witness = witness + (
             WitnessEntry(record.t, record.input, record.output, labels, residual),
         )
-    verdict = verdict_of(residual)
     if not verdict.is_terminal():
         return (
             replace(state, residual=residual, witness=witness, last_verdict=verdict),
@@ -156,7 +201,7 @@ def run_monitor(
     cache = ProgressionCache()
     reports = []
     for cid in sorted(constraints):
-        state = new_state(cid, constraints[cid], reset_mode=(mode == "reset"))
+        state = new_state(cid, constraints[cid], mode == "reset", cache)
         verdicts = []
         for record in trace.steps:
             state, verdict = step(state, record.labels, record, cache)
@@ -181,22 +226,71 @@ def audit_log(
 ) -> list[VerdictReport]:
     """Audit a recorded trace; identical output to ``run_monitor``.
 
-    With ``cross_check`` every prefix is additionally recomputed from
-    scratch and the final verdict compared against the incremental one.
+    With ``cross_check`` the reports are checked against the reference
+    progression; see ``_cross_check``.
     """
     reports = run_monitor(trace, constraints, mode)
     if cross_check:
-        for j in range(1, len(trace.steps) + 1):
-            prefix = Trace(trace.steps[:j], trace.metadata)
-            fresh = run_monitor(prefix, constraints, mode)
-            for incremental, recomputed in zip(reports, fresh):
-                if incremental.verdicts[j - 1] is not recomputed.verdicts[-1]:
-                    raise CrossCheckError(
-                        f"constraint {incremental.constraint_id}: prefix of length {j} "
-                        f"recomputed as {recomputed.verdicts[-1].value}, incremental "
-                        f"said {incremental.verdicts[j - 1].value}"
-                    )
+        _cross_check(trace, constraints, mode, reports)
     return reports
+
+
+def _cross_check(
+    trace: Trace,
+    constraints: Mapping[str, Formula],
+    mode: str,
+    reports: Sequence[VerdictReport],
+) -> None:
+    """Check compiled monitoring against the reference progression in one pass.
+
+    Per constraint, a compiled run and an uncached run of
+    ``simplify(progress(...))`` step through the trace side by side and
+    must agree on every residual and verdict; the reference must also
+    reproduce the report's verdicts, counters and witnesses.  Replaying
+    each witness episode's labels from the objective must then reproduce
+    every recorded residual and end in the episode's verdict.  Raises
+    ``CrossCheckError`` on the first disagreement.
+    """
+    cache = ProgressionCache()
+    for report in reports:
+        cid = report.constraint_id
+        compiled = new_state(cid, constraints[cid], mode == "reset", cache)
+        reference = new_state(cid, constraints[cid], mode == "reset")
+        for record, reported in zip(trace.steps, report.verdicts, strict=True):
+            compiled, verdict = step(compiled, record.labels, record, cache)
+            reference, expected = step(reference, record.labels, record)
+            if compiled.residual != reference.residual:
+                raise CrossCheckError(
+                    f"constraint {cid}: step {record.t}: compiled residual "
+                    f"{render(compiled.residual)} differs from reference "
+                    f"{render(reference.residual)}"
+                )
+            if verdict is not expected or reported is not expected:
+                raise CrossCheckError(
+                    f"constraint {cid}: step {record.t}: reference verdict {expected.value}, "
+                    f"compiled {verdict.value}, reported {reported.value}"
+                )
+        if (reference.violations, reference.satisfactions, reference.episodes) != (
+            report.violations,
+            report.satisfactions,
+            report.witnesses,
+        ):
+            raise CrossCheckError(
+                f"constraint {cid}: reported counters or witnesses differ from the reference run"
+            )
+        for n, episode in enumerate(report.witnesses, 1):
+            residual = reference.objective
+            for entry in episode.entries:
+                residual = simplify(progress(residual, entry.labels))
+                if residual != entry.residual:
+                    raise CrossCheckError(
+                        f"constraint {cid}: witness episode {n} does not replay at step {entry.t}"
+                    )
+            if verdict_of(residual) is not episode.verdict:
+                raise CrossCheckError(
+                    f"constraint {cid}: witness episode {n} replays to "
+                    f"{verdict_of(residual).value}, not {episode.verdict.value}"
+                )
 
 
 @dataclass(frozen=True)

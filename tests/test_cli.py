@@ -142,6 +142,27 @@ class TestAuditCommand:
         code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2
 
+    def test_endpoint_labeler_without_vocabulary_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        endpoint = {"base_url": "http://127.0.0.1:9/v1", "model": "m"}
+        labeler = {"type": "endpoint", "endpoint": endpoint}
+        write_json(config, {**RULE_CONFIG, "labeler": labeler})
+        write_trace(trace, ["x"])
+        code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2
+        assert "error:" in err and "vocabulary" in err
+
+    def test_invalid_rule_regex_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": "(("}}
+        write_json(config, {**RULE_CONFIG, "labeler": labeler})
+        write_trace(trace, ["x"])
+        code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2
+        assert "error:" in err and "regex" in err
+
     def test_cross_check_flag(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"

@@ -5,16 +5,21 @@ import random
 
 import pytest
 
+from helpers import DEFAULT_PROPS, random_assignment, random_formula
 from ltlguard.ltl import (
     FALSE,
     TRUE,
+    Interner,
     Verdict,
     evaluate_lasso,
     parse,
     progress,
+    render,
     simplify,
 )
 from ltlguard.monitor import (
+    CrossCheckError,
+    ProgressionCache,
     audit_log,
     new_state,
     run_monitor,
@@ -174,6 +179,65 @@ class TestRunMonitor:
                     assert residual == expected
 
 
+class TestCompiledPath:
+    """The residual automaton against the reference ``simplify(progress(...))``."""
+
+    def test_progress_simplify_matches_reference(self):
+        rng = random.Random(2603)
+        for _ in range(400):
+            cache = ProgressionCache()
+            residual = random_formula(rng, depth=rng.randint(0, 5))
+            for _ in range(8):
+                labels = random_assignment(rng, DEFAULT_PROPS)
+                expected = simplify(progress(residual, labels))
+                actual = cache.progress_simplify(residual, labels)
+                assert actual == expected
+                assert render(actual) == render(expected)
+                # Continue from the compiled result, or from an unsimplified
+                # formula the cache never produced.
+                residual = actual if rng.random() < 0.7 else progress(residual, labels)
+
+    def test_interned_residuals_are_unique(self):
+        cache = ProgressionCache()
+        phi = parse("G(p -> F q) & F(p & X F q)")
+        assert cache.normalize(phi) is cache.normalize(parse("G(p -> F q) & F(p & X F q)"))
+        residual = cache.normalize(phi)
+        assert cache.progress_simplify(residual, frozenset({"p"})) is cache.progress_simplify(
+            residual, frozenset({"p", "unread"})
+        )
+
+    def test_run_monitor_equals_reference_fold(self):
+        rng = random.Random(2604)
+        for _ in range(60):
+            constraints = {
+                f"c{i}": random_formula(rng, depth=rng.randint(1, 4)) for i in range(3)
+            }
+            trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(12)])
+            for mode in ("plain", "reset"):
+                expected = []
+                for cid in sorted(constraints):
+                    state = new_state(cid, constraints[cid], reset_mode=(mode == "reset"))
+                    verdicts = []
+                    for record in trace.steps:
+                        state, verdict = step(state, record.labels, record, cache=None)
+                        verdicts.append(verdict)
+                    expected.append(
+                        VerdictReport(
+                            cid, tuple(verdicts), state.violations, state.satisfactions,
+                            state.episodes,
+                        )
+                    )
+                assert run_monitor(trace, constraints, mode=mode) == expected
+
+    def test_unchanged_step_returns_same_state(self):
+        cache = ProgressionCache()
+        state = new_state("c", parse("G(p -> F q)"), cache=cache)
+        record = StepRecord(1, "", "o", frozenset())
+        state, _ = step(state, frozenset(), record, cache)
+        again, verdict = step(state, frozenset(), record, cache)
+        assert again is state and verdict is I
+
+
 class TestAuditLog:
     def test_matches_run_monitor(self):
         rng = random.Random(4)
@@ -191,6 +255,22 @@ class TestAuditLog:
         constraints = {"c": parse("p U q"), "d": parse("G(p -> F q)")}
         for mode in ("plain", "reset"):
             audit_log(trace, constraints, mode=mode, cross_check=True)
+
+    def test_cross_check_catches_corrupted_transition(self, monkeypatch):
+        trace = labeled_trace([{"p"}, set(), {"p"}])
+        constraints = {"c": parse("G p")}
+        progress_interned = Interner.progress
+
+        def corrupted(self, phi, sigma):
+            # Only G p on {} progresses to false: that transition now says true.
+            result = progress_interned(self, phi, sigma)
+            return TRUE if result is FALSE else result
+
+        monkeypatch.setattr(Interner, "progress", corrupted)
+        (report,) = audit_log(trace, constraints)
+        assert report.verdicts == (I, S, S)
+        with pytest.raises(CrossCheckError, match="constraint c: step 2"):
+            audit_log(trace, constraints, cross_check=True)
 
     def test_empty_constraint_set(self):
         assert audit_log(labeled_trace([set()]), {}) == []
