@@ -51,6 +51,7 @@ from .synthbench import (
 )
 from .trace import (
     LabelingError,
+    Trace,
     TraceError,
     apply_labeler,
     load_reports,
@@ -58,7 +59,6 @@ from .trace import (
     report_to_dict,
     save_reports,
     save_trace,
-    step_to_dict,
 )
 
 EXIT_OK = 0
@@ -233,13 +233,12 @@ def cmd_guard(args: argparse.Namespace) -> int:
             session, max_steps=args.max_steps, initial_input=config.initial_input
         )
     except (EndpointError, LabelingError, RuntimeError) as err:
-        _flush_guard_outputs(session, out_dir)
+        _save_guard_log(session, out_dir / "guard_log.jsonl")
+        save_trace(Trace(tuple(session.steps)), out_dir / "trace.jsonl")
         _human(f"error: {err} (partial outputs flushed to {out_dir})")
         return EXIT_ERROR
     save_trace(trace, out_dir / "trace.jsonl")
-    with (out_dir / "guard_log.jsonl").open("w", encoding="utf-8") as fh:
-        for outcome in outcomes:
-            fh.write(json.dumps(outcome.to_dict(), ensure_ascii=False) + "\n")
+    _save_guard_log(session, out_dir / "guard_log.jsonl")
     save_reports(
         reports,
         out_dir / "reports.json",
@@ -253,13 +252,10 @@ def cmd_guard(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _flush_guard_outputs(session: GuardedSession, out_dir: Path) -> None:
-    with (out_dir / "guard_log.jsonl").open("w", encoding="utf-8") as fh:
+def _save_guard_log(session: GuardedSession, path: Path) -> None:
+    with path.open("w", encoding="utf-8") as fh:
         for outcome in session.outcomes:
             fh.write(json.dumps(outcome.to_dict(), ensure_ascii=False) + "\n")
-    with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
-        for record in session.steps:
-            fh.write(json.dumps(step_to_dict(record), ensure_ascii=False) + "\n")
 
 
 def cmd_bench_gen(args: argparse.Namespace) -> int:

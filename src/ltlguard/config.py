@@ -7,13 +7,14 @@ reproducible from the file plus the command line seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .intervention import InterventionPolicy, PolicyError
+from .intervention import InterventionPolicy
 from .ltl import Formula, ParseError, parse
 from .models import EndpointLabeler, EndpointModel, RuleLabeler, ScriptedModel
 from .synthbench import AttributeEventLabeler
@@ -22,6 +23,23 @@ from .trace import LabelingFunction
 
 class ConfigError(ValueError):
     """Invalid configuration document."""
+
+
+def _config_errors(build):
+    """Re-raise a missing key or a wrongly typed value as ``ConfigError``."""
+
+    @functools.wraps(build)
+    def checked(*args):
+        try:
+            return build(*args)
+        except ConfigError:
+            raise
+        except KeyError as err:
+            raise ConfigError(f"config is missing field {err}") from err
+        except (ValueError, TypeError, OverflowError) as err:
+            raise ConfigError(f"invalid config value: {err}") from err
+
+    return checked
 
 
 @dataclass
@@ -46,6 +64,7 @@ class Config:
         return "\n".join(f"- {self.glosses[cid]}" for cid in sorted(self.glosses))
 
 
+@_config_errors
 def load_config(path: str | Path) -> Config:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -65,6 +84,8 @@ def load_config(path: str | Path) -> Config:
         if not isinstance(entry, Mapping) or "id" not in entry or "formula" not in entry:
             raise ConfigError(f"constraint #{i + 1} needs 'id' and 'formula' fields")
         cid = entry["id"]
+        if not isinstance(cid, str):
+            raise ConfigError(f"constraint #{i + 1}: 'id' must be a string")
         if cid in constraints:
             raise ConfigError(f"duplicate constraint id {cid!r}")
         try:
@@ -82,10 +103,7 @@ def load_config(path: str | Path) -> Config:
             policy_raw["inject_template"] = Path(template_path).read_text(encoding="utf-8")
         except OSError as err:
             raise ConfigError(f"cannot read inject template: {err}") from err
-    try:
-        policy = InterventionPolicy(**policy_raw)
-    except (PolicyError, TypeError) as err:
-        raise ConfigError(f"invalid policy: {err}") from err
+    policy = InterventionPolicy(**policy_raw)
 
     mode = raw.get("mode", "reset")
     if mode not in ("plain", "reset"):
@@ -108,16 +126,17 @@ def load_config(path: str | Path) -> Config:
     )
 
 
+@_config_errors
 def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
-    if not spec:
-        raise ConfigError("missing model specification")
+    if not spec or not isinstance(spec, Mapping):
+        raise ConfigError("model specification must be a nonempty JSON object")
     kind = spec.get("type")
     if kind == "scripted":
         if "outputs" in spec:
-            return ScriptedModel(
-                outputs=tuple(spec["outputs"]),
-                stop_token=spec.get("stop_token", "DONE"),
-            )
+            outputs = tuple(spec["outputs"])
+            if not all(isinstance(output, str) for output in outputs):
+                raise ConfigError("scripted model outputs must be strings")
+            return ScriptedModel(outputs=outputs, stop_token=spec.get("stop_token", "DONE"))
         if "distributions" in spec:
             distributions = tuple(
                 tuple((str(text), float(weight)) for text, weight in dist)
@@ -128,29 +147,29 @@ def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
             )
         raise ConfigError("scripted model needs 'outputs' or 'distributions'")
     if kind == "endpoint":
-        try:
-            return EndpointModel(
-                base_url=spec["base_url"],
-                model=spec["model"],
-                api_key_env=spec.get("api_key_env", "LTLGUARD_API_KEY"),
-                system_prompt=spec.get("system_prompt"),
-                max_tokens=spec.get("max_tokens"),
-                timeout=float(spec.get("timeout", 60.0)),
-                retries=int(spec.get("retries", 3)),
-                backoff=float(spec.get("backoff", 1.0)),
-                audit_log_path=spec.get("audit_log_path"),
-            )
-        except KeyError as err:
-            raise ConfigError(f"endpoint model spec missing {err}") from err
+        return EndpointModel(
+            base_url=spec["base_url"],
+            model=spec["model"],
+            api_key_env=spec.get("api_key_env", "LTLGUARD_API_KEY"),
+            system_prompt=spec.get("system_prompt"),
+            max_tokens=spec.get("max_tokens"),
+            timeout=float(spec.get("timeout", 60.0)),
+            retries=int(spec.get("retries", 3)),
+            backoff=float(spec.get("backoff", 1.0)),
+            audit_log_path=spec.get("audit_log_path"),
+        )
     raise ConfigError(f"unknown model type {kind!r}")
 
 
 EMBEDDED = "embedded"
 
 
+@_config_errors
 def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
     """Build the configured labeler; the string ``embedded`` means the
     trace's own ground-truth labels are used."""
+    if spec is not None and not isinstance(spec, Mapping):
+        raise ConfigError("labeler specification must be a JSON object")
     if spec is None or spec.get("type") == "embedded":
         return EMBEDDED
     kind = spec.get("type")
@@ -160,26 +179,17 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
                 vocabulary=frozenset(spec["vocabulary"]),
                 rules=dict(spec["rules"]),
             )
-        except KeyError as err:
-            raise ConfigError(f"rule labeler spec missing {err}") from err
         except re.error as err:
             raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
     if kind == "event":
         return AttributeEventLabeler(
             entities=int(spec.get("entities", 1)),
             tagged=spec.get("tagged"),
         )
     if kind == "endpoint":
-        try:
-            endpoint = build_model({"type": "endpoint", **spec["endpoint"]})
-            vocabulary = frozenset(spec["vocabulary"])
-        except KeyError as err:
-            raise ConfigError(f"endpoint labeler spec missing {err}") from err
         return EndpointLabeler(
-            endpoint=endpoint,
-            vocabulary=vocabulary,
+            endpoint=build_model({"type": "endpoint", **spec["endpoint"]}),
+            vocabulary=frozenset(spec["vocabulary"]),
             temperature=float(spec.get("temperature", 0.0)),
             max_context_chars=int(spec.get("max_context_chars", 8000)),
         )

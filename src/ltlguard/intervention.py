@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .ltl import Formula, Verdict, render
-from .models import BlackBoxModel, SampleParams, derive_seed, steps_to_history
-from .monitor import MonitorState, ProgressionCache, new_state, step
-from .predictive import MonitoringPattern, RiskEstimate, estimate_risks, get_pattern
+from .models import BlackBoxModel, SampleParams, derive_seed
+from .monitor import MonitorState, ProgressionCache, new_state
+from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
 STRATEGIES = ("none", "resample", "inject", "switch")
@@ -61,6 +61,10 @@ class InterventionPolicy:
             raise PolicyError("n must be >= 1")
         if self.k < 1 or self.m < 1:
             raise PolicyError("k and m must be >= 1")
+        try:
+            get_pattern(self.pattern)
+        except KeyError as err:
+            raise PolicyError(err.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -142,11 +146,7 @@ class GuardedSession:
         )
         self.steps: list[StepRecord] = []
         self.outcomes: list[GuardedStepOutcome] = []
-        self.verdict_log: dict[str, list[Verdict]] = {cid: [] for cid in self.states}
         self.finished = False
-
-    def constraint_ids(self) -> list[str]:
-        return sorted(self.states)
 
 
 def apply_inject(
@@ -187,41 +187,29 @@ def apply_switch(session: GuardedSession, t: int) -> str:
 
 
 def _rollout_violations(
-    session: GuardedSession,
-    input: str,
-    output: str,
-    t: int,
-    horizon_seed: int,
+    session: GuardedSession, input: str, output: str, horizon_seed: int
 ) -> int:
     """Predicted violation count across constraints when committing
     (input, output) now and continuing for the remaining horizon."""
-    policy = session.policy
     steps = list(session.steps)
-    states = dict(session.states)
+    states = session.states
     violations = 0
-    record = StepRecord(t=len(steps) + 1, input=input, output=output)
-    labels = session.labeler([*steps, record])
-    record = StepRecord(t=record.t, input=input, output=output, labels=labels)
-    steps.append(record)
-    for cid in session.constraint_ids():
-        states[cid], verdict = step(states[cid], labels, record, session.cache)
-        violations += verdict is Verdict.VIOLATED
-    for offset in range(policy.k - 1):
-        out = session.model.next_output(
-            steps_to_history(steps),
-            "",
-            SampleParams(
-                temperature=session.sampling_temperature,
-                seed=derive_seed(horizon_seed, "roll", offset),
-            ),
+    for offset in range(session.policy.k):
+        if offset:
+            input = ""
+            output = session.model.next_output(
+                steps,
+                input,
+                SampleParams(
+                    temperature=session.sampling_temperature,
+                    seed=derive_seed(horizon_seed, "roll", offset - 1),
+                ),
+            )
+        record, states, verdicts = advance(
+            states, session.labeler, steps, input, output, session.cache
         )
-        rec = StepRecord(t=len(steps) + 1, input="", output=out)
-        labels = session.labeler([*steps, rec])
-        rec = StepRecord(t=rec.t, input="", output=out, labels=labels)
-        steps.append(rec)
-        for cid in session.constraint_ids():
-            states[cid], verdict = step(states[cid], labels, rec, session.cache)
-            violations += verdict is Verdict.VIOLATED
+        steps.append(record)
+        violations += sum(verdict is Verdict.VIOLATED for verdict in verdicts.values())
     return violations
 
 
@@ -237,7 +225,7 @@ def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
     best_score: int | None = None
     for j in range(n):
         candidate = session.model.next_output(
-            steps_to_history(session.steps),
+            session.steps,
             input,
             SampleParams(
                 temperature=session.sampling_temperature,
@@ -245,7 +233,7 @@ def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
             ),
         )
         score = _rollout_violations(
-            session, input, candidate, t, derive_seed(session.seed, t, "resample", j)
+            session, input, candidate, derive_seed(session.seed, t, "resample", j)
         )
         if best_score is None or score < best_score:
             best_output, best_score = candidate, score
@@ -253,31 +241,39 @@ def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
     return best_output
 
 
-def _post_pair_risks(
-    session: GuardedSession, input: str, output: str, seed: int
+def _risks(
+    session: GuardedSession,
+    states: Mapping[str, MonitorState],
+    next_input: str,
+    history: Sequence[StepRecord],
+    seed: int,
 ) -> dict[str, float]:
-    """Estimated pattern risk after committing (input, output), the pair's
-    own verdict included as the first element of each sequence."""
-    record = StepRecord(t=len(session.steps) + 1, input=input, output=output)
-    labels = session.labeler([*session.steps, record])
-    record = StepRecord(t=record.t, input=input, output=output, labels=labels)
-    progressed: dict[str, MonitorState] = {}
-    for cid in session.constraint_ids():
-        progressed[cid], _ = step(session.states[cid], labels, record, session.cache)
+    """Pattern probability per constraint under the session's estimator settings."""
     estimates = estimate_risks(
-        progressed,
+        states,
         session.model,
         session.labeler,
         session.pattern,
         session.policy.k,
         session.policy.m,
-        "",
-        [*session.steps, record],
+        next_input,
+        history,
         seed,
         session.sampling_temperature,
         session.cache,
     )
     return {cid: est.probability for cid, est in estimates.items()}
+
+
+def _post_pair_risks(
+    session: GuardedSession, input: str, output: str, seed: int
+) -> dict[str, float]:
+    """Estimated pattern risk after committing (input, output), the pair's
+    own verdict included as the first element of each sequence."""
+    record, progressed, _ = advance(
+        session.states, session.labeler, session.steps, input, output, session.cache
+    )
+    return _risks(session, progressed, "", [*session.steps, record], seed)
 
 
 def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome | None:
@@ -290,23 +286,12 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         raise RuntimeError("session already finished")
     policy = session.policy
     t = len(session.steps) + 1
-    trigger: dict[str, RiskEstimate] | None = None
+    trigger: dict[str, float] | None = None
     if policy.strategy != "none":
-        trigger = estimate_risks(
-            session.states,
-            session.model,
-            session.labeler,
-            session.pattern,
-            policy.k,
-            policy.m,
-            next_input,
-            session.steps,
-            derive_seed(session.seed, t, "predict"),
-            session.sampling_temperature,
-            session.cache,
-        )
+        predict_seed = derive_seed(session.seed, t, "predict")
+        trigger = _risks(session, session.states, next_input, session.steps, predict_seed)
     original_output = session.model.next_output(
-        steps_to_history(session.steps),
+        session.steps,
         next_input,
         SampleParams(
             temperature=session.action_temperature, seed=derive_seed(session.seed, t, "action")
@@ -320,22 +305,20 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     intervened = False
     risk_original = risk_after = None
     contract_ok = None
-    if trigger is not None and any(
-        est.probability >= policy.tau for est in trigger.values()
-    ):
+    if trigger is not None and any(risk >= policy.tau for risk in trigger.values()):
         intervened = True
         if policy.strategy == "resample":
             final_output = apply_resample(session, next_input, policy.n, t)
         elif policy.strategy == "inject":
             at_risk = [
                 (cid, session.states[cid].residual)
-                for cid in session.constraint_ids()
-                if trigger[cid].probability >= policy.tau
+                for cid in session.states
+                if trigger[cid] >= policy.tau
             ]
             template = policy.inject_template or default_inject_template()
             final_input = apply_inject(next_input, at_risk, template)
             final_output = session.model.next_output(
-                steps_to_history(session.steps),
+                session.steps,
                 final_input,
                 SampleParams(
                     temperature=session.action_temperature,
@@ -348,16 +331,12 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         risk_original = _post_pair_risks(session, next_input, original_output, post_seed)
         risk_after = _post_pair_risks(session, final_input, final_output, post_seed)
         contract_ok = all(
-            risk_after[cid] <= risk_original[cid] for cid in session.constraint_ids()
+            risk_after[cid] <= risk_original[cid] for cid in session.states
         )
 
-    record = StepRecord(t=t, input=final_input, output=final_output)
-    labels = session.labeler([*session.steps, record])
-    record = StepRecord(t=t, input=final_input, output=final_output, labels=labels)
-    verdicts: dict[str, Verdict] = {}
-    new_states: dict[str, MonitorState] = {}
-    for cid in session.constraint_ids():
-        new_states[cid], verdicts[cid] = step(session.states[cid], labels, record, session.cache)
+    record, new_states, verdicts = advance(
+        session.states, session.labeler, session.steps, final_input, final_output, session.cache
+    )
     outcome = GuardedStepOutcome(
         t=t,
         input=next_input,
@@ -370,9 +349,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         residuals={
             cid: render(new_states[cid].residual, "ascii") for cid in new_states
         },
-        trigger_risk=(
-            {cid: est.probability for cid, est in trigger.items()} if trigger else None
-        ),
+        trigger_risk=trigger or None,
         risk_original=risk_original,
         risk_after=risk_after,
         contract_ok=contract_ok,
@@ -381,8 +358,6 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     )
     session.steps.append(record)
     session.states = new_states
-    for cid, verdict in verdicts.items():
-        session.verdict_log[cid].append(verdict)
     session.outcomes.append(outcome)
     return outcome
 
@@ -410,12 +385,12 @@ def run_guarded(
     reports = [
         VerdictReport(
             constraint_id=cid,
-            verdicts=tuple(session.verdict_log[cid]),
+            verdicts=tuple(outcome.verdicts[cid] for outcome in session.outcomes),
             violations=session.states[cid].violations,
             satisfactions=session.states[cid].satisfactions,
             witnesses=session.states[cid].episodes,
         )
-        for cid in session.constraint_ids()
+        for cid in session.states
     ]
     return trace, list(session.outcomes), reports
 

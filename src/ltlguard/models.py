@@ -30,8 +30,6 @@ from .trace import LabelingFunction, StepRecord, Trace
 
 logger = logging.getLogger(__name__)
 
-History = Sequence[tuple[str, str]]
-
 
 def derive_seed(*parts: object) -> int:
     """Stable, platform-independent seed derived from the given parts."""
@@ -48,14 +46,12 @@ class SampleParams:
 
 @runtime_checkable
 class BlackBoxModel(Protocol):
-    """Produces the next output given the input/output history so far and
-    the current input.  Implementations never see monitor state."""
+    """Produces the next output from the session's step records so far, labels
+    included, and the current input; never sees monitor state or modifies ``history``."""
 
-    def next_output(self, history: History, input: str, params: SampleParams) -> str: ...
-
-
-def steps_to_history(steps: Sequence[StepRecord]) -> list[tuple[str, str]]:
-    return [(s.input, s.output) for s in steps]
+    def next_output(
+        self, history: Sequence[StepRecord], input: str, params: SampleParams
+    ) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -77,11 +73,13 @@ class ScriptedModel:
         if (self.outputs is None) == (self.distributions is None):
             raise ValueError("provide exactly one of outputs or distributions")
         if self.distributions is not None:
+            if not self.distributions:
+                raise ValueError("distributions must not be empty")
             for dist in self.distributions:
                 if not dist or any(w < 0 for _, w in dist) or sum(w for _, w in dist) <= 0:
                     raise ValueError("each distribution needs nonnegative weights summing > 0")
 
-    def next_output(self, history: History, input: str, params: SampleParams) -> str:
+    def next_output(self, history: Sequence[StepRecord], input: str, params: SampleParams) -> str:
         t = len(history) + 1
         if self.outputs is not None:
             if t <= len(self.outputs):
@@ -131,19 +129,19 @@ class EndpointModel:
     backoff: float = 1.0
     audit_log_path: str | None = None
 
-    def _messages(self, history: History, input: str) -> list[dict]:
+    def _messages(self, history: Sequence[StepRecord], input: str) -> list[dict]:
         messages: list[dict] = []
         if self.system_prompt:
             messages.append({"role": "system", "content": self.system_prompt})
-        for past_input, past_output in history:
-            if past_input:
-                messages.append({"role": "user", "content": past_input})
-            messages.append({"role": "assistant", "content": past_output})
+        for record in history:
+            if record.input:
+                messages.append({"role": "user", "content": record.input})
+            messages.append({"role": "assistant", "content": record.output})
         if input:
             messages.append({"role": "user", "content": input})
         return messages
 
-    def next_output(self, history: History, input: str, params: SampleParams) -> str:
+    def next_output(self, history: Sequence[StepRecord], input: str, params: SampleParams) -> str:
         body = {
             "model": self.model,
             "messages": self._messages(history, input),

@@ -13,9 +13,9 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .ltl import Verdict
-from .models import BlackBoxModel, SampleParams, derive_seed, steps_to_history
+from .models import BlackBoxModel, SampleParams, derive_seed
 from .monitor import MonitorState, ProgressionCache, step
-from .trace import LabelingFunction, StepRecord
+from .trace import LabelingFunction, StepRecord, checked_labels
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,25 @@ def get_pattern(name: str) -> MonitoringPattern:
 
 for _p in (CONTAINS_VIOLATED, CONTAINS_SATISFIED, ENDS_VIOLATED):
     register_pattern(_p)
+
+
+def advance(
+    states: Mapping[str, MonitorState],
+    labeler: LabelingFunction,
+    steps: Sequence[StepRecord],
+    input: str,
+    output: str,
+    cache: ProgressionCache | None,
+) -> tuple[StepRecord, dict[str, MonitorState], dict[str, Verdict]]:
+    """Label (input, output) as the step after ``steps`` and progress every
+    state along it; returns the record and the new states and verdicts."""
+    record = StepRecord(t=len(steps) + 1, input=input, output=output)
+    record = replace(record, labels=checked_labels(labeler, [*steps, record]))
+    new_states: dict[str, MonitorState] = {}
+    verdicts: dict[str, Verdict] = {}
+    for cid, state in states.items():
+        new_states[cid], verdicts[cid] = step(state, record.labels, record, cache)
+    return record, new_states, verdicts
 
 
 @dataclass(frozen=True)
@@ -97,23 +116,15 @@ def estimate_risks(
     matches: dict[str, int] = {cid: 0 for cid in states}
     for j in range(m):
         sampled_steps = list(history)
-        copies = dict(states)
-        verdicts: dict[str, list[Verdict]] = {
-            cid: [st.last_verdict] for cid, st in states.items()
-        }
+        copies = states
+        verdicts = {cid: [st.last_verdict] for cid, st in states.items()}
+        params = SampleParams(temperature=temperature, seed=derive_seed(seed, "sample", j))
         for offset in range(k):
             inp = next_input if offset == 0 else ""
-            out = model.next_output(
-                steps_to_history(sampled_steps),
-                inp,
-                SampleParams(temperature=temperature, seed=derive_seed(seed, "sample", j)),
-            )
-            record = StepRecord(t=len(sampled_steps) + 1, input=inp, output=out)
-            labels = labeler([*sampled_steps, record])
-            record = replace(record, labels=labels)
+            out = model.next_output(sampled_steps, inp, params)
+            record, copies, step_verdicts = advance(copies, labeler, sampled_steps, inp, out, cache)
             sampled_steps.append(record)
-            for cid in copies:
-                copies[cid], verdict = step(copies[cid], labels, record, cache)
+            for cid, verdict in step_verdicts.items():
                 verdicts[cid].append(verdict)
         for cid in states:
             seq = tuple(verdicts[cid])

@@ -165,6 +165,19 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             fh.write(json.dumps(step_to_dict(step), ensure_ascii=False) + "\n")
 
 
+def checked_labels(labeler: LabelingFunction, steps: Sequence[StepRecord]) -> TruthAssignment:
+    """Label the last of ``steps``; a labeler failure or an undeclared
+    proposition raises ``LabelingError`` with that step's index."""
+    try:
+        labels = labeler(steps)
+    except Exception as err:
+        raise LabelingError(f"labeler failed: {err}", steps[-1].t) from err
+    extra = labels - labeler.vocabulary
+    if extra:
+        raise LabelingError(f"undeclared proposition(s): {', '.join(sorted(extra))}", steps[-1].t)
+    return labels
+
+
 def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = False) -> Trace:
     """Return a copy of ``trace`` with labels populated at every step.
 
@@ -173,20 +186,10 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
     """
     new_steps: list[StepRecord] = []
     for step in trace.steps:
-        if step.labels is not None and not overwrite:
-            new_steps.append(step)
-            continue
-        history = new_steps + [replace(step, labels=None)]
-        try:
-            labels = labeler(history)
-        except Exception as err:
-            raise LabelingError(f"labeler failed: {err}", step.t) from err
-        extra = labels - labeler.vocabulary
-        if extra:
-            raise LabelingError(
-                f"undeclared proposition(s): {', '.join(sorted(extra))}", step.t
-            )
-        new_steps.append(replace(step, labels=labels))
+        if step.labels is None or overwrite:
+            history = new_steps + [replace(step, labels=None)]
+            step = replace(step, labels=checked_labels(labeler, history))
+        new_steps.append(step)
     return Trace(tuple(new_steps), trace.metadata)
 
 
@@ -248,5 +251,11 @@ def save_reports(reports: Iterable[VerdictReport], path: str | Path, extra: Mapp
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:
+    """Load a report document; a missing or malformed field raises ``TraceError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [report_from_dict(obj) for obj in doc["reports"]]
+    try:
+        return [report_from_dict(obj) for obj in doc["reports"]]
+    except KeyError as err:
+        raise TraceError(f"{path}: missing field {err.args[0]!r}") from err
+    except (AttributeError, TypeError) as err:
+        raise TraceError(f"{path}: malformed report: {err}") from err

@@ -1,8 +1,17 @@
 """End-to-end command-line behavior: exit codes, outputs, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlguard.cli import main
+from ltlguard.config import ConfigError, build_labeler, build_model, load_config
 from helpers import run_cli_process
 
 RULE_CONFIG = {
@@ -201,6 +210,27 @@ class TestAuditCommand:
         second = json.loads((tmp_path / "second.json").read_text())
         assert second["f1"]["pooled"]["f1"] == 1.0
 
+    @pytest.mark.parametrize(
+        "truth, field",
+        [
+            ({"mode": "reset"}, "reports"),
+            ({"reports": [{"verdicts": [], "violations": 0, "satisfactions": 0}]}, "constraint_id"),
+        ],
+    )
+    def test_malformed_f1_truth_exit_2(self, capsys, tmp_path, truth, field):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        truth_path = tmp_path / "truth.json"
+        write_json(config, RULE_CONFIG)
+        write_json(truth_path, truth)
+        write_trace(trace, ["bad", "goal"])
+        code, _, err = run_cli(
+            ["audit", str(trace), "--config", str(config), "--f1-against", str(truth_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err and repr(field) in err
+
     def test_embedded_labels_used_when_no_labeler(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -293,6 +323,46 @@ class TestGuardCommand:
         assert (out_dir / "guard_log.jsonl").exists()
         assert (out_dir / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": "abc"},
+            {"model": {"type": "scripted", "distributions": [[["bad move", -1], ["ok move", 1]]]}},
+            {"labeler": {"type": "event", "entities": "two"}},
+        ],
+    )
+    def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, **override})
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: invalid config value")
+
+    def test_undeclared_label_exit_2_flushes_partial_outputs(self, capsys, tmp_path):
+        # A single-entity tagged event labeler declares only e1_* propositions
+        # but labels every "Entity <n>:" segment it finds.
+        config_doc = {
+            "constraints": [{"id": "crane", "formula": "G e1_animal_crane"}],
+            "labeler": {"type": "event", "entities": 1, "tagged": True},
+            "model": {"type": "scripted", "outputs": ["Entity 1: a crane", "Entity 2: a crane"]},
+            "policy": {"strategy": "none"},
+        }
+        config = tmp_path / "config.json"
+        write_json(config, config_doc)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 2
+        assert "step 2: undeclared proposition(s): e2_animal_crane" in err
+        assert "partial outputs flushed" in err
+        assert len((out_dir / "trace.jsonl").read_text().splitlines()) == 1
+        assert len((out_dir / "guard_log.jsonl").read_text().splitlines()) == 1
+
     def test_guard_log_carries_estimator_parameters(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         write_json(config, GUARD_CONFIG)
@@ -305,6 +375,107 @@ class TestGuardCommand:
         entry = json.loads((out_dir / "guard_log.jsonl").read_text().splitlines()[0])
         assert entry["k"] == 1 and entry["m"] == 4
         assert set(entry["trigger_risk"]) == {"no_bad"}
+
+
+DROP = object()
+MUTATION_POOL = (DROP, None, -1, 0, "x", [], {})
+MUTATION_BASES = (
+    ("audit", RULE_CONFIG),
+    ("audit", {"constraints": [{"id": "done", "formula": "F done"}], "labeler": {"type": "embedded"}}),
+    ("guard", GUARD_CONFIG),
+    (
+        "guard",
+        {
+            **GUARD_CONFIG,
+            "model": {"type": "scripted", "outputs": ["ok move", "bad move"]},
+            "policy": {
+                "strategy": "resample", "tau": 0.0, "n": 2, "k": 2, "m": 2,
+                "pattern": "contains_violated",
+            },
+        },
+    ),
+)
+
+
+def json_paths(node, prefix=()):
+    """Paths to every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one or two values dropped or replaced from a small pool."""
+    command, doc = draw(st.sampled_from(MUTATION_BASES))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        *parents, last = draw(st.sampled_from(paths))
+        node = doc
+        for key in parents:
+            node = node[key]
+        value = draw(st.sampled_from(MUTATION_POOL))
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(value)
+    return command, doc
+
+
+def rejected(config_path, command):
+    """Whether config loading rejects the document; it may raise nothing but ConfigError."""
+    try:
+        config = load_config(config_path)
+        build_labeler(config.labeler_spec)
+        if command == "guard":
+            build_model(config.model_spec)
+            if config.substitute_spec:
+                build_model(config.substitute_spec)
+    except ConfigError:
+        return True
+    return False
+
+
+class TestConfigMutation:
+    @settings(max_examples=60, deadline=None)
+    @given(case=mutated_configs())
+    def test_mutated_config_keeps_exit_contract(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = tmp / "config.json"
+            write_json(config, doc)
+            if command == "audit":
+                trace = tmp / "trace.jsonl"
+                steps = [("a bad move", ["bad"]), ("goal done", ["goal", "done"])]
+                trace.write_text(
+                    "".join(
+                        json.dumps({"t": t, "output": out, "labels": labels}) + "\n"
+                        for t, (out, labels) in enumerate(steps, 1)
+                    ),
+                    encoding="utf-8",
+                )
+                argv = ["audit", str(trace), "--config", str(config), "--relabel"]
+            else:
+                argv = ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(tmp / "run")]
+            was_rejected = rejected(config, command)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in ((0, 1, 2) if command == "audit" else (0, 2))
+        if was_rejected:
+            assert code == 2
+        if code == 2:
+            assert err.getvalue().startswith("error:")
 
 
 class TestBenchCommands:

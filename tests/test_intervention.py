@@ -16,7 +16,8 @@ from ltlguard.intervention import (
 )
 from ltlguard.ltl import Eventually, Prop, Verdict, parse
 from ltlguard.models import RuleLabeler, SampleParams, ScriptedModel, derive_seed
-from ltlguard.trace import StepRecord
+from ltlguard.predictive import CONTAINS_VIOLATED, estimate_risks
+from ltlguard.trace import LabelingError, StepRecord
 
 BAD_LABELER = RuleLabeler(frozenset({"bad"}), {"bad": r"\bbad\b"})
 
@@ -231,6 +232,36 @@ class TestGuardStep:
         with pytest.raises(RuntimeError, match="endpoint down"):
             guard_step(session, "go")
         assert session.steps == [] and session.outcomes == []
+
+
+    @pytest.mark.parametrize("strategy", ["none", "resample"])
+    def test_undeclared_label_raises_and_leaves_session_unchanged(self, strategy):
+        class ArmableLabeler:
+            """Declares only ``bad``; once armed it also emits ``worse``."""
+
+            vocabulary = frozenset({"bad"})
+            armed = False
+
+            def __call__(self, steps):
+                return frozenset({"worse"}) if self.armed else frozenset()
+
+        labeler = ArmableLabeler()
+        session = GuardedSession(
+            model=COMPLIANT,
+            labeler=labeler,
+            constraints={"no_bad": parse("G !bad")},
+            policy=InterventionPolicy(strategy=strategy, tau=0.0, n=2, k=2, m=2),
+        )
+        guard_step(session, "go")
+        labeler.armed = True
+        before = (list(session.steps), list(session.outcomes), session.states)
+        with pytest.raises(LabelingError, match="step 2: undeclared proposition"):
+            guard_step(session, "")
+        assert (session.steps, session.outcomes, session.states) == before
+        with pytest.raises(LabelingError, match="step 2: undeclared proposition"):
+            estimate_risks(
+                session.states, COMPLIANT, labeler, CONTAINS_VIOLATED, 2, 2, "", session.steps, 0
+            )
 
 
 class TestRunGuarded:

@@ -81,7 +81,7 @@ class TestEndpointModel:
     def test_round_trip(self):
         with MockEndpoint(lambda body: "hello there") as mock:
             model = EndpointModel(base_url=mock.base_url, model="test-model")
-            out = model.next_output([("hi", "yo")], "next?", params(temperature=0.2))
+            out = model.next_output([StepRecord(1, "hi", "yo")], "next?", params(temperature=0.2))
         assert out == "hello there"
         body = mock.requests[0]["body"]
         assert body["model"] == "test-model"
@@ -91,7 +91,7 @@ class TestEndpointModel:
     def test_empty_inputs_skipped_in_messages(self):
         with MockEndpoint() as mock:
             model = EndpointModel(base_url=mock.base_url, model="m")
-            model.next_output([("", "first"), ("", "second")], "", params())
+            model.next_output([StepRecord(1, "", "first"), StepRecord(2, "", "second")], "", params())
         roles = [m["role"] for m in mock.requests[0]["body"]["messages"]]
         assert roles == ["assistant", "assistant"]
 
