@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from .config import EMBEDDED, ConfigError, build_labeler, build_model, load_config
@@ -32,6 +33,7 @@ from .ltl import (
     Until,
     parse,
     progress,
+    props_of,
     render,
     simplify,
     verdict_of,
@@ -51,6 +53,7 @@ from .synthbench import (
 )
 from .trace import (
     LabelingError,
+    LabelingFunction,
     Trace,
     TraceError,
     apply_labeler,
@@ -109,6 +112,27 @@ def _parse_labels(text: str) -> TruthAssignment:
     return frozenset(part.strip() for part in text.split(",") if part.strip())
 
 
+def _check_propositions(
+    constraints: Mapping[str, Formula], labeler: LabelingFunction | str, trace: Trace | None = None
+) -> None:
+    """Reject constraint propositions outside the labeler's vocabulary, which
+    no step could ever carry; with embedded labels, which have no vocabulary,
+    warn about those no step of ``trace`` carries."""
+    if labeler is EMBEDDED:
+        seen = frozenset().union(*(record.labels or () for record in trace.steps))
+        for cid, phi in sorted(constraints.items()):
+            for prop in sorted(props_of(phi) - seen):
+                _human(f"warning: constraint {cid!r}: proposition {prop!r} is in no step's labels")
+        return
+    for cid, phi in sorted(constraints.items()):
+        unknown = props_of(phi) - labeler.vocabulary
+        if unknown:
+            raise ConfigError(
+                f"constraint {cid!r}: proposition(s) {', '.join(sorted(unknown))} "
+                "outside the labeler's vocabulary"
+            )
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
     try:
         phi = parse(args.formula)
@@ -159,6 +183,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         config = load_config(args.config)
         trace = load_trace(args.trace)
         labeler = build_labeler(config.labeler_spec)
+        _check_propositions(config.constraints, labeler, trace)
         if labeler is not EMBEDDED:
             trace = apply_labeler(trace, labeler, overwrite=args.relabel)
         mode = args.mode or config.mode
@@ -205,6 +230,7 @@ def cmd_guard(args: argparse.Namespace) -> int:
         labeler = build_labeler(config.labeler_spec)
         if labeler is EMBEDDED:
             raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
+        _check_propositions(config.constraints, labeler)
         model = build_model(config.model_spec)
         substitute = (
             build_model(config.substitute_spec) if config.substitute_spec else None
@@ -298,6 +324,8 @@ def cmd_bench_eval(args: argparse.Namespace) -> int:
             if not args.judge_config:
                 raise ConfigError("--judge endpoint requires --judge-config")
             spec = json.loads(Path(args.judge_config).read_text(encoding="utf-8"))
+            if not isinstance(spec, dict):
+                raise ConfigError("judge config must be a JSON object")
             judge = build_model({"type": "endpoint", **spec})
         report = eval_judge(cases, judge, level=args.level, seed=args.seed)
     except (ConfigError, GenerationError, EndpointError, TraceError, OSError, ValueError) as err:

@@ -11,7 +11,7 @@ import functools
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .intervention import InterventionPolicy
@@ -56,7 +56,6 @@ class Config:
     stop_token: str = "DONE"
     action_temperature: float = 0.2
     sampling_temperature: float = 0.8
-    raw: Mapping = field(default_factory=dict)
 
     def rules_text(self) -> str | None:
         if not self.glosses:
@@ -122,7 +121,6 @@ def load_config(path: str | Path) -> Config:
         stop_token=raw.get("stop_token", "DONE"),
         action_temperature=float(raw.get("action_temperature", 0.2)),
         sampling_temperature=float(raw.get("sampling_temperature", 0.8)),
-        raw=raw,
     )
 
 

@@ -136,9 +136,9 @@ class GuardedSession:
         self.stop_token = stop_token
         self.action_temperature = action_temperature
         self.sampling_temperature = sampling_temperature
-        self.cache = ProgressionCache()
+        cache = ProgressionCache()
         self.states: dict[str, MonitorState] = {
-            cid: new_state(cid, constraints[cid], reset_mode, self.cache)
+            cid: new_state(cid, constraints[cid], reset_mode, cache)
             for cid in sorted(constraints)
         }
         self.rules_text = rules_text or "\n".join(
@@ -205,9 +205,7 @@ def _rollout_violations(
                     seed=derive_seed(horizon_seed, "roll", offset - 1),
                 ),
             )
-        record, states, verdicts = advance(
-            states, session.labeler, steps, input, output, session.cache
-        )
+        record, states, verdicts = advance(states, session.labeler, steps, input, output)
         steps.append(record)
         violations += sum(verdict is Verdict.VIOLATED for verdict in verdicts.values())
     return violations
@@ -260,7 +258,6 @@ def _risks(
         history,
         seed,
         session.sampling_temperature,
-        session.cache,
     )
     return {cid: est.probability for cid, est in estimates.items()}
 
@@ -270,9 +267,7 @@ def _post_pair_risks(
 ) -> dict[str, float]:
     """Estimated pattern risk after committing (input, output), the pair's
     own verdict included as the first element of each sequence."""
-    record, progressed, _ = advance(
-        session.states, session.labeler, session.steps, input, output, session.cache
-    )
+    record, progressed, _ = advance(session.states, session.labeler, session.steps, input, output)
     return _risks(session, progressed, "", [*session.steps, record], seed)
 
 
@@ -335,7 +330,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         )
 
     record, new_states, verdicts = advance(
-        session.states, session.labeler, session.steps, final_input, final_output, session.cache
+        session.states, session.labeler, session.steps, final_input, final_output
     )
     outcome = GuardedStepOutcome(
         t=t,

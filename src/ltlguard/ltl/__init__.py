@@ -22,7 +22,7 @@ from .ast import (
 )
 from .lasso import evaluate_lasso
 from .parser import ParseError, parse
-from .progression import Interner, progress, simplify, verdict_of
+from .progression import ProgressionCache, progress, simplify, verdict_of
 from .render import render
 
 __all__ = [
@@ -34,11 +34,11 @@ __all__ = [
     "FalseBool",
     "Formula",
     "Implies",
-    "Interner",
     "Next",
     "Not",
     "Or",
     "ParseError",
+    "ProgressionCache",
     "Prop",
     "TrueBool",
     "TruthAssignment",

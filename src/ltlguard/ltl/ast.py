@@ -2,8 +2,9 @@
 
 Nodes are immutable, hashable dataclasses; every rewrite builds new values.
 Structural equality (generated ``__eq__``) is the equality of the reference
-semantics.  Within one ``Interner`` table (see ``progression``) equal nodes
-are the same object, so the compiled monitor compares residuals by identity.
+semantics.  Within one ``ProgressionCache`` (see ``progression``) equal
+nodes are the same object, so the compiled monitor compares residuals by
+identity.
 """
 
 from __future__ import annotations
@@ -100,25 +101,6 @@ class Eventually(Formula):
 @dataclass(frozen=True)
 class Always(Formula):
     child: Formula
-
-
-def _cache_hash(cls):
-    # Formulas are immutable and used as dictionary keys (the lasso oracle's
-    # memo, for one); memoize the generated structural hash per node.
-    generated = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-
-
-for _cls in (TrueBool, FalseBool, Prop, Not, And, Or, Implies, Next, Until, Eventually, Always):
-    _cache_hash(_cls)
 
 
 TRUE = TrueBool()

@@ -44,10 +44,11 @@ def evaluate_lasso(
     def nxt(i: int) -> int:
         return i + 1 if i + 1 < n else p
 
-    cache: dict[Formula, list[bool]] = {}
+    # Keyed by identity: ``phi`` keeps its subformulas alive for the call.
+    cache: dict[int, list[bool]] = {}
 
     def vec(f: Formula) -> list[bool]:
-        cached = cache.get(f)
+        cached = cache.get(id(f))
         if cached is not None:
             return cached
         match f:
@@ -79,7 +80,7 @@ def evaluate_lasso(
                 v = _greatest_fixpoint(vec(child), n, nxt)
             case _:
                 raise TypeError(f"not a formula: {f!r}")
-        cache[f] = v
+        cache[id(f)] = v
         return v
 
     return vec(phi)[0]

@@ -4,8 +4,9 @@
 requirement on the rest of the trace.  It is total and returns the raw
 rewrite; callers compose with ``simplify`` to reach the ``true``/``false``
 literals that terminal verdicts are read from.  These two are the
-reference semantics.  ``Interner`` computes the same composition on
-hash-consed nodes, normalizing as it builds instead of in a second pass.
+reference semantics.  ``ProgressionCache`` computes the same composition
+on hash-consed nodes, normalizing as it builds instead of in a second
+pass, and memoizes it as a residual automaton.
 """
 
 from __future__ import annotations
@@ -146,27 +147,31 @@ def _operands(kind: type, phi: Formula) -> list[Formula]:
     return out
 
 
-class Interner:
-    """Hash-consing table whose constructors normalize as they build.
+class ProgressionCache:
+    """The residual automaton of one monitored run, on hash-consed nodes.
 
-    Each node is built once per table, keyed by its class and the
-    identities of its children (a proposition by its name), so two nodes
-    of one table are structurally equal exactly when they are the same
-    object.  ``not_``, ``and_`` and ``or_`` apply the ``simplify`` rules at
-    construction: flatten same-kind chains, drop units, short-circuit on
-    the absorbing element, drop duplicates, collapse double negation.
-    Hence ``normalize(phi)`` is ``simplify(phi)`` and, for a node of this
-    table, ``progress(phi, sigma)`` is ``simplify(progress(phi, sigma))``,
-    both as nodes of this table.  The table keeps every node it built
-    alive, which keeps the identities in its keys unique, and so lives
-    only as long as its owner.
+    Each node is built once per automaton, keyed by its class and the
+    identities of its children (a proposition by its name), so equal
+    nodes of one automaton are the same object.  The constructors apply
+    the ``simplify`` rules as they build: flatten same-kind chains, drop
+    units and duplicates, short-circuit on the absorbing element, collapse
+    double negation.  Hence ``normalize(phi)`` is ``simplify(phi)`` and
+    ``progress_simplify(phi, sigma)`` is ``simplify(progress(phi, sigma))``,
+    both as states of this automaton.  A state keeps the propositions it
+    reads and its transitions found so far, keyed by the step's labels
+    restricted to those propositions; a step is one lookup and a miss
+    progresses the residual once.  The automaton keeps every node it built
+    alive, which keeps the identities in its keys unique, and lives as long
+    as its owner: one ``run_monitor`` call or guarded session.
     """
 
-    __slots__ = ("_nodes", "_props")
+    __slots__ = ("_nodes", "_props", "_states")
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, Formula] = {}
         self._props: dict[int, frozenset[str]] = {}  # id(node) -> props_of(node)
+        # id(state) -> (its props, its transitions)
+        self._states: dict[int, tuple[frozenset[str], dict[frozenset[str], Formula]]] = {}
 
     def _node(self, cls: type, *children: Formula) -> Formula:
         key = (cls, *map(id, children))
@@ -175,7 +180,7 @@ class Interner:
             node = self._nodes[key] = cls(*children)
         return node
 
-    def not_(self, child: Formula) -> Formula:
+    def _not(self, child: Formula) -> Formula:
         if child is TRUE:
             return FALSE
         if child is FALSE:
@@ -184,10 +189,10 @@ class Interner:
             return child.child
         return self._node(Not, child)
 
-    def and_(self, left: Formula, right: Formula) -> Formula:
+    def _and(self, left: Formula, right: Formula) -> Formula:
         return self._connective(And, TRUE, FALSE, left, right)
 
-    def or_(self, left: Formula, right: Formula) -> Formula:
+    def _or(self, left: Formula, right: Formula) -> Formula:
         return self._connective(Or, FALSE, TRUE, left, right)
 
     def _connective(
@@ -210,8 +215,7 @@ class Interner:
             node = self._node(kind, child, node)
         return node
 
-    def normalize(self, phi: Formula) -> Formula:
-        """``simplify(phi)`` as a node of this table; ``phi`` may be any formula."""
+    def _normalize(self, phi: Formula) -> Formula:
         match phi:
             case TrueBool():
                 return TRUE
@@ -220,26 +224,26 @@ class Interner:
             case Prop(name):
                 return self._nodes.setdefault((Prop, name), phi)
             case Not(child):
-                return self.not_(self.normalize(child))
+                return self._not(self._normalize(child))
             case And(left, right):
-                return self.and_(self.normalize(left), self.normalize(right))
+                return self._and(self._normalize(left), self._normalize(right))
             case Or(left, right):
-                return self.or_(self.normalize(left), self.normalize(right))
+                return self._or(self._normalize(left), self._normalize(right))
             case Implies(left, right):
-                left, right = self.normalize(left), self.normalize(right)
+                left, right = self._normalize(left), self._normalize(right)
                 if left is TRUE:
                     return right
                 if left is FALSE:
                     return TRUE
                 return self._node(Implies, left, right)
             case Next(child) | Eventually(child) | Always(child):
-                return self._node(type(phi), self.normalize(child))
+                return self._node(type(phi), self._normalize(child))
             case Until(left, right):
-                return self._node(Until, self.normalize(left), self.normalize(right))
+                return self._node(Until, self._normalize(left), self._normalize(right))
         raise TypeError(f"not a formula: {phi!r}")
 
     def props(self, phi: Formula) -> frozenset[str]:
-        """``props_of(phi)`` for a node ``phi`` of this table, memoized per node."""
+        """``props_of(phi)`` for a node ``phi`` of this automaton, memoized per node."""
         found = self._props.get(id(phi))
         if found is None:
             match phi:
@@ -256,13 +260,35 @@ class Interner:
             self._props[id(phi)] = found
         return found
 
-    def progress(self, phi: Formula, sigma: TruthAssignment) -> Formula:
-        """``simplify(progress(phi, sigma))`` for a node ``phi`` of this table.
+    def _register(self, phi: Formula) -> Formula:
+        if id(phi) not in self._states:
+            self._states[id(phi)] = (self.props(phi), {})
+        return phi
 
-        Shared subformulas are progressed once per call.
-        """
+    def normalize(self, phi: Formula) -> Formula:
+        """``simplify(phi)`` as a state of this automaton; ``phi`` may be any formula."""
+        return self._register(self._normalize(phi))
+
+    def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
+        """``simplify(progress(phi, labels))`` as a state of this automaton."""
+        # Every formula this automaton returns is a state, so a lookup by
+        # identity misses only on formulas from elsewhere.
+        state = self._states.get(id(phi))
+        if state is None:
+            phi = self.normalize(phi)
+            state = self._states[id(phi)]
+        props, transitions = state
+        key = props & labels
+        successor = transitions.get(key)
+        if successor is None:
+            successor = transitions[key] = self._register(self._progress(phi, key))
+        return successor
+
+    def _progress(self, phi: Formula, sigma: TruthAssignment) -> Formula:
+        # The transition table's miss: progress a node of this automaton
+        # through the normalizing constructors, each shared subformula once.
         done: dict[int, Formula] = {}
-        not_, and_, or_ = self.not_, self.and_, self.or_
+        not_, and_, or_ = self._not, self._and, self._or
 
         def go(f: Formula) -> Formula:
             result = done.get(id(f))

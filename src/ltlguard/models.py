@@ -41,7 +41,6 @@ def derive_seed(*parts: object) -> int:
 class SampleParams:
     temperature: float = 0.0
     seed: int = 0
-    max_tokens: int | None = None
 
 
 @runtime_checkable
@@ -147,9 +146,8 @@ class EndpointModel:
             "messages": self._messages(history, input),
             "temperature": params.temperature,
         }
-        max_tokens = params.max_tokens or self.max_tokens
-        if max_tokens is not None:
-            body["max_tokens"] = max_tokens
+        if self.max_tokens is not None:
+            body["max_tokens"] = self.max_tokens
         if params.seed is not None:
             body["seed"] = params.seed
         response = self._post_with_retries(body)
@@ -240,13 +238,12 @@ class EndpointLabeler:
 
     endpoint: EndpointModel
     vocabulary: frozenset[str]
-    prompt_template: str | None = None
     temperature: float = 0.0
     max_context_chars: int = 8000
     warnings: list[dict] = field(default_factory=list)
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
-        template = self.prompt_template or _load_template("label_prompt.txt")
+        template = _load_template("label_prompt.txt")
         t = steps[-1].t
         context = self._context(steps)
         prompt = template.replace("{text}", context).replace(

@@ -11,11 +11,11 @@ counted; the closed witness is archived before it is cleared.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .ltl import (
     Formula,
-    Interner,
+    ProgressionCache,
     TruthAssignment,
     Verdict,
     progress,
@@ -37,57 +37,20 @@ class CrossCheckError(AssertionError):
     """Compiled monitoring disagreed with the reference progression."""
 
 
-class _Residual:
-    """One state of the residual automaton: an interned residual, the
-    propositions it reads, and its transitions found so far, keyed by
-    the step's labels restricted to those propositions."""
+class _Reference:
+    """The reference progression as an engine: ``simplify(progress(...))``,
+    uncached, with ``progress`` and ``simplify`` looked up at call time."""
 
-    __slots__ = ("formula", "props", "successors")
-
-    def __init__(self, formula: Formula, props: frozenset[str]):
-        self.formula = formula
-        self.props = props
-        self.successors: dict[frozenset[str], Formula] = {}
-
-
-class ProgressionCache:
-    """The residual automaton of one monitored run.
-
-    Residuals are nodes of one ``Interner``, so equal residuals are the
-    same object and a state is found by identity.  A step is one lookup
-    in the state's transition table; a miss progresses the residual once
-    through the interner's normalizing constructors.  Formulas the cache
-    did not produce are normalized into it first, so any formula gives
-    the result ``simplify(progress(phi, labels))`` would.  The tables live
-    as long as the cache: one per ``run_monitor`` call or guarded session.
-    """
-
-    __slots__ = ("_nodes", "_states")
-
-    def __init__(self):
-        self._nodes = Interner()
-        self._states: dict[int, _Residual] = {}  # id(formula) -> its state
-
-    def _state(self, formula: Formula) -> _Residual:
-        state = self._states.get(id(formula))
-        if state is None:
-            state = self._states[id(formula)] = _Residual(formula, self._nodes.props(formula))
-        return state
+    __slots__ = ()
 
     def normalize(self, phi: Formula) -> Formula:
-        """``simplify(phi)`` as a state of this cache."""
-        return self._state(self._nodes.normalize(phi)).formula
+        return simplify(phi)
 
     def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
-        # Every formula this cache returns is a state, so a lookup by
-        # identity misses only on formulas from elsewhere.
-        state = self._states.get(id(phi)) or self._state(self._nodes.normalize(phi))
-        key = state.props & labels
-        successor = state.successors.get(key)
-        if successor is None:
-            successor = self._state(self._nodes.progress(state.formula, key)).formula
-            state.successors[key] = successor
-        return successor
+        return simplify(progress(phi, labels))
+
+
+REFERENCE = _Reference()
 
 
 @dataclass(frozen=True)
@@ -97,6 +60,8 @@ class MonitorState:
     constraint_id: str
     objective: Formula  # held in simplified form; reset target
     residual: Formula
+    # The residual automaton ``objective`` and ``residual`` are states of.
+    automaton: ProgressionCache | _Reference = field(compare=False, repr=False)
     reset_mode: bool = False
     witness: tuple[WitnessEntry, ...] = ()
     episodes: tuple[WitnessEpisode, ...] = ()
@@ -109,78 +74,54 @@ def new_state(
     constraint_id: str,
     objective: Formula,
     reset_mode: bool = False,
-    cache: ProgressionCache | None = None,
+    cache: ProgressionCache | _Reference | None = None,
 ) -> MonitorState:
-    """Initial state; with ``cache`` the objective is normalized into it."""
-    simplified = simplify(objective) if cache is None else cache.normalize(objective)
+    """Initial state, its objective normalized into ``cache`` or a fresh automaton."""
+    automaton = ProgressionCache() if cache is None else cache
+    simplified = automaton.normalize(objective)
     return MonitorState(
         constraint_id=constraint_id,
         objective=simplified,
         residual=simplified,
+        automaton=automaton,
         reset_mode=reset_mode,
     )
 
 
 def step(
-    state: MonitorState,
-    labels: TruthAssignment,
-    record: StepRecord,
-    cache: ProgressionCache | None = None,
+    state: MonitorState, labels: TruthAssignment, record: StepRecord
 ) -> tuple[MonitorState, Verdict]:
     """Progress one step; returns the successor state and its verdict.
 
-    Without ``cache`` the step runs the reference ``simplify(progress(...))``.
     A step that keeps the same residual object and an inconclusive verdict,
     as before, returns ``state`` itself.
     """
-    if cache is not None:
-        residual = cache.progress_simplify(state.residual, labels)
-    else:
-        residual = simplify(progress(state.residual, labels))
+    residual = state.automaton.progress_simplify(state.residual, labels)
     verdict = verdict_of(residual)
     if residual is state.residual and verdict is state.last_verdict is Verdict.INCONCLUSIVE:
         return state, verdict
+    witness, episodes = state.witness, state.episodes
+    violations, satisfactions = state.violations, state.satisfactions
     changed = residual is not state.residual and residual != state.residual
-    witness = state.witness
     if changed:
-        witness = witness + (
-            WitnessEntry(record.t, record.input, record.output, labels, residual),
-        )
-    if not verdict.is_terminal():
-        return (
-            replace(state, residual=residual, witness=witness, last_verdict=verdict),
-            verdict,
-        )
-    episodes = state.episodes
-    if changed:
-        episodes = episodes + (WitnessEpisode(verdict, witness),)
-    violations = state.violations + (verdict is Verdict.VIOLATED)
-    satisfactions = state.satisfactions + (verdict is Verdict.SATISFIED)
-    if state.reset_mode:
-        return (
-            replace(
-                state,
-                residual=state.objective,
-                witness=(),
-                episodes=episodes,
-                violations=violations,
-                satisfactions=satisfactions,
-                last_verdict=verdict,
-            ),
-            verdict,
-        )
-    return (
-        replace(
-            state,
-            residual=residual,
-            witness=witness,
-            episodes=episodes,
-            violations=violations,
-            satisfactions=satisfactions,
-            last_verdict=verdict,
-        ),
-        verdict,
+        witness += (WitnessEntry(record.t, record.input, record.output, labels, residual),)
+    if verdict.is_terminal():
+        if changed:
+            episodes += (WitnessEpisode(verdict, witness),)
+        violations += verdict is Verdict.VIOLATED
+        satisfactions += verdict is Verdict.SATISFIED
+        if state.reset_mode:
+            residual, witness = state.objective, ()
+    successor = replace(
+        state,
+        residual=residual,
+        witness=witness,
+        episodes=episodes,
+        violations=violations,
+        satisfactions=satisfactions,
+        last_verdict=verdict,
     )
+    return successor, verdict
 
 
 def _require_labels(trace: Trace) -> None:
@@ -204,7 +145,7 @@ def run_monitor(
         state = new_state(cid, constraints[cid], mode == "reset", cache)
         verdicts = []
         for record in trace.steps:
-            state, verdict = step(state, record.labels, record, cache)
+            state, verdict = step(state, record.labels, record)
             verdicts.append(verdict)
         reports.append(
             VerdictReport(
@@ -255,9 +196,9 @@ def _cross_check(
     for report in reports:
         cid = report.constraint_id
         compiled = new_state(cid, constraints[cid], mode == "reset", cache)
-        reference = new_state(cid, constraints[cid], mode == "reset")
+        reference = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
         for record, reported in zip(trace.steps, report.verdicts, strict=True):
-            compiled, verdict = step(compiled, record.labels, record, cache)
+            compiled, verdict = step(compiled, record.labels, record)
             reference, expected = step(reference, record.labels, record)
             if compiled.residual != reference.residual:
                 raise CrossCheckError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .ltl import Verdict
 from .models import BlackBoxModel, SampleParams, derive_seed
-from .monitor import MonitorState, ProgressionCache, step
+from .monitor import MonitorState, step
 from .trace import LabelingFunction, StepRecord, checked_labels
 
 
@@ -63,7 +63,6 @@ def advance(
     steps: Sequence[StepRecord],
     input: str,
     output: str,
-    cache: ProgressionCache | None,
 ) -> tuple[StepRecord, dict[str, MonitorState], dict[str, Verdict]]:
     """Label (input, output) as the step after ``steps`` and progress every
     state along it; returns the record and the new states and verdicts."""
@@ -72,7 +71,7 @@ def advance(
     new_states: dict[str, MonitorState] = {}
     verdicts: dict[str, Verdict] = {}
     for cid, state in states.items():
-        new_states[cid], verdicts[cid] = step(state, record.labels, record, cache)
+        new_states[cid], verdicts[cid] = step(state, record.labels, record)
     return record, new_states, verdicts
 
 
@@ -96,22 +95,15 @@ def estimate_risks(
     history: Sequence[StepRecord],
     seed: int,
     temperature: float = 0.8,
-    cache: ProgressionCache | None = None,
-    max_model_calls: int | None = None,
 ) -> dict[str, RiskEstimate]:
     """Estimate the pattern probability for every constraint at once.
 
     The m sampled continuations are shared across constraints; the first
     continuation step uses ``next_input`` and later steps carry no input.
-    An estimate costs m*k model calls; a configured budget below that is
-    rejected up front.
+    An estimate costs m*k model calls.
     """
     if k < 1 or m < 1:
         raise ValueError("horizon k and sample count m must be >= 1")
-    if max_model_calls is not None and m * k > max_model_calls:
-        raise ValueError(
-            f"estimate needs m*k = {m * k} model calls, exceeding the budget of {max_model_calls}"
-        )
     sequences: dict[str, list[tuple[Verdict, ...]]] = {cid: [] for cid in states}
     matches: dict[str, int] = {cid: 0 for cid in states}
     for j in range(m):
@@ -122,7 +114,7 @@ def estimate_risks(
         for offset in range(k):
             inp = next_input if offset == 0 else ""
             out = model.next_output(sampled_steps, inp, params)
-            record, copies, step_verdicts = advance(copies, labeler, sampled_steps, inp, out, cache)
+            record, copies, step_verdicts = advance(copies, labeler, sampled_steps, inp, out)
             sampled_steps.append(record)
             for cid, verdict in step_verdicts.items():
                 verdicts[cid].append(verdict)
@@ -153,7 +145,6 @@ def estimate_risk(
     history: Sequence[StepRecord] = (),
     seed: int = 0,
     temperature: float = 0.8,
-    cache: ProgressionCache | None = None,
 ) -> RiskEstimate:
     """Single-constraint risk estimate; see ``estimate_risks``."""
     return estimate_risks(
@@ -167,5 +158,4 @@ def estimate_risk(
         history,
         seed,
         temperature,
-        cache,
     )[state.constraint_id]

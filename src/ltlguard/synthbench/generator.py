@@ -42,7 +42,7 @@ COMPLEX_GAP_SCHEDULE = {1: 23, 5: 117, 10: 91, 20: 40}
 
 
 class GenerationError(ValueError):
-    """Invalid knobs or exhausted vocabulary."""
+    """Invalid knobs, exhausted vocabulary, or a malformed case file."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,12 @@ def save_cases(cases: Sequence[BenchCase], path) -> None:
 def load_cases(path) -> list[BenchCase]:
     cases = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             if line.strip():
-                cases.append(case_from_dict(json.loads(line)))
+                try:
+                    cases.append(case_from_dict(json.loads(line)))
+                except (KeyError, TypeError, AttributeError) as err:
+                    raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
     return cases
 
 

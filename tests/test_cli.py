@@ -243,6 +243,30 @@ class TestAuditCommand:
         assert code == 0
         assert json.loads(out)["reports"][0]["verdicts"] == ["satisfied"]
 
+    def test_proposition_outside_vocabulary_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": r"\bbad\b"}}
+        write_json(config, {"constraints": [{"id": "c", "formula": "G !bda"}], "labeler": labeler})
+        write_trace(trace, ["a bad move"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: constraint 'c': proposition(s) bda ")
+
+    def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        write_json(config, {"constraints": [{"id": "c", "formula": "F done & G !oops"}]})
+        trace.write_text(
+            json.dumps({"t": 1, "output": "anything", "labels": ["done"]}) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 0
+        assert json.loads(out)["reports"][0]["verdicts"] == ["inconclusive"]
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: constraint 'c': proposition 'oops' is in no step's labels"]
+
 
 class TestGuardCommand:
     def test_switch_guard_run(self, capsys, tmp_path):
@@ -340,6 +364,17 @@ class TestGuardCommand:
         )
         assert code == 2
         assert err.startswith("error: invalid config value")
+
+    def test_proposition_outside_vocabulary_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, "constraints": [{"id": "c", "formula": "G !bda"}]})
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: constraint 'c': proposition(s) bda ")
+        assert not (tmp_path / "run").exists()
 
     def test_undeclared_label_exit_2_flushes_partial_outputs(self, capsys, tmp_path):
         # A single-entity tagged event labeler declares only e1_* propositions
@@ -562,6 +597,28 @@ class TestBenchCommands:
             ["bench", "eval", "--bench", str(bench), "--judge", "endpoint"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bench_line, judge_config",
+        [(None, "[1]"), ("{}", None)],
+        ids=["judge-config-not-an-object", "case-without-constraints"],
+    )
+    def test_eval_malformed_input_exit_2(self, capsys, tmp_path, bench_line, judge_config):
+        bench = tmp_path / "bench.jsonl"
+        if bench_line is None:
+            run_cli(
+                ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)],
+                capsys,
+            )
+        else:
+            bench.write_text(bench_line + "\n", encoding="utf-8")
+        judge = ["--judge", "oracle"]
+        if judge_config is not None:
+            (tmp_path / "judge.json").write_text(judge_config, encoding="utf-8")
+            judge = ["--judge", "endpoint", "--judge-config", str(tmp_path / "judge.json")]
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), *judge], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestDeterminism:

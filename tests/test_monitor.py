@@ -9,7 +9,6 @@ from helpers import DEFAULT_PROPS, random_assignment, random_formula
 from ltlguard.ltl import (
     FALSE,
     TRUE,
-    Interner,
     Verdict,
     evaluate_lasso,
     parse,
@@ -18,6 +17,7 @@ from ltlguard.ltl import (
     simplify,
 )
 from ltlguard.monitor import (
+    REFERENCE,
     CrossCheckError,
     ProgressionCache,
     audit_log,
@@ -216,10 +216,10 @@ class TestCompiledPath:
             for mode in ("plain", "reset"):
                 expected = []
                 for cid in sorted(constraints):
-                    state = new_state(cid, constraints[cid], reset_mode=(mode == "reset"))
+                    state = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
                     verdicts = []
                     for record in trace.steps:
-                        state, verdict = step(state, record.labels, record, cache=None)
+                        state, verdict = step(state, record.labels, record)
                         verdicts.append(verdict)
                     expected.append(
                         VerdictReport(
@@ -233,8 +233,15 @@ class TestCompiledPath:
         cache = ProgressionCache()
         state = new_state("c", parse("G(p -> F q)"), cache=cache)
         record = StepRecord(1, "", "o", frozenset())
-        state, _ = step(state, frozenset(), record, cache)
-        again, verdict = step(state, frozenset(), record, cache)
+        state, _ = step(state, frozenset(), record)
+        again, verdict = step(state, frozenset(), record)
+        assert again is state and verdict is I
+
+    def test_state_without_cache_is_compiled(self):
+        state = new_state("c", parse("G(p -> F q)"))
+        record = StepRecord(1, "", "o", frozenset())
+        state, _ = step(state, frozenset(), record)
+        again, verdict = step(state, frozenset(), record)
         assert again is state and verdict is I
 
 
@@ -259,14 +266,14 @@ class TestAuditLog:
     def test_cross_check_catches_corrupted_transition(self, monkeypatch):
         trace = labeled_trace([{"p"}, set(), {"p"}])
         constraints = {"c": parse("G p")}
-        progress_interned = Interner.progress
+        progress_interned = ProgressionCache._progress
 
         def corrupted(self, phi, sigma):
             # Only G p on {} progresses to false: that transition now says true.
             result = progress_interned(self, phi, sigma)
             return TRUE if result is FALSE else result
 
-        monkeypatch.setattr(Interner, "progress", corrupted)
+        monkeypatch.setattr(ProgressionCache, "_progress", corrupted)
         (report,) = audit_log(trace, constraints)
         assert report.verdicts == (I, S, S)
         with pytest.raises(CrossCheckError, match="constraint c: step 2"):

@@ -4,7 +4,7 @@ import pytest
 
 from ltlguard.ltl import Verdict, parse
 from ltlguard.models import RuleLabeler, ScriptedModel
-from ltlguard.monitor import new_state, step
+from ltlguard.monitor import REFERENCE, ProgressionCache, new_state, step
 from ltlguard.predictive import (
     CONTAINS_SATISFIED,
     CONTAINS_VIOLATED,
@@ -156,14 +156,6 @@ class TestEstimateRisk:
                 k=1, m=0, next_input="",
             )
 
-    def test_call_budget_enforced(self):
-        state = new_state("c", parse("G !bad"))
-        with pytest.raises(ValueError, match="budget"):
-            estimate_risks(
-                {"c": state}, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-                k=3, m=4, next_input="", history=[], seed=0, max_model_calls=10,
-            )
-
 
 class TestEstimateRisks:
     def test_shared_samples_across_constraints(self):
@@ -189,3 +181,11 @@ class TestEstimateRisks:
             S in seq for seq in estimates["reach_bad"].verdict_sequences
         ) / 400
         assert violated == satisfied
+
+    def test_compiled_states_estimate_like_the_reference(self):
+        formulas = {"never_bad": parse("G !bad"), "no_bad_twice": parse("G(bad -> X !bad)")}
+        cache = ProgressionCache()
+        compiled = {cid: new_state(cid, phi, True, cache) for cid, phi in formulas.items()}
+        reference = {cid: new_state(cid, phi, True, REFERENCE) for cid, phi in formulas.items()}
+        args = (bernoulli_model(0.4), BAD_LABELER, CONTAINS_VIOLATED, 3, 5, "go", [], 17)
+        assert estimate_risks(compiled, *args) == estimate_risks(reference, *args)
