@@ -17,20 +17,9 @@ from pathlib import Path
 from .config import EMBEDDED, ConfigError, build_labeler, build_model, load_config
 from .intervention import GuardedSession, PolicyError, run_guarded, violation_rate
 from .ltl import (
-    And,
-    Always,
-    Eventually,
-    FalseBool,
     Formula,
-    Implies,
-    Next,
-    Not,
-    Or,
     ParseError,
-    Prop,
-    TrueBool,
     TruthAssignment,
-    Until,
     parse,
     progress,
     props_of,
@@ -38,6 +27,7 @@ from .ltl import (
     simplify,
     verdict_of,
 )
+from .ltl.ast import SYNTAX
 from .models import EndpointError
 from .monitor import CrossCheckError, audit_log, score_f1
 from .synthbench import (
@@ -73,31 +63,13 @@ def _human(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _ast_dict(phi: Formula) -> dict:
-    match phi:
-        case TrueBool():
-            return {"kind": "true"}
-        case FalseBool():
-            return {"kind": "false"}
-        case Prop(name):
-            return {"kind": "prop", "name": name}
-        case Not(child):
-            return {"kind": "not", "child": _ast_dict(child)}
-        case Next(child):
-            return {"kind": "next", "child": _ast_dict(child)}
-        case Eventually(child):
-            return {"kind": "eventually", "child": _ast_dict(child)}
-        case Always(child):
-            return {"kind": "always", "child": _ast_dict(child)}
-        case And(left, right):
-            return {"kind": "and", "left": _ast_dict(left), "right": _ast_dict(right)}
-        case Or(left, right):
-            return {"kind": "or", "left": _ast_dict(left), "right": _ast_dict(right)}
-        case Implies(left, right):
-            return {"kind": "implies", "left": _ast_dict(left), "right": _ast_dict(right)}
-        case Until(left, right):
-            return {"kind": "until", "left": _ast_dict(left), "right": _ast_dict(right)}
-    raise TypeError(f"not a formula: {phi!r}")
+def _ast_dict(node: Formula | str) -> dict | str:
+    if isinstance(node, str):  # a proposition's name
+        return node
+    return {
+        "kind": SYNTAX[type(node)].kind,
+        **{name: _ast_dict(getattr(node, name)) for name in node.__match_args__},
+    }
 
 
 def _print_parse_error(text: str, err: ParseError) -> None:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from importlib import resources
 
 from .ltl import Formula, Verdict, render
-from .models import BlackBoxModel, SampleParams, derive_seed
+from .models import BlackBoxModel, SampleParams, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state
 from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
@@ -31,15 +30,7 @@ class PolicyError(ValueError):
 
 
 def default_inject_template() -> str:
-    return resources.files("ltlguard.templates").joinpath("inject_template.txt").read_text(
-        encoding="utf-8"
-    )
-
-
-def default_switch_prompt() -> str:
-    return resources.files("ltlguard.templates").joinpath("switch_prompt.txt").read_text(
-        encoding="utf-8"
-    )
+    return load_template("inject_template.txt")
 
 
 @dataclass(frozen=True)
@@ -173,7 +164,7 @@ def apply_switch(session: GuardedSession, t: int) -> str:
         f"{record.t}. {record.output}" for record in session.steps
     ) or "(none)"
     prompt = (
-        default_switch_prompt()
+        load_template("switch_prompt.txt")
         .replace("{memory}", memory)
         .replace("{rules}", session.rules_text)
     )

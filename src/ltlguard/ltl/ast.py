@@ -4,7 +4,7 @@ Nodes are immutable, hashable dataclasses; every rewrite builds new values.
 Structural equality (generated ``__eq__``) is the equality of the reference
 semantics.  Within one ``ProgressionCache`` (see ``progression``) equal
 nodes are the same object, so the compiled monitor compares residuals by
-identity.
+identity.  ``SYNTAX`` is the one table of their concrete syntax.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 TruthAssignment = frozenset[str]
 
-_PROP_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
-
-# Reserved by the concrete grammar; a proposition with one of these names
-# could not survive a print/parse round trip.
-RESERVED_WORDS = frozenset({"true", "false", "G", "F", "X", "U"})
+IDENT = r"[A-Za-z0-9_]+"  # proposition names; the parser's identifiers
+_PROP_NAME = re.compile(IDENT + r"\Z")
 
 
 class Verdict(Enum):
@@ -105,6 +103,42 @@ class Always(Formula):
 
 TRUE = TrueBool()
 FALSE = FalseBool()
+
+# Binding strengths: a higher number binds tighter.  Binary operators are
+# right-associative; unary operators and atoms bind tightest.
+UNARY = 5
+ATOM = 6
+
+
+class Syntax(NamedTuple):
+    """Concrete syntax of one node class."""
+
+    kind: str  # node kind in the AST dump of ``ltlguard parse``
+    ascii: str  # canonical spelling ("" for propositions, spelled by name)
+    symbolic: str  # Unicode alias, accepted by the parser too
+    strength: int
+    english: str  # phrase template over the children's phrases, in field order
+
+
+# The one definition of the formula language's concrete syntax.  The
+# parser, the renderer, ``RESERVED_WORDS`` and the AST dump all read it.
+SYNTAX: dict[type[Formula], Syntax] = {
+    TrueBool: Syntax("true", "true", "true", ATOM, "true"),
+    FalseBool: Syntax("false", "false", "false", ATOM, "false"),
+    Prop: Syntax("prop", "", "", ATOM, "{0}"),
+    Not: Syntax("not", "!", "¬", UNARY, "not ({0})"),
+    Always: Syntax("always", "G", "□", UNARY, "always, {0}"),
+    Eventually: Syntax("eventually", "F", "◇", UNARY, "eventually, {0}"),
+    Next: Syntax("next", "X", "○", UNARY, "at the next step, {0}"),
+    Until: Syntax("until", "U", "U", 4, "({0}) until ({1})"),
+    And: Syntax("and", "&", "∧", 3, "({0}) and ({1})"),
+    Or: Syntax("or", "|", "∨", 2, "({0}) or ({1})"),
+    Implies: Syntax("implies", "->", "→", 1, "if ({0}) then ({1})"),
+}
+
+# Reserved by the concrete grammar; a proposition with one of these names
+# could not survive a print/parse round trip.
+RESERVED_WORDS = frozenset(s.ascii for s in SYNTAX.values() if s.ascii.isalpha())
 
 
 def props_of(phi: Formula) -> frozenset[str]:

@@ -1,30 +1,17 @@
 """Parser for the concrete formula grammar.
 
-Precedence, loosest to tightest: ``->`` (right-assoc), ``|``, ``&``,
-``U`` (right-assoc), unary (``!``, ``G``, ``F``, ``X``).  Parentheses
-override.  Unicode aliases are accepted for every operator so that the
-symbolic rendering parses back.
+Spellings and binding strengths come from ``ast.SYNTAX``.  Loosest to
+tightest: ``->``, ``|``, ``&``, ``U`` (all right-assoc), unary (``!``,
+``G``, ``F``, ``X``).  Parentheses override.  Unicode aliases are
+accepted for every operator so that the symbolic rendering parses back.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .ast import (
-    FALSE,
-    TRUE,
-    And,
-    Always,
-    Eventually,
-    Formula,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Prop,
-    Until,
-)
+from .ast import ATOM, FALSE, IDENT, SYNTAX, TRUE, UNARY, Formula, Prop
 
 
 class ParseError(ValueError):
@@ -40,85 +27,64 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
+class Token(NamedTuple):
+    text: str  # "" at the end of input
     line: int
     column: int
+    node: type[Formula] | None  # the class the spelling denotes; None for parentheses and the end
 
 
-_SYMBOLS = [
-    ("->", "IMPLIES"),
-    ("→", "IMPLIES"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("!", "NOT"),
-    ("¬", "NOT"),
-    ("&", "AND"),
-    ("∧", "AND"),
-    ("|", "OR"),
-    ("∨", "OR"),
-    ("□", "ALWAYS"),
-    ("◇", "EVENTUALLY"),
-    ("○", "NEXT"),
-]
-
-_KEYWORDS = {
-    "true": "TRUE",
-    "false": "FALSE",
-    "G": "ALWAYS",
-    "F": "EVENTUALLY",
-    "X": "NEXT",
-    "U": "UNTIL",
+_SPELLINGS = {
+    spelling: cls
+    for cls, syntax in SYNTAX.items()
+    for spelling in (syntax.ascii, syntax.symbolic)
+    if spelling
 }
 
-_IDENT = re.compile(r"[A-Za-z0-9_]+")
+# Alphabetic spellings lex as identifiers and are resolved through
+# ``_SPELLINGS``; every other spelling is an operator, longest first.
+_OPERATORS = sorted([*(s for s in _SPELLINGS if not s.isalpha()), "(", ")"], key=len, reverse=True)
+_TOKEN = re.compile(
+    rf"(?P<space>\s+)|(?P<word>{IDENT})|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<bad>.)",
+    re.DOTALL,
+)
 
-_ATOM_EXPECTED = ("identifier", "'true'", "'false'", "'('", "'!'", "'G'", "'F'", "'X'")
+_CONSTANTS = {type(c): c for c in (TRUE, FALSE)}
+
+_ATOM_EXPECTED = (
+    "identifier",
+    *(f"'{s.ascii}'" for s in SYNTAX.values() if s.strength == ATOM and s.ascii),
+    "'('",
+    *(f"'{s.ascii}'" for s in SYNTAX.values() if s.strength == UNARY),
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    for m in _TOKEN.finditer(text):
+        kind, word, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "space":
+            newlines = word.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + word.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(f"unknown operator or character {word!r}", line, column)
         else:
-            m = _IDENT.match(text, i)
-            if m:
-                word = m.group()
-                kind = _KEYWORDS.get(word, "IDENT")
-                tokens.append(Token(kind, word, line, col))
-                i = m.end()
-                col += len(word)
-            else:
-                raise ParseError(f"unknown operator or character {ch!r}", line, col)
-    end_col = col
-    tokens.append(Token("EOF", "", line, end_col))
+            tokens.append(Token(word, line, column, _SPELLINGS.get(word, Prop if kind == "word" else None)))
+    tokens.append(Token("", line, len(text) - line_start + 1, None))
     return tokens
 
 
-@dataclass
+def _unexpected(tok: Token) -> str:
+    return f"unexpected {tok.text!r}" if tok.text else "unexpected end of input"
+
+
 class _Parser:
-    tokens: list[Token]
-    pos: int = field(default=0)
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.pos = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -128,98 +94,35 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, literal: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.column,
-                expected=(literal,),
-            )
-        return self.advance()
-
-    def parse_formula(self) -> Formula:
-        return self.parse_implies()
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "IMPLIES":
+    def binary(self, strength: int = 1) -> Formula:
+        """Operands binding tighter than ``strength``, joined right-associatively
+        by the binary operator of that strength."""
+        if strength == UNARY:
+            return self.operand()
+        left = self.binary(strength + 1)
+        node = self.peek().node
+        if node is not None and SYNTAX[node].strength == strength:
             self.advance()
-            right = self.parse_implies()
-            return Implies(left, right)
+            return node(left, self.binary(strength))
         return left
 
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek().kind == "OR":
-            self.advance()
-            right = self.parse_or()
-            return Or(left, right)
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_until()
-        if self.peek().kind == "AND":
-            self.advance()
-            right = self.parse_and()
-            return And(left, right)
-        return left
-
-    def parse_until(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek().kind == "UNTIL":
-            self.advance()
-            right = self.parse_until()
-            return Until(left, right)
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "ALWAYS":
-            self.advance()
-            return Always(self.parse_unary())
-        if tok.kind == "EVENTUALLY":
-            self.advance()
-            return Eventually(self.parse_unary())
-        if tok.kind == "NEXT":
-            self.advance()
-            return Next(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TRUE":
-            self.advance()
-            return TRUE
-        if tok.kind == "FALSE":
-            self.advance()
-            return FALSE
-        if tok.kind == "IDENT":
-            self.advance()
+    def operand(self) -> Formula:
+        tok = self.advance()
+        node = tok.node
+        if node is Prop:
             return Prop(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_implies()
+        if node in _CONSTANTS:
+            return _CONSTANTS[node]
+        if node is not None and SYNTAX[node].strength == UNARY:
+            return node(self.operand())
+        if tok.text == "(":
+            inner = self.binary()
             closing = self.peek()
-            if closing.kind != "RPAREN":
-                raise ParseError(
-                    "unbalanced parentheses",
-                    closing.line,
-                    closing.column,
-                    expected=("')'",),
-                )
+            if closing.text != ")":
+                raise ParseError("unbalanced parentheses", closing.line, closing.column, expected=("')'",))
             self.advance()
             return inner
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.column,
-            expected=_ATOM_EXPECTED,
-        )
+        raise ParseError(_unexpected(tok), tok.line, tok.column, expected=_ATOM_EXPECTED)
 
 
 def parse(text: str) -> Formula:
@@ -228,14 +131,10 @@ def parse(text: str) -> Formula:
     Raises ParseError with line/column positioning on bad input.
     """
     parser = _Parser(tokenize(text))
-    phi = parser.parse_formula()
+    phi = parser.binary()
     trailing = parser.peek()
-    if trailing.kind != "EOF":
-        if trailing.kind == "RPAREN":
-            raise ParseError("unbalanced parentheses", trailing.line, trailing.column)
-        raise ParseError(
-            f"unexpected {trailing.text!r} after formula",
-            trailing.line,
-            trailing.column,
-        )
+    if trailing.text == ")":
+        raise ParseError("unbalanced parentheses", trailing.line, trailing.column)
+    if trailing.text:
+        raise ParseError(f"{_unexpected(trailing)} after formula", trailing.line, trailing.column)
     return phi

@@ -1,136 +1,55 @@
 """Formula rendering: ascii (canonical), symbolic, and english text.
 
-The ascii and symbolic styles are exact inverses of the parser; the
-english style is a deterministic template rendering used when formulas
-are spliced into prompts.  The template table is documented in the
-project README.
+Spellings, binding strengths and english phrase templates come from
+``ast.SYNTAX``.  The ascii and symbolic styles are exact inverses of the
+parser; the english style is a deterministic template rendering used when
+formulas are spliced into prompts.  The template table is documented in
+the project README.
 """
 
 from __future__ import annotations
 
-from .ast import (
-    And,
-    Always,
-    Eventually,
-    FalseBool,
-    Formula,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Prop,
-    TrueBool,
-    Until,
-)
+from .ast import ATOM, SYNTAX, UNARY, Formula, Syntax
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
+# Index of each style's spelling in a ``Syntax`` row.
+_STYLES = {style: Syntax._fields.index(style) for style in ("ascii", "symbolic")}
 
 
-def _prec(phi: Formula) -> int:
-    match phi:
-        case Implies():
-            return _PREC_IMPLIES
-        case Or():
-            return _PREC_OR
-        case And():
-            return _PREC_AND
-        case Until():
-            return _PREC_UNTIL
-        case Not() | Next() | Eventually() | Always():
-            return _PREC_UNARY
-        case _:
-            return _PREC_ATOM
+def _render(phi: Formula, style: int) -> str:
+    syntax = SYNTAX[type(phi)]
+    op, strength = syntax[style], syntax.strength
+    if strength == ATOM:
+        return op or phi.name
+    if strength == UNARY:
+        child = phi.child
+        text = _render(child, style)
+        if SYNTAX[type(child)].strength < UNARY:
+            return f"{op}({text})"
+        # Alphabetic operators need a space before an operand; the symbolic
+        # style spaces like the ascii one.
+        return f"{op} {text}" if syntax.ascii.isalpha() else f"{op}{text}"
+    # Right-associative: parenthesize a left child of equal strength.
+    left, right = phi.left, phi.right
+    left_text, right_text = _render(left, style), _render(right, style)
+    if SYNTAX[type(left)].strength <= strength:
+        left_text = f"({left_text})"
+    if SYNTAX[type(right)].strength < strength:
+        right_text = f"({right_text})"
+    return f"{left_text} {op} {right_text}"
 
 
-_ASCII_OPS = {"not": "!", "and": "&", "or": "|", "implies": "->",
-              "next": "X", "until": "U", "eventually": "F", "always": "G",
-              "true": "true", "false": "false"}
-_SYMBOLIC_OPS = {"not": "¬", "and": "∧", "or": "∨", "implies": "→",
-                 "next": "○", "until": "U", "eventually": "◇", "always": "□",
-                 "true": "true", "false": "false"}
-
-
-def _render(phi: Formula, ops: dict[str, str]) -> str:
-    def unary(op: str, child: Formula) -> str:
-        if _prec(child) < _PREC_UNARY:
-            return f"{op}({_render(child, ops)})"
-        sep = "" if op in (ops["not"],) else " "
-        return f"{op}{sep}{_render(child, ops)}"
-
-    def binary(op: str, left: Formula, right: Formula, prec: int) -> str:
-        # Right-associative: parenthesize a left child of equal precedence.
-        left_text = _render(left, ops)
-        if _prec(left) <= prec:
-            left_text = f"({left_text})"
-        right_text = _render(right, ops)
-        if _prec(right) < prec:
-            right_text = f"({right_text})"
-        return f"{left_text} {op} {right_text}"
-
-    match phi:
-        case TrueBool():
-            return ops["true"]
-        case FalseBool():
-            return ops["false"]
-        case Prop(name):
-            return name
-        case Not(child):
-            return unary(ops["not"], child)
-        case Next(child):
-            return unary(ops["next"], child)
-        case Eventually(child):
-            return unary(ops["eventually"], child)
-        case Always(child):
-            return unary(ops["always"], child)
-        case And(left, right):
-            return binary(ops["and"], left, right, _PREC_AND)
-        case Or(left, right):
-            return binary(ops["or"], left, right, _PREC_OR)
-        case Implies(left, right):
-            return binary(ops["implies"], left, right, _PREC_IMPLIES)
-        case Until(left, right):
-            return binary(ops["until"], left, right, _PREC_UNTIL)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _phrase(phi: Formula) -> str:
-    match phi:
-        case TrueBool():
-            return "true"
-        case FalseBool():
-            return "false"
-        case Prop(name):
-            return name
-        case Not(child):
-            return f"not ({_phrase(child)})"
-        case And(left, right):
-            return f"({_phrase(left)}) and ({_phrase(right)})"
-        case Or(left, right):
-            return f"({_phrase(left)}) or ({_phrase(right)})"
-        case Implies(left, right):
-            return f"if ({_phrase(left)}) then ({_phrase(right)})"
-        case Next(child):
-            return f"at the next step, {_phrase(child)}"
-        case Eventually(child):
-            return f"eventually, {_phrase(child)}"
-        case Always(child):
-            return f"always, {_phrase(child)}"
-        case Until(left, right):
-            return f"({_phrase(left)}) until ({_phrase(right)})"
-    raise TypeError(f"not a formula: {phi!r}")
+def _phrase(node: Formula | str) -> str:
+    if isinstance(node, str):  # a proposition's name
+        return node
+    return SYNTAX[type(node)].english.format(
+        *(_phrase(getattr(node, name)) for name in node.__match_args__)
+    )
 
 
 def render(phi: Formula, style: str = "ascii") -> str:
     """Render ``phi`` in one of the styles ``ascii``, ``symbolic``, ``english``."""
-    if style == "ascii":
-        return _render(phi, _ASCII_OPS)
-    if style == "symbolic":
-        return _render(phi, _SYMBOLIC_OPS)
     if style == "english":
         return f"{_phrase(phi)} must hold"
-    raise ValueError(f"unknown render style {style!r}")
+    if style not in _STYLES:
+        raise ValueError(f"unknown render style {style!r}")
+    return _render(phi, _STYLES[style])

@@ -9,6 +9,7 @@ package that constructs network requests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -220,7 +221,9 @@ class RuleLabeler:
         return frozenset(p for p, rx in self._compiled.items() if rx.search(text))
 
 
-def _load_template(name: str) -> str:
+@functools.cache
+def load_template(name: str) -> str:
+    """Text of a packaged prompt template, read once per process."""
     return resources.files("ltlguard.templates").joinpath(name).read_text(encoding="utf-8")
 
 
@@ -243,7 +246,7 @@ class EndpointLabeler:
     warnings: list[dict] = field(default_factory=list)
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
-        template = _load_template("label_prompt.txt")
+        template = load_template("label_prompt.txt")
         t = steps[-1].t
         context = self._context(steps)
         prompt = template.replace("{text}", context).replace(

@@ -28,14 +28,6 @@ class Vocabulary:
     colors: tuple[str, ...]
     numbers: tuple[int, ...]
 
-    def values(self, category: str) -> tuple:
-        return {
-            "animal": self.animals,
-            "shape": self.shapes,
-            "color": self.colors,
-            "number": self.numbers,
-        }[category]
-
 
 @lru_cache(maxsize=1)
 def load_vocabulary() -> Vocabulary:
@@ -54,6 +46,11 @@ def load_vocabulary() -> Vocabulary:
 def prop_name(entity: int | None, category: str, value: object) -> str:
     base = f"{category}_{value}"
     return base if entity is None else f"e{entity}_{base}"
+
+
+def article(word: str) -> str:
+    """Indefinite article for ``word``."""
+    return "an" if word[:1].lower() in "aeiou" else "a"
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,16 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from ..ltl import And, Eventually, Formula, Next, Or, Prop, parse, render
 from ..models import derive_seed
-from ..trace import StepRecord, Trace
+from ..trace import StepRecord, Trace, step_from_dict
 from .events import (
     CATEGORIES,
     AttributeEvent,
+    article,
     load_vocabulary,
     prop_name,
     render_step,
@@ -92,7 +93,8 @@ class BenchCase:
         }
 
 
-def case_from_dict(obj: Mapping) -> BenchCase:
+def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
+    """Decode one case of a bench file; ``line_no`` is its line, for errors."""
     constraints = tuple(
         BenchConstraint(
             constraint_id=c["id"],
@@ -104,9 +106,10 @@ def case_from_dict(obj: Mapping) -> BenchCase:
         )
         for c in obj["constraints"]
     )
+    # A step without labels carries the empty set: bench traces are fully labeled.
     steps = tuple(
-        StepRecord(s["t"], s.get("input", ""), s["output"], frozenset(s.get("labels", ())))
-        for s in obj["trace"]["steps"]
+        step if step.labels is not None else replace(step, labels=frozenset())
+        for step in (step_from_dict(s, line_no) for s in obj["trace"]["steps"])
     )
     return BenchCase(
         trace=Trace(steps, obj["trace"].get("metadata", {})),
@@ -128,7 +131,7 @@ def load_cases(path) -> list[BenchCase]:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    cases.append(case_from_dict(json.loads(line)))
+                    cases.append(case_from_dict(json.loads(line), n))
                 except (KeyError, TypeError, AttributeError) as err:
                     raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
     return cases
@@ -140,7 +143,6 @@ class _Pools:
 
     available: dict[tuple[int, str], list]
     alt_values: list[int]
-    assigned: dict[tuple[int, str], set] = field(default_factory=dict)
 
     def capacity(self, key: tuple[int, str]) -> int:
         return len(self.available[key]) - DISTRACTOR_FLOOR
@@ -156,9 +158,7 @@ class _Pools:
             acc += weight
             if roll < acc:
                 pool = self.available[key]
-                value = pool.pop(rng.randrange(len(pool)))
-                self.assigned.setdefault(key, set()).add(value)
-                return key, value
+                return key, pool.pop(rng.randrange(len(pool)))
         raise AssertionError("unreachable")
 
     def distractor(self, rng: random.Random, key: tuple[int, str]):
@@ -228,11 +228,7 @@ def _describe(prop: str) -> str:
     owner = f"Entity {entity}'s " if entity is not None else "the "
     if category == "number":
         return f"{owner}number is {value}"
-    return f"{owner}{category} is {_article(value)} {value}" if category != "color" else f"{owner}color is {value}"
-
-
-def _article(word: str) -> str:
-    return "an" if word[:1].lower() in "aeiou" else "a"
+    return f"{owner}{category} is {article(value)} {value}" if category != "color" else f"{owner}color is {value}"
 
 
 def _simple_glosses(path_props: Sequence[str]) -> tuple[str, str]:

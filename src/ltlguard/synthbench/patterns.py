@@ -24,7 +24,7 @@ from ..ltl import (
     render,
 )
 from .generator import build_tree_formula
-from .events import prop_name
+from .events import article, prop_name
 
 PATTERN_IDS = (
     "universality",
@@ -62,10 +62,6 @@ class UnknownPatternError(KeyError):
     pass
 
 
-def _an(word: str) -> str:
-    return "an" if word[:1].lower() in "aeiou" else "a"
-
-
 def _values(pattern_id: str, overrides: Mapping[str, str] | None) -> dict[str, str]:
     values = dict(_DEFAULTS[pattern_id])
     if overrides:
@@ -89,14 +85,14 @@ def _tree_d1(v: Mapping[str, str]) -> tuple[Formula, str, str]:
         )
     )
     informal = (
-        f"At some point {_an(v['a'])} {v['a']} should appear, followed by either "
-        f"{_an(v['b1'])} {v['b1']} or {_an(v['b2'])} {v['b2']}, and then {_an(v['leaf'])} {v['leaf']}."
+        f"At some point {article(v['a'])} {v['a']} should appear, followed by either "
+        f"{article(v['b1'])} {v['b1']} or {article(v['b2'])} {v['b2']}, and then {article(v['leaf'])} {v['leaf']}."
     )
     precise = (
-        f"At some time step, {_an(v['a'])} {v['a']} must appear, and then at some strictly "
-        f"later time step, either: ({_an(v['b1'])} {v['b1']} appears, and then at some strictly "
-        f"later time step, {_an(v['leaf'])} {v['leaf']} appears) or ({_an(v['b2'])} {v['b2']} "
-        f"appears, and then at some strictly later time step, {_an(v['leaf'])} {v['leaf']} appears)."
+        f"At some time step, {article(v['a'])} {v['a']} must appear, and then at some strictly "
+        f"later time step, either: ({article(v['b1'])} {v['b1']} appears, and then at some strictly "
+        f"later time step, {article(v['leaf'])} {v['leaf']} appears) or ({article(v['b2'])} {v['b2']} "
+        f"appears, and then at some strictly later time step, {article(v['leaf'])} {v['leaf']} appears)."
     )
     return formula, informal, precise
 
@@ -118,7 +114,6 @@ def _tree_d4(v: Mapping[str, str]) -> tuple[Formula, str, str]:
     ]
     rng = random.Random(0)
     formula, paths = build_tree_formula(path_props, iter(remaining), rng)
-    b1, b2 = paths[0][1].split("_")[-1], None
     seen = [p[1] for p in paths]
     level1 = []
     for prop in seen:
@@ -126,33 +121,33 @@ def _tree_d4(v: Mapping[str, str]) -> tuple[Formula, str, str]:
             level1.append(prop)
     b1, b2 = (p.split("_", 1)[1] for p in level1)
     informal = (
-        f"At some point {_an(v['a'])} {v['a']} should appear, followed by either "
-        f"{_an(b1)} {b1} or {_an(b2)} {b2}. Each branch splits again in the same way, "
-        f"four levels deep. Everything ends with {_an(v['leaf'])} {v['leaf']}."
+        f"At some point {article(v['a'])} {v['a']} should appear, followed by either "
+        f"{article(b1)} {b1} or {article(b2)} {b2}. Each branch splits again in the same way, "
+        f"four levels deep. Everything ends with {article(v['leaf'])} {v['leaf']}."
     )
 
-    def precise_node(paths_group, depth):
+    def precise_node(paths_group):
         heads = []
         for p in paths_group:
             if p[0] not in heads:
                 heads.append(p[0])
         if len(heads) == 1 and all(len(p) == 1 for p in paths_group):
             word = heads[0].split("_", 1)[1]
-            return f"{_an(word)} {word} appears"
+            return f"{article(word)} {word} appears"
         if len(heads) == 1:
             word = heads[0].split("_", 1)[1]
             rest = [p[1:] for p in paths_group if len(p) > 1]
             return (
-                f"{_an(word)} {word} appears, and then at some strictly later time step, "
-                f"{precise_node(rest, depth + 1)}"
+                f"{article(word)} {word} appears, and then at some strictly later time step, "
+                f"{precise_node(rest)}"
             )
         branches = [
-            f"({precise_node([p for p in paths_group if p[0] == head], depth + 1)})"
+            f"({precise_node([p for p in paths_group if p[0] == head])})"
             for head in heads
         ]
         return "either: " + " or ".join(branches)
 
-    precise = f"At some time step, {precise_node([list(p) for p in paths], 0)}."
+    precise = f"At some time step, {precise_node([list(p) for p in paths])}."
     return formula, informal, precise
 
 
@@ -176,7 +171,7 @@ def _build(pattern_id: str, overrides: Mapping[str, str] | None) -> tuple[Formul
         p = Prop(prop_name(None, "animal", v["animal"]))
         return (
             Always(Not(p)),
-            f"{_an(v['animal']).capitalize()} {v['animal']} never appears.",
+            f"{article(v['animal']).capitalize()} {v['animal']} never appears.",
             f"At no time step in the trace does the animal \"{v['animal']}\" appear.",
         )
     if pattern_id == "response":
@@ -184,9 +179,9 @@ def _build(pattern_id: str, overrides: Mapping[str, str] | None) -> tuple[Formul
         s = Prop(prop_name(None, "color", v["color"]))
         return (
             Always(Implies(p, Eventually(s))),
-            f"Whenever {_an(v['shape'])} {v['shape']} appears, {_an(v['color'])} "
+            f"Whenever {article(v['shape'])} {v['shape']} appears, {article(v['color'])} "
             f"{v['color']} item should eventually appear too.",
-            f"It is always the case that for every occurrence of {_an(v['shape'])} "
+            f"It is always the case that for every occurrence of {article(v['shape'])} "
             f"{v['shape']} shape, the color {v['color']} must occur at the same time "
             f"step or at a later time step.",
         )
@@ -196,11 +191,11 @@ def _build(pattern_id: str, overrides: Mapping[str, str] | None) -> tuple[Formul
         r = Prop(prop_name(None, "shape", v["shape"]))
         return (
             Always(Implies(And(q, And(Not(r), Eventually(r))), Until(Not(p), r))),
-            f"{_an(v['color']).capitalize()} {v['color']} item should not occur between "
-            f"{_an(v['animal'])} {v['animal']} and {_an(v['shape'])} {v['shape']}.",
-            f"It is always the case that if {_an(v['animal'])} {v['animal']} appears at a "
-            f"time step where {_an(v['shape'])} {v['shape']} does not appear, and "
-            f"{_an(v['shape'])} {v['shape']} will appear at some future time step, then "
+            f"{article(v['color']).capitalize()} {v['color']} item should not occur between "
+            f"{article(v['animal'])} {v['animal']} and {article(v['shape'])} {v['shape']}.",
+            f"It is always the case that if {article(v['animal'])} {v['animal']} appears at a "
+            f"time step where {article(v['shape'])} {v['shape']} does not appear, and "
+            f"{article(v['shape'])} {v['shape']} will appear at some future time step, then "
             f"the color {v['color']} must not appear at any time step from that point "
             f"until the {v['shape']} appears.",
         )
@@ -210,9 +205,9 @@ def _build(pattern_id: str, overrides: Mapping[str, str] | None) -> tuple[Formul
         r = Prop(prop_name(None, "shape", v["shape2"]))
         return (
             Always(Implies(p, Until(Not(q), r))),
-            f"Whenever {_an(v['shape1'])} {v['shape1']} appears, {_an(v['animal'])} "
-            f"{v['animal']} should not appear until {_an(v['shape2'])} {v['shape2']} appears.",
-            f"It is always the case that whenever {_an(v['shape1'])} {v['shape1']} shape "
+            f"Whenever {article(v['shape1'])} {v['shape1']} appears, {article(v['animal'])} "
+            f"{v['animal']} should not appear until {article(v['shape2'])} {v['shape2']} appears.",
+            f"It is always the case that whenever {article(v['shape1'])} {v['shape1']} shape "
             f"appears, the animal {v['animal']} must not appear at any time step from that "
             f"point until the shape {v['shape2']} appears. For every {v['shape1']}, the "
             f"shape {v['shape2']} must eventually appear at that time step or at a later "

@@ -50,6 +50,14 @@ def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 
+def bench_case_line(step):
+    """One bench case line whose only step is ``step``; well-formed otherwise."""
+    constraint = {"id": "c1", "formula": "F animal_fox", "informal": "", "precise": "", "path": []}
+    return json.dumps(
+        {"knobs": {}, "truth": [True], "constraints": [constraint], "trace": {"steps": [step]}}
+    )
+
+
 def write_trace(path, outputs):
     lines = [json.dumps({"t": i, "input": "", "output": o}) for i, o in enumerate(outputs, 1)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -79,6 +87,31 @@ class TestParseCommand:
         code, out, _ = run_cli(["parse", "true & F p"], capsys)
         assert code == 0
         assert json.loads(out)["canonical"] == "F p"
+
+    def test_every_operator_full_document(self, capsys):
+        def prop(name):
+            return {"kind": "prop", "name": name}
+
+        def node(kind, *children):
+            names = ("child",) if len(children) == 1 else ("left", "right")
+            return {"kind": kind, **dict(zip(names, children))}
+
+        code, out, _ = run_cli(["parse", "!a & b | c -> X F G d U true ∨ ¬false"], capsys)
+        expected = {
+            "canonical": "!a & b | c -> true",
+            "parsed": "!a & b | c -> X F G d U true | !false",
+            "ast": node(
+                "implies",
+                node("or", node("and", node("not", prop("a")), prop("b")), prop("c")),
+                node(
+                    "or",
+                    node("until", node("next", node("eventually", node("always", prop("d")))), node("true")),
+                    node("not", node("false")),
+                ),
+            ),
+        }
+        assert code == 0
+        assert out == json.dumps(expected, ensure_ascii=False, indent=2) + "\n"
 
 
 class TestProgressCommand:
@@ -600,8 +633,18 @@ class TestBenchCommands:
 
     @pytest.mark.parametrize(
         "bench_line, judge_config",
-        [(None, "[1]"), ("{}", None)],
-        ids=["judge-config-not-an-object", "case-without-constraints"],
+        [
+            (None, "[1]"),
+            ("{}", None),
+            (bench_case_line({"t": 1, "output": "a fox", "labels": "animal_fox"}), None),
+            (bench_case_line({"t": 1, "output": 7, "labels": ["animal_fox"]}), None),
+        ],
+        ids=[
+            "judge-config-not-an-object",
+            "case-without-constraints",
+            "step-labels-not-an-array",
+            "step-output-not-a-string",
+        ],
     )
     def test_eval_malformed_input_exit_2(self, capsys, tmp_path, bench_line, judge_config):
         bench = tmp_path / "bench.jsonl"

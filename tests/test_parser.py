@@ -104,6 +104,39 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("")
 
+    ATOM = ("identifier", "'true'", "'false'", "'('", "'!'", "'G'", "'F'", "'X'")
+    END = "unexpected end of input"
+
+    @pytest.mark.parametrize(
+        "text, message, line, column, expected",
+        [
+            ("", END, 1, 1, ATOM),
+            ("\n\n  ", END, 3, 3, ATOM),
+            ("G(a ->", END, 1, 7, ATOM),
+            ("p ∧ ¬", END, 1, 6, ATOM),
+            ("a U\n", END, 2, 1, ATOM),
+            ("()", "unexpected ')'", 1, 2, ATOM),
+            ("a ∨ ∨ b", "unexpected '∨'", 1, 5, ATOM),
+            ("(a & b", "unbalanced parentheses", 1, 7, ("')'",)),
+            ("□(p → ◇ q", "unbalanced parentheses", 1, 10, ("')'",)),
+            ("a & b)", "unbalanced parentheses", 1, 6, ()),
+            ("a\n\t& (b\n  | c))", "unbalanced parentheses", 3, 7, ()),
+            ("a b", "unexpected 'b' after formula", 1, 3, ()),
+            ("G p q", "unexpected 'q' after formula", 1, 5, ()),
+            ("a %% b", "unknown operator or character '%'", 1, 3, ()),
+            ("a &\n  %", "unknown operator or character '%'", 2, 3, ()),
+            ("a -", "unknown operator or character '-'", 1, 3, ()),
+        ],
+    )
+    def test_exact_error(self, text, message, line, column, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        detail = f"{message} at line {line}, column {column}"
+        if expected:
+            detail += f" (expected one of: {', '.join(expected)})"
+        assert str(err.value) == detail
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
     def test_reserved_prop_name_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             Prop("U")
