@@ -129,6 +129,14 @@ class EndpointModel:
     backoff: float = 1.0
     audit_log_path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.retries < 1:
+            raise ValueError(f"retries must be at least 1, got {self.retries}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be nonnegative, got {self.backoff}")
+
     def _messages(self, history: Sequence[StepRecord], input: str) -> list[dict]:
         messages: list[dict] = []
         if self.system_prompt:
@@ -244,6 +252,10 @@ class EndpointLabeler:
     temperature: float = 0.0
     max_context_chars: int = 8000
     warnings: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.max_context_chars < 1:
+            raise ValueError(f"max_context_chars must be at least 1, got {self.max_context_chars}")
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
         template = load_template("label_prompt.txt")

@@ -7,22 +7,23 @@ out all target values.  A satisfied case places the full path; an
 unsatisfied case omits the final fulfillment event, which for these
 eventuality-shaped formulas leaves the monitor inconclusive forever.
 
-Complex-family formulas are binary trees whose non-path branch labels
-come from a reserved number pool that the trace can never emit, so each
-constraint's truth depends only on its own (pairwise disjoint) path.
+Both families are trees of chained eventualities from one builder: a
+simple formula is the depth-0 tree, a complex one the depth-4 tree.  The
+non-path branch labels of a complex tree come from a reserved number
+pool that the trace can never emit, so each constraint's truth depends
+only on its own (pairwise disjoint) path.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from ..ltl import And, Eventually, Formula, Next, Or, Prop, parse, render
 from ..models import derive_seed
-from ..trace import StepRecord, Trace, step_from_dict
+from ..trace import StepRecord, Trace, step_from_dict, step_to_dict
 from .events import (
     CATEGORIES,
     AttributeEvent,
@@ -33,8 +34,6 @@ from .events import (
 )
 
 TREE_DEPTH = 4
-SIMPLE_PATH_LEN = 2
-COMPLEX_PATH_LEN = TREE_DEPTH + 2
 # Number values reserved for never-occurring branch alternatives of
 # complex formulas; excluded from every event draw.
 ALT_POOL_SIZE = 40
@@ -80,15 +79,7 @@ class BenchCase:
             "constraints": [c.to_dict() for c in self.constraints],
             "trace": {
                 "metadata": dict(self.trace.metadata),
-                "steps": [
-                    {
-                        "t": s.t,
-                        "input": s.input,
-                        "output": s.output,
-                        "labels": sorted(s.labels or ()),
-                    }
-                    for s in self.trace.steps
-                ],
+                "steps": [step_to_dict(s) for s in self.trace.steps],
             },
         }
 
@@ -213,11 +204,6 @@ def build_tree_formula(
     return Eventually(root), tuple(paths)
 
 
-def _simple_formula(path_props: Sequence[str]) -> Formula:
-    first, second = path_props
-    return Eventually(And(Prop(first), Next(Eventually(Prop(second)))))
-
-
 def _describe(prop: str) -> str:
     parts = prop.split("_")
     entity = None
@@ -231,51 +217,39 @@ def _describe(prop: str) -> str:
     return f"{owner}{category} is {article(value)} {value}" if category != "color" else f"{owner}color is {value}"
 
 
-def _simple_glosses(path_props: Sequence[str]) -> tuple[str, str]:
-    first, second = (_describe(p) for p in path_props)
-    informal = f"Eventually {first}, and then eventually {second}."
-    precise = (
-        f"At some time step, {first}, and then at some strictly later time step, {second}."
+def tree_wording(paths: Sequence[Sequence[str]], describe: Callable[[str], str]) -> str:
+    """Nested wording of one ``build_tree_formula`` tree (or subtree) from
+    its root-to-leaf label paths in order; ``describe`` words one label."""
+    text = describe(paths[0][0])
+    if len(paths[0]) == 1:
+        return text
+    rest = [path[1:] for path in paths]
+    return f"{text}, and then at some strictly later time step, {branches_wording(rest, describe)}"
+
+
+def branches_wording(paths: Sequence[Sequence[str]], describe: Callable[[str], str]) -> str:
+    """Wording of the subtrees below one tree node, from their paths.  Below
+    the last level that is the shared leaf alone; above it, two subtrees of
+    one half of the paths each, split by position so that equal sibling
+    labels still read as two branches."""
+    if len(paths) == 1:
+        return tree_wording(paths, describe)
+    half = len(paths) // 2
+    return (
+        f"either: ({tree_wording(paths[:half], describe)}) "
+        f"or ({tree_wording(paths[half:], describe)})"
     )
-    return informal, precise
 
 
-def _tree_glosses(tree_paths: Sequence[Sequence[str]]) -> tuple[str, str]:
-    # Regroup the flat path list back into the nested either/or wording.
-    def precise_node(paths: Sequence[Sequence[str]]) -> str:
-        heads = []
-        for path in paths:
-            if path[0] not in heads:
-                heads.append(path[0])
-        if len(paths) == 1 and len(paths[0]) == 1:
-            return f"{_describe(paths[0][0])}"
-        if len(heads) == 1:
-            head = heads[0]
-            rest = [p[1:] for p in paths if len(p) > 1]
-            if not rest:
-                return _describe(head)
-            return (
-                f"{_describe(head)}, and then at some strictly later time step, "
-                f"{precise_node(rest)}"
-            )
-        branches = []
-        for head in heads:
-            group = [p for p in paths if p[0] == head]
-            branches.append(f"({precise_node(group)})")
-        return "either: " + " or ".join(branches)
-
-    precise = f"At some time step, {precise_node(list(tree_paths))}."
-    first = tree_paths[0][0]
-    level1 = []
-    for path in tree_paths:
-        if path[1] not in level1:
-            level1.append(path[1])
-    leaf = tree_paths[0][-1]
-    informal = (
-        f"At some point {_describe(first)}, followed by either {_describe(level1[0])} or "
-        f"{_describe(level1[1])}, branching further until finally {_describe(leaf)}."
+def _informal(paths: Sequence[Sequence[str]]) -> str:
+    first, leaf = (_describe(prop) for prop in (paths[0][0], paths[0][-1]))
+    if len(paths) == 1:
+        return f"Eventually {first}, and then eventually {leaf}."
+    b1, b2 = (_describe(prop) for prop in dict.fromkeys(path[1] for path in paths))
+    return (
+        f"At some point {first}, followed by either {b1} or "
+        f"{b2}, branching further until finally {leaf}."
     )
-    return informal, precise
 
 
 def _place_positions(
@@ -321,7 +295,8 @@ def _build_case(
         raise GenerationError(f"unknown formula family {family!r}")
     rng = random.Random(f"synthbench:{derive_seed(*seed_material)}")
     tagged = entities > 1 if tagged is None else tagged
-    path_len = SIMPLE_PATH_LEN if family == "simple" else COMPLEX_PATH_LEN
+    depth = 0 if family == "simple" else TREE_DEPTH
+    path_len = depth + 2
     pools = _make_pools(entities, family)
 
     total_capacity = sum(max(0, pools.capacity(k)) for k in pools.available)
@@ -347,47 +322,38 @@ def _build_case(
         path_props = tuple(
             prop_name(key[0] if tagged else None, key[1], value) for key, value in slots
         )
-        if family == "simple":
-            formula = _simple_formula(path_props)
-            informal, precise = _simple_glosses(path_props)
-            tree_paths: tuple[tuple[str, ...], ...] = ()
-        else:
-            needed = 2 ** (TREE_DEPTH + 1) - 2 - TREE_DEPTH  # off-path node count
-            alt_values = rng.sample(pools.alt_values, needed)
-            entity_for = (
-                (lambda: rng.randint(1, entities)) if tagged else (lambda: None)
-            )
-            alternatives = iter(
-                [prop_name(entity_for(), "number", v) for v in alt_values]
-            )
-            formula, tree_paths = build_tree_formula(path_props, alternatives, rng)
-            informal, precise = _tree_glosses(tree_paths)
+        needed = 2 ** (depth + 1) - 2 - depth  # off-path node count; none at depth 0
+        alt_values = rng.sample(pools.alt_values, needed)
+        entity_for = (
+            (lambda: rng.randint(1, entities)) if tagged else (lambda: None)
+        )
+        alternatives = iter(
+            [prop_name(entity_for(), "number", v) for v in alt_values]
+        )
+        formula, paths = build_tree_formula(path_props, alternatives, rng, depth)
         constraints.append(
             BenchConstraint(
                 constraint_id=f"c{index + 1}",
                 formula=formula,
-                informal=informal,
-                precise=precise,
+                informal=_informal(paths),
+                precise=f"At some time step, {tree_wording(paths, _describe)}.",
                 path=path_props,
-                tree_paths=tree_paths,
+                tree_paths=paths if depth else (),
             )
         )
 
     # Designate event positions; satisfied cases place the full path,
-    # unsatisfied ones omit the final fulfillment event.
+    # unsatisfied ones omit the final fulfillment event.  Only the
+    # single-constraint elasticity cases leave the length to the generator.
     if length is None:
         start = rng.randint(1, 6)
         tail = rng.randint(0, 5)
         length = start + (path_len - 1) * gap + tail
-        occupied: set[int] = set()
         positions_by_constraint = [
             [start + i * gap for i in range(path_len)]
         ]
-        occupied.update(positions_by_constraint[0])
-        if n_constraints != 1:
-            raise GenerationError("auto trace length supported for single constraints only")
     else:
-        occupied = set()
+        occupied: set[int] = set()
         positions_by_constraint = [
             _place_positions(rng, occupied, path_len, gap, length)
             for _ in range(n_constraints)

@@ -16,14 +16,12 @@ from ..ltl import (
     Eventually,
     Formula,
     Implies,
-    Next,
     Not,
-    Or,
     Prop,
     Until,
     render,
 )
-from .generator import build_tree_formula
+from .generator import branches_wording, build_tree_formula, tree_wording
 from .events import article, prop_name
 
 PATTERN_IDS = (
@@ -69,85 +67,49 @@ def _values(pattern_id: str, overrides: Mapping[str, str] | None) -> dict[str, s
     return values
 
 
+def _appears(prop: str) -> str:
+    word = prop.split("_", 1)[1]
+    return f"{article(word)} {word} appears"
+
+
 def _tree_d1(v: Mapping[str, str]) -> tuple[Formula, str, str]:
-    a, b1, b2, leaf = (Prop(prop_name(None, "animal", v[k])) for k in ("a", "b1", "b2", "leaf"))
-    formula = Eventually(
-        And(
-            a,
-            Next(
-                Eventually(
-                    Or(
-                        And(b1, Next(Eventually(leaf))),
-                        And(b2, Next(Eventually(leaf))),
-                    )
-                )
-            ),
-        )
-    )
+    a, b1, b2, leaf = (prop_name(None, "animal", v[k]) for k in ("a", "b1", "b2", "leaf"))
+    # The fixed rng keeps the rendering stable.  Its first draw of the
+    # path's side is 1, so the path (a, b2, leaf) is the right branch.
+    formula, paths = build_tree_formula((a, b2, leaf), iter([b1]), random.Random(0), depth=1)
     informal = (
         f"At some point {article(v['a'])} {v['a']} should appear, followed by either "
         f"{article(v['b1'])} {v['b1']} or {article(v['b2'])} {v['b2']}, and then {article(v['leaf'])} {v['leaf']}."
     )
     precise = (
         f"At some time step, {article(v['a'])} {v['a']} must appear, and then at some strictly "
-        f"later time step, either: ({article(v['b1'])} {v['b1']} appears, and then at some strictly "
-        f"later time step, {article(v['leaf'])} {v['leaf']} appears) or ({article(v['b2'])} {v['b2']} "
-        f"appears, and then at some strictly later time step, {article(v['leaf'])} {v['leaf']} appears)."
+        f"later time step, {branches_wording([path[1:] for path in paths], _appears)}."
     )
     return formula, informal, precise
 
 
 def _tree_d4(v: Mapping[str, str]) -> tuple[Formula, str, str]:
-    labels = list(_TREE_D4_LABELS)
-    labels[0] = v["a"]
-    categories = {"star": "shape", "circle": "shape"}
-    path_props = tuple(
-        prop_name(None, categories.get(label, "animal"), label)
-        for label in (labels[0], labels[1], labels[3], labels[7], labels[15])
-    ) + (prop_name(None, "animal", v["leaf"]),)
-    # Alternatives in committed order; the fixed rng pins the path to the
-    # leftmost branch so the rendering is stable.
-    remaining = [
-        prop_name(None, categories.get(label, "animal"), label)
-        for label in labels
-        if label not in (labels[0], labels[1], labels[3], labels[7], labels[15])
+    # The path takes labels 0, 1, 3, 7 and 15 of the table, then the leaf;
+    # the other labels, in table order, fill the off-path nodes depth first.
+    # They are picked by index, so an `a` equal to one of them still renders
+    # (that label then appears twice, as it does for an equal `leaf`).  The
+    # fixed rng keeps the rendering stable; its draws of the path's side are
+    # 1, 1, 0, 1, so the path runs right, right, left, right.
+    props = [
+        prop_name(None, "shape" if label in ("star", "circle") else "animal", label)
+        for label in (v["a"], *_TREE_D4_LABELS[1:])
     ]
-    rng = random.Random(0)
-    formula, paths = build_tree_formula(path_props, iter(remaining), rng)
-    seen = [p[1] for p in paths]
-    level1 = []
-    for prop in seen:
-        if prop not in level1:
-            level1.append(prop)
-    b1, b2 = (p.split("_", 1)[1] for p in level1)
+    on_path = (0, 1, 3, 7, 15)
+    path_props = (*(props[i] for i in on_path), prop_name(None, "animal", v["leaf"]))
+    off_path = (prop for i, prop in enumerate(props) if i not in on_path)
+    formula, paths = build_tree_formula(path_props, off_path, random.Random(0))
+    b1, b2 = (prop.split("_", 1)[1] for prop in dict.fromkeys(path[1] for path in paths))
     informal = (
         f"At some point {article(v['a'])} {v['a']} should appear, followed by either "
         f"{article(b1)} {b1} or {article(b2)} {b2}. Each branch splits again in the same way, "
         f"four levels deep. Everything ends with {article(v['leaf'])} {v['leaf']}."
     )
-
-    def precise_node(paths_group):
-        heads = []
-        for p in paths_group:
-            if p[0] not in heads:
-                heads.append(p[0])
-        if len(heads) == 1 and all(len(p) == 1 for p in paths_group):
-            word = heads[0].split("_", 1)[1]
-            return f"{article(word)} {word} appears"
-        if len(heads) == 1:
-            word = heads[0].split("_", 1)[1]
-            rest = [p[1:] for p in paths_group if len(p) > 1]
-            return (
-                f"{article(word)} {word} appears, and then at some strictly later time step, "
-                f"{precise_node(rest)}"
-            )
-        branches = [
-            f"({precise_node([p for p in paths_group if p[0] == head])})"
-            for head in heads
-        ]
-        return "either: " + " or ".join(branches)
-
-    precise = f"At some time step, {precise_node([list(p) for p in paths])}."
+    precise = f"At some time step, {tree_wording(paths, _appears)}."
     return formula, informal, precise
 
 

@@ -187,9 +187,11 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
     new_steps: list[StepRecord] = []
     for step in trace.steps:
         if step.labels is None or overwrite:
-            history = new_steps + [replace(step, labels=None)]
-            step = replace(step, labels=checked_labels(labeler, history))
-        new_steps.append(step)
+            # Label in place: the labeler sees this one list, the step unlabeled last.
+            new_steps.append(replace(step, labels=None))
+            new_steps[-1] = replace(step, labels=checked_labels(labeler, new_steps))
+        else:
+            new_steps.append(step)
     return Trace(tuple(new_steps), trace.metadata)
 
 

@@ -445,6 +445,52 @@ class TestGuardCommand:
         assert set(entry["trigger_risk"]) == {"no_bad"}
 
 
+ENDPOINT = {"type": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
+
+
+class TestEndpointSpecValues:
+    """Values the endpoint client cannot use are config errors, found before any request."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"retries": 0}, {"retries": -2}, {"timeout": 0}, {"timeout": -1.5}, {"backoff": -1}],
+        ids=["retries-0", "retries-negative", "timeout-0", "timeout-negative", "backoff-negative"],
+    )
+    def test_build_model_rejects(self, override):
+        with pytest.raises(ConfigError, match="invalid config value"):
+            build_model({**ENDPOINT, **override})
+
+    @pytest.mark.parametrize("chars", [0, -5])
+    def test_build_labeler_rejects_context_window(self, chars):
+        spec = {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "max_context_chars": chars}
+        with pytest.raises(ConfigError, match="max_context_chars"):
+            build_labeler(spec)
+
+    def test_guard_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, "model": {**ENDPOINT, "retries": 0}})
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: invalid config value: retries must be at least 1")
+
+    def test_bench_eval_exit_2(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        run_cli(
+            ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys
+        )
+        judge = tmp_path / "judge.json"
+        write_json(judge, {"base_url": ENDPOINT["base_url"], "model": "m", "timeout": 0})
+        code, out, err = run_cli(
+            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid config value: timeout must be positive")
+
+
 DROP = object()
 MUTATION_POOL = (DROP, None, -1, 0, "x", [], {})
 MUTATION_BASES = (

@@ -5,6 +5,7 @@ import pytest
 from ltlguard.ltl import Verdict, parse, render
 from ltlguard.monitor import run_monitor
 from ltlguard.synthbench import (
+    LEVELS,
     AttributeEventLabeler,
     CoinFlipJudge,
     GenerationError,
@@ -18,10 +19,12 @@ from ltlguard.synthbench import (
     gen_proposition_scaling,
     load_cases,
     load_vocabulary,
+    pattern_formula,
     prompt_for_case,
     render_constraint,
     save_cases,
 )
+from ltlguard.synthbench.patterns import _TREE_D4_LABELS
 from ltlguard.trace import StepRecord
 
 
@@ -291,6 +294,127 @@ class TestSerialization:
         assert a.read_bytes() != b.read_bytes()
 
 
+D1_INFORMAL = (
+    "At some point a toucan should appear, followed by either a crane or a pelican, and "
+    "then a deer."
+)
+
+D1_PRECISE = (
+    "At some time step, a toucan must appear, and then at some strictly later time step, "
+    "either: (a crane appears, and then at some strictly later time step, a deer "
+    "appears) or (a pelican appears, and then at some strictly later time step, a deer "
+    "appears)."
+)
+
+D1_LTL = (
+    "F(animal_toucan & X F(animal_crane & X F animal_deer | animal_pelican & X F "
+    "animal_deer))"
+)
+
+D4_INFORMAL = (
+    "At some point a toucan should appear, followed by either a pelican or a crane. Each "
+    "branch splits again in the same way, four levels deep. Everything ends with a deer."
+)
+
+D4_PRECISE = (
+    "At some time step, a toucan appears, and then at some strictly later time step, "
+    "either: (a pelican appears, and then at some strictly later time step, either: (a "
+    "parrot appears, and then at some strictly later time step, either: (a heron "
+    "appears, and then at some strictly later time step, either: (an ibis appears, and "
+    "then at some strictly later time step, a deer appears) or (a raven appears, and "
+    "then at some strictly later time step, a deer appears)) or (a stork appears, and "
+    "then at some strictly later time step, either: (a puffin appears, and then at some "
+    "strictly later time step, a deer appears) or (a marten appears, and then at some "
+    "strictly later time step, a deer appears))) or (a weasel appears, and then at some "
+    "strictly later time step, either: (a jackal appears, and then at some strictly "
+    "later time step, either: (a lemur appears, and then at some strictly later time "
+    "step, a deer appears) or (a salmon appears, and then at some strictly later time "
+    "step, a deer appears)) or (an owl appears, and then at some strictly later time "
+    "step, either: (a fox appears, and then at some strictly later time step, a deer "
+    "appears) or (an otter appears, and then at some strictly later time step, a deer "
+    "appears)))) or (a crane appears, and then at some strictly later time step, either: "
+    "(a badger appears, and then at some strictly later time step, either: (a lynx "
+    "appears, and then at some strictly later time step, either: (a viper appears, and "
+    "then at some strictly later time step, a deer appears) or (a gecko appears, and "
+    "then at some strictly later time step, a deer appears)) or (a bison appears, and "
+    "then at some strictly later time step, either: (a moose appears, and then at some "
+    "strictly later time step, a deer appears) or (a gibbon appears, and then at some "
+    "strictly later time step, a deer appears))) or (a hawk appears, and then at some "
+    "strictly later time step, either: (a falcon appears, and then at some strictly "
+    "later time step, either: (a koala appears, and then at some strictly later time "
+    "step, a deer appears) or (a wolf appears, and then at some strictly later time "
+    "step, a deer appears)) or (a wombat appears, and then at some strictly later time "
+    "step, either: (a star appears, and then at some strictly later time step, a deer "
+    "appears) or (a circle appears, and then at some strictly later time step, a deer "
+    "appears))))."
+)
+
+D4_LTL = (
+    "F(animal_toucan & X F(animal_pelican & X F(animal_parrot & X F(animal_heron & X "
+    "F(animal_ibis & X F animal_deer | animal_raven & X F animal_deer) | animal_stork & "
+    "X F(animal_puffin & X F animal_deer | animal_marten & X F animal_deer)) | "
+    "animal_weasel & X F(animal_jackal & X F(animal_lemur & X F animal_deer | "
+    "animal_salmon & X F animal_deer) | animal_owl & X F(animal_fox & X F animal_deer | "
+    "animal_otter & X F animal_deer))) | animal_crane & X F(animal_badger & X "
+    "F(animal_lynx & X F(animal_viper & X F animal_deer | animal_gecko & X F "
+    "animal_deer) | animal_bison & X F(animal_moose & X F animal_deer | animal_gibbon & "
+    "X F animal_deer)) | animal_hawk & X F(animal_falcon & X F(animal_koala & X F "
+    "animal_deer | animal_wolf & X F animal_deer) | animal_wombat & X F(shape_star & X F "
+    "animal_deer | shape_circle & X F animal_deer)))))"
+)
+
+SIMPLE_INFORMAL = (
+    "Eventually the color is blue, and then eventually the number is 18."
+)
+
+SIMPLE_PRECISE = (
+    "At some time step, the color is blue, and then at some strictly later time step, "
+    "the number is 18."
+)
+
+COMPLEX_INFORMAL = (
+    "At some point Entity 2's number is 2, followed by either Entity 2's color is indigo "
+    "or Entity 1's number is 72, branching further until finally Entity 1's number is 22."
+)
+
+COMPLEX_PRECISE = (
+    "At some time step, Entity 2's number is 2, and then at some strictly later time "
+    "step, either: (Entity 2's color is indigo, and then at some strictly later time "
+    "step, either: (Entity 2's animal is an ibis, and then at some strictly later time "
+    "step, either: (Entity 1's number is 7, and then at some strictly later time step, "
+    "either: (Entity 1's color is ochre, and then at some strictly later time step, "
+    "Entity 1's number is 22) or (Entity 1's number is 95, and then at some strictly "
+    "later time step, Entity 1's number is 22)) or (Entity 1's number is 65, and then at "
+    "some strictly later time step, either: (Entity 2's number is 71, and then at some "
+    "strictly later time step, Entity 1's number is 22) or (Entity 2's number is 90, and "
+    "then at some strictly later time step, Entity 1's number is 22))) or (Entity 1's "
+    "number is 70, and then at some strictly later time step, either: (Entity 2's number "
+    "is 73, and then at some strictly later time step, either: (Entity 1's number is 78, "
+    "and then at some strictly later time step, Entity 1's number is 22) or (Entity 1's "
+    "number is 64, and then at some strictly later time step, Entity 1's number is 22)) "
+    "or (Entity 1's number is 68, and then at some strictly later time step, either: "
+    "(Entity 2's number is 91, and then at some strictly later time step, Entity 1's "
+    "number is 22) or (Entity 1's number is 96, and then at some strictly later time "
+    "step, Entity 1's number is 22)))) or (Entity 1's number is 72, and then at some "
+    "strictly later time step, either: (Entity 2's number is 79, and then at some "
+    "strictly later time step, either: (Entity 1's number is 76, and then at some "
+    "strictly later time step, either: (Entity 1's number is 66, and then at some "
+    "strictly later time step, Entity 1's number is 22) or (Entity 2's number is 77, and "
+    "then at some strictly later time step, Entity 1's number is 22)) or (Entity 2's "
+    "number is 89, and then at some strictly later time step, either: (Entity 2's number "
+    "is 81, and then at some strictly later time step, Entity 1's number is 22) or "
+    "(Entity 1's number is 94, and then at some strictly later time step, Entity 1's "
+    "number is 22))) or (Entity 1's number is 87, and then at some strictly later time "
+    "step, either: (Entity 1's number is 67, and then at some strictly later time step, "
+    "either: (Entity 2's number is 75, and then at some strictly later time step, Entity "
+    "1's number is 22) or (Entity 1's number is 98, and then at some strictly later time "
+    "step, Entity 1's number is 22)) or (Entity 2's number is 97, and then at some "
+    "strictly later time step, either: (Entity 2's number is 88, and then at some "
+    "strictly later time step, Entity 1's number is 22) or (Entity 2's number is 82, and "
+    "then at some strictly later time step, Entity 1's number is 22))))."
+)
+
+
 class TestRenderConstraint:
     def test_universality_informal(self):
         assert render_constraint("universality", "informal") == "The color is always red."
@@ -317,6 +441,44 @@ class TestRenderConstraint:
     def test_unknown_level(self):
         with pytest.raises(ValueError, match="level"):
             render_constraint("universality", "casual")
+
+
+class TestTreeWording:
+    """Exact wording of the stock trees and of one constraint per family.
+
+    Texts are those the tree builder and wording produce at the default
+    values and at a fixed seed.
+    """
+
+    @pytest.mark.parametrize(
+        "pattern_id, informal, precise, ltl",
+        [
+            ("tree_b2_d1", D1_INFORMAL, D1_PRECISE, D1_LTL),
+            ("tree_b2_d4", D4_INFORMAL, D4_PRECISE, D4_LTL),
+        ],
+    )
+    def test_stock_tree_every_level(self, pattern_id, informal, precise, ltl):
+        assert render_constraint(pattern_id, "informal") == informal
+        assert render_constraint(pattern_id, "precise") == precise
+        assert render_constraint(pattern_id, "precise+ltl") == f"{precise}\nLTL: {ltl}"
+
+    def test_simple_constraint(self):
+        constraint = gen_elasticity(gap=3, family="simple", seed=0, count=1)[0].constraints[0]
+        assert constraint.informal == SIMPLE_INFORMAL
+        assert constraint.precise == SIMPLE_PRECISE
+
+    def test_complex_constraint(self):
+        constraint = gen_proposition_scaling(entities=2, family="complex", seed=0).constraints[0]
+        assert constraint.informal == COMPLEX_INFORMAL
+        assert constraint.precise == COMPLEX_PRECISE
+
+    @pytest.mark.parametrize("label", _TREE_D4_LABELS)
+    def test_d4_root_may_be_any_stock_label(self, label):
+        values = {"a": label}
+        texts = [render_constraint("tree_b2_d4", level, values) for level in LEVELS]
+        assert all(f" {label} " in text for text in texts)
+        ltl = texts[2].rsplit("\nLTL: ", 1)[1]
+        assert parse(ltl) == pattern_formula("tree_b2_d4", values)
 
 
 class TestEvalJudge:

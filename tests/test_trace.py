@@ -160,6 +160,53 @@ class TestApplyLabeler:
             apply_labeler(trace, Flaky())
         assert err.value.t == 2
 
+    @pytest.mark.parametrize(
+        "overwrite, histories, labels",
+        [
+            (
+                False,
+                [
+                    [(1, None)],
+                    [(1, {"shout"}), (2, {"shout"}), (3, None)],
+                ],
+                [{"shout"}, {"shout"}, {"shout"}, set()],
+            ),
+            (
+                True,
+                [
+                    [(1, None)],
+                    [(1, {"shout"}), (2, None)],
+                    [(1, {"shout"}), (2, {"even_history"}), (3, None)],
+                    [(1, {"shout"}), (2, {"even_history"}), (3, {"shout"}), (4, None)],
+                ],
+                [{"shout"}, {"even_history"}, {"shout"}, {"even_history"}],
+            ),
+        ],
+        ids=["embedded-kept", "overwrite"],
+    )
+    def test_labeler_sees_each_history(self, overwrite, histories, labels):
+        # Each call sees the steps labeled so far, then the current one unlabeled.
+        class Spy(UppercaseLabeler):
+            def __init__(self):
+                self.calls = []
+
+            def __call__(self, steps):
+                self.calls.append([(s.t, s.labels) for s in steps])
+                return super().__call__(steps)
+
+        trace = Trace(
+            (
+                StepRecord(1, "", "A"),
+                StepRecord(2, "", "b", frozenset({"shout"})),
+                StepRecord(3, "", "C"),
+                StepRecord(4, "", "d", frozenset()),
+            )
+        )
+        spy = Spy()
+        labeled = apply_labeler(trace, spy, overwrite=overwrite)
+        assert spy.calls == histories
+        assert [s.labels for s in labeled.steps] == labels
+
     def test_idempotent_for_deterministic_labeler(self):
         trace = Trace(tuple(StepRecord(i, "", o) for i, o in enumerate(["A", "b"], 1)))
         once = apply_labeler(trace, UppercaseLabeler())
