@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from .config import EMBEDDED, ConfigError, build_labeler, build_model, load_config
-from .intervention import GuardedSession, PolicyError, run_guarded, violation_rate
+from .intervention import GuardedSession, run_guarded, violation_rate
 from .ltl import (
     Formula,
     ParseError,
@@ -28,11 +28,9 @@ from .ltl import (
     verdict_of,
 )
 from .ltl.ast import SYNTAX
-from .models import EndpointError
 from .monitor import CrossCheckError, audit_log, score_f1
 from .synthbench import (
     CoinFlipJudge,
-    GenerationError,
     MonitorOracleJudge,
     eval_judge,
     gen_constraint_scaling,
@@ -42,21 +40,26 @@ from .synthbench import (
     save_cases,
 )
 from .trace import (
-    LabelingError,
     LabelingFunction,
     Trace,
-    TraceError,
     apply_labeler,
     load_reports,
     load_trace,
-    report_to_dict,
     save_reports,
     save_trace,
+    write_json,
+    write_jsonl,
 )
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
+
+# Every error a command can meet on bad input or a failing run: config, trace,
+# parse, policy and generation errors are ValueErrors, endpoint and labeler
+# failures RuntimeErrors, unreadable inputs and unwritable outputs OSErrors,
+# and a monitor that disagrees with its cross-check a CrossCheckError.
+ERRORS = (ValueError, RuntimeError, OSError, CrossCheckError)
 
 
 def _human(message: str) -> None:
@@ -72,9 +75,8 @@ def _ast_dict(node: Formula | str) -> dict | str:
     }
 
 
-def _print_parse_error(text: str, err: ParseError) -> None:
-    _human(f"error: {err}")
-    lines = text.splitlines() or [""]
+def _print_caret(err: ParseError) -> None:
+    lines = err.text.splitlines() or [""]
     if 1 <= err.line <= len(lines):
         _human(f"  {lines[err.line - 1]}")
         _human("  " + " " * (err.column - 1) + "^")
@@ -106,33 +108,21 @@ def _check_propositions(
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    try:
-        phi = parse(args.formula)
-    except ParseError as err:
-        _print_parse_error(args.formula, err)
-        return EXIT_ERROR
+    phi = parse(args.formula)
     canonical = simplify(phi)
     document = {
         "canonical": render(canonical, "ascii"),
         "parsed": render(phi, "ascii"),
         "ast": _ast_dict(phi),
     }
-    print(json.dumps(document, ensure_ascii=False, indent=2))
+    write_json(document)
     return EXIT_OK
 
 
 def cmd_progress(args: argparse.Namespace) -> int:
-    try:
-        phi = parse(args.formula)
-    except ParseError as err:
-        _print_parse_error(args.formula, err)
-        return EXIT_ERROR
+    phi = parse(args.formula)
     if args.steps_file:
-        try:
-            lines = Path(args.steps_file).read_text(encoding="utf-8").splitlines()
-        except OSError as err:
-            _human(f"error: {err}")
-            return EXIT_ERROR
+        lines = Path(args.steps_file).read_text(encoding="utf-8").splitlines()
         assignments = [_parse_labels(line) for line in lines]
     else:
         assignments = [_parse_labels(args.labels or "")]
@@ -151,42 +141,34 @@ def cmd_progress(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-        trace = load_trace(args.trace)
-        labeler = build_labeler(config.labeler_spec)
-        _check_propositions(config.constraints, labeler, trace)
-        if labeler is not EMBEDDED:
-            trace = apply_labeler(trace, labeler, overwrite=args.relabel)
-        mode = args.mode or config.mode
-        reports = audit_log(trace, config.constraints, mode=mode, cross_check=args.cross_check)
-        extra: dict = {"mode": mode, "trace_length": len(trace)}
-        if args.f1_against:
-            truth = load_reports(args.f1_against)
-            result = score_f1(reports, truth)
-            extra["f1"] = {
-                "pooled": {
-                    "precision": result.pooled.precision,
-                    "recall": result.pooled.recall,
-                    "f1": result.pooled.f1,
-                },
-                "per_constraint": {
-                    cid: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-                    for cid, s in sorted(result.per_constraint.items())
-                },
-            }
-            _human(
-                f"pooled F1 {result.pooled.f1:.4f} "
-                f"(precision {result.pooled.precision:.4f}, recall {result.pooled.recall:.4f})"
-            )
-    except (ConfigError, TraceError, LabelingError, CrossCheckError, ParseError, ValueError, OSError) as err:
-        _human(f"error: {err}")
-        return EXIT_ERROR
-    if args.out:
-        save_reports(reports, args.out, extra=extra)
-    else:
-        doc = {"reports": [report_to_dict(r) for r in reports], **extra}
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
+    config = load_config(args.config)
+    trace = load_trace(args.trace)
+    labeler = build_labeler(config.labeler_spec)
+    _check_propositions(config.constraints, labeler, trace)
+    if labeler is not EMBEDDED:
+        trace = apply_labeler(trace, labeler, overwrite=args.relabel)
+    mode = args.mode or config.mode
+    reports = audit_log(trace, config.constraints, mode=mode, cross_check=args.cross_check)
+    extra: dict = {"mode": mode, "trace_length": len(trace)}
+    if args.f1_against:
+        truth = load_reports(args.f1_against)
+        result = score_f1(reports, truth)
+        extra["f1"] = {
+            "pooled": {
+                "precision": result.pooled.precision,
+                "recall": result.pooled.recall,
+                "f1": result.pooled.f1,
+            },
+            "per_constraint": {
+                cid: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
+                for cid, s in sorted(result.per_constraint.items())
+            },
+        }
+        _human(
+            f"pooled F1 {result.pooled.f1:.4f} "
+            f"(precision {result.pooled.precision:.4f}, recall {result.pooled.recall:.4f})"
+        )
+    save_reports(reports, args.out, extra=extra)
     violations = sum(r.violations for r in reports)
     _human(
         f"audited {len(trace)} steps against {len(reports)} constraints: "
@@ -196,45 +178,40 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_guard(args: argparse.Namespace) -> int:
+    if args.max_steps < 1:
+        raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
     out_dir = Path(args.out_dir)
-    try:
-        config = load_config(args.config)
-        labeler = build_labeler(config.labeler_spec)
-        if labeler is EMBEDDED:
-            raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
-        _check_propositions(config.constraints, labeler)
-        model = build_model(config.model_spec)
-        substitute = (
-            build_model(config.substitute_spec) if config.substitute_spec else None
-        )
-        seed = config.seed if args.seed is None else args.seed
-        session = GuardedSession(
-            model=model,
-            labeler=labeler,
-            constraints=config.constraints,
-            policy=config.policy,
-            substitute=substitute,
-            seed=seed,
-            rules_text=config.rules_text(),
-            stop_token=config.stop_token,
-            action_temperature=config.action_temperature,
-            sampling_temperature=config.sampling_temperature,
-            reset_mode=(config.mode == "reset"),
-        )
-    except (ConfigError, PolicyError) as err:
-        _human(f"error: {err}")
-        return EXIT_ERROR
+    config = load_config(args.config)
+    labeler = build_labeler(config.labeler_spec)
+    if labeler is EMBEDDED:
+        raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
+    _check_propositions(config.constraints, labeler)
+    model = build_model(config.model_spec)
+    substitute = build_model(config.substitute_spec) if config.substitute_spec else None
+    seed = config.seed if args.seed is None else args.seed
+    session = GuardedSession(
+        model=model,
+        labeler=labeler,
+        constraints=config.constraints,
+        policy=config.policy,
+        substitute=substitute,
+        seed=seed,
+        rules_text=config.rules_text(),
+        stop_token=config.stop_token,
+        action_temperature=config.action_temperature,
+        sampling_temperature=config.sampling_temperature,
+        reset_mode=(config.mode == "reset"),
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         trace, outcomes, reports = run_guarded(
             session, max_steps=args.max_steps, initial_input=config.initial_input
         )
-    except (EndpointError, LabelingError, RuntimeError) as err:
+    except ERRORS as err:
         _save_guard_log(session, out_dir / "guard_log.jsonl")
         save_trace(Trace(tuple(session.steps)), out_dir / "trace.jsonl")
-        _human(f"error: {err} (partial outputs flushed to {out_dir})")
-        return EXIT_ERROR
+        raise RuntimeError(f"{err} (partial outputs flushed to {out_dir})") from err
     save_trace(trace, out_dir / "trace.jsonl")
     _save_guard_log(session, out_dir / "guard_log.jsonl")
     save_reports(
@@ -251,31 +228,23 @@ def cmd_guard(args: argparse.Namespace) -> int:
 
 
 def _save_guard_log(session: GuardedSession, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for outcome in session.outcomes:
-            fh.write(json.dumps(outcome.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl((outcome.to_dict() for outcome in session.outcomes), path)
 
 
 def cmd_bench_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.suite == "elasticity":
-            cases = gen_elasticity(
-                gap=args.gap, family=args.family, seed=args.seed, count=args.count
-            )
-        elif args.suite == "constraint":
-            cases = [
-                gen_constraint_scaling(args.n, args.family, seed=args.seed + i)
-                for i in range(args.count)
-            ]
-        else:
-            cases = [
-                gen_proposition_scaling(args.entities, args.family, seed=args.seed + i)
-                for i in range(args.count)
-            ]
-        save_cases(cases, args.out)
-    except (GenerationError, OSError) as err:
-        _human(f"error: {err}")
-        return EXIT_ERROR
+    if args.suite == "elasticity":
+        cases = gen_elasticity(gap=args.gap, family=args.family, seed=args.seed, count=args.count)
+    elif args.suite == "constraint":
+        cases = [
+            gen_constraint_scaling(args.n, args.family, seed=args.seed + i, gap=args.gap)
+            for i in range(args.count)
+        ]
+    else:
+        cases = [
+            gen_proposition_scaling(args.entities, args.family, seed=args.seed + i, gap=args.gap)
+            for i in range(args.count)
+        ]
+    save_cases(cases, args.out)
     satisfied = sum(sum(case.truth) for case in cases)
     total = sum(len(case.truth) for case in cases)
     _human(
@@ -286,30 +255,20 @@ def cmd_bench_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_eval(args: argparse.Namespace) -> int:
-    try:
-        cases = load_cases(args.bench)
-        if args.judge == "oracle":
-            judge = MonitorOracleJudge()
-        elif args.judge == "coinflip":
-            judge = CoinFlipJudge()
-        else:
-            if not args.judge_config:
-                raise ConfigError("--judge endpoint requires --judge-config")
-            spec = json.loads(Path(args.judge_config).read_text(encoding="utf-8"))
-            if not isinstance(spec, dict):
-                raise ConfigError("judge config must be a JSON object")
-            judge = build_model({"type": "endpoint", **spec})
-        report = eval_judge(cases, judge, level=args.level, seed=args.seed)
-    except (ConfigError, GenerationError, EndpointError, TraceError, OSError, ValueError) as err:
-        _human(f"error: {err}")
-        return EXIT_ERROR
-    document = report.to_dict()
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(document, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+    cases = load_cases(args.bench)
+    if args.judge == "oracle":
+        judge = MonitorOracleJudge()
+    elif args.judge == "coinflip":
+        judge = CoinFlipJudge()
     else:
-        print(json.dumps(document, ensure_ascii=False, indent=2))
+        if not args.judge_config:
+            raise ConfigError("--judge endpoint requires --judge-config")
+        spec = json.loads(Path(args.judge_config).read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
+            raise ConfigError("judge config must be a JSON object")
+        judge = build_model({"type": "endpoint", **spec})
+    report = eval_judge(cases, judge, level=args.level, seed=args.seed)
+    write_json(report.to_dict(), args.out)
     _human(
         f"overall accuracy {report.overall.accuracy:.4f} "
         f"± {report.overall.half_width:.4f} over {report.overall.judgments} judgment(s), "
@@ -365,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_gen = bench_sub.add_parser("gen", help="generate benchmark cases")
     p_gen.add_argument("--suite", choices=("elasticity", "constraint", "proposition"), required=True)
     p_gen.add_argument("--family", choices=("simple", "complex"), default="simple")
-    p_gen.add_argument("--gap", type=int, default=10)
+    p_gen.add_argument("--gap", type=int, default=None, help="steps between target events")
     p_gen.add_argument("--n", type=int, default=1, help="constraints per case (constraint suite)")
     p_gen.add_argument("--entities", type=int, default=1, help="entities per step (proposition suite)")
     p_gen.add_argument("--count", type=int, default=40)
@@ -386,8 +345,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place an error becomes ``error: ...`` and exit 2."""
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ERRORS as err:
+        _human(f"error: {err}")
+        if isinstance(err, ParseError):
+            _print_caret(err)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -46,6 +46,12 @@ class InterventionPolicy:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise PolicyError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
+        for name in ("n", "k", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PolicyError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
+            raise PolicyError(f"tau must be a number, got {self.tau!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise PolicyError(f"tau must be in [0, 1], got {self.tau}")
         if self.n < 1:

@@ -21,6 +21,7 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.expected = expected
+        self.text = ""  # the whole input, filled in by ``parse``
         detail = f"{message} at line {line}, column {column}"
         if expected:
             detail += f" (expected one of: {', '.join(expected)})"
@@ -128,13 +129,17 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula string into its AST.
 
-    Raises ParseError with line/column positioning on bad input.
+    Raises ParseError with line/column positioning and ``text`` on bad input.
     """
-    parser = _Parser(tokenize(text))
-    phi = parser.binary()
-    trailing = parser.peek()
-    if trailing.text == ")":
-        raise ParseError("unbalanced parentheses", trailing.line, trailing.column)
-    if trailing.text:
-        raise ParseError(f"{_unexpected(trailing)} after formula", trailing.line, trailing.column)
+    try:
+        parser = _Parser(tokenize(text))
+        phi = parser.binary()
+        trailing = parser.peek()
+        if trailing.text == ")":
+            raise ParseError("unbalanced parentheses", trailing.line, trailing.column)
+        if trailing.text:
+            raise ParseError(f"{_unexpected(trailing)} after formula", trailing.line, trailing.column)
+    except ParseError as err:
+        err.text = text
+        raise
     return phi

@@ -307,7 +307,8 @@ class LabelerAccuracy:
     per_proposition: Mapping[str, PropositionAccuracy]
 
 
-def _half_width(accuracy: float, n: int) -> float:
+def confidence_half_width(accuracy: float, n: int) -> float:
+    """Half-width of the normal-approximation 95% interval of an accuracy over ``n`` trials."""
     if n == 0:
         return 0.0
     return 1.96 * math.sqrt(accuracy * (1 - accuracy) / n)
@@ -339,7 +340,9 @@ def measure_labeler_accuracy(
                 per_prop[prop][1] += 1
     accuracy = correct / total if total else 0.0
     per_proposition = {
-        p: PropositionAccuracy(p, hits / n if n else 0.0, _half_width(hits / n if n else 0.0, n), n)
+        p: PropositionAccuracy(
+            p, hits / n if n else 0.0, confidence_half_width(hits / n if n else 0.0, n), n
+        )
         for p, (hits, n) in per_prop.items()
     }
-    return LabelerAccuracy(accuracy, _half_width(accuracy, total), total, per_proposition)
+    return LabelerAccuracy(accuracy, confidence_half_width(accuracy, total), total, per_proposition)

@@ -16,14 +16,13 @@ only on its own (pairwise disjoint) path.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from ..ltl import And, Eventually, Formula, Next, Or, Prop, parse, render
 from ..models import derive_seed
-from ..trace import StepRecord, Trace, step_from_dict, step_to_dict
+from ..trace import StepRecord, Trace, read_jsonl, step_from_dict, step_to_dict, write_jsonl
 from .events import (
     CATEGORIES,
     AttributeEvent,
@@ -38,6 +37,7 @@ TREE_DEPTH = 4
 # complex formulas; excluded from every event draw.
 ALT_POOL_SIZE = 40
 DISTRACTOR_FLOOR = 2
+DEFAULT_GAP = 10
 COMPLEX_GAP_SCHEDULE = {1: 23, 5: 117, 10: 91, 20: 40}
 
 
@@ -111,20 +111,16 @@ def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
 
 
 def save_cases(cases: Sequence[BenchCase], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for case in cases:
-            fh.write(json.dumps(case.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl((case.to_dict() for case in cases), path)
 
 
 def load_cases(path) -> list[BenchCase]:
     cases = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    cases.append(case_from_dict(json.loads(line), n))
-                except (KeyError, TypeError, AttributeError) as err:
-                    raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
+    for n, obj in read_jsonl(path):
+        try:
+            cases.append(case_from_dict(obj, n))
+        except (KeyError, TypeError, AttributeError) as err:
+            raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
     return cases
 
 
@@ -293,6 +289,8 @@ def _build_case(
 ) -> BenchCase:
     if family not in ("simple", "complex"):
         raise GenerationError(f"unknown formula family {family!r}")
+    if gap < 1:
+        raise GenerationError(f"gap must be >= 1, got {gap}")
     rng = random.Random(f"synthbench:{derive_seed(*seed_material)}")
     tagged = entities > 1 if tagged is None else tagged
     depth = 0 if family == "simple" else TREE_DEPTH
@@ -387,9 +385,10 @@ def _build_case(
     return BenchCase(trace=trace, constraints=tuple(constraints), truth=truth, knobs=knobs)
 
 
-def gen_elasticity(gap: int, family: str, seed: int, count: int) -> list[BenchCase]:
+def gen_elasticity(gap: int | None, family: str, seed: int, count: int) -> list[BenchCase]:
     """Balanced batch of single-constraint cases with the fulfillment event
     exactly ``gap`` steps after the trigger; trace length grows with the gap."""
+    gap = DEFAULT_GAP if gap is None else gap
     if not 1 <= gap <= 1000:
         raise GenerationError(f"gap must be in [1, 1000], got {gap}")
     cases = []
@@ -428,7 +427,7 @@ def gen_constraint_scaling(
     if not 1 <= n <= 20:
         raise GenerationError(f"constraint count must be in [1, 20], got {n}")
     if family == "simple":
-        gap = 10 if gap is None else gap
+        gap = DEFAULT_GAP if gap is None else gap
         length = 500 if length is None else length
     else:
         if gap is None:
@@ -459,10 +458,11 @@ def gen_proposition_scaling(
     family: str,
     seed: int,
     length: int = 100,
-    gap: int = 10,
+    gap: int | None = None,
 ) -> BenchCase:
     """One entity-tagged case; the constraint targets specific entities'
     attributes while the other entities act as distractors."""
+    gap = DEFAULT_GAP if gap is None else gap
     if entities < 1:
         raise GenerationError(f"entities must be >= 1, got {entities}")
     knobs = {

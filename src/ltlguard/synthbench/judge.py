@@ -9,14 +9,13 @@ a perfect accuracy on construction-valid batches.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ..ltl import Verdict, render
-from ..models import SampleParams, derive_seed
+from ..models import SampleParams, confidence_half_width, derive_seed
 from ..monitor import run_monitor
 from .generator import BenchCase
 
@@ -158,8 +157,7 @@ def knob_key(knobs: Mapping[str, object]) -> str:
 
 def _accuracy(correct: int, total: int, failures: int) -> KnobAccuracy:
     accuracy = correct / total if total else 0.0
-    half = 1.96 * math.sqrt(accuracy * (1 - accuracy) / total) if total else 0.0
-    return KnobAccuracy(accuracy, half, total, failures)
+    return KnobAccuracy(accuracy, confidence_half_width(accuracy, total), total, failures)
 
 
 def eval_judge(

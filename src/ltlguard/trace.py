@@ -9,7 +9,8 @@ optional leading metadata line ``{"meta": {...}}``.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -121,48 +122,55 @@ def step_from_dict(obj: dict, line_no: int) -> StepRecord:
     )
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line_no, value)`` for each nonblank line of a JSONL file; a
+    line that is not JSON raises ``TraceError``."""
+    with Path(path).open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    yield line_no, json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise TraceError(f"line {line_no}: malformed JSON: {err.msg}") from err
+
+
+def write_jsonl(rows: Iterable[object], path: str | Path) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def write_json(doc: object, path: str | Path | None = None) -> None:
+    """Write ``doc`` as one indented JSON document to ``path``, or to stdout."""
+    text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def load_trace(path: str | Path) -> Trace:
     """Load a JSONL trace, validating step-index contiguity."""
     path = Path(path)
     steps: list[StepRecord] = []
     metadata: dict = {}
-    with path.open(encoding="utf-8") as fh:
-        lines = [line for line in fh]
-    content_lines = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not content_lines:
-        raise TraceError(f"{path}: empty trace file")
-    start = 0
-    first_no, first_line = content_lines[0]
-    try:
-        first_obj = json.loads(first_line)
-    except json.JSONDecodeError as err:
-        raise TraceError(f"line {first_no}: malformed JSON: {err.msg}") from err
-    if isinstance(first_obj, dict) and "meta" in first_obj and "t" not in first_obj:
-        metadata = first_obj["meta"]
-        start = 1
-    expected_t = 1
-    for line_no, line in content_lines[start:]:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise TraceError(f"line {line_no}: malformed JSON: {err.msg}") from err
+    rows = 0
+    for rows, (line_no, obj) in enumerate(read_jsonl(path), 1):
+        if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
+            metadata = obj["meta"]
+            continue
         step = step_from_dict(obj, line_no)
-        if step.t != expected_t:
+        if step.t != len(steps) + 1:
             raise TraceError(f"non-contiguous step index at line {line_no}")
         steps.append(step)
-        expected_t += 1
     if not steps:
-        raise TraceError(f"{path}: trace has no steps")
+        raise TraceError(f"{path}: {'trace has no steps' if rows else 'empty trace file'}")
     return Trace(tuple(steps), metadata)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        if trace.metadata:
-            fh.write(json.dumps({"meta": dict(trace.metadata)}, ensure_ascii=False) + "\n")
-        for step in trace.steps:
-            fh.write(json.dumps(step_to_dict(step), ensure_ascii=False) + "\n")
+    meta = [{"meta": dict(trace.metadata)}] if trace.metadata else []
+    write_jsonl([*meta, *map(step_to_dict, trace.steps)], path)
 
 
 def checked_labels(labeler: LabelingFunction, steps: Sequence[StepRecord]) -> TruthAssignment:
@@ -244,12 +252,9 @@ def report_from_dict(obj: Mapping) -> VerdictReport:
     )
 
 
-def save_reports(reports: Iterable[VerdictReport], path: str | Path, extra: Mapping | None = None) -> None:
-    """Write reports as a single JSON document."""
-    doc: dict = {"reports": [report_to_dict(r) for r in reports]}
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+def save_reports(reports: Iterable[VerdictReport], path: str | Path | None, extra: Mapping | None = None) -> None:
+    """Write reports as a single JSON document to ``path``, or to stdout."""
+    write_json({"reports": [report_to_dict(r) for r in reports], **(extra or {})}, path)
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ltlguard.cli import main
 from ltlguard.config import ConfigError, build_labeler, build_model, load_config
 from helpers import run_cli_process
+from mock_endpoint import MockEndpoint
 
 RULE_CONFIG = {
     "constraints": [
@@ -205,6 +206,18 @@ class TestAuditCommand:
         assert code == 2
         assert "error:" in err and "regex" in err
 
+    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        trace = tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        write_trace(trace, ["fine", "goal reached"])
+        out = tmp_path / "missing" / "r.json"
+        code, _, err = run_cli(
+            ["audit", str(trace), "--config", str(config), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_cross_check_flag(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -386,6 +399,11 @@ class TestGuardCommand:
             {"seed": "abc"},
             {"model": {"type": "scripted", "distributions": [[["bad move", -1], ["ok move", 1]]]}},
             {"labeler": {"type": "event", "entities": "two"}},
+            {"policy": {**GUARD_CONFIG["policy"], "n": 2.5}},
+            {"policy": {**GUARD_CONFIG["policy"], "k": 1.5}},
+            {"policy": {**GUARD_CONFIG["policy"], "m": 2.0}},
+            {"policy": {**GUARD_CONFIG["policy"], "k": True}},
+            {"policy": {**GUARD_CONFIG["policy"], "tau": True}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
@@ -397,6 +415,61 @@ class TestGuardCommand:
         )
         assert code == 2
         assert err.startswith("error: invalid config value")
+
+    @pytest.mark.parametrize("max_steps", ["0", "-1"])
+    def test_max_steps_below_one_exit_2(self, capsys, tmp_path, max_steps):
+        config = tmp_path / "config.json"
+        write_json(config, GUARD_CONFIG)
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", max_steps, "--out-dir", str(tmp_path / "run")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: --max-steps must be at least 1, got {max_steps}")
+        assert not (tmp_path / "run").exists()
+
+    def test_out_dir_under_regular_file_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        write_json(config, GUARD_CONFIG)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "afile" / "sub")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("role, completed", [("model", 0), ("substitute_model", 2)])
+    def test_unwritable_endpoint_audit_log_flushes_partial_outputs(
+        self, capsys, tmp_path, role, completed
+    ):
+        # The scripted model's third output is the first that the switch
+        # policy replaces, so a failing substitute fails at step 3.
+        config_doc = {
+            **GUARD_CONFIG,
+            "model": {"type": "scripted", "outputs": ["ok move", "ok move", "bad move"]},
+            "policy": {"strategy": "switch", "tau": 0.5, "n": 1, "k": 1, "m": 2},
+        }
+        out_dir = tmp_path / "run"
+        with MockEndpoint(lambda body: "ok move") as mock:
+            config_doc[role] = {
+                "type": "endpoint",
+                "base_url": mock.base_url,
+                "model": "m",
+                "retries": 1,
+                "audit_log_path": str(tmp_path / "missing" / "audit.jsonl"),
+            }
+            config = tmp_path / "config.json"
+            write_json(config, config_doc)
+            code, _, err = run_cli(
+                ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)],
+                capsys,
+            )
+        assert code == 2
+        assert err.startswith("error:")
+        assert f"(partial outputs flushed to {out_dir})" in err
+        assert len((out_dir / "trace.jsonl").read_text().splitlines()) == completed
+        assert len((out_dir / "guard_log.jsonl").read_text().splitlines()) == completed
 
     def test_proposition_outside_vocabulary_exit_2(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -620,6 +693,38 @@ class TestBenchCommands:
         case = json.loads(out.read_text().splitlines()[0])
         assert all(len(s["labels"]) == 12 for s in case["trace"]["steps"])
 
+    @pytest.mark.parametrize("suite", ["constraint", "proposition"])
+    def test_gen_gap_passed_through(self, capsys, tmp_path, suite):
+        bench = tmp_path / "bench.jsonl"
+        code, _, _ = run_cli(
+            ["bench", "gen", "--suite", suite, "--gap", "17", "--count", "2", "--out", str(bench)],
+            capsys,
+        )
+        assert code == 0
+        assert all(json.loads(line)["knobs"]["gap"] == 17 for line in bench.read_text().splitlines())
+        code, out, _ = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert code == 0
+        assert json.loads(out)["overall"]["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("suite", ["elasticity", "constraint", "proposition"])
+    def test_gen_gap_below_one_exit_2(self, capsys, tmp_path, suite):
+        code, _, err = run_cli(
+            ["bench", "gen", "--suite", suite, "--gap", "0", "--count", "2", "--out", str(tmp_path / "x.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: gap must be")
+
+    def test_eval_out_in_missing_directory_exit_2(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
+        code, _, err = run_cli(
+            ["bench", "eval", "--bench", str(bench), "--judge", "oracle", "--out", str(tmp_path / "missing" / "e.json")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_gen_invalid_knob_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             [
@@ -708,6 +813,16 @@ class TestBenchCommands:
         code, out, err = run_cli(["bench", "eval", "--bench", str(bench), *judge], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+    def test_eval_bad_formula_exit_2_with_caret(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        line = json.loads(bench_case_line({"t": 1, "output": "a fox", "labels": ["animal_fox"]}))
+        line["constraints"][0]["formula"] = "F (animal_fox"
+        bench.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == ["  F (animal_fox", "  " + " " * 13 + "^"]
 
 
 class TestDeterminism:

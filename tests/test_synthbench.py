@@ -235,6 +235,15 @@ class TestPropositionScaling:
         with pytest.raises(GenerationError):
             gen_proposition_scaling(0, "simple", seed=0)
 
+    @pytest.mark.parametrize("gap", [0, -3])
+    def test_scaling_suites_reject_gap_below_one(self, gap):
+        # A gap below 1 stacks the path events on one step, so the
+        # construction truth would no longer be what the monitor finds.
+        with pytest.raises(GenerationError, match="gap"):
+            gen_constraint_scaling(2, "simple", seed=1, gap=gap)
+        with pytest.raises(GenerationError, match="gap"):
+            gen_proposition_scaling(2, "simple", seed=1, gap=gap)
+
 
 class TestComplexTreeStructure:
     def test_sixteen_paths_share_leaf(self):
