@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -869,3 +870,74 @@ class TestDeterminism:
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == 0
+
+
+class SpyLabeler:
+    """Wraps a labeler and records each history it is called with as
+    ``(t, input, output, labels)`` tuples."""
+
+    def __init__(self, inner):
+        self.inner, self.vocabulary, self.calls = inner, inner.vocabulary, []
+
+    def __call__(self, steps):
+        self.calls.append(
+            [(s.t, s.input, s.output, None if s.labels is None else sorted(s.labels)) for s in steps]
+        )
+        return self.inner(steps)
+
+
+def _spied_run(args, capsys, monkeypatch):
+    """Run the CLI with its labeler wrapped by a ``SpyLabeler``; returns the
+    exit code and the sha256 of every recorded history."""
+    spies = []
+
+    def build_spy(spec):
+        spies.append(SpyLabeler(build_labeler(spec)))
+        return spies[-1]
+
+    monkeypatch.setattr("ltlguard.cli.build_labeler", build_spy)
+    code, _, _ = run_cli(args, capsys)
+    (spy,) = spies
+    return code, hashlib.sha256(json.dumps(spy.calls).encode()).hexdigest()
+
+
+class TestLabelerHistories:
+    """The histories the labeler sees, pinned by digest."""
+
+    def test_audit_relabel(self, capsys, tmp_path, monkeypatch):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        rows = [
+            {"t": t, "input": f"in {t}" if t % 4 == 1 else "", "output": ("bad", "goal", "idle")[t % 3],
+             "labels": ["goal"] if t % 5 == 0 else []}
+            for t in range(1, 31)
+        ]
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code, digest = _spied_run(
+            ["audit", str(trace), "--config", str(config), "--relabel", "--out", str(tmp_path / "r.json")],
+            capsys,
+            monkeypatch,
+        )
+        assert code == 1
+        assert digest == "e450b9b93d6911241252ac5d9c14b470f90c80cca92138cf7190fe3f1ab6553c"
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("none", "6827b5df3d335c969bc231ad8b219259c3414ee3cf2f960a91af98839f66d70e"),
+            ("resample", "eb8d883fbbac7c6b6cadd72e67d71ee2b00912992b8ec1d2c5b15b93bb4327d7"),
+            ("inject", "317b0012eea12c5e04c4526fc18dfb7ad719542cbfd4da5be97fa5be3c4aa070"),
+            ("switch", "3f5606a151a98c0618533c30785e0fd6321cdd71de5574ca4bed859e81b964ab"),
+        ],
+    )
+    def test_guard(self, capsys, tmp_path, monkeypatch, strategy, digest):
+        config = tmp_path / "config.json"
+        policy = {"strategy": strategy, "tau": 0.3, "n": 3, "k": 2, "m": 3}
+        write_json(config, {**GUARD_CONFIG, "policy": policy})
+        code, actual = _spied_run(
+            ["guard", "--config", str(config), "--max-steps", "30", "--seed", "5", "--out-dir", str(tmp_path / "run")],
+            capsys,
+            monkeypatch,
+        )
+        assert code == 0
+        assert actual == digest

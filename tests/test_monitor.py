@@ -1,5 +1,6 @@
 """Monitor stepping, reset behavior, auditing, witnesses, and F1 scoring."""
 
+import hashlib
 import itertools
 import random
 
@@ -26,7 +27,7 @@ from ltlguard.monitor import (
     score_f1,
     step,
 )
-from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport
+from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, save_reports
 
 I, S, V = Verdict.INCONCLUSIVE, Verdict.SATISFIED, Verdict.VIOLATED
 
@@ -281,6 +282,22 @@ class TestAuditLog:
 
     def test_empty_constraint_set(self):
         assert audit_log(labeled_trace([set()]), {}) == []
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("plain", "e501b8f494b2e84b10ccb5ec853de89b78cd5087d1f9da1b4d5f686fb05f5901"),
+            ("reset", "3cf18cdfafc441ead753655474e779b357518c06a71bfecf65056f11fa83573e"),
+        ],
+    )
+    def test_saved_report_bytes_pinned(self, tmp_path, mode, digest):
+        # Verdicts, counters and every witness entry of a fixed random audit.
+        rng = random.Random(2601)
+        constraints = {f"c{i}": random_formula(rng, depth=rng.randint(2, 4)) for i in range(6)}
+        trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(200)])
+        reports = audit_log(trace, constraints, mode=mode, cross_check=True)
+        save_reports(reports, tmp_path / "reports.json")
+        assert hashlib.sha256((tmp_path / "reports.json").read_bytes()).hexdigest() == digest
 
 
 class TestScoreF1:
