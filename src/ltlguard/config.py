@@ -104,6 +104,9 @@ def load_config(path: str | Path) -> Config:
             raise ConfigError(f"cannot read inject template: {err}") from err
     policy = InterventionPolicy(**policy_raw)
 
+    for key, default in (("initial_input", ""), ("stop_token", "DONE")):
+        if not isinstance(raw.get(key, default), str):
+            raise ConfigError(f"invalid config value: {key} must be a string, got {raw[key]!r}")
     mode = raw.get("mode", "reset")
     if mode not in ("plain", "reset"):
         raise ConfigError(f"mode must be 'plain' or 'reset', got {mode!r}")

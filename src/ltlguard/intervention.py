@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
-from .monitor import MonitorState, ProgressionCache, new_state
+from .monitor import MonitorState, ProgressionCache, new_state, report, trail
 from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
@@ -54,6 +54,8 @@ class InterventionPolicy:
             raise PolicyError(f"tau must be a number, got {self.tau!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise PolicyError(f"tau must be in [0, 1], got {self.tau}")
+        if self.inject_template is not None and not isinstance(self.inject_template, str):
+            raise PolicyError(f"inject_template must be a string, got {self.inject_template!r}")
         if self.n < 1:
             raise PolicyError("n must be >= 1")
         if self.k < 1 or self.m < 1:
@@ -202,9 +204,9 @@ def _rollout_violations(
                     seed=derive_seed(horizon_seed, "roll", offset - 1),
                 ),
             )
-        record, states, verdicts = advance(states, session.labeler, steps, input, output)
+        record, states = advance(states, session.labeler, steps, input, output)
         steps.append(record)
-        violations += sum(verdict is Verdict.VIOLATED for verdict in verdicts.values())
+        violations += sum(state.last_verdict is Verdict.VIOLATED for state in states.values())
     return violations
 
 
@@ -264,7 +266,7 @@ def _post_pair_risks(
 ) -> dict[str, float]:
     """Estimated pattern risk after committing (input, output), the pair's
     own verdict included as the first element of each sequence."""
-    record, progressed, _ = advance(session.states, session.labeler, session.steps, input, output)
+    record, progressed = advance(session.states, session.labeler, session.steps, input, output)
     return _risks(session, progressed, "", [*session.steps, record], seed)
 
 
@@ -326,7 +328,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
             risk_after[cid] <= risk_original[cid] for cid in session.states
         )
 
-    record, new_states, verdicts = advance(
+    record, new_states = advance(
         session.states, session.labeler, session.steps, final_input, final_output
     )
     outcome = GuardedStepOutcome(
@@ -337,7 +339,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         final_output=final_output,
         intervened=intervened,
         strategy=policy.strategy,
-        verdicts=verdicts,
+        verdicts={cid: state.last_verdict for cid, state in new_states.items()},
         residuals={
             cid: render(new_states[cid].residual, "ascii") for cid in new_states
         },
@@ -360,7 +362,7 @@ def run_guarded(
     """Run the closed loop until ``max_steps`` or the model's stop token.
 
     Returns the realized trace, the per-step outcomes, and per-constraint
-    verdict reports with episode counters.
+    verdict reports: the reports of the realized trace from fresh states.
     """
     for t in range(1, max_steps + 1):
         next_input = initial_input if t == 1 else ""
@@ -374,16 +376,8 @@ def run_guarded(
             "tau": session.policy.tau,
         },
     )
-    reports = [
-        VerdictReport(
-            constraint_id=cid,
-            verdicts=tuple(outcome.verdicts[cid] for outcome in session.outcomes),
-            violations=session.states[cid].violations,
-            satisfactions=session.states[cid].satisfactions,
-            witnesses=session.states[cid].episodes,
-        )
-        for cid in session.states
-    ]
+    fresh = [new_state(cid, st.objective, st.reset_mode, st.automaton) for cid, st in session.states.items()]
+    reports = [report(session.steps, trail(state, session.steps)) for state in fresh]
     return trace, list(session.outcomes), reports
 
 

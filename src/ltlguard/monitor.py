@@ -5,15 +5,18 @@ input/output pair.  In plain mode a terminal verdict absorbs: the
 residual is pinned at ``true``/``false`` and every later step repeats
 the verdict.  In reset mode the residual returns to the original
 objective after each terminal verdict so further episodes can be
-counted; the closed witness is archived before it is cleared.
+counted.  A state holds only what stepping needs; ``report`` builds the
+verdicts, counters and witness episodes from a ``trail`` of states.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 from .ltl import (
+    FALSE,
+    TRUE,
     Formula,
     ProgressionCache,
     TruthAssignment,
@@ -63,10 +66,6 @@ class MonitorState:
     # The residual automaton ``objective`` and ``residual`` are states of.
     automaton: ProgressionCache | _Reference = field(compare=False, repr=False)
     reset_mode: bool = False
-    witness: tuple[WitnessEntry, ...] = ()
-    episodes: tuple[WitnessEpisode, ...] = ()
-    violations: int = 0
-    satisfactions: int = 0
     last_verdict: Verdict = Verdict.INCONCLUSIVE
 
 
@@ -79,49 +78,63 @@ def new_state(
     """Initial state, its objective normalized into ``cache`` or a fresh automaton."""
     automaton = ProgressionCache() if cache is None else cache
     simplified = automaton.normalize(objective)
-    return MonitorState(
-        constraint_id=constraint_id,
-        objective=simplified,
-        residual=simplified,
-        automaton=automaton,
-        reset_mode=reset_mode,
-    )
+    return MonitorState(constraint_id, simplified, simplified, automaton, reset_mode)
 
 
-def step(
-    state: MonitorState, labels: TruthAssignment, record: StepRecord
-) -> tuple[MonitorState, Verdict]:
-    """Progress one step; returns the successor state and its verdict.
+def step(state: MonitorState, labels: TruthAssignment) -> MonitorState:
+    """Progress one step; the successor's ``last_verdict`` is the step's verdict.
 
-    A step that keeps the same residual object and an inconclusive verdict,
-    as before, returns ``state`` itself.
+    In reset mode a terminal verdict returns the residual to the objective.
+    A step that keeps the residual object and the verdict returns ``state``
+    itself.
     """
     residual = state.automaton.progress_simplify(state.residual, labels)
     verdict = verdict_of(residual)
-    if residual is state.residual and verdict is state.last_verdict is Verdict.INCONCLUSIVE:
-        return state, verdict
-    witness, episodes = state.witness, state.episodes
-    violations, satisfactions = state.violations, state.satisfactions
-    changed = residual is not state.residual and residual != state.residual
-    if changed:
-        witness += (WitnessEntry(record.t, record.input, record.output, labels, residual),)
-    if verdict.is_terminal():
-        if changed:
-            episodes += (WitnessEpisode(verdict, witness),)
-        violations += verdict is Verdict.VIOLATED
-        satisfactions += verdict is Verdict.SATISFIED
-        if state.reset_mode:
-            residual, witness = state.objective, ()
-    successor = replace(
-        state,
-        residual=residual,
-        witness=witness,
-        episodes=episodes,
-        violations=violations,
-        satisfactions=satisfactions,
-        last_verdict=verdict,
+    if verdict is not Verdict.INCONCLUSIVE and state.reset_mode:
+        residual = state.objective
+    if residual is state.residual and verdict is state.last_verdict:
+        return state
+    return MonitorState(
+        state.constraint_id, state.objective, residual, state.automaton, state.reset_mode, verdict
     )
-    return successor, verdict
+
+
+def trail(state: MonitorState, records: Iterable[StepRecord]) -> list[MonitorState]:
+    """``state`` followed by its state after each labeled record."""
+    states = [state]
+    for record in records:
+        state = step(state, record.labels)
+        states.append(state)
+    return states
+
+
+def report(records: Sequence[StepRecord], states: Sequence[MonitorState]) -> VerdictReport:
+    """The verdict report of ``trail(states[0], records)``.
+
+    A step is a witness entry when the residual it reaches (``true`` or
+    ``false`` at a terminal verdict, the new residual otherwise) differs
+    from the previous state's.  A terminal verdict reached by such a step
+    closes an episode; reset mode then starts a new witness.
+    """
+    inconclusive, satisfied = Verdict.INCONCLUSIVE, Verdict.SATISFIED
+    verdicts = [state.last_verdict for state in states[1:]]
+    witness: list[WitnessEntry] = []
+    episodes: list[WitnessEpisode] = []
+    previous = states[0]
+    for record, state, verdict in zip(records, states[1:], verdicts, strict=True):
+        if state is previous and verdict is inconclusive:
+            continue
+        reached = state.residual if verdict is inconclusive else TRUE if verdict is satisfied else FALSE
+        # Reference residuals are fresh objects: identity alone is no change.
+        if reached is not previous.residual and reached != previous.residual:
+            witness.append(WitnessEntry(record.t, record.input, record.output, record.labels, reached))
+            if verdict is not inconclusive:
+                episodes.append(WitnessEpisode(verdict, tuple(witness)))
+                if state.reset_mode:
+                    witness = []
+        previous = state
+    counts = verdicts.count(Verdict.VIOLATED), verdicts.count(satisfied)
+    return VerdictReport(states[0].constraint_id, tuple(verdicts), *counts, tuple(episodes))
 
 
 def _require_labels(trace: Trace) -> None:
@@ -140,23 +153,10 @@ def run_monitor(
         raise ValueError(f"unknown mode {mode!r}")
     _require_labels(trace)
     cache = ProgressionCache()
-    reports = []
-    for cid in sorted(constraints):
-        state = new_state(cid, constraints[cid], mode == "reset", cache)
-        verdicts = []
-        for record in trace.steps:
-            state, verdict = step(state, record.labels, record)
-            verdicts.append(verdict)
-        reports.append(
-            VerdictReport(
-                constraint_id=cid,
-                verdicts=tuple(verdicts),
-                violations=state.violations,
-                satisfactions=state.satisfactions,
-                witnesses=state.episodes,
-            )
-        )
-    return reports
+    return [
+        report(trace.steps, trail(new_state(cid, constraints[cid], mode == "reset", cache), trace.steps))
+        for cid in sorted(constraints)
+    ]
 
 
 def audit_log(
@@ -186,41 +186,39 @@ def _cross_check(
 
     Per constraint, a compiled run and an uncached run of
     ``simplify(progress(...))`` step through the trace side by side and
-    must agree on every residual and verdict; the reference must also
-    reproduce the report's verdicts, counters and witnesses.  Replaying
-    each witness episode's labels from the objective must then reproduce
-    every recorded residual and end in the episode's verdict.  Raises
-    ``CrossCheckError`` on the first disagreement.
+    must agree on every residual and verdict; the report of the reference
+    run must equal the given one.  Replaying each witness episode's labels
+    from the objective must then reproduce every recorded residual and end
+    in the episode's verdict.  Raises ``CrossCheckError`` on the first
+    disagreement.
     """
     cache = ProgressionCache()
-    for report in reports:
-        cid = report.constraint_id
+    for given in reports:
+        cid = given.constraint_id
         compiled = new_state(cid, constraints[cid], mode == "reset", cache)
-        reference = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
-        for record, reported in zip(trace.steps, report.verdicts, strict=True):
-            compiled, verdict = step(compiled, record.labels, record)
-            reference, expected = step(reference, record.labels, record)
+        references = [new_state(cid, constraints[cid], mode == "reset", REFERENCE)]
+        for record, reported in zip(trace.steps, given.verdicts, strict=True):
+            compiled = step(compiled, record.labels)
+            reference = step(references[-1], record.labels)
+            references.append(reference)
             if compiled.residual != reference.residual:
                 raise CrossCheckError(
                     f"constraint {cid}: step {record.t}: compiled residual "
                     f"{render(compiled.residual)} differs from reference "
                     f"{render(reference.residual)}"
                 )
+            verdict, expected = compiled.last_verdict, reference.last_verdict
             if verdict is not expected or reported is not expected:
                 raise CrossCheckError(
                     f"constraint {cid}: step {record.t}: reference verdict {expected.value}, "
                     f"compiled {verdict.value}, reported {reported.value}"
                 )
-        if (reference.violations, reference.satisfactions, reference.episodes) != (
-            report.violations,
-            report.satisfactions,
-            report.witnesses,
-        ):
+        if report(trace.steps, references) != given:
             raise CrossCheckError(
                 f"constraint {cid}: reported counters or witnesses differ from the reference run"
             )
-        for n, episode in enumerate(report.witnesses, 1):
-            residual = reference.objective
+        for n, episode in enumerate(given.witnesses, 1):
+            residual = references[0].objective
             for entry in episode.entries:
                 residual = simplify(progress(residual, entry.labels))
                 if residual != entry.residual:

@@ -10,7 +10,7 @@ or history.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .ltl import Verdict
 from .models import BlackBoxModel, SampleParams, derive_seed
@@ -63,16 +63,12 @@ def advance(
     steps: Sequence[StepRecord],
     input: str,
     output: str,
-) -> tuple[StepRecord, dict[str, MonitorState], dict[str, Verdict]]:
+) -> tuple[StepRecord, dict[str, MonitorState]]:
     """Label (input, output) as the step after ``steps`` and progress every
-    state along it; returns the record and the new states and verdicts."""
-    record = StepRecord(t=len(steps) + 1, input=input, output=output)
-    record = replace(record, labels=checked_labels(labeler, [*steps, record]))
-    new_states: dict[str, MonitorState] = {}
-    verdicts: dict[str, Verdict] = {}
-    for cid, state in states.items():
-        new_states[cid], verdicts[cid] = step(state, record.labels, record)
-    return record, new_states, verdicts
+    state along it; returns the labeled record and the new states."""
+    t = len(steps) + 1
+    labels = checked_labels(labeler, [*steps, StepRecord(t, input, output)])
+    return StepRecord(t, input, output, labels), {cid: step(st, labels) for cid, st in states.items()}
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,6 @@ def estimate_risks(
     if k < 1 or m < 1:
         raise ValueError("horizon k and sample count m must be >= 1")
     sequences: dict[str, list[tuple[Verdict, ...]]] = {cid: [] for cid in states}
-    matches: dict[str, int] = {cid: 0 for cid in states}
     for j in range(m):
         sampled_steps = list(history)
         copies = states
@@ -114,18 +109,16 @@ def estimate_risks(
         for offset in range(k):
             inp = next_input if offset == 0 else ""
             out = model.next_output(sampled_steps, inp, params)
-            record, copies, step_verdicts = advance(copies, labeler, sampled_steps, inp, out)
+            record, copies = advance(copies, labeler, sampled_steps, inp, out)
             sampled_steps.append(record)
-            for cid, verdict in step_verdicts.items():
-                verdicts[cid].append(verdict)
+            for cid, state in copies.items():
+                verdicts[cid].append(state.last_verdict)
         for cid in states:
-            seq = tuple(verdicts[cid])
-            sequences[cid].append(seq)
-            matches[cid] += pattern.matches(seq)
+            sequences[cid].append(tuple(verdicts[cid]))
     return {
         cid: RiskEstimate(
             constraint_id=cid,
-            probability=matches[cid] / m,
+            probability=sum(map(pattern.matches, sequences[cid])) / m,
             samples=m,
             horizon=k,
             verdict_sequences=tuple(sequences[cid]),

@@ -97,6 +97,14 @@ def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
         )
         for c in obj["constraints"]
     )
+    truth = obj["truth"]
+    if not constraints:
+        raise GenerationError(f"line {line_no}: a case needs at least one constraint")
+    if not isinstance(obj["knobs"], dict):
+        raise GenerationError(f"line {line_no}: 'knobs' must be a JSON object")
+    booleans = isinstance(truth, list) and all(type(x) is bool for x in truth)
+    if not booleans or len(truth) != len(constraints):
+        raise GenerationError(f"line {line_no}: 'truth' must be an array of booleans, one per constraint")
     # A step without labels carries the empty set: bench traces are fully labeled.
     steps = tuple(
         step if step.labels is not None else replace(step, labels=frozenset())
@@ -105,7 +113,7 @@ def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
     return BenchCase(
         trace=Trace(steps, obj["trace"].get("metadata", {})),
         constraints=constraints,
-        truth=tuple(obj["truth"]),
+        truth=tuple(truth),
         knobs=obj["knobs"],
     )
 

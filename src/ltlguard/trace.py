@@ -1,7 +1,7 @@
 """Histories, labels, verdict reports, witnesses, and the labeler contract.
 
 Trace files are UTF-8 JSONL: one step object per line with fields ``t``
-(integer), ``input`` (string, optional; empty means no new input),
+(integer), ``input`` (string, optional; missing, null or empty means no new input),
 ``output`` (string), ``labels`` (array of strings, optional), plus an
 optional leading metadata line ``{"meta": {...}}``.
 """
@@ -109,6 +109,8 @@ def step_from_dict(obj: dict, line_no: int) -> StepRecord:
         raise TraceError(f"line {line_no}: missing or non-integer 't'")
     if "output" not in obj or not isinstance(obj["output"], str):
         raise TraceError(f"line {line_no}: missing or non-string 'output'")
+    if obj.get("input") is not None and not isinstance(obj["input"], str):
+        raise TraceError(f"line {line_no}: 'input' must be a string")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -116,7 +118,7 @@ def step_from_dict(obj: dict, line_no: int) -> StepRecord:
         labels = frozenset(labels)
     return StepRecord(
         t=obj["t"],
-        input=obj.get("input", "") or "",
+        input=obj.get("input") or "",
         output=obj["output"],
         labels=labels,
     )

@@ -52,12 +52,16 @@ def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
 
 
-def bench_case_line(step):
-    """One bench case line whose only step is ``step``; well-formed otherwise."""
+def bench_case_line(step, **fields):
+    """One bench case line whose only step is ``step``; well-formed unless
+    ``fields`` overrides a top-level field."""
     constraint = {"id": "c1", "formula": "F animal_fox", "informal": "", "precise": "", "path": []}
     return json.dumps(
-        {"knobs": {}, "truth": [True], "constraints": [constraint], "trace": {"steps": [step]}}
+        {"knobs": {}, "truth": [True], "constraints": [constraint], "trace": {"steps": [step]}, **fields}
     )
+
+
+FOX_STEP = {"t": 1, "output": "a fox", "labels": ["animal_fox"]}
 
 
 def write_trace(path, outputs):
@@ -300,6 +304,14 @@ class TestAuditCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: constraint 'c': proposition(s) bda ")
 
+    def test_non_string_input_exit_2(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_text(json.dumps({"t": 1, "input": 5, "output": "ok"}) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: line 1: 'input' must be a string\n"
+
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -405,6 +417,10 @@ class TestGuardCommand:
             {"policy": {**GUARD_CONFIG["policy"], "m": 2.0}},
             {"policy": {**GUARD_CONFIG["policy"], "k": True}},
             {"policy": {**GUARD_CONFIG["policy"], "tau": True}},
+            {"policy": {**GUARD_CONFIG["policy"], "strategy": "inject", "inject_template": 5}},
+            {"initial_input": 5},
+            {"initial_input": None},
+            {"stop_token": 7},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
@@ -416,6 +432,8 @@ class TestGuardCommand:
         )
         assert code == 2
         assert err.startswith("error: invalid config value")
+        # Rejected before the session starts: no step ran, no output was written.
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("max_steps", ["0", "-1"])
     def test_max_steps_below_one_exit_2(self, capsys, tmp_path, max_steps):
@@ -790,12 +808,26 @@ class TestBenchCommands:
             ("{}", None),
             (bench_case_line({"t": 1, "output": "a fox", "labels": "animal_fox"}), None),
             (bench_case_line({"t": 1, "output": 7, "labels": ["animal_fox"]}), None),
+            (bench_case_line(FOX_STEP, knobs=5), None),
+            (bench_case_line(FOX_STEP, truth=[True, False]), None),
+            (bench_case_line(FOX_STEP, truth=[]), None),
+            (bench_case_line(FOX_STEP, truth=["yes"]), None),
+            (bench_case_line(FOX_STEP, truth=[1]), None),
+            (bench_case_line(FOX_STEP, truth=True), None),
+            (bench_case_line(FOX_STEP, truth=[], constraints=[]), None),
         ],
         ids=[
             "judge-config-not-an-object",
             "case-without-constraints",
             "step-labels-not-an-array",
             "step-output-not-a-string",
+            "knobs-not-an-object",
+            "truth-longer-than-constraints",
+            "truth-shorter-than-constraints",
+            "truth-not-booleans",
+            "truth-integer",
+            "truth-not-an-array",
+            "no-constraints",
         ],
     )
     def test_eval_malformed_input_exit_2(self, capsys, tmp_path, bench_line, judge_config):
@@ -818,7 +850,7 @@ class TestBenchCommands:
 
     def test_eval_bad_formula_exit_2_with_caret(self, capsys, tmp_path):
         bench = tmp_path / "bench.jsonl"
-        line = json.loads(bench_case_line({"t": 1, "output": "a fox", "labels": ["animal_fox"]}))
+        line = json.loads(bench_case_line(FOX_STEP))
         line["constraints"][0]["formula"] = "F (animal_fox"
         bench.write_text(json.dumps(line) + "\n", encoding="utf-8")
         code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)

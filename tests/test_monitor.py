@@ -23,9 +23,11 @@ from ltlguard.monitor import (
     ProgressionCache,
     audit_log,
     new_state,
+    report,
     run_monitor,
     score_f1,
     step,
+    trail,
 )
 from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, save_reports
 
@@ -40,62 +42,63 @@ def labeled_trace(label_sets, outputs=None):
     return Trace(tuple(steps))
 
 
-def drive(state, label_sets):
-    verdicts = []
-    for i, labels in enumerate(label_sets, 1):
-        state, verdict = step(state, frozenset(labels), StepRecord(i, "", f"o{i}", frozenset(labels)))
-        verdicts.append(verdict)
-    return state, verdicts
+def drive(state, label_sets, records=None):
+    """Step ``state`` along ``label_sets``; returns the report and the last state."""
+    records = records or [
+        StepRecord(i, "", f"o{i}", frozenset(labels)) for i, labels in enumerate(label_sets, 1)
+    ]
+    states = trail(state, records)
+    return report(records, states), states[-1]
 
 
 class TestStep:
     def test_eventually_satisfied(self):
-        state = new_state("c", parse("F putdown"))
-        state, verdicts = drive(state, [{"putdown"}])
-        assert verdicts == [S]
-        assert state.witness[-1].residual == TRUE
+        result, _ = drive(new_state("c", parse("F putdown")), [{"putdown"}])
+        assert result.verdicts == (S,)
+        assert result.witnesses[-1].entries[-1].residual == TRUE
 
     def test_always_violated(self):
-        state = new_state("c", parse("G p"))
-        state, verdicts = drive(state, [set()])
-        assert verdicts == [V]
-        assert state.witness[-1].residual == FALSE
+        result, _ = drive(new_state("c", parse("G p")), [set()])
+        assert result.verdicts == (V,)
+        assert result.witnesses[-1].entries[-1].residual == FALSE
 
     def test_plain_mode_absorbs(self):
-        state = new_state("c", parse("G p"))
-        state, verdicts = drive(state, [set(), {"p"}, set()])
-        assert verdicts == [V, V, V]
+        result, state = drive(new_state("c", parse("G p")), [set(), {"p"}, set()])
+        assert result.verdicts == (V, V, V)
         assert state.residual == FALSE
-        assert len(state.episodes) == 1
+        assert len(result.witnesses) == 1
 
     def test_reset_mode_restores_objective(self):
-        state = new_state("c", parse("G p"), reset_mode=True)
-        state, verdicts = drive(state, [set(), {"p"}])
-        assert verdicts == [V, I]
-        assert state.violations == 1
+        result, state = drive(new_state("c", parse("G p"), reset_mode=True), [set(), {"p"}, set()])
+        assert result.verdicts == (V, I, V)
+        assert result.violations == 2
         assert state.residual == parse("G p")
-        assert state.witness == ()
+        # The open witness was cleared: the second episode holds only step 3.
+        assert [[e.t for e in ep.entries] for ep in result.witnesses] == [[1], [3]]
 
     def test_reset_mode_counts_episodes(self):
-        state = new_state("c", parse("F p"), reset_mode=True)
-        state, verdicts = drive(state, [{"p"}, set(), {"p"}])
-        assert verdicts == [S, I, S]
-        assert state.satisfactions == 2
-        assert len(state.episodes) == 2
+        result, _ = drive(new_state("c", parse("F p"), reset_mode=True), [{"p"}, set(), {"p"}])
+        assert result.verdicts == (S, I, S)
+        assert result.satisfactions == 2
+        assert len(result.witnesses) == 2
 
     def test_witness_appended_only_on_residual_change(self):
-        state = new_state("c", parse("F p"))
-        state, _ = drive(state, [set(), set(), {"p"}])
+        result, _ = drive(new_state("c", parse("F p")), [set(), set(), {"p"}])
         # Residual never changes while p is absent; one entry at satisfaction.
-        assert [e.t for e in state.witness] == [3]
+        assert [e.t for e in result.witnesses[0].entries] == [3]
 
     def test_witness_records_step_context(self):
-        state = new_state("c", parse("F p"))
         record = StepRecord(1, "ask", "answer p", frozenset({"p"}))
-        state, _ = step(state, frozenset({"p"}), record)
-        entry = state.witness[0]
+        result, _ = drive(new_state("c", parse("F p")), None, [record])
+        entry = result.witnesses[0].entries[0]
         assert (entry.t, entry.input, entry.output) == (1, "ask", "answer p")
         assert entry.labels == frozenset({"p"})
+
+    def test_successor_carries_verdict_and_reset(self):
+        state = new_state("c", parse("G p"), reset_mode=True)
+        successor = step(state, frozenset())
+        assert successor.last_verdict is V
+        assert successor.residual is state.objective
 
 
 class TestRunMonitor:
@@ -215,35 +218,27 @@ class TestCompiledPath:
             }
             trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(12)])
             for mode in ("plain", "reset"):
-                expected = []
-                for cid in sorted(constraints):
-                    state = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
-                    verdicts = []
-                    for record in trace.steps:
-                        state, verdict = step(state, record.labels, record)
-                        verdicts.append(verdict)
-                    expected.append(
-                        VerdictReport(
-                            cid, tuple(verdicts), state.violations, state.satisfactions,
-                            state.episodes,
-                        )
+                expected = [
+                    report(
+                        trace.steps,
+                        trail(new_state(cid, constraints[cid], mode == "reset", REFERENCE), trace.steps),
                     )
+                    for cid in sorted(constraints)
+                ]
                 assert run_monitor(trace, constraints, mode=mode) == expected
 
     def test_unchanged_step_returns_same_state(self):
         cache = ProgressionCache()
         state = new_state("c", parse("G(p -> F q)"), cache=cache)
-        record = StepRecord(1, "", "o", frozenset())
-        state, _ = step(state, frozenset(), record)
-        again, verdict = step(state, frozenset(), record)
-        assert again is state and verdict is I
+        state = step(state, frozenset())
+        again = step(state, frozenset())
+        assert again is state and again.last_verdict is I
 
     def test_state_without_cache_is_compiled(self):
         state = new_state("c", parse("G(p -> F q)"))
-        record = StepRecord(1, "", "o", frozenset())
-        state, _ = step(state, frozenset(), record)
-        again, verdict = step(state, frozenset(), record)
-        assert again is state and verdict is I
+        state = step(state, frozenset())
+        again = step(state, frozenset())
+        assert again is state and again.last_verdict is I
 
 
 class TestAuditLog:

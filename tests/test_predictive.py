@@ -72,8 +72,8 @@ class TestEstimateRisk:
     def test_current_terminal_verdict_forces_match(self):
         state = new_state("c", parse("G !bad"))
         record = StepRecord(1, "", "bad move", frozenset({"bad"}))
-        state, verdict = step(state, frozenset({"bad"}), record)
-        assert verdict is V
+        state = step(state, frozenset({"bad"}))
+        assert state.last_verdict is V
         estimate = estimate_risk(
             state,
             bernoulli_model(0.0),

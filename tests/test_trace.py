@@ -61,6 +61,18 @@ class TestLoadTrace:
         write_lines(path, ['{"t": 1, "output": "a"}'])
         assert load_trace(path).steps[0].input == ""
 
+    def test_null_input_is_empty(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, ['{"t": 1, "input": null, "output": "a"}'])
+        assert load_trace(path).steps[0].input == ""
+
+    @pytest.mark.parametrize("value", ["5", "false", "[\"go\"]", "{}"])
+    def test_non_string_input_rejected(self, tmp_path, value):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, ['{"t": 1, "output": "a"}', f'{{"t": 2, "input": {value}, "output": "b"}}'])
+        with pytest.raises(TraceError, match="line 2: 'input' must be a string"):
+            load_trace(path)
+
     def test_metadata_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_lines(path, ['{"meta": {"seed": 3}}', '{"t": 1, "output": "a"}'])
