@@ -107,6 +107,14 @@ def load_config(path: str | Path) -> Config:
     for key, default in (("initial_input", ""), ("stop_token", "DONE")):
         if not isinstance(raw.get(key, default), str):
             raise ConfigError(f"invalid config value: {key} must be a string, got {raw[key]!r}")
+    # The session ends on the config's stop token, so a script must emit that one.
+    stop_token, model_spec = raw.get("stop_token", "DONE"), raw.get("model")
+    if isinstance(model_spec, Mapping) and model_spec.get("type") == "scripted":
+        if (script_stop := model_spec.get("stop_token", "DONE")) != stop_token:
+            raise ConfigError(
+                f"invalid config value: the scripted model's stop_token {script_stop!r}"
+                f" differs from {stop_token!r}"
+            )
     mode = raw.get("mode", "reset")
     if mode not in ("plain", "reset"):
         raise ConfigError(f"mode must be 'plain' or 'reset', got {mode!r}")
@@ -115,13 +123,13 @@ def load_config(path: str | Path) -> Config:
         constraints=constraints,
         glosses=glosses,
         labeler_spec=raw.get("labeler"),
-        model_spec=raw.get("model"),
+        model_spec=model_spec,
         substitute_spec=substitute_spec,
         policy=policy,
         mode=mode,
         seed=int(raw.get("seed", 0)),
         initial_input=raw.get("initial_input", ""),
-        stop_token=raw.get("stop_token", "DONE"),
+        stop_token=stop_token,
         action_temperature=float(raw.get("action_temperature", 0.2)),
         sampling_temperature=float(raw.get("sampling_temperature", 0.8)),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state, report, trail
-from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern
+from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern, rollout
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
 STRATEGIES = ("none", "resample", "inject", "switch")
@@ -185,57 +185,26 @@ def apply_switch(session: GuardedSession, t: int) -> str:
     )
 
 
-def _rollout_violations(
-    session: GuardedSession, input: str, output: str, horizon_seed: int
-) -> int:
-    """Predicted violation count across constraints when committing
-    (input, output) now and continuing for the remaining horizon."""
-    steps = list(session.steps)
-    states = session.states
-    violations = 0
-    for offset in range(session.policy.k):
-        if offset:
-            input = ""
-            output = session.model.next_output(
-                steps,
-                input,
-                SampleParams(
-                    temperature=session.sampling_temperature,
-                    seed=derive_seed(horizon_seed, "roll", offset - 1),
-                ),
-            )
-        record, states = advance(states, session.labeler, steps, input, output)
-        steps.append(record)
-        violations += sum(state.last_verdict is Verdict.VIOLATED for state in states.values())
-    return violations
-
-
 def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
     """Best-of-n output selection by fewest predicted violations.
 
-    Draws up to n candidates at the sampling temperature, scores each by
-    the predicted terminal-violation count over the horizon (candidate
-    step included), and returns the argmin; ties break on the earliest
-    sample index.
+    Draws n candidates at the sampling temperature, each the first step of
+    a rollout over the horizon, scores each by the terminal-violation
+    count over its rollout (candidate step included), and returns the
+    argmin; ties break on the earliest sample index.
     """
-    best_output: str | None = None
-    best_score: int | None = None
-    for j in range(n):
-        candidate = session.model.next_output(
-            session.steps,
-            input,
-            SampleParams(
-                temperature=session.sampling_temperature,
-                seed=derive_seed(session.seed, t, "resample", j),
-            ),
+
+    def scored(j: int) -> tuple[int, int, str]:
+        seed = derive_seed(session.seed, t, "resample", j)
+        seeds = [seed, *(derive_seed(seed, "roll", i) for i in range(session.policy.k - 1))]
+        steps, trail = rollout(
+            session.states, session.model, session.labeler, session.steps, input, seeds,
+            session.sampling_temperature,
         )
-        score = _rollout_violations(
-            session, input, candidate, derive_seed(session.seed, t, "resample", j)
-        )
-        if best_score is None or score < best_score:
-            best_output, best_score = candidate, score
-    assert best_output is not None
-    return best_output
+        violations = sum(st.last_verdict is Verdict.VIOLATED for states in trail[1:] for st in states.values())
+        return violations, j, steps[len(session.steps)].output
+
+    return min(map(scored, range(n)))[2]
 
 
 def _risks(
@@ -266,8 +235,9 @@ def _post_pair_risks(
 ) -> dict[str, float]:
     """Estimated pattern risk after committing (input, output), the pair's
     own verdict included as the first element of each sequence."""
-    record, progressed = advance(session.states, session.labeler, session.steps, input, output)
-    return _risks(session, progressed, "", [*session.steps, record], seed)
+    steps = list(session.steps)
+    progressed = advance(session.states, session.labeler, steps, input, output)
+    return _risks(session, progressed, "", steps, seed)
 
 
 def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome | None:
@@ -328,7 +298,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
             risk_after[cid] <= risk_original[cid] for cid in session.states
         )
 
-    record, new_states = advance(
+    session.states = advance(
         session.states, session.labeler, session.steps, final_input, final_output
     )
     outcome = GuardedStepOutcome(
@@ -339,9 +309,9 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         final_output=final_output,
         intervened=intervened,
         strategy=policy.strategy,
-        verdicts={cid: state.last_verdict for cid, state in new_states.items()},
+        verdicts={cid: state.last_verdict for cid, state in session.states.items()},
         residuals={
-            cid: render(new_states[cid].residual, "ascii") for cid in new_states
+            cid: render(state.residual, "ascii") for cid, state in session.states.items()
         },
         trigger_risk=trigger or None,
         risk_original=risk_original,
@@ -350,8 +320,6 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         k=policy.k if trigger is not None else None,
         m=policy.m if trigger is not None else None,
     )
-    session.steps.append(record)
-    session.states = new_states
     session.outcomes.append(outcome)
     return outcome
 

@@ -19,7 +19,7 @@ import random
 import re
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -27,7 +27,7 @@ from typing import Protocol, runtime_checkable
 import requests
 
 from .ltl import TruthAssignment
-from .trace import LabelingFunction, StepRecord, Trace
+from .trace import LabelingFunction, StepRecord, Trace, apply_labeler
 
 logger = logging.getLogger(__name__)
 
@@ -279,13 +279,18 @@ class EndpointLabeler:
         return frozenset(p for p, yes in answers.items() if yes)
 
     def _context(self, steps: Sequence[StepRecord]) -> str:
-        lines = []
-        for s in steps:
-            if s.input:
-                lines.append(f"input {s.t}: {s.input}")
-            lines.append(f"output {s.t}: {s.output}")
-        text = "\n".join(lines)
-        if len(text) > self.max_context_chars:
+        """The tail window of the history's lines, read back from the last
+        step only as far as the window reaches."""
+        chunks: list[str] = []  # one per step, newest first
+        size = -1  # length of the chunks joined by newlines
+        for s in reversed(steps):
+            if size > self.max_context_chars:
+                break
+            line = f"output {s.t}: {s.output}"
+            chunks.append(f"input {s.t}: {s.input}\n{line}" if s.input else line)
+            size += len(chunks[-1]) + 1
+        text = "\n".join(reversed(chunks))
+        if size > self.max_context_chars:
             text = text[-self.max_context_chars :]
             self.warnings.append({"t": steps[-1].t, "kind": "truncated"})
         return text
@@ -319,25 +324,21 @@ def measure_labeler_accuracy(
 ) -> LabelerAccuracy:
     """Per-(step, proposition) agreement with ground-truth labels.
 
-    Every trace must carry embedded ground-truth labels; the labeler is
-    re-run over unlabeled copies so it cannot peek.
+    Every trace must carry embedded ground-truth labels; the labeler
+    relabels each trace through ``apply_labeler``, so it sees its own past
+    labels and never the ground truth.
     """
-    correct = 0
-    total = 0
-    per_prop: dict[str, list[int]] = {p: [0, 0] for p in sorted(labeler.vocabulary)}
+    per_prop: dict[str, list[int]] = {p: [0, 0] for p in sorted(labeler.vocabulary)}  # [hits, decisions]
     for trace in traces:
-        unlabeled: list[StepRecord] = []
         for record in trace.steps:
             if record.labels is None:
                 raise ValueError(f"trace step {record.t} lacks ground-truth labels")
-            unlabeled.append(replace(record, labels=None))
-            predicted = labeler(unlabeled)
-            for prop in labeler.vocabulary:
-                match = (prop in predicted) == (prop in record.labels)
-                correct += match
-                total += 1
-                per_prop[prop][0] += match
-                per_prop[prop][1] += 1
+        for record, predicted in zip(trace.steps, apply_labeler(trace, labeler, overwrite=True).steps):
+            for prop, counts in per_prop.items():
+                counts[0] += (prop in predicted.labels) == (prop in record.labels)
+                counts[1] += 1
+    correct = sum(hits for hits, _ in per_prop.values())
+    total = sum(n for _, n in per_prop.values())
     accuracy = correct / total if total else 0.0
     per_proposition = {
         p: PropositionAccuracy(

@@ -1,10 +1,10 @@
 """Sampling-based prediction of near-future verdict patterns.
 
 The estimator draws independent continuations of the session from the
-model, labels them, progresses copies of the monitor state along each,
-and reports the fraction whose verdict sequence (current verdict first)
-matches a monitoring pattern.  Sampled steps never touch the live state
-or history.
+model through ``rollout``, which labels them and progresses copies of the
+monitor states along each, and reports the fraction whose verdict
+sequence (current verdict first) matches a monitoring pattern.  Sampled
+steps never touch the live state or history.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .ltl import Verdict
 from .models import BlackBoxModel, SampleParams, derive_seed
 from .monitor import MonitorState, step
-from .trace import LabelingFunction, StepRecord, checked_labels
+from .trace import LabelingFunction, StepRecord, label_step
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,36 @@ for _p in (CONTAINS_VIOLATED, CONTAINS_SATISFIED, ENDS_VIOLATED):
 def advance(
     states: Mapping[str, MonitorState],
     labeler: LabelingFunction,
-    steps: Sequence[StepRecord],
+    steps: list[StepRecord],
     input: str,
     output: str,
-) -> tuple[StepRecord, dict[str, MonitorState]]:
-    """Label (input, output) as the step after ``steps`` and progress every
-    state along it; returns the labeled record and the new states."""
-    t = len(steps) + 1
-    labels = checked_labels(labeler, [*steps, StepRecord(t, input, output)])
-    return StepRecord(t, input, output, labels), {cid: step(st, labels) for cid, st in states.items()}
+) -> dict[str, MonitorState]:
+    """Append (input, output), labeled, to ``steps`` and return every state
+    progressed along it; a labeling failure leaves ``steps`` as it was."""
+    labels = label_step(labeler, steps, input, output)
+    return {cid: step(st, labels) for cid, st in states.items()}
+
+
+def rollout(
+    states: Mapping[str, MonitorState],
+    model: BlackBoxModel,
+    labeler: LabelingFunction,
+    history: Sequence[StepRecord],
+    input: str,
+    seeds: Sequence[int],
+    temperature: float,
+) -> tuple[list[StepRecord], list[Mapping[str, MonitorState]]]:
+    """Sample one continuation of ``history``: one model call and one
+    ``advance`` per seed, the first step with ``input`` and later steps
+    with none.  Returns the steps (a private copy of ``history`` followed
+    by the sampled steps) and the trail of states, ``states`` first."""
+    steps = list(history)
+    trail = [states]
+    for offset, seed in enumerate(seeds):
+        inp = input if offset == 0 else ""
+        out = model.next_output(steps, inp, SampleParams(temperature=temperature, seed=seed))
+        trail.append(advance(trail[-1], labeler, steps, inp, out))
+    return steps, trail
 
 
 @dataclass(frozen=True)
@@ -102,19 +123,10 @@ def estimate_risks(
         raise ValueError("horizon k and sample count m must be >= 1")
     sequences: dict[str, list[tuple[Verdict, ...]]] = {cid: [] for cid in states}
     for j in range(m):
-        sampled_steps = list(history)
-        copies = states
-        verdicts = {cid: [st.last_verdict] for cid, st in states.items()}
-        params = SampleParams(temperature=temperature, seed=derive_seed(seed, "sample", j))
-        for offset in range(k):
-            inp = next_input if offset == 0 else ""
-            out = model.next_output(sampled_steps, inp, params)
-            record, copies = advance(copies, labeler, sampled_steps, inp, out)
-            sampled_steps.append(record)
-            for cid, state in copies.items():
-                verdicts[cid].append(state.last_verdict)
+        seeds = [derive_seed(seed, "sample", j)] * k
+        _, trail = rollout(states, model, labeler, history, next_input, seeds, temperature)
         for cid in states:
-            sequences[cid].append(tuple(verdicts[cid]))
+            sequences[cid].append(tuple(copies[cid].last_verdict for copies in trail))
     return {
         cid: RiskEstimate(
             constraint_id=cid,

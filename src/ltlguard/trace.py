@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -105,7 +105,7 @@ def step_to_dict(step: StepRecord) -> dict:
 def step_from_dict(obj: dict, line_no: int) -> StepRecord:
     if not isinstance(obj, dict):
         raise TraceError(f"line {line_no}: step must be a JSON object")
-    if "t" not in obj or not isinstance(obj["t"], int):
+    if not isinstance(obj.get("t"), int) or isinstance(obj["t"], bool):
         raise TraceError(f"line {line_no}: missing or non-integer 't'")
     if "output" not in obj or not isinstance(obj["output"], str):
         raise TraceError(f"line {line_no}: missing or non-string 'output'")
@@ -175,16 +175,26 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     write_jsonl([*meta, *map(step_to_dict, trace.steps)], path)
 
 
-def checked_labels(labeler: LabelingFunction, steps: Sequence[StepRecord]) -> TruthAssignment:
-    """Label the last of ``steps``; a labeler failure or an undeclared
-    proposition raises ``LabelingError`` with that step's index."""
+def label_step(labeler: LabelingFunction, steps: list[StepRecord], input: str, output: str) -> TruthAssignment:
+    """Append (input, output) to ``steps`` as the next step, labeled by
+    ``labeler`` over ``steps`` with that step unlabeled last, and return
+    its labels.  A labeler failure or an undeclared proposition raises
+    ``LabelingError`` with the step's index; on any exception ``steps`` is
+    left as it was."""
+    t = len(steps) + 1
+    steps.append(StepRecord(t, input, output))
     try:
-        labels = labeler(steps)
-    except Exception as err:
-        raise LabelingError(f"labeler failed: {err}", steps[-1].t) from err
-    extra = labels - labeler.vocabulary
-    if extra:
-        raise LabelingError(f"undeclared proposition(s): {', '.join(sorted(extra))}", steps[-1].t)
+        try:
+            labels = labeler(steps)
+        except Exception as err:
+            raise LabelingError(f"labeler failed: {err}", t) from err
+        extra = labels - labeler.vocabulary
+        if extra:
+            raise LabelingError(f"undeclared proposition(s): {', '.join(sorted(extra))}", t)
+    except BaseException:
+        del steps[-1]
+        raise
+    steps[-1] = StepRecord(t, input, output, labels)
     return labels
 
 
@@ -194,15 +204,13 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
     Existing labels are preserved unless ``overwrite`` is set; the labeler
     always sees the history with its own (not the embedded) labels.
     """
-    new_steps: list[StepRecord] = []
+    steps: list[StepRecord] = []
     for step in trace.steps:
         if step.labels is None or overwrite:
-            # Label in place: the labeler sees this one list, the step unlabeled last.
-            new_steps.append(replace(step, labels=None))
-            new_steps[-1] = replace(step, labels=checked_labels(labeler, new_steps))
+            label_step(labeler, steps, step.input, step.output)
         else:
-            new_steps.append(step)
-    return Trace(tuple(new_steps), trace.metadata)
+            steps.append(step)
+    return Trace(tuple(steps), trace.metadata)
 
 
 def witness_entry_to_dict(entry: WitnessEntry) -> dict:

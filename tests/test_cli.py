@@ -312,6 +312,14 @@ class TestAuditCommand:
         assert code == 2 and out == ""
         assert err == "error: line 1: 'input' must be a string\n"
 
+    def test_boolean_step_index_exit_2(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_text(json.dumps({"t": True, "output": "bad"}) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: line 1: missing or non-integer 't'\n"
+
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -421,6 +429,8 @@ class TestGuardCommand:
             {"initial_input": 5},
             {"initial_input": None},
             {"stop_token": 7},
+            {"stop_token": "END"},
+            {"model": {**GUARD_CONFIG["model"], "stop_token": "END"}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):

@@ -265,6 +265,25 @@ class TestGuardStep:
 
 
 class TestRunGuarded:
+    def test_unguarded_session_labels_on_its_own_history(self):
+        seen = []
+
+        class Spy:
+            vocabulary = BAD_LABELER.vocabulary
+
+            def __call__(self, steps):
+                seen.append(steps)
+                return BAD_LABELER(steps)
+
+        session = GuardedSession(
+            model=bernoulli_model(0.5),
+            labeler=Spy(),
+            constraints={"no_bad": parse("G !bad")},
+            policy=InterventionPolicy(strategy="none"),
+        )
+        run_guarded(session, max_steps=20)
+        assert len(seen) == 20 and all(steps is session.steps for steps in seen)
+
     def test_baseline_equivalence_with_unguarded_loop(self):
         seed = 31
         policy = InterventionPolicy(strategy="none")

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlguard.models import (
     EndpointFormatError,
@@ -19,7 +20,7 @@ from ltlguard.models import (
     derive_seed,
     measure_labeler_accuracy,
 )
-from ltlguard.trace import StepRecord, Trace
+from ltlguard.trace import LabelingError, StepRecord, Trace
 from mock_endpoint import MockEndpoint
 
 
@@ -210,6 +211,35 @@ class TestEndpointLabeler:
         assert any(w["kind"] == "truncated" for w in labeler.warnings)
 
 
+def joined_then_sliced(steps, limit):
+    """The context window as the whole history joined, then cut to its tail."""
+    lines = []
+    for s in steps:
+        if s.input:
+            lines.append(f"input {s.t}: {s.input}")
+        lines.append(f"output {s.t}: {s.output}")
+    text = "\n".join(lines)
+    return (text[-limit:], True) if len(text) > limit else (text, False)
+
+
+class TestEndpointLabelerContext:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.text(max_size=12), st.text(max_size=12)), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_walk_back_matches_join_then_slice(self, pairs, data):
+        steps = [StepRecord(t, inp, out) for t, (inp, out) in enumerate(pairs, 1)]
+        full = len(joined_then_sliced(steps, 10**9)[0])
+        # Limits around the full length, text exactly at the limit included.
+        limit = data.draw(st.one_of(st.sampled_from([full - 1, full, full + 1]), st.integers(1, full + 5)))
+        labeler = EndpointLabeler(endpoint=None, vocabulary=frozenset(), max_context_chars=limit)
+        text = labeler._context(steps)
+        expected, truncated = joined_then_sliced(steps, limit)
+        assert text == expected
+        assert labeler.warnings == ([{"t": len(steps), "kind": "truncated"}] if truncated else [])
+
+
 class GroundTruthEcho:
     """Labeler that reproduces the embedded truth (for accuracy fixtures)."""
 
@@ -260,6 +290,27 @@ class TestMeasureLabelerAccuracy:
         result = measure_labeler_accuracy(labeler, [trace])
         assert result.accuracy == pytest.approx(0.98)
         assert result.per_proposition["b"].accuracy == pytest.approx(24 / 25)
+
+    def test_labeler_sees_its_own_past_labels_not_the_truth(self):
+        trace = self.fixture_trace()
+        seen = []
+
+        class Recorder:
+            vocabulary = frozenset({"a", "b"})
+
+            def __call__(self, steps):
+                seen.append([s.labels for s in steps])
+                return frozenset({"b"})
+
+        measure_labeler_accuracy(Recorder(), [trace])
+        b = frozenset({"b"})
+        assert seen == [[None], [b, None], [b, b, None]]
+
+    def test_undeclared_proposition_raises(self):
+        trace = self.fixture_trace()
+        labeler = GroundTruthEcho({s.t: frozenset({"a", "zzz"}) for s in trace.steps}, {"a", "b"})
+        with pytest.raises(LabelingError, match="step 1: undeclared proposition\\(s\\): zzz"):
+            measure_labeler_accuracy(labeler, [trace])
 
     def test_requires_ground_truth(self):
         trace = Trace((StepRecord(1, "", "o"),))

@@ -182,6 +182,33 @@ class TestEstimateRisks:
         ) / 400
         assert violated == satisfied
 
+    def test_each_continuation_samples_on_one_list(self):
+        calls = []
+
+        class Model:
+            def next_output(self, history, input, params):
+                calls.append(history)
+                return "bad"
+
+        class Labeler:
+            vocabulary = frozenset({"bad"})
+
+            def __call__(self, steps):
+                calls.append(steps)
+                return BAD_LABELER(steps)
+
+        history = [StepRecord(1, "go", "ok", frozenset())]
+        before = list(history)
+        states = {"c": new_state("c", parse("G !bad"))}
+        estimate_risks(states, Model(), Labeler(), CONTAINS_VIOLATED, 3, 2, "go", history, 0)
+        assert history == before
+        # k model calls and k labeler calls per continuation, all on one list
+        # that is not the caller's.
+        first, second = calls[:6], calls[6:]
+        assert len(second) == 6
+        assert all(steps is first[0] for steps in first) and all(steps is second[0] for steps in second)
+        assert first[0] is not history and second[0] is not history and first[0] is not second[0]
+
     def test_compiled_states_estimate_like_the_reference(self):
         formulas = {"never_bad": parse("G !bad"), "no_bad_twice": parse("G(bad -> X !bad)")}
         cache = ProgressionCache()

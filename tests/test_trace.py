@@ -10,6 +10,7 @@ from ltlguard.trace import (
     Trace,
     TraceError,
     apply_labeler,
+    label_step,
     load_trace,
     save_trace,
 )
@@ -71,6 +72,14 @@ class TestLoadTrace:
         path = tmp_path / "t.jsonl"
         write_lines(path, ['{"t": 1, "output": "a"}', f'{{"t": 2, "input": {value}, "output": "b"}}'])
         with pytest.raises(TraceError, match="line 2: 'input' must be a string"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("value", ["true", "false", "1.0", "\"1\"", "null"])
+    def test_non_integer_step_index_rejected(self, tmp_path, value):
+        # bool is an int subclass in Python, but a JSON boolean is no step index.
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [f'{{"t": {value}, "output": "bad"}}'])
+        with pytest.raises(TraceError, match="line 1: missing or non-integer 't'"):
             load_trace(path)
 
     def test_metadata_line(self, tmp_path):
@@ -224,3 +233,54 @@ class TestApplyLabeler:
         once = apply_labeler(trace, UppercaseLabeler())
         twice = apply_labeler(once, UppercaseLabeler())
         assert once == twice
+
+
+class TestLabelStep:
+    def test_labels_in_place_and_appends(self):
+        seen = []
+
+        class Spy(UppercaseLabeler):
+            def __call__(self, steps):
+                seen.append((steps, steps[-1]))
+                return super().__call__(steps)
+
+        steps = [StepRecord(1, "", "a", frozenset())]
+        labels = label_step(Spy(), steps, "go", "B")
+        assert labels == frozenset({"shout", "even_history"})
+        assert steps == [StepRecord(1, "", "a", frozenset()), StepRecord(2, "go", "B", labels)]
+        # The labeler saw the caller's own list, the new step unlabeled last.
+        assert seen[0][0] is steps and seen[0][1] == StepRecord(2, "go", "B")
+
+    @pytest.mark.parametrize(
+        "error, expected, match",
+        [
+            (RuntimeError("boom"), LabelingError, "step 2: labeler failed: boom"),
+            (KeyboardInterrupt(), KeyboardInterrupt, None),
+        ],
+        ids=["runtime-error", "keyboard-interrupt"],
+    )
+    def test_raising_labeler_leaves_steps_unchanged(self, error, expected, match):
+        class Raising:
+            vocabulary = frozenset()
+
+            def __call__(self, steps):
+                raise error
+
+        steps = [StepRecord(1, "", "a", frozenset())]
+        before = list(steps)
+        with pytest.raises(expected, match=match):
+            label_step(Raising(), steps, "", "b")
+        assert steps == before
+
+    def test_undeclared_proposition_leaves_steps_unchanged(self):
+        class Rogue:
+            vocabulary = frozenset({"ok"})
+
+            def __call__(self, steps):
+                return frozenset({"ok", "mystery"})
+
+        steps = [StepRecord(1, "", "a", frozenset())]
+        before = list(steps)
+        with pytest.raises(LabelingError, match="step 2: undeclared proposition\\(s\\): mystery"):
+            label_step(Rogue(), steps, "", "b")
+        assert steps == before
