@@ -99,8 +99,10 @@ def _simplify_connective(
 def simplify(phi: Formula) -> Formula:
     """Apply the syntactic reduction rules to a fixed point.
 
-    Purely structural: boolean identities, double negation, and
-    duplicate absorption under ``&``/``|``.  No semantic reasoning.
+    Purely structural: boolean identities, double negation, duplicate
+    absorption under ``&``/``|``, and the temporal unit laws: ``X``, ``F``
+    and ``G`` of ``true`` or ``false`` is that constant, ``φ U true`` is
+    ``true`` and ``false U ψ`` is ``ψ``.  No semantic reasoning.
     """
     match phi:
         case TrueBool() | FalseBool() | Prop():
@@ -126,13 +128,17 @@ def simplify(phi: Formula) -> Formula:
                 return TRUE
             return Implies(left, right)
         case Next(child):
-            return Next(simplify(child))
+            child = simplify(child)
+            return child if isinstance(child, (TrueBool, FalseBool)) else Next(child)
         case Until(left, right):
-            return Until(simplify(left), simplify(right))
+            left, right = simplify(left), simplify(right)
+            return right if isinstance(right, TrueBool) or isinstance(left, FalseBool) else Until(left, right)
         case Eventually(child):
-            return Eventually(simplify(child))
+            child = simplify(child)
+            return child if isinstance(child, (TrueBool, FalseBool)) else Eventually(child)
         case Always(child):
-            return Always(simplify(child))
+            child = simplify(child)
+            return child if isinstance(child, (TrueBool, FalseBool)) else Always(child)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -179,6 +185,13 @@ class ProgressionCache:
         if node is None:
             node = self._nodes[key] = cls(*children)
         return node
+
+    def _temporal(self, cls: type, *children: Formula) -> Formula:
+        # The temporal unit laws: X, F and G of a constant and φ U true are
+        # that constant, and false U ψ is ψ.
+        if children[-1] is TRUE or children[0] is FALSE:
+            return children[-1]
+        return self._node(cls, *children)
 
     def _not(self, child: Formula) -> Formula:
         if child is TRUE:
@@ -237,9 +250,9 @@ class ProgressionCache:
                     return TRUE
                 return self._node(Implies, left, right)
             case Next(child) | Eventually(child) | Always(child):
-                return self._node(type(phi), self._normalize(child))
+                return self._temporal(type(phi), self._normalize(child))
             case Until(left, right):
-                return self._node(Until, self._normalize(left), self._normalize(right))
+                return self._temporal(Until, self._normalize(left), self._normalize(right))
         raise TypeError(f"not a formula: {phi!r}")
 
     def props(self, phi: Formula) -> frozenset[str]:

@@ -17,6 +17,7 @@ import math
 import os
 import random
 import re
+import socket
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -25,6 +26,9 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import requests
+import urllib3
+from requests.adapters import HTTPAdapter
+from urllib3.connection import HTTPConnection, HTTPSConnection
 
 from .ltl import TruthAssignment
 from .trace import LabelingFunction, StepRecord, Trace, apply_labeler
@@ -115,9 +119,59 @@ class EndpointFormatError(EndpointError):
     pass
 
 
+class _QuickAck:
+    """Asks the kernel to acknowledge the response at once.
+
+    A server that writes the headers and the body in two sends, with
+    Nagle's algorithm on, holds the body back until the headers are
+    acknowledged; on a reused connection the client delays that ACK by
+    up to 40 ms.  ``TCP_QUICKACK`` is not sticky, so it is set again
+    before every response is read.
+    """
+
+    def getresponse(self, *args, **kwargs):
+        if self.sock is not None:
+            try:
+                self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            except OSError:
+                pass
+        return super().getresponse(*args, **kwargs)
+
+
+class _QuickAckHTTPPool(urllib3.HTTPConnectionPool):
+    ConnectionCls = type("QuickAckHTTPConnection", (_QuickAck, HTTPConnection), {})
+
+
+class _QuickAckHTTPSPool(urllib3.HTTPSConnectionPool):
+    ConnectionCls = type("QuickAckHTTPSConnection", (_QuickAck, HTTPSConnection), {})
+
+
+class _QuickAckAdapter(HTTPAdapter):
+    def init_poolmanager(self, *args, **kwargs) -> None:
+        super().init_poolmanager(*args, **kwargs)
+        self.poolmanager.pool_classes_by_scheme = {"http": _QuickAckHTTPPool, "https": _QuickAckHTTPSPool}
+
+
+# Calls are sequential, so a session keeps one keep-alive connection.
+_POOL_SIZE = 1
+
+
+def _http_session() -> requests.Session:
+    session = requests.Session()
+    adapter_class = _QuickAckAdapter if hasattr(socket, "TCP_QUICKACK") else HTTPAdapter
+    adapter = adapter_class(pool_connections=_POOL_SIZE, pool_maxsize=_POOL_SIZE)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 @dataclass
 class EndpointModel:
-    """Client for a chat-completions-shaped HTTP endpoint."""
+    """Client for a chat-completions-shaped HTTP endpoint.
+
+    Calls go through one ``requests.Session``, made on the first call,
+    whose keep-alive connection is reused.
+    """
 
     base_url: str
     model: str
@@ -130,6 +184,7 @@ class EndpointModel:
     audit_log_path: str | None = None
 
     def __post_init__(self) -> None:
+        self._session: requests.Session | None = None
         if self.retries < 1:
             raise ValueError(f"retries must be at least 1, got {self.retries}")
         if not self.timeout > 0:
@@ -174,13 +229,15 @@ class EndpointModel:
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        if self._session is None:
+            self._session = _http_session()
         last_error: EndpointError | None = None
         for attempt in range(self.retries):
             if attempt:
                 delay = self.backoff * 2 ** (attempt - 1)
                 time.sleep(delay * (0.5 + random.random() / 2))
             try:
-                raw = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                raw = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
             except requests.Timeout:
                 last_error = EndpointTimeoutError(f"request timed out after {self.timeout}s")
                 continue

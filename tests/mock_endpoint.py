@@ -2,6 +2,11 @@
 
 Serves canned responses; the reply is chosen by a pluggable function of
 the request body so tests can script endpoint behavior.
+
+With ``keep_alive=True`` it speaks HTTP/1.1, so a client may reuse a
+connection, and counts the connections it accepted.  Like the benchmark
+stub it keeps ``BaseHTTPRequestHandler``'s separate header and body
+writes, which a client that delays its ACKs stalls on.
 """
 
 from __future__ import annotations
@@ -12,14 +17,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class MockEndpoint:
-    def __init__(self, reply_fn=None, status=200, raw_body=None):
+    def __init__(self, reply_fn=None, status=200, raw_body=None, keep_alive=False):
         self.reply_fn = reply_fn or (lambda body: "ok")
         self.status = status
         self.raw_body = raw_body
         self.requests: list[dict] = []
+        self.connections = 0
+        lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            if keep_alive:
+                protocol_version = "HTTP/1.1"
+                timeout = 10  # an idle keep-alive connection frees its thread
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    outer.connections += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")

@@ -132,6 +132,11 @@ class TestProgressCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "violated"
 
+    def test_always_true_is_satisfied(self, capsys):
+        code, out, _ = run_cli(["progress", "G true", "--labels", "p"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"t": 1, "residual": "true", "verdict": "satisfied"}
+
     def test_steps_file_reproduces_residual_sequence(self, capsys, tmp_path):
         steps = tmp_path / "steps.txt"
         steps.write_text("pickup\nputdown\n", encoding="utf-8")
@@ -146,6 +151,17 @@ class TestProgressCommand:
 
 
 class TestAuditCommand:
+    def test_constant_temporal_operands_reduce_to_true(self, capsys, tmp_path):
+        # Without the temporal unit laws the residual gains a layer per step
+        # and the audit dies of recursion depth within 300 steps.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, {**RULE_CONFIG, "constraints": [{"id": "c", "formula": "X(G true U G true)"}]})
+        write_trace(trace, ["idle"] * 300)
+        code, out, _ = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["violations"] == 0 and report["satisfactions"] == 300
+
     def test_compliant_trace_exit_0(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"

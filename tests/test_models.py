@@ -3,6 +3,9 @@
 import collections
 import json
 import re
+import socket
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,32 @@ class TestEndpointModel:
         entry = json.loads(log.read_text().splitlines()[0])
         assert entry["request"]["messages"][-1]["content"] == "go"
         assert entry["response"]["choices"]
+
+
+class TestConnectionReuse:
+    """Calls share a keep-alive connection and do not wait on delayed ACKs."""
+
+    def test_calls_share_one_connection(self):
+        with MockEndpoint(keep_alive=True) as mock:
+            model = EndpointModel(base_url=mock.base_url, model="m")
+            for i in range(30):
+                model.next_output([], f"go {i}", params())
+        assert len(mock.requests) == 30
+        assert mock.connections == 1
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK on this platform")
+    def test_reused_connection_does_not_stall(self):
+        # The mock writes headers and body separately; a client that delays
+        # its ACK of the headers waits about 40 ms for the body.
+        with MockEndpoint(keep_alive=True) as mock:
+            model = EndpointModel(base_url=mock.base_url, model="m")
+            times = []
+            for i in range(30):
+                start = time.perf_counter()
+                model.next_output([], f"go {i}", params())
+                times.append(time.perf_counter() - start)
+        assert mock.connections == 1
+        assert statistics.median(times) < 0.020
 
 
 class TestRuleLabeler:
@@ -325,7 +354,7 @@ class TestSingleEgressPoint:
         offenders = []
         for path in src.rglob("*.py"):
             text = path.read_text(encoding="utf-8")
-            if re.search(r"^\s*(import requests|from requests)", text, re.MULTILINE):
+            if re.search(r"^\s*(import|from) (requests|urllib3|socket)", text, re.MULTILINE):
                 if path.name != "models.py":
                     offenders.append(path.name)
             if "http.client" in text or "urllib.request" in text:

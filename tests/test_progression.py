@@ -13,6 +13,7 @@ from ltlguard.ltl import (
     Not,
     Or,
     Prop,
+    ProgressionCache,
     Until,
     Verdict,
     evaluate_lasso,
@@ -153,6 +154,37 @@ class TestSimplify:
             assert evaluate_lasso(phi, prefix, loop) == evaluate_lasso(
                 simplify(phi), prefix, loop
             )
+
+
+class TestTemporalUnitLaws:
+    LAWS = [
+        (Always(TRUE), TRUE),
+        (Eventually(TRUE), TRUE),
+        (Next(TRUE), TRUE),
+        (Until(P, TRUE), TRUE),
+        (Always(FALSE), FALSE),
+        (Eventually(FALSE), FALSE),
+        (Next(FALSE), FALSE),
+        (Until(FALSE, Q), Q),
+        (Next(Always(Or(Q, Not(FALSE)))), TRUE),
+        (Until(Always(TRUE), Always(TRUE)), TRUE),
+    ]
+
+    def test_simplify(self):
+        for phi, expected in self.LAWS:
+            assert simplify(phi) == expected, phi
+
+    def test_normalizing_constructors(self):
+        cache = ProgressionCache()
+        for phi, expected in self.LAWS:
+            assert cache.normalize(phi) == expected, phi
+
+    def test_residual_of_constant_operands_stays_small(self):
+        cache = ProgressionCache()
+        residual = cache.normalize(parse("p U X(G true U G true)"))
+        for _ in range(300):
+            residual = cache.progress_simplify(residual, frozenset({"p"}))
+        assert residual is TRUE
 
 
 class TestVerdictOf:
