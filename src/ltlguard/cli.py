@@ -16,19 +16,9 @@ from pathlib import Path
 
 from .config import EMBEDDED, ConfigError, build_labeler, build_model, load_config
 from .intervention import GuardedSession, run_guarded, violation_rate
-from .ltl import (
-    Formula,
-    ParseError,
-    TruthAssignment,
-    parse,
-    progress,
-    props_of,
-    render,
-    simplify,
-    verdict_of,
-)
+from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, props_of, render
 from .ltl.ast import SYNTAX
-from .monitor import CrossCheckError, audit_log, score_f1
+from .monitor import CrossCheckError, audit_log, new_state, score_f1, step
 from .synthbench import (
     CoinFlipJudge,
     MonitorOracleJudge,
@@ -109,9 +99,8 @@ def _check_propositions(
 
 def cmd_parse(args: argparse.Namespace) -> int:
     phi = parse(args.formula)
-    canonical = simplify(phi)
     document = {
-        "canonical": render(canonical, "ascii"),
+        "canonical": render(ProgressionCache().normalize(phi), "ascii"),
         "parsed": render(phi, "ascii"),
         "ast": _ast_dict(phi),
     }
@@ -126,17 +115,12 @@ def cmd_progress(args: argparse.Namespace) -> int:
         assignments = [_parse_labels(line) for line in lines]
     else:
         assignments = [_parse_labels(args.labels or "")]
-    residual = simplify(phi)
+    state = new_state("", phi)
     for t, labels in enumerate(assignments, 1):
-        residual = simplify(progress(residual, labels))
-        verdict = verdict_of(residual)
-        print(
-            json.dumps(
-                {"t": t, "residual": render(residual, "ascii"), "verdict": verdict.value},
-                ensure_ascii=False,
-            )
-        )
-        _human(f"step {t}: {render(residual, 'ascii')} / {verdict.value}")
+        state = step(state, labels)
+        residual, verdict = render(state.residual, "ascii"), state.last_verdict.value
+        print(json.dumps({"t": t, "residual": residual, "verdict": verdict}, ensure_ascii=False))
+        _human(f"step {t}: {residual} / {verdict}")
     return EXIT_OK
 
 
@@ -196,7 +180,7 @@ def cmd_guard(args: argparse.Namespace) -> int:
         policy=config.policy,
         substitute=substitute,
         seed=seed,
-        rules_text=config.rules_text(),
+        glosses=config.glosses,
         stop_token=config.stop_token,
         action_temperature=config.action_temperature,
         sampling_temperature=config.sampling_temperature,

@@ -57,10 +57,13 @@ class Config:
     action_temperature: float = 0.2
     sampling_temperature: float = 0.8
 
-    def rules_text(self) -> str | None:
-        if not self.glosses:
-            return None
-        return "\n".join(f"- {self.glosses[cid]}" for cid in sorted(self.glosses))
+
+def _integer(spec: Mapping, key: str, default: int) -> int:
+    """``spec[key]``, or ``default`` when absent; a bool or any other non-integer is rejected."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @_config_errors
@@ -91,8 +94,13 @@ def load_config(path: str | Path) -> Config:
             constraints[cid] = parse(entry["formula"])
         except ParseError as err:
             raise ConfigError(f"constraint {cid!r}: {err}") from err
-        if entry.get("gloss"):
-            glosses[cid] = entry["gloss"]
+        gloss = entry.get("gloss", "")
+        if not isinstance(gloss, str):
+            raise ConfigError(
+                f"invalid config value: constraint {cid!r}: gloss must be a string, got {gloss!r}"
+            )
+        if gloss:
+            glosses[cid] = gloss
 
     policy_raw = dict(raw.get("policy", {}))
     template_path = policy_raw.pop("template_path", None)
@@ -127,7 +135,7 @@ def load_config(path: str | Path) -> Config:
         substitute_spec=substitute_spec,
         policy=policy,
         mode=mode,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw, "seed", 0),
         initial_input=raw.get("initial_input", ""),
         stop_token=stop_token,
         action_temperature=float(raw.get("action_temperature", 0.2)),
@@ -162,9 +170,9 @@ def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
             api_key_env=spec.get("api_key_env", "LTLGUARD_API_KEY"),
             system_prompt=spec.get("system_prompt"),
             max_tokens=spec.get("max_tokens"),
-            timeout=float(spec.get("timeout", 60.0)),
-            retries=int(spec.get("retries", 3)),
-            backoff=float(spec.get("backoff", 1.0)),
+            timeout=spec.get("timeout", 60.0),
+            retries=spec.get("retries", 3),
+            backoff=spec.get("backoff", 1.0),
             audit_log_path=spec.get("audit_log_path"),
         )
     raise ConfigError(f"unknown model type {kind!r}")
@@ -192,7 +200,7 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
             raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
     if kind == "event":
         return AttributeEventLabeler(
-            entities=int(spec.get("entities", 1)),
+            entities=_integer(spec, "entities", 1),
             tagged=spec.get("tagged"),
         )
     if kind == "endpoint":
@@ -200,6 +208,6 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
             endpoint=build_model({"type": "endpoint", **spec["endpoint"]}),
             vocabulary=frozenset(spec["vocabulary"]),
             temperature=float(spec.get("temperature", 0.0)),
-            max_context_chars=int(spec.get("max_context_chars", 8000)),
+            max_context_chars=_integer(spec, "max_context_chars", 8000),
         )
     raise ConfigError(f"unknown labeler type {kind!r}")

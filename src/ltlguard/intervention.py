@@ -118,7 +118,7 @@ class GuardedSession:
         policy: InterventionPolicy,
         substitute: BlackBoxModel | None = None,
         seed: int = 0,
-        rules_text: str | None = None,
+        glosses: Mapping[str, str] | None = None,
         stop_token: str = "DONE",
         action_temperature: float = 0.2,
         sampling_temperature: float = 0.8,
@@ -140,8 +140,10 @@ class GuardedSession:
             cid: new_state(cid, constraints[cid], reset_mode, cache)
             for cid in sorted(constraints)
         }
-        self.rules_text = rules_text or "\n".join(
-            f"- {render(self.states[cid].objective, 'english')}" for cid in sorted(constraints)
+        glosses = glosses or {}
+        self.rules_text = "\n".join(
+            f"- {glosses.get(cid) or render(state.objective, 'english')}"
+            for cid, state in self.states.items()
         )
         self.steps: list[StepRecord] = []
         self.outcomes: list[GuardedStepOutcome] = []
@@ -166,6 +168,12 @@ def apply_inject(
     return f"{input}\n{reminder}"
 
 
+def _act(session: GuardedSession, model: BlackBoxModel, history: Sequence[StepRecord], input: str, t: int, purpose: str) -> str:
+    """One output at the session's action temperature, seeded by step and purpose."""
+    params = SampleParams(session.action_temperature, derive_seed(session.seed, t, purpose))
+    return model.next_output(history, input, params)
+
+
 def apply_switch(session: GuardedSession, t: int) -> str:
     """Query the substitute model with past actions and the session rules."""
     memory = "\n".join(
@@ -176,13 +184,7 @@ def apply_switch(session: GuardedSession, t: int) -> str:
         .replace("{memory}", memory)
         .replace("{rules}", session.rules_text)
     )
-    return session.substitute.next_output(
-        [],
-        prompt,
-        SampleParams(
-            temperature=session.action_temperature, seed=derive_seed(session.seed, t, "switch")
-        ),
-    )
+    return _act(session, session.substitute, [], prompt, t, "switch")
 
 
 def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
@@ -254,13 +256,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     if policy.strategy != "none":
         predict_seed = derive_seed(session.seed, t, "predict")
         trigger = _risks(session, session.states, next_input, session.steps, predict_seed)
-    original_output = session.model.next_output(
-        session.steps,
-        next_input,
-        SampleParams(
-            temperature=session.action_temperature, seed=derive_seed(session.seed, t, "action")
-        ),
-    )
+    original_output = _act(session, session.model, session.steps, next_input, t, "action")
     if original_output == session.stop_token:
         session.finished = True
         return None
@@ -281,14 +277,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
             ]
             template = policy.inject_template or default_inject_template()
             final_input = apply_inject(next_input, at_risk, template)
-            final_output = session.model.next_output(
-                session.steps,
-                final_input,
-                SampleParams(
-                    temperature=session.action_temperature,
-                    seed=derive_seed(session.seed, t, "inject"),
-                ),
-            )
+            final_output = _act(session, session.model, session.steps, final_input, t, "inject")
         elif policy.strategy == "switch":
             final_output = apply_switch(session, t)
         post_seed = derive_seed(session.seed, t, "post")

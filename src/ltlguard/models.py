@@ -185,6 +185,17 @@ class EndpointModel:
 
     def __post_init__(self) -> None:
         self._session: requests.Session | None = None
+        for names, kinds, kind_name in (
+            (("base_url", "model", "api_key_env"), str, "a string"),
+            (("system_prompt", "audit_log_path"), (str, type(None)), "a string or null"),
+            (("retries",), int, "an integer"),
+            (("max_tokens",), (int, type(None)), "an integer or null"),
+            (("timeout", "backoff"), (int, float), "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise TypeError(f"{name} must be {kind_name}, got {value!r}")
         if self.retries < 1:
             raise ValueError(f"retries must be at least 1, got {self.retries}")
         if not self.timeout > 0:

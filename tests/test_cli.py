@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ltlguard.cli import main
 from ltlguard.config import ConfigError, build_labeler, build_model, load_config
-from helpers import run_cli_process
+from ltlguard.ltl import parse, progress, render, simplify, verdict_of
+from helpers import DEFAULT_PROPS, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
 RULE_CONFIG = {
@@ -40,6 +42,8 @@ GUARD_CONFIG = {
     "seed": 7,
     "initial_input": "begin",
 }
+
+ENDPOINT = {"type": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
 
 
 def run_cli(args, capsys):
@@ -148,6 +152,28 @@ class TestProgressCommand:
         assert records[0]["verdict"] == "inconclusive"
         assert "F putdown" in records[0]["residual"]
         assert records[1] == {"t": 2, "residual": "true", "verdict": "satisfied"}
+
+
+class TestReferenceAgreement:
+    """``parse`` and ``progress`` print what the reference ``simplify(progress(...))`` computes."""
+
+    def test_random_formulas_and_label_sequences(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        steps = tmp_path / "steps.txt"
+        for _ in range(300):
+            text = render(random_formula(rng, rng.randint(0, 4)), "ascii")
+            phi = parse(text)
+            assignments = [random_assignment(rng, DEFAULT_PROPS) for _ in range(20)]
+            steps.write_text("".join(",".join(sorted(a)) + "\n" for a in assignments), encoding="utf-8")
+            expected, residual = [], simplify(phi)
+            for t, labels in enumerate(assignments, 1):
+                residual = simplify(progress(residual, labels))
+                record = {"t": t, "residual": render(residual, "ascii"), "verdict": verdict_of(residual).value}
+                expected.append(json.dumps(record, ensure_ascii=False) + "\n")
+            code, out, _ = run_cli(["progress", text, "--steps-file", str(steps)], capsys)
+            assert code == 0 and out == "".join(expected), text
+            code, out, _ = run_cli(["parse", text], capsys)
+            assert code == 0 and json.loads(out)["canonical"] == render(simplify(phi), "ascii"), text
 
 
 class TestAuditCommand:
@@ -447,6 +473,19 @@ class TestGuardCommand:
             {"stop_token": 7},
             {"stop_token": "END"},
             {"model": {**GUARD_CONFIG["model"], "stop_token": "END"}},
+            {"seed": 2.7},
+            {"seed": True},
+            {"labeler": {"type": "event", "entities": 2.5}},
+            {"labeler": {"type": "event", "entities": True}},
+            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "max_context_chars": 2.5}},
+            {"labeler": {"type": "endpoint", "endpoint": {**ENDPOINT, "base_url": 5}, "vocabulary": ["bad"]}},
+            {"constraints": [{"id": "no_bad", "formula": "G !bad", "gloss": 5}]},
+            {"model": {**ENDPOINT, "base_url": 5}},
+            {"model": {**ENDPOINT, "api_key_env": 5}},
+            {"model": {**ENDPOINT, "audit_log_path": 5}},
+            {"model": {**ENDPOINT, "retries": 2.5}},
+            {"model": {**ENDPOINT, "retries": True}},
+            {"substitute_model": {**ENDPOINT, "timeout": True}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
@@ -562,8 +601,33 @@ class TestGuardCommand:
         assert entry["k"] == 1 and entry["m"] == 4
         assert set(entry["trigger_risk"]) == {"no_bad"}
 
-
-ENDPOINT = {"type": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
+    def test_switch_rules_list_every_constraint(self, capsys, tmp_path):
+        # One constraint is glossed and one is not: the substitute is shown
+        # the gloss of the first and the english rendering of the second.
+        config_doc = {
+            **GUARD_CONFIG,
+            "constraints": [
+                {"id": "a_no_bad", "formula": "G !bad", "gloss": "avoid bad moves"},
+                {"id": "b_no_worse", "formula": "G !worse"},
+            ],
+            "labeler": {
+                "type": "rule",
+                "vocabulary": ["bad", "worse"],
+                "rules": {"bad": r"\bbad\b", "worse": r"\bworse\b"},
+            },
+        }
+        with MockEndpoint(lambda body: "ok move") as mock:
+            config_doc["substitute_model"] = {**ENDPOINT, "base_url": mock.base_url, "retries": 1}
+            config = tmp_path / "config.json"
+            write_json(config, config_doc)
+            code, _, _ = run_cli(
+                ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(tmp_path / "run")],
+                capsys,
+            )
+        assert code == 0 and mock.requests
+        for request in mock.requests:
+            prompt = request["body"]["messages"][-1]["content"]
+            assert "\n- avoid bad moves\n- always, not (worse) must hold\n" in prompt
 
 
 class TestEndpointSpecValues:
@@ -571,8 +635,18 @@ class TestEndpointSpecValues:
 
     @pytest.mark.parametrize(
         "override",
-        [{"retries": 0}, {"retries": -2}, {"timeout": 0}, {"timeout": -1.5}, {"backoff": -1}],
-        ids=["retries-0", "retries-negative", "timeout-0", "timeout-negative", "backoff-negative"],
+        [
+            {"retries": 0}, {"retries": -2}, {"timeout": 0}, {"timeout": -1.5}, {"backoff": -1},
+            {"base_url": 5}, {"model": None}, {"api_key_env": 5}, {"system_prompt": 5},
+            {"audit_log_path": 5}, {"retries": 2.5}, {"retries": True}, {"max_tokens": 2.5},
+            {"timeout": "60"}, {"backoff": True},
+        ],
+        ids=[
+            "retries-0", "retries-negative", "timeout-0", "timeout-negative", "backoff-negative",
+            "base_url-int", "model-null", "api_key_env-int", "system_prompt-int",
+            "audit_log_path-int", "retries-float", "retries-bool", "max_tokens-float",
+            "timeout-string", "backoff-bool",
+        ],
     )
     def test_build_model_rejects(self, override):
         with pytest.raises(ConfigError, match="invalid config value"):
@@ -608,9 +682,23 @@ class TestEndpointSpecValues:
         assert code == 2 and out == ""
         assert err.startswith("error: invalid config value: timeout must be positive")
 
+    def test_bench_eval_bad_type_exit_2(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        run_cli(
+            ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys
+        )
+        judge = tmp_path / "judge.json"
+        write_json(judge, {"base_url": 5, "model": "m"})
+        code, out, err = run_cli(
+            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: invalid config value: base_url must be a string, got 5\n"
+
 
 DROP = object()
-MUTATION_POOL = (DROP, None, -1, 0, "x", [], {})
+MUTATION_POOL = (DROP, None, -1, 0, "x", [], {}, True, 2.5)
 MUTATION_BASES = (
     ("audit", RULE_CONFIG),
     ("audit", {"constraints": [{"id": "done", "formula": "F done"}], "labeler": {"type": "embedded"}}),
