@@ -66,6 +66,13 @@ def _integer(spec: Mapping, key: str, default: int) -> int:
     return value
 
 
+def _number(value: object, name: str) -> float:
+    """``value`` as a float if it is an integer or a float; a bool or anything else is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @_config_errors
 def load_config(path: str | Path) -> Config:
     try:
@@ -138,8 +145,8 @@ def load_config(path: str | Path) -> Config:
         seed=_integer(raw, "seed", 0),
         initial_input=raw.get("initial_input", ""),
         stop_token=stop_token,
-        action_temperature=float(raw.get("action_temperature", 0.2)),
-        sampling_temperature=float(raw.get("sampling_temperature", 0.8)),
+        action_temperature=_number(raw.get("action_temperature", 0.2), "action_temperature"),
+        sampling_temperature=_number(raw.get("sampling_temperature", 0.8), "sampling_temperature"),
     )
 
 
@@ -156,9 +163,13 @@ def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
             return ScriptedModel(outputs=outputs, stop_token=spec.get("stop_token", "DONE"))
         if "distributions" in spec:
             distributions = tuple(
-                tuple((str(text), float(weight)) for text, weight in dist)
+                tuple((text, _number(weight, "a distribution weight")) for text, weight in dist)
                 for dist in spec["distributions"]
             )
+            for dist in distributions:
+                for text, _ in dist:
+                    if not isinstance(text, str):
+                        raise TypeError(f"a distribution text must be a string, got {text!r}")
             return ScriptedModel(
                 distributions=distributions, stop_token=spec.get("stop_token", "DONE")
             )
@@ -199,6 +210,8 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
         except re.error as err:
             raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
     if kind == "event":
+        if not isinstance(spec.get("tagged", False), bool):
+            raise TypeError(f"tagged must be a boolean, got {spec['tagged']!r}")
         return AttributeEventLabeler(
             entities=_integer(spec, "entities", 1),
             tagged=spec.get("tagged"),
@@ -207,7 +220,7 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
         return EndpointLabeler(
             endpoint=build_model({"type": "endpoint", **spec["endpoint"]}),
             vocabulary=frozenset(spec["vocabulary"]),
-            temperature=float(spec.get("temperature", 0.0)),
+            temperature=_number(spec.get("temperature", 0.0), "temperature"),
             max_context_chars=_integer(spec, "max_context_chars", 8000),
         )
     raise ConfigError(f"unknown labeler type {kind!r}")

@@ -96,7 +96,7 @@ class GuardedStepOutcome:
             "final_output": self.final_output,
             "intervened": self.intervened,
             "strategy": self.strategy,
-            "verdicts": {cid: v.value for cid, v in sorted(self.verdicts.items())},
+            "verdicts": {cid: v._value_ for cid, v in sorted(self.verdicts.items())},
             "residuals": dict(sorted(self.residuals.items())),
             "trigger_risk": risks(self.trigger_risk),
             "risk_original": risks(self.risk_original),
@@ -300,7 +300,8 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         strategy=policy.strategy,
         verdicts={cid: state.last_verdict for cid, state in session.states.items()},
         residuals={
-            cid: render(state.residual, "ascii") for cid, state in session.states.items()
+            cid: render(state.residual, "ascii", state.automaton.rendered)
+            for cid, state in session.states.items()
         },
         trigger_risk=trigger or None,
         risk_original=risk_original,

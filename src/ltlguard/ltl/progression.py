@@ -163,27 +163,34 @@ class ProgressionCache:
     units and duplicates, short-circuit on the absorbing element, collapse
     double negation.  Hence ``normalize(phi)`` is ``simplify(phi)`` and
     ``progress_simplify(phi, sigma)`` is ``simplify(progress(phi, sigma))``,
-    both as states of this automaton.  A state keeps the propositions it
-    reads and its transitions found so far, keyed by the step's labels
-    restricted to those propositions; a step is one lookup and a miss
-    progresses the residual once.  The automaton keeps every node it built
-    alive, which keeps the identities in its keys unique, and lives as long
-    as its owner: one ``run_monitor`` call or guarded session.
+    both as states of this automaton.  The automaton is a Moore machine: a
+    node's propositions are set when it is built and a state's verdict when
+    it is registered.  A state's transitions found so far are keyed by the
+    step's labels restricted to its propositions, each to the successor and
+    its verdict; a step is one lookup and a miss progresses the residual
+    once.  The automaton keeps every node it built alive, which keeps the
+    identities in its keys unique and makes ``rendered``, its memo of
+    ascii renderings by node identity, sound.  It lives as long as its
+    owner: one ``run_monitor`` call or guarded session.
     """
 
-    __slots__ = ("_nodes", "_props", "_states")
+    __slots__ = ("_nodes", "_props", "_states", "rendered")
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, Formula] = {}
-        self._props: dict[int, frozenset[str]] = {}  # id(node) -> props_of(node)
-        # id(state) -> (its props, its transitions)
-        self._states: dict[int, tuple[frozenset[str], dict[frozenset[str], Formula]]] = {}
+        self._props: dict[int, frozenset[str]] = {id(TRUE): frozenset(), id(FALSE): frozenset()}
+        # id(state) -> (its props, its transitions, (state, its verdict)); a
+        # transition maps projected labels to the successor's last entry.
+        self._states: dict[int, tuple[frozenset[str], dict, tuple[Formula, Verdict]]] = {}
+        self.rendered: dict[int, str] = {}  # id(node) -> render(node, "ascii")
 
     def _node(self, cls: type, *children: Formula) -> Formula:
         key = (cls, *map(id, children))
         node = self._nodes.get(key)
         if node is None:
             node = self._nodes[key] = cls(*children)
+            props = self._props
+            props[id(node)] = props[id(children[0])].union(*(props[id(c)] for c in children[1:]))
         return node
 
     def _temporal(self, cls: type, *children: Formula) -> Formula:
@@ -229,73 +236,61 @@ class ProgressionCache:
         return node
 
     def _normalize(self, phi: Formula) -> Formula:
-        match phi:
-            case TrueBool():
+        # Dispatches on the exact class, as ``_progress`` does.
+        kind = type(phi)
+        if kind is Prop:
+            node = self._nodes.setdefault((Prop, phi.name), phi)
+            self._props[id(node)] = frozenset((phi.name,))
+            return node
+        if kind is And:
+            return self._and(self._normalize(phi.left), self._normalize(phi.right))
+        if kind is Or:
+            return self._or(self._normalize(phi.left), self._normalize(phi.right))
+        if kind is Not:
+            return self._not(self._normalize(phi.child))
+        if kind is Next or kind is Eventually or kind is Always:
+            return self._temporal(kind, self._normalize(phi.child))
+        if kind is Until:
+            return self._temporal(Until, self._normalize(phi.left), self._normalize(phi.right))
+        if kind is Implies:
+            left, right = self._normalize(phi.left), self._normalize(phi.right)
+            if left is TRUE:
+                return right
+            if left is FALSE:
                 return TRUE
-            case FalseBool():
-                return FALSE
-            case Prop(name):
-                return self._nodes.setdefault((Prop, name), phi)
-            case Not(child):
-                return self._not(self._normalize(child))
-            case And(left, right):
-                return self._and(self._normalize(left), self._normalize(right))
-            case Or(left, right):
-                return self._or(self._normalize(left), self._normalize(right))
-            case Implies(left, right):
-                left, right = self._normalize(left), self._normalize(right)
-                if left is TRUE:
-                    return right
-                if left is FALSE:
-                    return TRUE
-                return self._node(Implies, left, right)
-            case Next(child) | Eventually(child) | Always(child):
-                return self._temporal(type(phi), self._normalize(child))
-            case Until(left, right):
-                return self._temporal(Until, self._normalize(left), self._normalize(right))
+            return self._node(Implies, left, right)
+        if kind is TrueBool:
+            return TRUE
+        if kind is FalseBool:
+            return FALSE
         raise TypeError(f"not a formula: {phi!r}")
 
-    def props(self, phi: Formula) -> frozenset[str]:
-        """``props_of(phi)`` for a node ``phi`` of this automaton, memoized per node."""
-        found = self._props.get(id(phi))
-        if found is None:
-            match phi:
-                case Prop(name):
-                    found = frozenset((name,))
-                case Not(child) | Next(child) | Eventually(child) | Always(child):
-                    found = self.props(child)
-                case And(left, right) | Or(left, right) | Implies(left, right) | Until(
-                    left, right
-                ):
-                    found = self.props(left) | self.props(right)
-                case _:
-                    found = frozenset()
-            self._props[id(phi)] = found
-        return found
-
-    def _register(self, phi: Formula) -> Formula:
-        if id(phi) not in self._states:
-            self._states[id(phi)] = (self.props(phi), {})
-        return phi
+    def _register(self, phi: Formula) -> tuple:
+        state = self._states.get(id(phi))
+        if state is None:
+            state = self._states[id(phi)] = (self._props[id(phi)], {}, (phi, verdict_of(phi)))
+        return state
 
     def normalize(self, phi: Formula) -> Formula:
         """``simplify(phi)`` as a state of this automaton; ``phi`` may be any formula."""
-        return self._register(self._normalize(phi))
+        return self._register(self._normalize(phi))[2][0]
 
-    def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
-        """``simplify(progress(phi, labels))`` as a state of this automaton."""
+    def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
+        """``simplify(progress(phi, labels))`` as a state of this automaton, and its verdict."""
         # Every formula this automaton returns is a state, so a lookup by
         # identity misses only on formulas from elsewhere.
         state = self._states.get(id(phi))
         if state is None:
-            phi = self.normalize(phi)
-            state = self._states[id(phi)]
-        props, transitions = state
-        key = props & labels
-        successor = transitions.get(key)
+            state = self._register(self._normalize(phi))
+        key = state[0] & labels
+        successor = state[1].get(key)
         if successor is None:
-            successor = transitions[key] = self._register(self._progress(phi, key))
+            successor = state[1][key] = self._register(self._progress(state[2][0], key))[2]
         return successor
+
+    def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
+        """The successor of ``transition`` alone."""
+        return self.transition(phi, labels)[0]
 
     def _progress(self, phi: Formula, sigma: TruthAssignment) -> Formula:
         # The transition table's miss: progress a node of this automaton
@@ -307,33 +302,41 @@ class ProgressionCache:
             result = done.get(id(f))
             if result is not None:
                 return result
-            match f:
-                case TrueBool() | FalseBool():
-                    result = f
-                case Prop(name):
-                    result = TRUE if name in sigma else FALSE
-                case Not(child):
-                    result = not_(go(child))
-                case And(left, right):
-                    result = and_(go(left), go(right))
-                case Or(left, right):
-                    result = or_(go(left), go(right))
-                case Implies(left, right):
-                    result = or_(not_(go(left)), go(right))
-                case Next(child):
-                    result = child
-                case Until(left, right):
-                    result = or_(go(right), and_(go(left), f))
-                case Eventually(child):
-                    result = or_(go(child), f)
-                case Always(child):
-                    result = and_(go(child), f)
-                case _:
-                    raise TypeError(f"not a formula: {f!r}")
+            # Dispatch on the exact class: every node here was built by
+            # this automaton, and a chain of class tests is cheaper than
+            # class patterns on the miss path.
+            kind = type(f)
+            if kind is Prop:
+                result = TRUE if f.name in sigma else FALSE
+            elif kind is And:
+                result = and_(go(f.left), go(f.right))
+            elif kind is Or:
+                result = or_(go(f.left), go(f.right))
+            elif kind is Always:
+                result = and_(go(f.child), f)
+            elif kind is Eventually:
+                result = or_(go(f.child), f)
+            elif kind is Until:
+                result = or_(go(f.right), and_(go(f.left), f))
+            elif kind is Next:
+                result = f.child
+            elif kind is Not:
+                result = not_(go(f.child))
+            elif kind is Implies:
+                result = or_(not_(go(f.left)), go(f.right))
+            elif f is TRUE or f is FALSE:
+                result = f
+            else:
+                raise TypeError(f"not a formula: {f!r}")
             done[id(f)] = result
             return result
 
-        return go(phi)
+        try:
+            return go(phi)
+        finally:
+            # ``go`` refers to itself through its closure; breaking that cycle
+            # lets reference counting free the automaton with its owner.
+            del go
 
 
 def verdict_of(phi: Formula) -> Verdict:

@@ -15,27 +15,38 @@ from .ast import ATOM, SYNTAX, UNARY, Formula, Syntax
 _STYLES = {style: Syntax._fields.index(style) for style in ("ascii", "symbolic")}
 
 
-def _render(phi: Formula, style: int) -> str:
+def _render(phi: Formula, style: int, memo: dict[int, str] | None) -> str:
+    if memo is not None:
+        text = memo.get(id(phi))
+        if text is not None:
+            return text
     syntax = SYNTAX[type(phi)]
     op, strength = syntax[style], syntax.strength
     if strength == ATOM:
-        return op or phi.name
-    if strength == UNARY:
+        text = op or phi.name
+    elif strength == UNARY:
         child = phi.child
-        text = _render(child, style)
+        text = _render(child, style, memo)
         if SYNTAX[type(child)].strength < UNARY:
-            return f"{op}({text})"
-        # Alphabetic operators need a space before an operand; the symbolic
-        # style spaces like the ascii one.
-        return f"{op} {text}" if syntax.ascii.isalpha() else f"{op}{text}"
-    # Right-associative: parenthesize a left child of equal strength.
-    left, right = phi.left, phi.right
-    left_text, right_text = _render(left, style), _render(right, style)
-    if SYNTAX[type(left)].strength <= strength:
-        left_text = f"({left_text})"
-    if SYNTAX[type(right)].strength < strength:
-        right_text = f"({right_text})"
-    return f"{left_text} {op} {right_text}"
+            text = f"{op}({text})"
+        elif syntax.ascii.isalpha():
+            # Alphabetic operators need a space before an operand; the
+            # symbolic style spaces like the ascii one.
+            text = f"{op} {text}"
+        else:
+            text = f"{op}{text}"
+    else:
+        # Right-associative: parenthesize a left child of equal strength.
+        left, right = phi.left, phi.right
+        left_text, right_text = _render(left, style, memo), _render(right, style, memo)
+        if SYNTAX[type(left)].strength <= strength:
+            left_text = f"({left_text})"
+        if SYNTAX[type(right)].strength < strength:
+            right_text = f"({right_text})"
+        text = f"{left_text} {op} {right_text}"
+    if memo is not None:
+        memo[id(phi)] = text
+    return text
 
 
 def _phrase(node: Formula | str) -> str:
@@ -46,10 +57,18 @@ def _phrase(node: Formula | str) -> str:
     )
 
 
-def render(phi: Formula, style: str = "ascii") -> str:
-    """Render ``phi`` in one of the styles ``ascii``, ``symbolic``, ``english``."""
+def render(phi: Formula, style: str = "ascii", memo: dict[int, str] | None = None) -> str:
+    """Render ``phi`` in one of the styles ``ascii``, ``symbolic``, ``english``.
+
+    ``memo`` maps ``id(node)`` to the node's rendering in ``style`` (never
+    ``english``); ``render`` reads and extends it for ``phi`` and every
+    subformula.  It is sound only while every node rendered into it stays
+    alive, as the nodes of one ``ProgressionCache`` do.
+    """
     if style == "english":
+        if memo is not None:
+            raise ValueError("the english style takes no memo")
         return f"{_phrase(phi)} must hold"
     if style not in _STYLES:
         raise ValueError(f"unknown render style {style!r}")
-    return _render(phi, _STYLES[style])
+    return _render(phi, _STYLES[style], memo)

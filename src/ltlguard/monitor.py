@@ -49,11 +49,13 @@ class _Reference:
     def normalize(self, phi: Formula) -> Formula:
         return simplify(phi)
 
-    def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:
-        return simplify(progress(phi, labels))
+    def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
+        residual = simplify(progress(phi, labels))
+        return residual, verdict_of(residual)
 
 
 REFERENCE = _Reference()
+_INCONCLUSIVE = Verdict.INCONCLUSIVE  # read once: a class attribute of an Enum is a slow lookup
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,8 @@ def step(state: MonitorState, labels: TruthAssignment) -> MonitorState:
     A step that keeps the residual object and the verdict returns ``state``
     itself.
     """
-    residual = state.automaton.progress_simplify(state.residual, labels)
-    verdict = verdict_of(residual)
-    if verdict is not Verdict.INCONCLUSIVE and state.reset_mode:
+    residual, verdict = state.automaton.transition(state.residual, labels)
+    if verdict is not _INCONCLUSIVE and state.reset_mode:
         residual = state.objective
     if residual is state.residual and verdict is state.last_verdict:
         return state

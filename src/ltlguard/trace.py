@@ -9,9 +9,11 @@ optional leading metadata line ``{"meta": {...}}``.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -143,12 +145,66 @@ def write_jsonl(rows: Iterable[object], path: str | Path) -> None:
 
 
 def write_json(doc: object, path: str | Path | None = None) -> None:
-    """Write ``doc`` as one indented JSON document to ``path``, or to stdout."""
-    text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    """Write ``doc`` as one indented JSON document to ``path``, or to stdout.
+
+    The bytes are those of ``json.dumps(doc, ensure_ascii=False, indent=2)``
+    and a newline.  The C encoder encodes the leaves, and encodes each
+    container that holds only leaves in one call whose item separator
+    carries the indentation; only containers of containers are walked here.
+    """
+    chunks: list[str] = []
+    _indented(doc, "\n", chunks)
+    chunks.append("\n")
+    text = "".join(chunks)
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _indented(value: object, newline: str, chunks: list[str]) -> None:
+    """Append ``value`` indented as ``json.dumps(..., indent=2)`` does at the
+    depth whose line break and indentation is ``newline``."""
+    if not isinstance(value, _CONTAINERS):
+        chunks.append(encode_basestring(value) if isinstance(value, str) else json.dumps(value))
+        return
+    if not value:
+        chunks.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = newline + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+        text = json.dumps(value, ensure_ascii=False, separators=("," + inner, ": "))
+        chunks.append(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
+        return
+    separator = inner
+    if isinstance(value, dict):
+        chunks.append("{")
+        for key, item in value.items():
+            chunks.append(f"{separator}{encode_basestring(_key_text(key))}: ")
+            _indented(item, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    else:
+        chunks.append("[")
+        for item in value:
+            chunks.append(separator)
+            _indented(item, inner, chunks)
+            separator = "," + inner
+        chunks.append(newline + "]")
+
+
+def _key_text(key: object) -> str:
+    """A mapping key as ``json`` spells it: a string as itself, a number,
+    boolean or null as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -213,26 +269,31 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
     return Trace(tuple(steps), trace.metadata)
 
 
-def witness_entry_to_dict(entry: WitnessEntry) -> dict:
+_TEXT = operator.attrgetter("_value_")  # a verdict's string, read past ``Enum.value``
+
+
+def witness_entry_to_dict(entry: WitnessEntry, memo: dict[int, str] | None = None) -> dict:
+    """``entry`` as a dict; ``memo`` is passed to ``render`` for the residual."""
     return {
         "t": entry.t,
         "input": entry.input,
         "output": entry.output,
         "labels": sorted(entry.labels),
-        "residual": render(entry.residual, "ascii"),
+        "residual": render(entry.residual, "ascii", memo),
     }
 
 
-def report_to_dict(report: VerdictReport) -> dict:
+def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) -> dict:
+    """``report`` as a dict; ``memo`` is passed to ``render`` for every residual."""
     return {
         "constraint_id": report.constraint_id,
-        "verdicts": [v.value for v in report.verdicts],
+        "verdicts": list(map(_TEXT, report.verdicts)),
         "violations": report.violations,
         "satisfactions": report.satisfactions,
         "witnesses": [
             {
-                "verdict": ep.verdict.value,
-                "entries": [witness_entry_to_dict(e) for e in ep.entries],
+                "verdict": _TEXT(ep.verdict),
+                "entries": [witness_entry_to_dict(e, memo) for e in ep.entries],
             }
             for ep in report.witnesses
         ],
@@ -263,8 +324,13 @@ def report_from_dict(obj: Mapping) -> VerdictReport:
 
 
 def save_reports(reports: Iterable[VerdictReport], path: str | Path | None, extra: Mapping | None = None) -> None:
-    """Write reports as a single JSON document to ``path``, or to stdout."""
-    write_json({"reports": [report_to_dict(r) for r in reports], **(extra or {})}, path)
+    """Write reports as a single JSON document to ``path``, or to stdout.
+
+    Residuals are rendered through one memo for the document; the list of
+    reports keeps every rendered node alive while it is in use.
+    """
+    reports, memo = list(reports), {}
+    write_json({"reports": [report_to_dict(r, memo) for r in reports], **(extra or {})}, path)
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:

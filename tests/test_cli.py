@@ -486,6 +486,20 @@ class TestGuardCommand:
             {"model": {**ENDPOINT, "retries": 2.5}},
             {"model": {**ENDPOINT, "retries": True}},
             {"substitute_model": {**ENDPOINT, "timeout": True}},
+            {"action_temperature": True},
+            {"action_temperature": "0.2"},
+            {"sampling_temperature": "0.8"},
+            {"sampling_temperature": None},
+            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "temperature": True}},
+            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "temperature": "0"}},
+            {"model": {"type": "scripted", "distributions": [[["bad move", "0.5"], ["ok move", 0.5]]]}},
+            {"model": {"type": "scripted", "distributions": [[["bad move", True], ["ok move", 0.5]]]}},
+            {"substitute_model": {"type": "scripted", "distributions": [[["ok move", True]]]}},
+            {"model": {"type": "scripted", "distributions": [[[5, 0.5], ["ok move", 0.5]]]}},
+            {"model": {"type": "scripted", "distributions": [[[None, 0.5], ["ok move", 0.5]]]}},
+            {"labeler": {"type": "event", "tagged": "no"}},
+            {"labeler": {"type": "event", "tagged": 1}},
+            {"labeler": {"type": "event", "tagged": None}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):

@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
-from helpers import DEFAULT_PROPS, random_assignment, random_formula
+from helpers import DEFAULT_PROPS, all_assignments, random_assignment, random_formula
+from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
 from ltlguard.ltl import (
     FALSE,
     TRUE,
@@ -17,6 +19,7 @@ from ltlguard.ltl import (
     render,
     simplify,
 )
+from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.monitor import (
     REFERENCE,
     CrossCheckError,
@@ -29,7 +32,7 @@ from ltlguard.monitor import (
     step,
     trail,
 )
-from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, save_reports
+from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, report_to_dict, save_reports
 
 I, S, V = Verdict.INCONCLUSIVE, Verdict.SATISFIED, Verdict.VIOLATED
 
@@ -239,6 +242,62 @@ class TestCompiledPath:
         state = step(state, frozenset())
         again = step(state, frozenset())
         assert again is state and again.last_verdict is I
+
+
+class TestRenderMemo:
+    """Memoized renderings by node identity equal the unmemoized ``render``."""
+
+    def test_witness_and_guard_residuals_match_unmemoized_render(self):
+        rng = random.Random(1405)
+        labeler = RuleLabeler(frozenset(DEFAULT_PROPS), {p: rf"\b{p}\b" for p in DEFAULT_PROPS})
+        outputs = [" ".join(sorted(labels)) or "idle" for labels in all_assignments(DEFAULT_PROPS)]
+        for _ in range(25):
+            constraints = {f"c{i}": random_formula(rng, depth=rng.randint(1, 5)) for i in range(4)}
+            trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(30)])
+            for mode in ("plain", "reset"):
+                reset = mode == "reset"
+                reports = [
+                    *run_monitor(trace, constraints, mode=mode),
+                    *(
+                        report(trace.steps, trail(new_state(cid, phi, reset, REFERENCE), trace.steps))
+                        for cid, phi in sorted(constraints.items())
+                    ),
+                ]
+                memo: dict[int, str] = {}
+                for given in reports:
+                    written = report_to_dict(given, memo)
+                    for episode, entries in zip(given.witnesses, written["witnesses"], strict=True):
+                        for entry, saved in zip(episode.entries, entries["entries"], strict=True):
+                            assert saved["residual"] == render(entry.residual, "ascii")
+            model = ScriptedModel(distributions=(tuple((text, rng.random() + 0.01) for text in outputs),))
+            session = GuardedSession(model, labeler, constraints, InterventionPolicy(), seed=rng.randrange(1000))
+            replay = {cid: new_state(cid, phi, True, REFERENCE) for cid, phi in constraints.items()}
+            for _ in range(30):
+                outcome = guard_step(session, "")
+                replay = {cid: step(state, session.steps[-1].labels) for cid, state in replay.items()}
+                assert outcome.residuals == {cid: render(state.residual, "ascii") for cid, state in replay.items()}
+
+    def test_save_reports_keeps_rendered_nodes_alive(self, tmp_path):
+        # Reference residuals are fresh objects; a generator of reports must
+        # not let one be freed and its identity reused within one document.
+        rng = random.Random(1400)
+        constraints = {f"c{i}": random_formula(rng, depth=4) for i in range(12)}
+        trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(40)])
+        reports = (
+            report(trace.steps, trail(new_state(cid, phi, True, REFERENCE), trace.steps))
+            for cid, phi in sorted(constraints.items())
+        )
+        save_reports(reports, tmp_path / "memo.json")
+        expected = [
+            report(trace.steps, trail(new_state(cid, phi, True, REFERENCE), trace.steps))
+            for cid, phi in sorted(constraints.items())
+        ]
+        saved = json.loads((tmp_path / "memo.json").read_text(encoding="utf-8"))["reports"]
+        assert saved == [report_to_dict(r) for r in expected]
+
+    def test_english_style_takes_no_memo(self):
+        with pytest.raises(ValueError):
+            render(parse("G p"), "english", {})
 
 
 class TestAuditLog:

@@ -1,8 +1,11 @@
 """Trace loading/saving, validation, and labeler application."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlguard.trace import (
     LabelingError,
@@ -13,6 +16,7 @@ from ltlguard.trace import (
     label_step,
     load_trace,
     save_trace,
+    write_json,
 )
 
 
@@ -284,3 +288,56 @@ class TestLabelStep:
         with pytest.raises(LabelingError, match="step 2: undeclared proposition\\(s\\): mystery"):
             label_step(Rogue(), steps, "", "b")
         assert steps == before
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # any code point: non-ASCII, control characters, surrogates
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=True), st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriteJson:
+    """``write_json`` writes the bytes of ``json.dumps(..., indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS)
+    def test_equals_json_dumps(self, doc):
+        expected = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_json(doc)
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"reports": [], "empty": {}, "nested": [[], {}, [[]], ({},)]},
+            {"é \x00\x1f": ["\x7f", "ü", "\U0001f600"], 1: 2.5, 2.5: None, None: True, False: -0.0},
+            [float("nan"), float("inf"), -float("inf"), 10**30, {"a": [1, {"b": (2, 3)}]}],
+            "leaf",
+        ],
+    )
+    def test_equals_json_dumps_in_file(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        write_json(doc, path)
+        assert path.read_bytes() == (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("doc", [{("a",): 1}, {"a": [{(1, 2): 0}]}, [{1, 2}], {"a": [object()]}])
+    def test_unencodable_raises_type_error_like_json_dumps(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, ensure_ascii=False, indent=2)
+        with pytest.raises(TypeError):
+            write_json(doc, None)
