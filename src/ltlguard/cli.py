@@ -171,7 +171,7 @@ def cmd_guard(args: argparse.Namespace) -> int:
         raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
     _check_propositions(config.constraints, labeler)
     model = build_model(config.model_spec)
-    substitute = build_model(config.substitute_spec) if config.substitute_spec else None
+    substitute = None if config.substitute_spec is None else build_model(config.substitute_spec)
     seed = config.seed if args.seed is None else args.seed
     session = GuardedSession(
         model=model,

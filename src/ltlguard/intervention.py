@@ -20,7 +20,7 @@ from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state, report, trail
 from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern, rollout
-from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
+from .trace import LabelingFunction, StepRecord, Trace, VerdictReport, checked
 
 STRATEGIES = ("none", "resample", "inject", "switch")
 
@@ -46,16 +46,15 @@ class InterventionPolicy:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise PolicyError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
-        for name in ("n", "k", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PolicyError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
-            raise PolicyError(f"tau must be a number, got {self.tau!r}")
+        try:
+            for name, kind in (("n", "integer"), ("k", "integer"), ("m", "integer"), ("tau", "number")):
+                checked(getattr(self, name), kind, name)
+            checked(self.pattern, "string", "pattern")
+            checked(self.inject_template, "string", "inject_template", nullable=True)
+        except TypeError as err:
+            raise PolicyError(str(err)) from None
         if not 0.0 <= self.tau <= 1.0:
             raise PolicyError(f"tau must be in [0, 1], got {self.tau}")
-        if self.inject_template is not None and not isinstance(self.inject_template, str):
-            raise PolicyError(f"inject_template must be a string, got {self.inject_template!r}")
         if self.n < 1:
             raise PolicyError("n must be >= 1")
         if self.k < 1 or self.m < 1:

@@ -185,17 +185,6 @@ class EndpointModel:
 
     def __post_init__(self) -> None:
         self._session: requests.Session | None = None
-        for names, kinds, kind_name in (
-            (("base_url", "model", "api_key_env"), str, "a string"),
-            (("system_prompt", "audit_log_path"), (str, type(None)), "a string or null"),
-            (("retries",), int, "an integer"),
-            (("max_tokens",), (int, type(None)), "an integer or null"),
-            (("timeout", "backoff"), (int, float), "a number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    raise TypeError(f"{name} must be {kind_name}, got {value!r}")
         if self.retries < 1:
             raise ValueError(f"retries must be at least 1, got {self.retries}")
         if not self.timeout > 0:
@@ -279,7 +268,8 @@ class EndpointModel:
 
 @dataclass(frozen=True)
 class RuleLabeler:
-    """Deterministic regex labeler over the latest step's output."""
+    """Deterministic regex labeler over the latest step's output: one rule
+    for each proposition of the vocabulary, so that each one can be labeled."""
 
     vocabulary: frozenset[str]
     rules: Mapping[str, str]
@@ -288,6 +278,8 @@ class RuleLabeler:
         extra = set(self.rules) - self.vocabulary
         if extra:
             raise ValueError(f"rules for undeclared propositions: {sorted(extra)}")
+        if missing := self.vocabulary - set(self.rules):
+            raise ValueError(f"no rule for vocabulary propositions: {sorted(missing)}")
         object.__setattr__(
             self, "_compiled", {p: re.compile(rx) for p, rx in self.rules.items()}
         )

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 
 from ..ltl import And, Eventually, Formula, Next, Or, Prop, parse, render
 from ..models import derive_seed
-from ..trace import StepRecord, Trace, read_jsonl, step_from_dict, step_to_dict, write_jsonl
+from ..trace import (
+    StepRecord, Trace, checked, checked_items, read_jsonl, step_from_dict, step_to_dict, write_jsonl
+)
 from .events import (
     CATEGORIES,
     AttributeEvent,
@@ -85,36 +87,39 @@ class BenchCase:
 
 
 def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
-    """Decode one case of a bench file; ``line_no`` is its line, for errors."""
+    """Decode one case of a bench file; ``line_no`` is its line, for errors.
+    A value of the wrong JSON type raises ``TypeError``."""
+    obj = checked(obj, "object", "a case")
     constraints = tuple(
         BenchConstraint(
-            constraint_id=c["id"],
-            formula=parse(c["formula"]),
-            informal=c["informal"],
-            precise=c["precise"],
-            path=tuple(c["path"]),
-            tree_paths=tuple(tuple(p) for p in c.get("tree_paths", ())),
+            constraint_id=checked(c["id"], "string", "id"),
+            formula=parse(checked(c["formula"], "string", "formula")),
+            informal=checked(c["informal"], "string", "informal"),
+            precise=checked(c["precise"], "string", "precise"),
+            path=tuple(checked_items(c["path"], "string", "path")),
+            tree_paths=tuple(
+                tuple(checked_items(p, "string", "a tree path"))
+                for p in checked(c.get("tree_paths", []), "array", "tree_paths")
+            ),
         )
-        for c in obj["constraints"]
+        for c in checked_items(obj["constraints"], "object", "constraints")
     )
-    truth = obj["truth"]
+    truth = checked_items(obj["truth"], "boolean", "truth")
     if not constraints:
         raise GenerationError(f"line {line_no}: a case needs at least one constraint")
-    if not isinstance(obj["knobs"], dict):
-        raise GenerationError(f"line {line_no}: 'knobs' must be a JSON object")
-    booleans = isinstance(truth, list) and all(type(x) is bool for x in truth)
-    if not booleans or len(truth) != len(constraints):
+    if len(truth) != len(constraints):
         raise GenerationError(f"line {line_no}: 'truth' must be an array of booleans, one per constraint")
+    trace = checked(obj["trace"], "object", "trace")
     # A step without labels carries the empty set: bench traces are fully labeled.
     steps = tuple(
         step if step.labels is not None else replace(step, labels=frozenset())
-        for step in (step_from_dict(s, line_no) for s in obj["trace"]["steps"])
+        for step in (step_from_dict(s, line_no) for s in checked(trace["steps"], "array", "steps"))
     )
     return BenchCase(
-        trace=Trace(steps, obj["trace"].get("metadata", {})),
+        trace=Trace(steps, checked(trace.get("metadata", {}), "object", "metadata")),
         constraints=constraints,
         truth=tuple(truth),
-        knobs=obj["knobs"],
+        knobs=checked(obj["knobs"], "object", "knobs"),
     )
 
 
@@ -127,7 +132,7 @@ def load_cases(path) -> list[BenchCase]:
     for n, obj in read_jsonl(path):
         try:
             cases.append(case_from_dict(obj, n))
-        except (KeyError, TypeError, AttributeError) as err:
+        except (KeyError, TypeError) as err:
             raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
     return cases
 

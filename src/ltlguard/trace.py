@@ -126,6 +126,29 @@ def step_from_dict(obj: dict, line_no: int) -> StepRecord:
     )
 
 
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool, "array": list, "object": dict}
+
+
+def checked(value: object, kind: str, name: str, nullable: bool = False):
+    """``value`` unchanged if its JSON type is ``kind`` (``string``,
+    ``integer``, ``number``, ``boolean``, ``array`` or ``object``), where an
+    integer counts as a number and a bool as neither, or if it is null and
+    ``nullable`` is set; otherwise ``TypeError`` names it."""
+    if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean"):
+        return value
+    if nullable and value is None:
+        return value
+    article = "an" if kind[0] in "aio" else "a"
+    raise TypeError(f"{name} must be {article} {kind}{' or null' if nullable else ''}, got {value!r}")
+
+
+def checked_items(value: object, kind: str, name: str) -> list:
+    """``value`` unchanged if it is an array whose every item has JSON type ``kind``."""
+    for item in checked(value, "array", name):
+        checked(item, kind, f"an item of {name}")
+    return value
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` for each nonblank line of a JSONL file; a
     line that is not JSON raises ``TraceError``."""
@@ -257,8 +280,10 @@ def label_step(labeler: LabelingFunction, steps: list[StepRecord], input: str, o
 def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = False) -> Trace:
     """Return a copy of ``trace`` with labels populated at every step.
 
-    Existing labels are preserved unless ``overwrite`` is set; the labeler
-    always sees the history with its own (not the embedded) labels.
+    Existing labels are preserved unless ``overwrite`` is set, and are kept
+    as given: they need not lie in the labeler's vocabulary.  Each labeler
+    call sees the steps before it as they appear in the result, so a kept
+    step shows the labeler its embedded labels.
     """
     steps: list[StepRecord] = []
     for step in trace.steps:
@@ -301,24 +326,25 @@ def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) ->
 
 
 def report_from_dict(obj: Mapping) -> VerdictReport:
+    """Decode one report; a value of the wrong JSON type raises ``TypeError``."""
     witnesses = []
-    for ep in obj.get("witnesses", ()):
+    for ep in checked_items(obj.get("witnesses", []), "object", "witnesses"):
         entries = tuple(
             WitnessEntry(
-                t=e["t"],
-                input=e.get("input", ""),
-                output=e.get("output", ""),
-                labels=frozenset(e.get("labels", ())),
-                residual=parse(e["residual"]),
+                t=checked(e["t"], "integer", "t"),
+                input=checked(e.get("input", ""), "string", "input"),
+                output=checked(e.get("output", ""), "string", "output"),
+                labels=frozenset(checked_items(e.get("labels", []), "string", "labels")),
+                residual=parse(checked(e["residual"], "string", "residual")),
             )
-            for e in ep.get("entries", ())
+            for e in checked_items(ep.get("entries", []), "object", "entries")
         )
-        witnesses.append(WitnessEpisode(Verdict(ep["verdict"]), entries))
+        witnesses.append(WitnessEpisode(Verdict(checked(ep["verdict"], "string", "verdict")), entries))
     return VerdictReport(
-        constraint_id=obj["constraint_id"],
-        verdicts=tuple(Verdict(v) for v in obj["verdicts"]),
-        violations=obj["violations"],
-        satisfactions=obj["satisfactions"],
+        constraint_id=checked(obj["constraint_id"], "string", "constraint_id"),
+        verdicts=tuple(map(Verdict, checked_items(obj["verdicts"], "string", "verdicts"))),
+        violations=checked(obj["violations"], "integer", "violations"),
+        satisfactions=checked(obj["satisfactions"], "integer", "satisfactions"),
         witnesses=tuple(witnesses),
     )
 
@@ -337,8 +363,9 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
     """Load a report document; a missing or malformed field raises ``TraceError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return [report_from_dict(obj) for obj in doc["reports"]]
+        reports = checked(doc, "object", "a report document")["reports"]
+        return [report_from_dict(obj) for obj in checked_items(reports, "object", "reports")]
     except KeyError as err:
         raise TraceError(f"{path}: missing field {err.args[0]!r}") from err
-    except (AttributeError, TypeError) as err:
+    except TypeError as err:
         raise TraceError(f"{path}: malformed report: {err}") from err

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -324,6 +325,65 @@ class TestAuditCommand:
         assert code == 2
         assert "error:" in err and repr(field) in err
 
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"verdicts": "violated"}, "verdicts must be an array, got 'violated'"),
+            ({"violations": "1"}, "violations must be an integer, got '1'"),
+            ({"witnesses": {}}, "witnesses must be an array, got {}"),
+            (
+                {"witnesses": [{"verdict": "violated", "entries": [{"t": 1, "labels": "bad", "residual": "false"}]}]},
+                "labels must be an array, got 'bad'",
+            ),
+        ],
+        ids=["verdicts-string", "violations-string", "witnesses-object", "entry-labels-string"],
+    )
+    def test_wrongly_typed_f1_truth_exit_2(self, capsys, tmp_path, report, message):
+        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
+        write_json(config, RULE_CONFIG)
+        base = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
+        write_json(truth, {"reports": [{**base, **report}]})
+        write_trace(trace, ["bad"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {truth}: malformed report: {message}\n"
+
+    def test_embedded_labels_outside_vocabulary_kept_without_relabel(self, capsys, tmp_path):
+        # The vocabulary check covers what a labeler produces, not labels a
+        # trace embeds: without --relabel, step 1 keeps its labels as given,
+        # "done" included, and only step 2 is labeled.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_text(
+            json.dumps({"t": 1, "output": "x", "labels": ["done", "goal"]}) + "\n"
+            + json.dumps({"t": 2, "output": "fine"}) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 0
+        assert err == "audited 2 steps against 2 constraints: 0 violation(s)\n"
+        entry = {"t": 1, "input": "", "output": "x", "labels": ["done", "goal"], "residual": "true"}
+        assert json.loads(out) == {
+            "reports": [
+                {
+                    "constraint_id": "no_bad",
+                    "verdicts": ["inconclusive", "inconclusive"],
+                    "violations": 0,
+                    "satisfactions": 0,
+                    "witnesses": [],
+                },
+                {
+                    "constraint_id": "reach_goal",
+                    "verdicts": ["satisfied", "inconclusive"],
+                    "violations": 0,
+                    "satisfactions": 1,
+                    "witnesses": [{"verdict": "satisfied", "entries": [entry]}],
+                },
+            ],
+            "mode": "reset",
+            "trace_length": 2,
+        }
+
     def test_embedded_labels_used_when_no_labeler(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -500,6 +560,15 @@ class TestGuardCommand:
             {"labeler": {"type": "event", "tagged": "no"}},
             {"labeler": {"type": "event", "tagged": 1}},
             {"labeler": {"type": "event", "tagged": None}},
+            {"model": {"type": "scripted", "outputs": "abc"}},
+            {"substitute_model": []},
+            {"policy": []},
+            {"policy": {**GUARD_CONFIG["policy"], "template_path": 0}},
+            {"policy": {**GUARD_CONFIG["policy"], "substitute_model": 0}},
+            {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": []}},
+            {"labeler": {"type": "rule", "vocabulary": "bad", "rules": {"b": "b", "a": "a", "d": "d"}}},
+            # A vocabulary proposition without a rule could never be labeled.
+            {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": {}}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
@@ -812,6 +881,59 @@ class TestConfigMutation:
             assert err.getvalue().startswith("error:")
 
 
+def wrong_kinds(value):
+    """The empty or zero value of each JSON kind other than ``value``'s,
+    and 2.5 in place of an integer."""
+
+    def kind(v):
+        return "number" if type(v) in (int, float) else type(v)
+
+    return [v for v in ("", 0, False, [], {}) if kind(v) != kind(value)] + [2.5] * (type(value) is int)
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+class TestEveryValueOfAnotherKind:
+    """Each non-null value of each mutation base, replaced by a value of
+    another JSON kind, is rejected before any step runs or output is written."""
+
+    @pytest.mark.parametrize(
+        "command, base", MUTATION_BASES, ids=["audit-rule", "audit-embedded", "guard-switch", "guard-resample"]
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, command, base):
+        trace, config, out = tmp_path / "trace.jsonl", tmp_path / "config.json", tmp_path / "out"
+        trace.write_text(json.dumps({"t": 1, "output": "goal done", "labels": ["goal", "done"]}) + "\n")
+        if command == "audit":
+            argv = ["audit", str(trace), "--config", str(config), "--out", str(out)]
+        else:
+            argv = ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(out)]
+        failures, runs = [], 0
+        for path in json_paths(base):
+            if value_at(base, path) is None:
+                continue
+            for wrong in wrong_kinds(value_at(base, path)):
+                doc = copy.deepcopy(base)
+                value_at(doc, path[:-1])[path[-1]] = copy.deepcopy(wrong)
+                write_json(config, doc)
+                err = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                except Exception as exc:  # an exception escaping main is a failure too
+                    code = repr(exc)
+                runs += 1
+                lines = err.getvalue().splitlines()
+                if code != 2 or len(lines) != 1 or not lines[0].startswith("error:") or out.exists():
+                    failures.append((path, wrong, code, lines))
+                if out.exists():
+                    shutil.rmtree(out) if out.is_dir() else out.unlink()
+        assert runs > 0 and failures == []
+
+
 class TestBenchCommands:
     def test_gen_balanced_counts(self, capsys, tmp_path):
         out = tmp_path / "bench.jsonl"
@@ -943,6 +1065,13 @@ class TestBenchCommands:
             (bench_case_line(FOX_STEP, truth=[1]), None),
             (bench_case_line(FOX_STEP, truth=True), None),
             (bench_case_line(FOX_STEP, truth=[], constraints=[]), None),
+            (
+                bench_case_line(
+                    FOX_STEP,
+                    constraints=[{"id": "c1", "formula": "F animal_fox", "informal": "", "precise": "", "path": "abc"}],
+                ),
+                None,
+            ),
         ],
         ids=[
             "judge-config-not-an-object",
@@ -956,6 +1085,7 @@ class TestBenchCommands:
             "truth-integer",
             "truth-not-an-array",
             "no-constraints",
+            "path-not-an-array",
         ],
     )
     def test_eval_malformed_input_exit_2(self, capsys, tmp_path, bench_line, judge_config):

@@ -191,6 +191,12 @@ class TestRuleLabeler:
         with pytest.raises(ValueError, match="undeclared"):
             RuleLabeler(frozenset({"a"}), {"b": "x"})
 
+    def test_every_proposition_needs_a_rule(self):
+        # A proposition without a rule could never be labeled, so a
+        # constraint over it would pass the vocabulary check and never fire.
+        with pytest.raises(ValueError, match=r"no rule for vocabulary propositions: \['b'\]"):
+            RuleLabeler(frozenset({"a", "b"}), {"a": "x"})
+
     def test_deterministic(self):
         labeler = RuleLabeler(frozenset({"x", "y"}), {"x": "foo", "y": "bar"})
         steps = [StepRecord(1, "", "foo and bar")]

@@ -13,6 +13,8 @@ from ltlguard.trace import (
     Trace,
     TraceError,
     apply_labeler,
+    checked,
+    checked_items,
     label_step,
     load_trace,
     save_trace,
@@ -129,6 +131,40 @@ class TestLoadTrace:
         save_trace(trace, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text())["labels"] == ["a", "b", "c"]
+
+
+class TestChecked:
+    @pytest.mark.parametrize(
+        "value, kind, nullable",
+        [("", "string", False), (2, "integer", False), (2, "number", False), (2.5, "number", False),
+         (False, "boolean", False), ([], "array", False), ({}, "object", False), (None, "string", True)],
+    )
+    def test_returns_value_of_its_kind_unchanged(self, value, kind, nullable):
+        assert checked(value, kind, "v", nullable=nullable) is value
+
+    @pytest.mark.parametrize(
+        "value, kind, nullable, message",
+        [
+            (True, "integer", False, "v must be an integer, got True"),
+            (True, "number", False, "v must be a number, got True"),
+            (1, "boolean", False, "v must be a boolean, got 1"),
+            (2.0, "integer", True, "v must be an integer or null, got 2.0"),
+            (None, "object", False, "v must be an object, got None"),
+            ("abc", "array", False, "v must be an array, got 'abc'"),
+        ],
+    )
+    def test_rejects_other_kinds(self, value, kind, nullable, message):
+        with pytest.raises(TypeError) as err:
+            checked(value, kind, "v", nullable=nullable)
+        assert str(err.value) == message
+
+    def test_items(self):
+        items = ["a", "b"]
+        assert checked_items(items, "string", "v") is items
+        with pytest.raises(TypeError, match="^an item of v must be a string, got 5$"):
+            checked_items(["a", 5], "string", "v")
+        with pytest.raises(TypeError, match="^v must be an array, got 'ab'$"):
+            checked_items("ab", "string", "v")
 
 
 class TestTraceInvariants:
