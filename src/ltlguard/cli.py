@@ -14,9 +14,9 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
-from .config import EMBEDDED, ConfigError, build_labeler, build_model, load_config
+from .config import EMBEDDED, ConfigError, build_labeler, build_model, endpoint_spec, load_config
 from .intervention import GuardedSession, run_guarded, violation_rate
-from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, props_of, render
+from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, render
 from .ltl.ast import SYNTAX
 from .monitor import CrossCheckError, audit_log, new_state, score_f1, step
 from .synthbench import (
@@ -77,19 +77,19 @@ def _parse_labels(text: str) -> TruthAssignment:
 
 
 def _check_propositions(
-    constraints: Mapping[str, Formula], labeler: LabelingFunction | str, trace: Trace | None = None
+    propositions: Mapping[str, frozenset[str]], labeler: LabelingFunction | str, trace: Trace | None = None
 ) -> None:
-    """Reject constraint propositions outside the labeler's vocabulary, which
-    no step could ever carry; with embedded labels, which have no vocabulary,
-    warn about those no step of ``trace`` carries."""
+    """Reject constraint propositions, as written, outside the labeler's
+    vocabulary, which no step could ever carry; with embedded labels, which
+    have no vocabulary, warn about those no step of ``trace`` carries."""
     if labeler is EMBEDDED:
         seen = frozenset().union(*(record.labels or () for record in trace.steps))
-        for cid, phi in sorted(constraints.items()):
-            for prop in sorted(props_of(phi) - seen):
+        for cid, props in sorted(propositions.items()):
+            for prop in sorted(props - seen):
                 _human(f"warning: constraint {cid!r}: proposition {prop!r} is in no step's labels")
         return
-    for cid, phi in sorted(constraints.items()):
-        unknown = props_of(phi) - labeler.vocabulary
+    for cid, props in sorted(propositions.items()):
+        unknown = props - labeler.vocabulary
         if unknown:
             raise ConfigError(
                 f"constraint {cid!r}: proposition(s) {', '.join(sorted(unknown))} "
@@ -128,11 +128,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     trace = load_trace(args.trace)
     labeler = build_labeler(config.labeler_spec)
-    _check_propositions(config.constraints, labeler, trace)
+    _check_propositions(config.propositions, labeler, trace)
     if labeler is not EMBEDDED:
         trace = apply_labeler(trace, labeler, overwrite=args.relabel)
     mode = args.mode or config.mode
-    reports = audit_log(trace, config.constraints, mode=mode, cross_check=args.cross_check)
+    reports = audit_log(
+        trace, config.constraints, mode=mode, cross_check=args.cross_check, cache=config.automaton
+    )
     extra: dict = {"mode": mode, "trace_length": len(trace)}
     if args.f1_against:
         truth = load_reports(args.f1_against)
@@ -169,7 +171,7 @@ def cmd_guard(args: argparse.Namespace) -> int:
     labeler = build_labeler(config.labeler_spec)
     if labeler is EMBEDDED:
         raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
-    _check_propositions(config.constraints, labeler)
+    _check_propositions(config.propositions, labeler)
     model = build_model(config.model_spec)
     substitute = None if config.substitute_spec is None else build_model(config.substitute_spec)
     seed = config.seed if args.seed is None else args.seed
@@ -185,6 +187,7 @@ def cmd_guard(args: argparse.Namespace) -> int:
         action_temperature=config.action_temperature,
         sampling_temperature=config.sampling_temperature,
         reset_mode=(config.mode == "reset"),
+        cache=config.automaton,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,9 +251,7 @@ def cmd_bench_eval(args: argparse.Namespace) -> int:
         if not args.judge_config:
             raise ConfigError("--judge endpoint requires --judge-config")
         spec = json.loads(Path(args.judge_config).read_text(encoding="utf-8"))
-        if not isinstance(spec, dict):
-            raise ConfigError("judge config must be a JSON object")
-        judge = build_model({"type": "endpoint", **spec})
+        judge = build_model(endpoint_spec(spec, "judge config"))
     report = eval_judge(cases, judge, level=args.level, seed=args.seed)
     write_json(report.to_dict(), args.out)
     _human(

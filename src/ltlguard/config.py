@@ -11,11 +11,11 @@ import functools
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .intervention import InterventionPolicy
-from .ltl import Formula, ParseError, parse
+from .ltl import Formula, ParseError, ProgressionCache, parse_written
 from .models import EndpointLabeler, EndpointModel, RuleLabeler, ScriptedModel
 from .synthbench import AttributeEventLabeler
 from .trace import LabelingFunction, checked, checked_items
@@ -42,9 +42,20 @@ def _config_errors(build):
     return wrapped
 
 
+# Every top-level key a config may have.
+KEYS = frozenset({
+    "constraints", "labeler", "model", "substitute_model", "policy", "mode", "seed",
+    "initial_input", "stop_token", "action_temperature", "sampling_temperature",
+})
+
+
 @dataclass
 class Config:
+    # Each constraint's objective, parsed straight into a state of ``automaton``.
     constraints: dict[str, Formula]
+    # The proposition names each formula is written with, normalized away or not.
+    propositions: dict[str, frozenset[str]]
+    automaton: ProgressionCache = field(repr=False)
     glosses: dict[str, str]
     labeler_spec: Mapping | None
     model_spec: Mapping | None
@@ -67,10 +78,14 @@ def load_config(path: str | Path) -> Config:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     raw = checked(raw, "object", "config")
+    if unknown := sorted(raw.keys() - KEYS):
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     entries = checked(raw.get("constraints", []), "array", "constraints")
     if not entries:
         raise ConfigError("config needs a nonempty 'constraints' array")
+    automaton = ProgressionCache()
     constraints: dict[str, Formula] = {}
+    propositions: dict[str, frozenset[str]] = {}
     glosses: dict[str, str] = {}
     for i, entry in enumerate(entries, 1):
         if "id" not in checked(entry, "object", f"constraint #{i}") or "formula" not in entry:
@@ -79,7 +94,9 @@ def load_config(path: str | Path) -> Config:
         if cid in constraints:
             raise ConfigError(f"duplicate constraint id {cid!r}")
         try:
-            constraints[cid] = parse(checked(entry["formula"], "string", f"constraint {cid!r}: formula"))
+            constraints[cid], propositions[cid] = parse_written(
+                checked(entry["formula"], "string", f"constraint {cid!r}: formula"), automaton
+            )
         except ParseError as err:
             raise ConfigError(f"constraint {cid!r}: {err}") from err
         if gloss := checked(entry.get("gloss", ""), "string", f"constraint {cid!r}: gloss"):
@@ -114,6 +131,8 @@ def load_config(path: str | Path) -> Config:
 
     return Config(
         constraints=constraints,
+        propositions=propositions,
+        automaton=automaton,
         glosses=glosses,
         labeler_spec=checked(raw.get("labeler"), "object", "labeler", nullable=True),
         model_spec=model_spec,
@@ -167,6 +186,19 @@ def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
     raise ConfigError(f"unknown model type {kind!r}")
 
 
+@_config_errors
+def endpoint_spec(spec: object, name: str) -> dict:
+    """A nested endpoint model spec, such as the ``endpoint`` labeler's or a
+    judge config, as a ``build_model`` spec: its ``type``, if present, must
+    be ``endpoint``."""
+    spec = checked(spec, "object", name)
+    if spec.get("type", "endpoint") != "endpoint":
+        raise ConfigError(
+            f"invalid config value: {name}'s 'type' must be 'endpoint' or absent, got {spec['type']!r}"
+        )
+    return {**spec, "type": "endpoint"}
+
+
 EMBEDDED = "embedded"
 
 
@@ -193,7 +225,7 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
         )
     if kind == "endpoint":
         return EndpointLabeler(
-            endpoint=build_model({"type": "endpoint", **checked(spec["endpoint"], "object", "endpoint")}),
+            endpoint=build_model(endpoint_spec(spec["endpoint"], "endpoint")),
             vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
             temperature=float(checked(spec.get("temperature", 0.0), "number", "temperature")),
             max_context_chars=checked(spec.get("max_context_chars", 8000), "integer", "max_context_chars"),

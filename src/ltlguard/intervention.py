@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
-from .monitor import MonitorState, ProgressionCache, new_state, report, trail
+from .monitor import MonitorState, ProgressionCache, new_state, run_states
 from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern, rollout
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport, checked
 
@@ -122,6 +122,7 @@ class GuardedSession:
         action_temperature: float = 0.2,
         sampling_temperature: float = 0.8,
         reset_mode: bool = True,
+        cache: ProgressionCache | None = None,
     ):
         if policy.strategy == "switch" and substitute is None:
             raise PolicyError("strategy 'switch' requires a substitute model")
@@ -134,7 +135,9 @@ class GuardedSession:
         self.stop_token = stop_token
         self.action_temperature = action_temperature
         self.sampling_temperature = sampling_temperature
-        cache = ProgressionCache()
+        # The session's residual automaton: ``cache``, such as the one its
+        # config was parsed into, or a fresh one.
+        cache = ProgressionCache() if cache is None else cache
         self.states: dict[str, MonitorState] = {
             cid: new_state(cid, constraints[cid], reset_mode, cache)
             for cid in sorted(constraints)
@@ -334,8 +337,7 @@ def run_guarded(
         },
     )
     fresh = [new_state(cid, st.objective, st.reset_mode, st.automaton) for cid, st in session.states.items()]
-    reports = [report(session.steps, trail(state, session.steps)) for state in fresh]
-    return trace, list(session.outcomes), reports
+    return trace, list(session.outcomes), run_states(fresh, session.steps)
 
 
 def violation_rate(reports: Sequence[VerdictReport]) -> float:

@@ -21,7 +21,7 @@ from .ast import (
     props_of,
 )
 from .lasso import evaluate_lasso
-from .parser import ParseError, parse
+from .parser import ParseError, parse, parse_written
 from .progression import ProgressionCache, progress, simplify, verdict_of
 from .render import render
 
@@ -47,6 +47,7 @@ __all__ = [
     "evaluate_lasso",
     "node_count",
     "parse",
+    "parse_written",
     "progress",
     "props_of",
     "render",

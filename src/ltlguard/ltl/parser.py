@@ -4,14 +4,19 @@ Spellings and binding strengths come from ``ast.SYNTAX``.  Loosest to
 tightest: ``->``, ``|``, ``&``, ``U`` (all right-assoc), unary (``!``,
 ``G``, ``F``, ``X``).  Parentheses override.  Unicode aliases are
 accepted for every operator so that the symbolic rendering parses back.
+Given a residual automaton, the parser builds each node through its
+normalizing constructors, so no plain tree is built and walked again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ast import ATOM, FALSE, IDENT, SYNTAX, TRUE, UNARY, Formula, Prop
+
+if TYPE_CHECKING:
+    from .progression import ProgressionCache
 
 
 class ParseError(ValueError):
@@ -43,14 +48,15 @@ _SPELLINGS = {
 }
 
 # Alphabetic spellings lex as identifiers and are resolved through
-# ``_SPELLINGS``; every other spelling is an operator, longest first.
+# ``_SPELLINGS``; every other spelling is an operator, longest first.  Each
+# match is one token with the whitespace before it.
 _OPERATORS = sorted([*(s for s in _SPELLINGS if not s.isalpha()), "(", ")"], key=len, reverse=True)
 _TOKEN = re.compile(
-    rf"(?P<space>\s+)|(?P<word>{IDENT})|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<bad>.)",
-    re.DOTALL,
+    rf"\s*(?:(?P<word>{IDENT})|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<bad>\S))"
 )
 
 _CONSTANTS = {type(c): c for c in (TRUE, FALSE)}
+_BINARY = {cls: syntax.strength for cls, syntax in SYNTAX.items() if syntax.strength < UNARY}
 
 _ATOM_EXPECTED = (
     "identifier",
@@ -63,17 +69,21 @@ _ATOM_EXPECTED = (
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0  # line_start: index of the current line's first character
+    multiline = "\n" in text
+    end = 0
     for m in _TOKEN.finditer(text):
-        kind, word, column = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "space":
-            newlines = word.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + word.rindex("\n") + 1
-        elif kind == "bad":
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if multiline and (newlines := text.count("\n", m.start(), start)):
+            line += newlines
+            line_start = text.rindex("\n", 0, start) + 1
+        word, column = text[start:end], start - line_start + 1
+        if kind == "bad":
             raise ParseError(f"unknown operator or character {word!r}", line, column)
-        else:
-            tokens.append(Token(word, line, column, _SPELLINGS.get(word, Prop if kind == "word" else None)))
+        tokens.append(Token(word, line, column, _SPELLINGS.get(word, Prop if kind == "word" else None)))
+    if multiline and (newlines := text.count("\n", end)):
+        line += newlines
+        line_start = text.rindex("\n") + 1
     tokens.append(Token("", line, len(text) - line_start + 1, None))
     return tokens
 
@@ -82,10 +92,15 @@ def _unexpected(tok: Token) -> str:
     return f"unexpected {tok.text!r}" if tok.text else "unexpected end of input"
 
 
+def _tree(cls: type[Formula], *children: Formula | str) -> Formula:
+    return cls(*children)
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: list[Token], build) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.build = build  # (node class, *children) -> node; a proposition's child is its name
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -96,26 +111,28 @@ class _Parser:
         return tok
 
     def binary(self, strength: int = 1) -> Formula:
-        """Operands binding tighter than ``strength``, joined right-associatively
-        by the binary operator of that strength."""
-        if strength == UNARY:
-            return self.operand()
-        left = self.binary(strength + 1)
-        node = self.peek().node
-        if node is not None and SYNTAX[node].strength == strength:
-            self.advance()
-            return node(left, self.binary(strength))
-        return left
+        """Operands joined by the binary operators of ``strength`` or tighter.
+
+        Precedence climbing: an operator's right operand takes every later
+        operator binding at least as tight, so each binds right-associatively.
+        """
+        left = self.operand()
+        while True:
+            op_strength = _BINARY.get(self.peek().node)
+            if op_strength is None or op_strength < strength:
+                return left
+            node = self.advance().node
+            left = self.build(node, left, self.binary(op_strength))
 
     def operand(self) -> Formula:
         tok = self.advance()
         node = tok.node
         if node is Prop:
-            return Prop(tok.text)
+            return self.build(Prop, tok.text)
         if node in _CONSTANTS:
             return _CONSTANTS[node]
         if node is not None and SYNTAX[node].strength == UNARY:
-            return node(self.operand())
+            return self.build(node, self.operand())
         if tok.text == "(":
             inner = self.binary()
             closing = self.peek()
@@ -126,13 +143,21 @@ class _Parser:
         raise ParseError(_unexpected(tok), tok.line, tok.column, expected=_ATOM_EXPECTED)
 
 
-def parse(text: str) -> Formula:
-    """Parse a formula string into its AST.
+def parse(text: str, automaton: ProgressionCache | None = None) -> Formula:
+    """Parse a formula string into its AST, or with ``automaton`` into the
+    state ``automaton.normalize(parse(text))`` of it, built directly.
 
     Raises ParseError with line/column positioning and ``text`` on bad input.
     """
+    return parse_written(text, automaton)[0]
+
+
+def parse_written(text: str, automaton: ProgressionCache | None = None) -> tuple[Formula, frozenset[str]]:
+    """``parse(text, automaton)`` and the proposition names of the text's
+    tokens, which include any that normalizing drops (``q`` in ``G (q | true)``)."""
     try:
-        parser = _Parser(tokenize(text))
+        tokens = tokenize(text)
+        parser = _Parser(tokens, _tree if automaton is None else automaton.build)
         phi = parser.binary()
         trailing = parser.peek()
         if trailing.text == ")":
@@ -142,4 +167,5 @@ def parse(text: str) -> Formula:
     except ParseError as err:
         err.text = text
         raise
-    return phi
+    written = frozenset(tok.text for tok in tokens if tok.node is Prop)
+    return (phi if automaton is None else automaton.normalize(phi)), written

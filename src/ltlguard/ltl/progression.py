@@ -142,6 +142,10 @@ def simplify(phi: Formula) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+# Each composite node class's children, in field order.
+_FIELDS = {cls: cls.__match_args__ for cls in (Not, And, Or, Implies, Next, Until, Eventually, Always)}
+
+
 def _operands(kind: type, phi: Formula) -> list[Formula]:
     # Normal-form chains are right-nested and no left operand is itself of
     # the chain's kind, so walking the right spine flattens them.
@@ -161,9 +165,11 @@ class ProgressionCache:
     nodes of one automaton are the same object.  The constructors apply
     the ``simplify`` rules as they build: flatten same-kind chains, drop
     units and duplicates, short-circuit on the absorbing element, collapse
-    double negation.  Hence ``normalize(phi)`` is ``simplify(phi)`` and
-    ``progress_simplify(phi, sigma)`` is ``simplify(progress(phi, sigma))``,
-    both as states of this automaton.  The automaton is a Moore machine: a
+    double negation; ``build`` is one such step, over normal children, and
+    the parser builds a formula through it.  Hence ``normalize(phi)`` is
+    ``simplify(phi)`` and ``progress_simplify(phi, sigma)`` is
+    ``simplify(progress(phi, sigma))``, both as states of this automaton.
+    The automaton is a Moore machine: a
     node's propositions are set when it is built and a state's verdict when
     it is registered.  A state's transitions found so far are keyed by the
     step's labels restricted to its propositions, each to the successor and
@@ -171,7 +177,7 @@ class ProgressionCache:
     once.  The automaton keeps every node it built alive, which keeps the
     identities in its keys unique and makes ``rendered``, its memo of
     ascii renderings by node identity, sound.  It lives as long as its
-    owner: one ``run_monitor`` call or guarded session.
+    owner: a loaded config, one ``run_monitor`` call or a guarded session.
     """
 
     __slots__ = ("_nodes", "_props", "_states", "rendered")
@@ -190,7 +196,10 @@ class ProgressionCache:
         if node is None:
             node = self._nodes[key] = cls(*children)
             props = self._props
-            props[id(node)] = props[id(children[0])].union(*(props[id(c)] for c in children[1:]))
+            own = props[id(children[0])]
+            if len(children) == 2:
+                own = own | props[id(children[1])]
+            props[id(node)] = own
         return node
 
     def _temporal(self, cls: type, *children: Formula) -> Formula:
@@ -227,6 +236,8 @@ class ProgressionCache:
             return right
         if right is unit:
             return left
+        if type(left) is not kind and type(right) is not kind:
+            return self._node(kind, left, right)  # two distinct single operands
         children = _operands(kind, left)
         seen = set(map(id, children))
         children.extend(c for c in _operands(kind, right) if id(c) not in seen)
@@ -235,45 +246,66 @@ class ProgressionCache:
             node = self._node(kind, child, node)
         return node
 
-    def _normalize(self, phi: Formula) -> Formula:
+    def build(self, cls: type, *children: Formula | str) -> Formula:
+        """The node ``cls(*children)`` of this automaton's normal ``children``,
+        normalized: one step of ``simplify``, with no walk of the children.
+        A proposition's one child is its name."""
         # Dispatches on the exact class, as ``_progress`` does.
-        kind = type(phi)
-        if kind is Prop:
-            node = self._nodes.setdefault((Prop, phi.name), phi)
-            self._props[id(node)] = frozenset((phi.name,))
+        if cls is And:
+            return self._and(*children)
+        if cls is Or:
+            return self._or(*children)
+        if cls is Not:
+            return self._not(*children)
+        if cls is Prop:
+            (name,) = children
+            node = self._nodes.get((Prop, name))
+            if node is None:
+                node = self._nodes[(Prop, name)] = Prop(name)
+                self._props[id(node)] = frozenset(children)
             return node
-        if kind is And:
-            return self._and(self._normalize(phi.left), self._normalize(phi.right))
-        if kind is Or:
-            return self._or(self._normalize(phi.left), self._normalize(phi.right))
-        if kind is Not:
-            return self._not(self._normalize(phi.child))
-        if kind is Next or kind is Eventually or kind is Always:
-            return self._temporal(kind, self._normalize(phi.child))
-        if kind is Until:
-            return self._temporal(Until, self._normalize(phi.left), self._normalize(phi.right))
-        if kind is Implies:
-            left, right = self._normalize(phi.left), self._normalize(phi.right)
+        if cls is Next or cls is Eventually or cls is Always or cls is Until:
+            return self._temporal(cls, *children)
+        if cls is Implies:
+            left, right = children
             if left is TRUE:
                 return right
             if left is FALSE:
                 return TRUE
             return self._node(Implies, left, right)
+        raise TypeError(f"not a formula class: {cls!r}")
+
+    def _normalize(self, phi: Formula) -> Formula:
+        kind = type(phi)
+        if kind is Prop:
+            return self.build(Prop, phi.name)
         if kind is TrueBool:
             return TRUE
         if kind is FalseBool:
             return FALSE
-        raise TypeError(f"not a formula: {phi!r}")
+        if kind not in _FIELDS:
+            raise TypeError(f"not a formula: {phi!r}")
+        return self.build(kind, *[self._normalize(getattr(phi, name)) for name in _FIELDS[kind]])
 
-    def _register(self, phi: Formula) -> tuple:
+    def _state(self, phi: Formula) -> tuple:
+        # A formula this automaton built (every node is kept alive, so its
+        # identity is unique) is already normal; any other is normalized.
         state = self._states.get(id(phi))
         if state is None:
-            state = self._states[id(phi)] = (self._props[id(phi)], {}, (phi, verdict_of(phi)))
+            node = phi if id(phi) in self._props else self._normalize(phi)
+            state = self._states.get(id(node))
+            if state is None:
+                state = self._states[id(node)] = (self._props[id(node)], {}, (node, verdict_of(node)))
         return state
 
     def normalize(self, phi: Formula) -> Formula:
-        """``simplify(phi)`` as a state of this automaton; ``phi`` may be any formula."""
-        return self._register(self._normalize(phi))[2][0]
+        """``simplify(phi)`` as a state of this automaton; ``phi`` may be any
+        formula, and a state of this automaton is one lookup."""
+        return self._state(phi)[2][0]
+
+    def props(self, phi: Formula) -> frozenset[str]:
+        """The propositions of ``normalize(phi)``: all a step of it can read."""
+        return self._state(phi)[0]
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
         """``simplify(progress(phi, labels))`` as a state of this automaton, and its verdict."""
@@ -281,11 +313,11 @@ class ProgressionCache:
         # identity misses only on formulas from elsewhere.
         state = self._states.get(id(phi))
         if state is None:
-            state = self._register(self._normalize(phi))
+            state = self._state(phi)
         key = state[0] & labels
         successor = state[1].get(key)
         if successor is None:
-            successor = state[1][key] = self._register(self._progress(state[2][0], key))[2]
+            successor = state[1][key] = self._state(self._progress(state[2][0], key))[2]
         return successor
 
     def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:

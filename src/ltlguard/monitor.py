@@ -6,12 +6,21 @@ residual is pinned at ``true``/``false`` and every later step repeats
 the verdict.  In reset mode the residual returns to the original
 objective after each terminal verdict so further episodes can be
 counted.  A state holds only what stepping needs; ``report`` builds the
-verdicts, counters and witness episodes from a ``trail`` of states.
+verdicts, counters and witness episodes from a constraint's change
+points, the steps that may have changed its state.
+
+``run_states`` steps all constraints step-major and sparsely.  An event
+only reaches the monitors whose propositions it touches (Chen & Roşu,
+MOP, OOPSLA 2007), and a state of the residual automaton with a
+self-loop on a letter may skip that letter (Bauer, Leucker &
+Schallhart, TOSEM 20(4), 2011): a constraint is stepped only when the
+step's labels meet its objective's propositions or its state is not yet
+settled, and each keeps only its change points.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .ltl import (
@@ -56,6 +65,7 @@ class _Reference:
 
 REFERENCE = _Reference()
 _INCONCLUSIVE = Verdict.INCONCLUSIVE  # read once: a class attribute of an Enum is a slow lookup
+_NO_LABELS: TruthAssignment = frozenset()
 
 
 @dataclass(frozen=True)
@@ -100,42 +110,93 @@ def step(state: MonitorState, labels: TruthAssignment) -> MonitorState:
     )
 
 
-def trail(state: MonitorState, records: Iterable[StepRecord]) -> list[MonitorState]:
-    """``state`` followed by its state after each labeled record."""
-    states = [state]
-    for record in records:
-        state = step(state, record.labels)
-        states.append(state)
-    return states
+def _settled(state: MonitorState) -> bool:
+    """Whether a step that reads none of the objective's propositions keeps
+    ``state``, verdict included.  A reset-mode state at a terminal verdict
+    never is: its next step may count another episode from the objective."""
+    if state.reset_mode and state.last_verdict is not _INCONCLUSIVE:
+        return False
+    return step(state, _NO_LABELS) is state
 
 
-def report(records: Sequence[StepRecord], states: Sequence[MonitorState]) -> VerdictReport:
-    """The verdict report of ``trail(states[0], records)``.
+def report(
+    records: Sequence[StepRecord],
+    start: MonitorState,
+    changes: Sequence[tuple[int, MonitorState]],
+) -> VerdictReport:
+    """The verdict report of ``start`` stepped along ``records``.
 
-    A step is a witness entry when the residual it reaches (``true`` or
-    ``false`` at a terminal verdict, the new residual otherwise) differs
-    from the previous state's.  A terminal verdict reached by such a step
-    closes an episode; reset mode then starts a new witness.
+    ``changes`` lists, in step order, ``(i, state)`` for each step
+    ``records[i]`` that may have changed the state, with the state it
+    reached; every step left out kept the state and its verdict.  Listing
+    more steps, up to every step, gives the same report.  A step is a
+    witness entry when the residual it reaches (``true`` or ``false`` at a
+    terminal verdict, the new residual otherwise) differs from the previous
+    state's.  A terminal verdict reached by such a step closes an episode;
+    reset mode then starts a new witness.
     """
     inconclusive, satisfied = Verdict.INCONCLUSIVE, Verdict.SATISFIED
-    verdicts = [state.last_verdict for state in states[1:]]
+    verdicts: list[Verdict] = []
     witness: list[WitnessEntry] = []
     episodes: list[WitnessEpisode] = []
-    previous = states[0]
-    for record, state, verdict in zip(records, states[1:], verdicts, strict=True):
-        if state is previous and verdict is inconclusive:
-            continue
+    previous = start
+    for i, state in changes:
+        verdicts += [previous.last_verdict] * (i - len(verdicts))
+        verdict = state.last_verdict
+        verdicts.append(verdict)
         reached = state.residual if verdict is inconclusive else TRUE if verdict is satisfied else FALSE
         # Reference residuals are fresh objects: identity alone is no change.
         if reached is not previous.residual and reached != previous.residual:
+            record = records[i]
             witness.append(WitnessEntry(record.t, record.input, record.output, record.labels, reached))
             if verdict is not inconclusive:
                 episodes.append(WitnessEpisode(verdict, tuple(witness)))
                 if state.reset_mode:
                     witness = []
         previous = state
+    verdicts += [previous.last_verdict] * (len(records) - len(verdicts))
     counts = verdicts.count(Verdict.VIOLATED), verdicts.count(satisfied)
-    return VerdictReport(states[0].constraint_id, tuple(verdicts), *counts, tuple(episodes))
+    return VerdictReport(start.constraint_id, tuple(verdicts), *counts, tuple(episodes))
+
+
+def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) -> list[VerdictReport]:
+    """The report of each state stepped along ``records``, all stepped
+    together, step by step, and each only when it may move.
+
+    An index maps each proposition to the states whose objective mentions
+    it.  A state is stepped when the step's labels meet its objective's
+    propositions, or while it is not settled (``_settled``); any other step
+    reads none of its propositions and so keeps it.  A stepped state's
+    change point is kept when the step reaches a new state, or a terminal
+    verdict in reset mode, which may keep the state and still closes an
+    episode.
+    """
+    watchers: dict[str, list[int]] = {}
+    for j, state in enumerate(states):
+        for prop in state.automaton.props(state.objective):
+            watchers.setdefault(prop, []).append(j)
+    watched = frozenset(watchers)
+    current = list(states)
+    changes: list[list[tuple[int, MonitorState]]] = [[] for _ in states]
+    unsettled = {j for j, state in enumerate(states) if not _settled(state)}
+    for i, record in enumerate(records):
+        labels = record.labels
+        touched = watched.intersection(labels)
+        if not touched and not unsettled:
+            continue
+        for j in unsettled.union(*(watchers[prop] for prop in touched)):
+            state = current[j]
+            successor = step(state, labels)
+            if successor is not state:
+                current[j] = successor
+                changes[j].append((i, successor))
+                if _settled(successor):
+                    unsettled.discard(j)
+                else:
+                    unsettled.add(j)
+            elif successor.reset_mode and successor.last_verdict is not _INCONCLUSIVE:
+                changes[j].append((i, successor))
+    return [report(records, start, points) for start, points in zip(states, changes)]
 
 
 def _require_labels(trace: Trace) -> None:
@@ -147,17 +208,22 @@ def _require_labels(trace: Trace) -> None:
 
 
 def run_monitor(
-    trace: Trace, constraints: Mapping[str, Formula], mode: str = "plain"
+    trace: Trace,
+    constraints: Mapping[str, Formula],
+    mode: str = "plain",
+    cache: ProgressionCache | None = None,
 ) -> list[VerdictReport]:
-    """Monitor every constraint independently over a fully labeled trace."""
+    """Monitor every constraint independently over a fully labeled trace.
+
+    The constraints are normalized into ``cache``, such as the automaton
+    their config was parsed into, or into a fresh automaton.
+    """
     if mode not in ("plain", "reset"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_labels(trace)
-    cache = ProgressionCache()
-    return [
-        report(trace.steps, trail(new_state(cid, constraints[cid], mode == "reset", cache), trace.steps))
-        for cid in sorted(constraints)
-    ]
+    automaton = ProgressionCache() if cache is None else cache
+    states = [new_state(cid, constraints[cid], mode == "reset", automaton) for cid in sorted(constraints)]
+    return run_states(states, trace.steps)
 
 
 def audit_log(
@@ -165,13 +231,14 @@ def audit_log(
     constraints: Mapping[str, Formula],
     mode: str = "plain",
     cross_check: bool = False,
+    cache: ProgressionCache | None = None,
 ) -> list[VerdictReport]:
     """Audit a recorded trace; identical output to ``run_monitor``.
 
     With ``cross_check`` the reports are checked against the reference
     progression; see ``_cross_check``.
     """
-    reports = run_monitor(trace, constraints, mode)
+    reports = run_monitor(trace, constraints, mode, cache)
     if cross_check:
         _cross_check(trace, constraints, mode, reports)
     return reports
@@ -185,23 +252,24 @@ def _cross_check(
 ) -> None:
     """Check compiled monitoring against the reference progression in one pass.
 
-    Per constraint, a compiled run and an uncached run of
-    ``simplify(progress(...))`` step through the trace side by side and
-    must agree on every residual and verdict; the report of the reference
-    run must equal the given one.  Replaying each witness episode's labels
-    from the objective must then reproduce every recorded residual and end
-    in the episode's verdict.  Raises ``CrossCheckError`` on the first
-    disagreement.
+    Per constraint, a compiled run on a fresh automaton and an uncached run
+    of ``simplify(progress(...))`` step densely through the trace side by
+    side and must agree on every residual and verdict; the report of the
+    reference run, every step a change point, must equal the given one.
+    Replaying each witness episode's labels from the objective must then
+    reproduce every recorded residual and end in the episode's verdict.
+    Raises ``CrossCheckError`` on the first disagreement.
     """
     cache = ProgressionCache()
     for given in reports:
         cid = given.constraint_id
         compiled = new_state(cid, constraints[cid], mode == "reset", cache)
-        references = [new_state(cid, constraints[cid], mode == "reset", REFERENCE)]
-        for record, reported in zip(trace.steps, given.verdicts, strict=True):
+        start = reference = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
+        references = []
+        for i, (record, reported) in enumerate(zip(trace.steps, given.verdicts, strict=True)):
             compiled = step(compiled, record.labels)
-            reference = step(references[-1], record.labels)
-            references.append(reference)
+            reference = step(reference, record.labels)
+            references.append((i, reference))
             if compiled.residual != reference.residual:
                 raise CrossCheckError(
                     f"constraint {cid}: step {record.t}: compiled residual "
@@ -214,12 +282,12 @@ def _cross_check(
                     f"constraint {cid}: step {record.t}: reference verdict {expected.value}, "
                     f"compiled {verdict.value}, reported {reported.value}"
                 )
-        if report(trace.steps, references) != given:
+        if report(trace.steps, start, references) != given:
             raise CrossCheckError(
                 f"constraint {cid}: reported counters or witnesses differ from the reference run"
             )
         for n, episode in enumerate(given.witnesses, 1):
-            residual = references[0].objective
+            residual = start.objective
             for entry in episode.entries:
                 residual = simplify(progress(residual, entry.labels))
                 if residual != entry.residual:

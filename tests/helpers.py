@@ -51,11 +51,14 @@ def run_cli_process(args: Sequence[str], cwd) -> subprocess.CompletedProcess:
     )
 
 
-def random_formula(rng: random.Random, depth: int, props: Sequence[str] = DEFAULT_PROPS) -> Formula:
-    """Random formula of depth at most ``depth`` over ``props``."""
+def random_formula(
+    rng: random.Random, depth: int, props: Sequence[str] = DEFAULT_PROPS, constants: bool = True
+) -> Formula:
+    """Random formula of depth at most ``depth`` over ``props``; with
+    ``constants`` a leaf may be ``true`` or ``false``."""
     if depth <= 0:
         roll = rng.random()
-        if roll < 0.8:
+        if roll < 0.8 or not constants:
             return Prop(rng.choice(list(props)))
         return TRUE if roll < 0.9 else FALSE
     kind = rng.choice(
@@ -64,15 +67,15 @@ def random_formula(rng: random.Random, depth: int, props: Sequence[str] = DEFAUL
     if kind == "prop":
         return Prop(rng.choice(list(props)))
     if kind == "not":
-        return Not(random_formula(rng, depth - 1, props))
+        return Not(random_formula(rng, depth - 1, props, constants))
     if kind == "next":
-        return Next(random_formula(rng, depth - 1, props))
+        return Next(random_formula(rng, depth - 1, props, constants))
     if kind == "eventually":
-        return Eventually(random_formula(rng, depth - 1, props))
+        return Eventually(random_formula(rng, depth - 1, props, constants))
     if kind == "always":
-        return Always(random_formula(rng, depth - 1, props))
-    left = random_formula(rng, depth - 1, props)
-    right = random_formula(rng, depth - 1, props)
+        return Always(random_formula(rng, depth - 1, props, constants))
+    left = random_formula(rng, depth - 1, props, constants)
+    right = random_formula(rng, depth - 1, props, constants)
     if kind == "and":
         return And(left, right)
     if kind == "or":

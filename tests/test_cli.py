@@ -436,6 +436,46 @@ class TestAuditCommand:
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert warnings == ["warning: constraint 'c': proposition 'oops' is in no step's labels"]
 
+    def test_proposition_check_reads_the_written_formula(self, capsys, tmp_path):
+        # Normalizing drops `zzz` from `G (zzz | true)`; the check reads the
+        # propositions the formula is written with.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        constraints = [{"id": "c", "formula": "G (zzz | true) & G !bad"}]
+        labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": r"\bbad\b"}}
+        write_json(config, {"constraints": constraints, "labeler": labeler})
+        write_trace(trace, ["a bad move"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: constraint 'c': proposition(s) zzz ")
+        write_json(config, {"constraints": constraints})
+        trace.write_text(json.dumps({"t": 1, "output": "a bad move", "labels": ["bad"]}) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 1
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: constraint 'c': proposition 'zzz' is in no step's labels"]
+
+    def test_unknown_top_level_key_exit_2(self, capsys, tmp_path):
+        config, trace, report = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "r.json"
+        write_json(config, {**RULE_CONFIG, "polcy": {"strategy": "resample"}, "Mode": "plain"})
+        write_trace(trace, ["a bad move"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--out", str(report)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown config key(s): 'Mode', 'polcy'\n"
+        assert not report.exists()
+
+    def test_config_formulas_are_states_of_one_automaton(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        constraints = [
+            {"id": "a", "formula": "G (bad -> F goal) & G (bad -> F goal)"},
+            {"id": "b", "formula": "F goal | false"},
+        ]
+        write_json(config_path, {**RULE_CONFIG, "constraints": constraints})
+        config = load_config(config_path)
+        automaton = config.automaton
+        for cid, text in (("a", "G (bad -> F goal)"), ("b", "F goal")):
+            assert config.constraints[cid] is automaton.normalize(parse(text))
+        assert config.propositions == {"a": {"bad", "goal"}, "b": {"goal"}}
+
 
 class TestGuardCommand:
     def test_switch_guard_run(self, capsys, tmp_path):
@@ -764,6 +804,35 @@ class TestEndpointSpecValues:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: invalid config value: timeout must be positive")
+
+    def test_endpoint_labeler_inner_type_exit_2(self, capsys, tmp_path):
+        # A nested endpoint spec must not turn into another model type.
+        config = tmp_path / "config.json"
+        endpoint = {"type": "scripted", "outputs": ["bad: yes"], "base_url": ENDPOINT["base_url"], "model": "m"}
+        labeler = {"type": "endpoint", "endpoint": endpoint, "vocabulary": ["bad"]}
+        write_json(config, {**GUARD_CONFIG, "labeler": labeler})
+        code, out, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: invalid config value: endpoint's 'type' must be 'endpoint' or absent, got 'scripted'\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["scripted", None, 5])
+    def test_bench_eval_judge_inner_type_exit_2(self, capsys, tmp_path, kind):
+        bench = tmp_path / "bench.jsonl"
+        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
+        judge = tmp_path / "judge.json"
+        with MockEndpoint(lambda body: "VALID") as mock:
+            write_json(judge, {"type": kind, "outputs": ["VALID"], "base_url": mock.base_url, "model": "m"})
+            code, out, err = run_cli(
+                ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
+                capsys,
+            )
+            assert mock.requests == []
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid config value: judge config's 'type' must be 'endpoint' or absent, got {kind!r}\n"
 
     def test_bench_eval_bad_type_exit_2(self, capsys, tmp_path):
         bench = tmp_path / "bench.jsonl"

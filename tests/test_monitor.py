@@ -30,7 +30,6 @@ from ltlguard.monitor import (
     run_monitor,
     score_f1,
     step,
-    trail,
 )
 from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, report_to_dict, save_reports
 
@@ -45,13 +44,27 @@ def labeled_trace(label_sets, outputs=None):
     return Trace(tuple(steps))
 
 
+def fold(state, records):
+    """``state`` stepped densely along ``records``, every step listed as a
+    change point: the oracle for ``run_states``' sparse change points."""
+    points = []
+    for i, record in enumerate(records):
+        state = step(state, record.labels)
+        points.append((i, state))
+    return points
+
+
+def dense_report(state, records):
+    return report(records, state, fold(state, records))
+
+
 def drive(state, label_sets, records=None):
     """Step ``state`` along ``label_sets``; returns the report and the last state."""
     records = records or [
         StepRecord(i, "", f"o{i}", frozenset(labels)) for i, labels in enumerate(label_sets, 1)
     ]
-    states = trail(state, records)
-    return report(records, states), states[-1]
+    points = fold(state, records)
+    return report(records, state, points), points[-1][1]
 
 
 class TestStep:
@@ -222,10 +235,7 @@ class TestCompiledPath:
             trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(12)])
             for mode in ("plain", "reset"):
                 expected = [
-                    report(
-                        trace.steps,
-                        trail(new_state(cid, constraints[cid], mode == "reset", REFERENCE), trace.steps),
-                    )
+                    dense_report(new_state(cid, constraints[cid], mode == "reset", REFERENCE), trace.steps)
                     for cid in sorted(constraints)
                 ]
                 assert run_monitor(trace, constraints, mode=mode) == expected
@@ -244,6 +254,67 @@ class TestCompiledPath:
         assert again is state and again.last_verdict is I
 
 
+class TestSparseStepping:
+    """``run_states`` steps a constraint only when a step can move it."""
+
+    def test_reset_mode_repeated_terminals(self):
+        # The second step keeps the very state object and still closes an
+        # episode: a change point must be kept for it.
+        state = step(new_state("c", parse("F p"), reset_mode=True), frozenset({"p"}))
+        assert step(state, frozenset({"p"})) is state
+        trace = labeled_trace([{"p"}, {"p"}, set()])
+        (result,) = run_monitor(trace, {"c": parse("F p")}, mode="reset")
+        assert result.verdicts == (S, S, I)
+        assert [(ep.verdict, [e.t for e in ep.entries]) for ep in result.witnesses] == [(S, [1]), (S, [2])]
+
+    def test_sparse_equals_dense_reference_fold(self):
+        rng = random.Random(1606)
+        shared = ("p", "q", "r")
+        for n in range(48):
+            count = rng.randint(3, 8)
+            disjoint = n % 2 == 1
+            constraints = {
+                f"c{i}": random_formula(
+                    rng,
+                    depth=rng.randint(1, 5),
+                    props=(f"c{i}a", f"c{i}b") if disjoint else shared,
+                    constants=n % 4 < 2,
+                )
+                for i in range(count)
+            }
+            props = sorted({p for i in range(count) for p in ((f"c{i}a", f"c{i}b") if disjoint else shared)})
+            # Most steps carry none of the constraints' propositions.
+            labels = [
+                random_assignment(rng, props) if rng.random() < 0.15 else rng.choice([set(), {"noise"}])
+                for _ in range(rng.randint(10, 60))
+            ]
+            trace = labeled_trace(labels)
+            for mode in ("plain", "reset"):
+                expected = [
+                    dense_report(new_state(cid, phi, mode == "reset", REFERENCE), trace.steps)
+                    for cid, phi in sorted(constraints.items())
+                ]
+                assert run_monitor(trace, constraints, mode=mode) == expected
+
+    def test_idle_steps_are_skipped(self):
+        class Counting(ProgressionCache):
+            calls = 0
+
+            def transition(self, phi, labels):
+                Counting.calls += 1
+                return super().transition(phi, labels)
+
+        trace = labeled_trace([{"noise"}] * 500 + [{"bad"}] + [set()] * 499)
+        (no_bad, eventually) = run_monitor(
+            trace, {"a": parse("G !bad"), "b": parse("F (bad & X X ok)")}, mode="reset", cache=Counting()
+        )
+        assert no_bad.verdicts == (I,) * 500 + (V,) + (I,) * 499
+        assert eventually.verdicts == (I,) * 1000
+        # A settledness probe per new state, and the steps at and right after
+        # ``bad``; no idle step reaches the automaton.
+        assert Counting.calls < 20
+
+
 class TestRenderMemo:
     """Memoized renderings by node identity equal the unmemoized ``render``."""
 
@@ -259,7 +330,7 @@ class TestRenderMemo:
                 reports = [
                     *run_monitor(trace, constraints, mode=mode),
                     *(
-                        report(trace.steps, trail(new_state(cid, phi, reset, REFERENCE), trace.steps))
+                        dense_report(new_state(cid, phi, reset, REFERENCE), trace.steps)
                         for cid, phi in sorted(constraints.items())
                     ),
                 ]
@@ -284,12 +355,12 @@ class TestRenderMemo:
         constraints = {f"c{i}": random_formula(rng, depth=4) for i in range(12)}
         trace = labeled_trace([random_assignment(rng, DEFAULT_PROPS) for _ in range(40)])
         reports = (
-            report(trace.steps, trail(new_state(cid, phi, True, REFERENCE), trace.steps))
+            dense_report(new_state(cid, phi, True, REFERENCE), trace.steps)
             for cid, phi in sorted(constraints.items())
         )
         save_reports(reports, tmp_path / "memo.json")
         expected = [
-            report(trace.steps, trail(new_state(cid, phi, True, REFERENCE), trace.steps))
+            dense_report(new_state(cid, phi, True, REFERENCE), trace.steps)
             for cid, phi in sorted(constraints.items())
         ]
         saved = json.loads((tmp_path / "memo.json").read_text(encoding="utf-8"))["reports"]

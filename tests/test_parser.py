@@ -17,9 +17,12 @@ from ltlguard.ltl import (
     Not,
     Or,
     ParseError,
+    ProgressionCache,
     Prop,
     Until,
     parse,
+    parse_written,
+    props_of,
     render,
 )
 from helpers import DEFAULT_PROPS, random_formula
@@ -68,6 +71,36 @@ class TestParse:
 
     def test_numeric_proposition(self):
         assert parse("number_19") == Prop("number_19")
+
+
+class TestParseIntoAutomaton:
+    """``parse(text, automaton)`` builds the normalized state directly."""
+
+    def test_equals_normalizing_the_plain_tree(self):
+        rng = random.Random(1607)
+        for _ in range(400):
+            cache = ProgressionCache()
+            for _ in range(3):  # later formulas share the automaton's nodes
+                phi = random_formula(rng, depth=rng.randint(0, 5))
+                for style in ("ascii", "symbolic"):
+                    text = render(phi, style)
+                    built, written = parse_written(text, cache)
+                    assert built is cache.normalize(parse(text))
+                    assert cache.normalize(built) is built
+                    assert written == props_of(phi)
+
+    def test_written_props_survive_normalizing(self):
+        phi, written = parse_written("G (zzz | true) & G !bad", ProgressionCache())
+        assert phi == parse("G !bad")
+        assert written == {"zzz", "bad"}
+
+    def test_errors_are_the_same(self):
+        for text in ("G(", "a &", "a b", "(a", "a)", "%"):
+            with pytest.raises(ParseError) as plain:
+                parse(text)
+            with pytest.raises(ParseError) as built:
+                parse(text, ProgressionCache())
+            assert (str(built.value), built.value.text) == (str(plain.value), plain.value.text)
 
 
 class TestParseErrors:
