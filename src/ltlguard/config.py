@@ -42,11 +42,44 @@ def _config_errors(build):
     return wrapped
 
 
-# Every top-level key a config may have.
+# Every key each section of a config may have: the top level, a constraint
+# entry, each model type, each labeler type and a nested endpoint spec.  The
+# policy's keys are ``InterventionPolicy``'s fields, ``template_path`` and
+# ``substitute_model``.
 KEYS = frozenset({
     "constraints", "labeler", "model", "substitute_model", "policy", "mode", "seed",
     "initial_input", "stop_token", "action_temperature", "sampling_temperature",
 })
+CONSTRAINT_KEYS = frozenset({"id", "formula", "gloss"})
+ENDPOINT_KEYS = frozenset({
+    "type", "base_url", "model", "api_key_env", "system_prompt", "max_tokens", "timeout",
+    "retries", "backoff", "audit_log_path",
+})
+MODEL_KEYS = {
+    "scripted": frozenset({"type", "outputs", "distributions", "stop_token"}),
+    "endpoint": ENDPOINT_KEYS,
+}
+LABELER_KEYS = {
+    "embedded": frozenset({"type"}),
+    "rule": frozenset({"type", "vocabulary", "rules"}),
+    "event": frozenset({"type", "entities", "tagged"}),
+    "endpoint": frozenset({"type", "endpoint", "vocabulary", "temperature", "max_context_chars"}),
+}
+
+
+def _known_keys(spec: Mapping, keys: frozenset[str], section: str) -> None:
+    if unknown := sorted(spec.keys() - keys):
+        raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _typed_section(spec: Mapping | None, table: Mapping[str, frozenset[str]], section: str) -> None:
+    """Check a model or labeler spec's type, and its keys against that type's."""
+    if spec is None:
+        return
+    kind = spec.get("type")
+    if type(kind) is not str or kind not in table:
+        raise ConfigError(f"unknown {section} type {kind!r}")
+    _known_keys(spec, table[kind], f"{kind} {section}")
 
 
 @dataclass
@@ -78,8 +111,7 @@ def load_config(path: str | Path) -> Config:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     raw = checked(raw, "object", "config")
-    if unknown := sorted(raw.keys() - KEYS):
-        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    _known_keys(raw, KEYS, "config")
     entries = checked(raw.get("constraints", []), "array", "constraints")
     if not entries:
         raise ConfigError("config needs a nonempty 'constraints' array")
@@ -88,7 +120,8 @@ def load_config(path: str | Path) -> Config:
     propositions: dict[str, frozenset[str]] = {}
     glosses: dict[str, str] = {}
     for i, entry in enumerate(entries, 1):
-        if "id" not in checked(entry, "object", f"constraint #{i}") or "formula" not in entry:
+        _known_keys(checked(entry, "object", f"constraint #{i}"), CONSTRAINT_KEYS, f"constraint #{i}")
+        if "id" not in entry or "formula" not in entry:
             raise ConfigError(f"constraint #{i} needs 'id' and 'formula' fields")
         cid = checked(entry["id"], "string", f"constraint #{i}: id")
         if cid in constraints:
@@ -115,10 +148,13 @@ def load_config(path: str | Path) -> Config:
         except OSError as err:
             raise ConfigError(f"cannot read inject template: {err}") from err
     policy = InterventionPolicy(**policy_raw)
+    for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
+        _typed_section(spec, MODEL_KEYS, section)
 
     # The session ends on the config's stop token, so a script must emit that one.
     stop_token = checked(raw.get("stop_token", "DONE"), "string", "stop_token")
     model_spec = checked(raw.get("model"), "object", "model", nullable=True)
+    _typed_section(model_spec, MODEL_KEYS, "model")
     if model_spec is not None and model_spec.get("type") == "scripted":
         if (script_stop := model_spec.get("stop_token", "DONE")) != stop_token:
             raise ConfigError(
@@ -129,12 +165,15 @@ def load_config(path: str | Path) -> Config:
     if mode not in ("plain", "reset"):
         raise ConfigError(f"mode must be 'plain' or 'reset', got {mode!r}")
 
+    labeler_spec = checked(raw.get("labeler"), "object", "labeler", nullable=True)
+    _typed_section(labeler_spec, LABELER_KEYS, "labeler")
+
     return Config(
         constraints=constraints,
         propositions=propositions,
         automaton=automaton,
         glosses=glosses,
-        labeler_spec=checked(raw.get("labeler"), "object", "labeler", nullable=True),
+        labeler_spec=labeler_spec,
         model_spec=model_spec,
         substitute_spec=top_substitute if substitute_spec is None else substitute_spec,
         policy=policy,
@@ -196,6 +235,7 @@ def endpoint_spec(spec: object, name: str) -> dict:
         raise ConfigError(
             f"invalid config value: {name}'s 'type' must be 'endpoint' or absent, got {spec['type']!r}"
         )
+    _known_keys(spec, ENDPOINT_KEYS, name)
     return {**spec, "type": "endpoint"}
 
 

@@ -33,40 +33,43 @@ from .ast import (
 
 def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
     """One progression step of ``phi`` under the truth assignment ``sigma``."""
-    match phi:
-        case TrueBool():
-            return TRUE
-        case FalseBool():
-            return FALSE
-        case Prop(name):
-            return TRUE if name in sigma else FALSE
-        case Not(child):
-            return Not(progress(child, sigma))
-        case And(left, right):
-            return And(progress(left, sigma), progress(right, sigma))
-        case Or(left, right):
-            return Or(progress(left, sigma), progress(right, sigma))
-        case Implies(left, right):
-            # Progressed through its boolean definition; the Implies node
-            # itself survives only inside the untouched temporal operands.
-            return Or(Not(progress(left, sigma)), progress(right, sigma))
-        case Next(child):
-            return child
-        case Until(left, right):
-            return Or(progress(right, sigma), And(progress(left, sigma), phi))
-        case Eventually(child):
-            return Or(progress(child, sigma), phi)
-        case Always(child):
-            return And(progress(child, sigma), phi)
+    # Dispatch on the exact class: a chain of class tests is cheaper than
+    # class patterns, and this is the oracle's whole per-node cost.
+    kind = type(phi)
+    if kind is Prop:
+        return TRUE if phi.name in sigma else FALSE
+    if kind is And:
+        return And(progress(phi.left, sigma), progress(phi.right, sigma))
+    if kind is Or:
+        return Or(progress(phi.left, sigma), progress(phi.right, sigma))
+    if kind is Always:
+        return And(progress(phi.child, sigma), phi)
+    if kind is Eventually:
+        return Or(progress(phi.child, sigma), phi)
+    if kind is Until:
+        return Or(progress(phi.right, sigma), And(progress(phi.left, sigma), phi))
+    if kind is Next:
+        return phi.child
+    if kind is Not:
+        return Not(progress(phi.child, sigma))
+    if kind is Implies:
+        # Progressed through its boolean definition; the Implies node
+        # itself survives only inside the untouched temporal operands.
+        return Or(Not(progress(phi.left, sigma)), progress(phi.right, sigma))
+    if kind is TrueBool:
+        return TRUE
+    if kind is FalseBool:
+        return FALSE
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def _flatten(kind: type, phi: Formula, out: list[Formula]) -> None:
-    if isinstance(phi, kind):
-        _flatten(kind, phi.left, out)  # type: ignore[attr-defined]
-        _flatten(kind, phi.right, out)  # type: ignore[attr-defined]
-    else:
-        out.append(phi)
+    # Simplified chains are right-nested and no left operand is itself of
+    # the chain's kind, so walking the right spine flattens them in order.
+    while type(phi) is kind:
+        out.append(phi.left)  # type: ignore[attr-defined]
+        phi = phi.right  # type: ignore[attr-defined]
+    out.append(phi)
 
 
 def _rebuild(kind: type, children: list[Formula]) -> Formula:
@@ -80,15 +83,30 @@ def _simplify_connective(
     kind: type, unit: Formula, zero: Formula, left: Formula, right: Formula
 ) -> Formula:
     # Flatten same-kind chains, drop units and duplicates, short-circuit on
-    # the absorbing element.  Children arrive already simplified.
+    # the absorbing element.  Children arrive already simplified.  Any
+    # instance of a constant's class is that constant, as under ``==``;
+    # duplicates are found by structural ``==``, since reference nodes are
+    # fresh objects.
+    unit_kind, zero_kind = type(unit), type(zero)
+    left_kind, right_kind = type(left), type(right)
+    if left_kind is not kind and right_kind is not kind:
+        # Two single operands: the loop below, unrolled.
+        if left_kind is zero_kind or right_kind is zero_kind:
+            return zero
+        if left_kind is unit_kind:
+            return unit if right_kind is unit_kind else right
+        if right_kind is unit_kind or left is right or left == right:
+            return left
+        return kind(left, right)
     flat: list[Formula] = []
     _flatten(kind, left, flat)
     _flatten(kind, right, flat)
     children: list[Formula] = []
     for child in flat:
-        if child == zero:
+        child_kind = type(child)
+        if child_kind is zero_kind:
             return zero
-        if child == unit or child in children:
+        if child_kind is unit_kind or child in children:
             continue
         children.append(child)
     if not children:
@@ -104,41 +122,40 @@ def simplify(phi: Formula) -> Formula:
     and ``G`` of ``true`` or ``false`` is that constant, ``φ U true`` is
     ``true`` and ``false U ψ`` is ``ψ``.  No semantic reasoning.
     """
-    match phi:
-        case TrueBool() | FalseBool() | Prop():
-            return phi
-        case Not(child):
-            child = simplify(child)
-            if child == TRUE:
-                return FALSE
-            if child == FALSE:
-                return TRUE
-            if isinstance(child, Not):
-                return child.child
-            return Not(child)
-        case And(left, right):
-            return _simplify_connective(And, TRUE, FALSE, simplify(left), simplify(right))
-        case Or(left, right):
-            return _simplify_connective(Or, FALSE, TRUE, simplify(left), simplify(right))
-        case Implies(left, right):
-            left, right = simplify(left), simplify(right)
-            if left == TRUE:
-                return right
-            if left == FALSE:
-                return TRUE
-            return Implies(left, right)
-        case Next(child):
-            child = simplify(child)
-            return child if isinstance(child, (TrueBool, FalseBool)) else Next(child)
-        case Until(left, right):
-            left, right = simplify(left), simplify(right)
-            return right if isinstance(right, TrueBool) or isinstance(left, FalseBool) else Until(left, right)
-        case Eventually(child):
-            child = simplify(child)
-            return child if isinstance(child, (TrueBool, FalseBool)) else Eventually(child)
-        case Always(child):
-            child = simplify(child)
-            return child if isinstance(child, (TrueBool, FalseBool)) else Always(child)
+    # Dispatch on the exact class, and test constants by class: any
+    # ``TrueBool``/``FalseBool`` instance is that constant.
+    kind = type(phi)
+    if kind is And:
+        return _simplify_connective(And, TRUE, FALSE, simplify(phi.left), simplify(phi.right))
+    if kind is Or:
+        return _simplify_connective(Or, FALSE, TRUE, simplify(phi.left), simplify(phi.right))
+    if kind is Prop or kind is TrueBool or kind is FalseBool:
+        return phi
+    if kind is Always or kind is Eventually or kind is Next:
+        child = simplify(phi.child)
+        child_kind = type(child)
+        return child if child_kind is TrueBool or child_kind is FalseBool else kind(child)
+    if kind is Not:
+        child = simplify(phi.child)
+        child_kind = type(child)
+        if child_kind is TrueBool:
+            return FALSE
+        if child_kind is FalseBool:
+            return TRUE
+        if child_kind is Not:
+            return child.child
+        return Not(child)
+    if kind is Until:
+        left, right = simplify(phi.left), simplify(phi.right)
+        return right if type(right) is TrueBool or type(left) is FalseBool else Until(left, right)
+    if kind is Implies:
+        left, right = simplify(phi.left), simplify(phi.right)
+        left_kind = type(left)
+        if left_kind is TrueBool:
+            return right
+        if left_kind is FalseBool:
+            return TRUE
+        return Implies(left, right)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -373,8 +390,9 @@ class ProgressionCache:
 
 def verdict_of(phi: Formula) -> Verdict:
     """Three-valued verdict of an already-simplified residual formula."""
-    if isinstance(phi, FalseBool):
+    kind = type(phi)
+    if kind is FalseBool:
         return Verdict.VIOLATED
-    if isinstance(phi, TrueBool):
+    if kind is TrueBool:
         return Verdict.SATISFIED
     return Verdict.INCONCLUSIVE

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltlguard.cli import main
-from ltlguard.config import ConfigError, build_labeler, build_model, load_config
+from ltlguard.config import (
+    CONSTRAINT_KEYS,
+    ENDPOINT_KEYS,
+    LABELER_KEYS,
+    MODEL_KEYS,
+    ConfigError,
+    build_labeler,
+    build_model,
+    load_config,
+)
 from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from helpers import DEFAULT_PROPS, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
@@ -847,6 +856,97 @@ class TestEndpointSpecValues:
         )
         assert code == 2 and out == ""
         assert err == "error: invalid config value: base_url must be a string, got 5\n"
+
+
+# Each config section with its declared keys: (section as errors name it,
+# its keys, a valid guard config, the path to the section in it).
+ENDPOINT_LABELER = {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"]}
+SECTION_CASES = [
+    ("constraint #1", CONSTRAINT_KEYS, GUARD_CONFIG, ("constraints", 0)),
+    *(
+        (f"{kind} model", keys, {**GUARD_CONFIG, "model": model}, ("model",))
+        for kind, keys, model in (
+            ("scripted", MODEL_KEYS["scripted"], GUARD_CONFIG["model"]),
+            ("endpoint", MODEL_KEYS["endpoint"], ENDPOINT),
+        )
+    ),
+    ("scripted substitute_model", MODEL_KEYS["scripted"], GUARD_CONFIG, ("substitute_model",)),
+    (
+        "scripted policy.substitute_model",
+        MODEL_KEYS["scripted"],
+        {**GUARD_CONFIG, "policy": {**GUARD_CONFIG["policy"], "substitute_model": GUARD_CONFIG["substitute_model"]}},
+        ("policy", "substitute_model"),
+    ),
+    *(
+        (f"{kind} labeler", keys, {**GUARD_CONFIG, "labeler": labeler}, ("labeler",))
+        for kind, keys, labeler in (
+            ("embedded", LABELER_KEYS["embedded"], {"type": "embedded"}),
+            ("rule", LABELER_KEYS["rule"], GUARD_CONFIG["labeler"]),
+            ("event", LABELER_KEYS["event"], {"type": "event"}),
+            ("endpoint", LABELER_KEYS["endpoint"], ENDPOINT_LABELER),
+        )
+    ),
+    ("endpoint", ENDPOINT_KEYS, {**GUARD_CONFIG, "labeler": ENDPOINT_LABELER}, ("labeler", "endpoint")),
+]
+
+
+def misspelled(key):
+    """``key`` without its last letter, as ``glos`` for ``gloss``."""
+    return key[:-1]
+
+
+def with_misspelled(section, key):
+    """A copy of ``section`` with ``key`` misspelled, or added misspelled."""
+    section = dict(section)
+    section[misspelled(key)] = section.pop(key, "x")
+    return section
+
+
+class TestUnknownSectionKeys:
+    """Every declared key of every section, misspelled, exits 2 with one
+    error line that names it and its section, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "section, keys, key, doc, path",
+        [(section, keys, key, doc, path) for section, keys, doc, path in SECTION_CASES for key in sorted(keys)],
+        ids=[f"{section}-{key}" for section, keys, _, _ in SECTION_CASES for key in sorted(keys)],
+    )
+    @pytest.mark.parametrize("command", ["audit", "guard"])
+    def test_exit_2(self, capsys, tmp_path, command, section, keys, key, doc, path):
+        assert misspelled(key) not in keys
+        doc = copy.deepcopy(doc)
+        parent = value_at(doc, path[:-1])
+        parent[path[-1]] = with_misspelled(parent[path[-1]], key)
+        config, trace, out = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "out"
+        write_json(config, doc)
+        write_trace(trace, ["a bad move"])
+        if command == "audit":
+            argv = ["audit", str(trace), "--config", str(config), "--out", str(out)]
+        else:
+            argv = ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(out)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        if key == "type" and section != "endpoint":
+            # Without its type a model or labeler spec has no key set.
+            assert err == f"error: unknown {section.split(' ', 1)[1]} type None\n"
+        else:
+            assert err == f"error: unknown {section} key(s): {misspelled(key)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(ENDPOINT_KEYS))
+    def test_judge_config_exit_2(self, capsys, tmp_path, key):
+        bench, judge, out = tmp_path / "bench.jsonl", tmp_path / "judge.json", tmp_path / "eval.json"
+        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
+        assert misspelled(key) not in ENDPOINT_KEYS
+        write_json(judge, with_misspelled(ENDPOINT, key))
+        code, stdout, err = run_cli(
+            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge),
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: unknown judge config key(s): {misspelled(key)!r}\n"
+        assert not out.exists()
 
 
 DROP = object()

@@ -2,18 +2,23 @@
 
 import random
 
+import pytest
+
+from ltlguard import monitor
 from ltlguard.ltl import (
     FALSE,
     TRUE,
     And,
     Always,
     Eventually,
+    FalseBool,
     Implies,
     Next,
     Not,
     Or,
     Prop,
     ProgressionCache,
+    TrueBool,
     Until,
     Verdict,
     evaluate_lasso,
@@ -196,3 +201,106 @@ class TestVerdictOf:
 
     def test_residual_is_inconclusive(self):
         assert verdict_of(Eventually(P)) is Verdict.INCONCLUSIVE
+
+    def test_fresh_constants(self):
+        assert verdict_of(FalseBool()) is Verdict.VIOLATED
+        assert verdict_of(TrueBool()) is Verdict.SATISFIED
+
+
+def with_operand(cls, position, operand):
+    """``cls`` over ``p`` and ``q``, with ``operand`` at field ``position``."""
+    fields = [P, Q][: len(cls.__match_args__)]
+    fields[position] = operand
+    return cls(*fields)
+
+
+OPERAND_POSITIONS = [
+    (cls, position)
+    for cls in (Not, And, Or, Implies, Next, Until, Eventually, Always)
+    for position in range(len(cls.__match_args__))
+]
+
+
+class TestFreshConstants:
+    """Any ``TrueBool``/``FalseBool`` instance is that constant, as under
+    structural ``==``: a fresh instance at any operand position, directly or
+    beside a chain, rewrites as the singleton does."""
+
+    @pytest.mark.parametrize("cls, position", OPERAND_POSITIONS)
+    @pytest.mark.parametrize("constant", [TRUE, FALSE], ids=["true", "false"])
+    @pytest.mark.parametrize("chained", [False, True], ids=["direct", "beside-chain"])
+    def test_simplify_and_progress(self, cls, position, constant, chained):
+        def build(operand):
+            if chained:
+                # Beside a chain, so that the two are flattened together.
+                kind = cls if cls in (And, Or) else And
+                operand = kind(kind(P, Q), operand)
+            return with_operand(cls, position, operand)
+
+        fresh, singleton = build(type(constant)()), build(constant)
+        assert simplify(fresh) == simplify(singleton)
+        for sigma in (EMPTY, frozenset({"p"}), frozenset({"p", "q"})):
+            assert progress(fresh, sigma) == progress(singleton, sigma)
+            residual = simplify(progress(fresh, sigma))
+            assert residual == simplify(progress(singleton, sigma))
+            assert verdict_of(residual) is verdict_of(simplify(progress(singleton, sigma)))
+            assert ProgressionCache().transition(fresh, sigma) == (residual, verdict_of(residual))
+
+    def test_absorbing_and_unit_results_are_the_singletons(self):
+        t, f = TrueBool(), FalseBool()
+        assert simplify(And(P, f)) is FALSE
+        assert simplify(Or(t, P)) is TRUE
+        assert simplify(And(t, TrueBool())) is TRUE
+        assert simplify(Or(f, And(FalseBool(), Q))) is FALSE
+        assert simplify(Not(t)) is FALSE
+        assert simplify(Not(f)) is TRUE
+        assert simplify(Implies(f, P)) is TRUE
+        assert progress(t, EMPTY) is TRUE
+        assert progress(f, EMPTY) is FALSE
+
+
+class TestReferenceAgainstAutomaton:
+    """``simplify(progress(...))`` and ``ProgressionCache.transition`` step
+    random formulas with constant leaves along random traces in lockstep."""
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+    def test_seeded_differential(self, reset):
+        rng = random.Random(1707 + reset)
+        for _ in range(150):
+            phi = random_formula(rng, depth=rng.randint(1, 5), props=DEFAULT_PROPS[:3])
+            cache = ProgressionCache()
+            objective = reference = simplify(phi)
+            compiled = cache.normalize(phi)
+            assert compiled == reference
+            for _ in range(25):
+                labels = random_assignment(rng, DEFAULT_PROPS[:3])
+                reference = simplify(progress(reference, labels))
+                compiled, verdict = cache.transition(compiled, labels)
+                assert compiled == reference, phi
+                assert verdict is verdict_of(reference), phi
+                if verdict is not Verdict.INCONCLUSIVE:
+                    if not reset:
+                        break
+                    reference, compiled = objective, cache.normalize(objective)
+
+
+class TestMonitorReferenceLookup:
+    def test_rebound_names_reach_the_reference_engine(self, monkeypatch):
+        # The traced benchmark times the reference by rebinding these two
+        # module globals; the reference engine must look them up per call.
+        calls = []
+
+        def spy(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(monitor, "progress", spy("progress", progress))
+        monkeypatch.setattr(monitor, "simplify", spy("simplify", simplify))
+        residual, verdict = monitor.REFERENCE.transition(Always(P), frozenset({"p"}))
+        assert (residual, verdict) == (Always(P), Verdict.INCONCLUSIVE)
+        assert calls == ["progress", "simplify"]
+        assert monitor.REFERENCE.normalize(And(TRUE, P)) == P
+        assert calls[2:] == ["simplify"]
