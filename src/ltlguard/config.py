@@ -42,10 +42,10 @@ def _config_errors(build):
     return wrapped
 
 
-# Every key each section of a config may have: the top level, a constraint
-# entry, each model type, each labeler type and a nested endpoint spec.  The
-# policy's keys are ``InterventionPolicy``'s fields, ``template_path`` and
-# ``substitute_model``.
+# The keys of the top level, of a constraint entry and of a nested endpoint
+# spec.  Each model and labeler type's keys are declared beside its builder,
+# in ``MODELS`` and ``LABELERS``.  The policy's keys are
+# ``InterventionPolicy``'s fields, ``template_path`` and ``substitute_model``.
 KEYS = frozenset({
     "constraints", "labeler", "model", "substitute_model", "policy", "mode", "seed",
     "initial_input", "stop_token", "action_temperature", "sampling_temperature",
@@ -55,16 +55,6 @@ ENDPOINT_KEYS = frozenset({
     "type", "base_url", "model", "api_key_env", "system_prompt", "max_tokens", "timeout",
     "retries", "backoff", "audit_log_path",
 })
-MODEL_KEYS = {
-    "scripted": frozenset({"type", "outputs", "distributions", "stop_token"}),
-    "endpoint": ENDPOINT_KEYS,
-}
-LABELER_KEYS = {
-    "embedded": frozenset({"type"}),
-    "rule": frozenset({"type", "vocabulary", "rules"}),
-    "event": frozenset({"type", "entities", "tagged"}),
-    "endpoint": frozenset({"type", "endpoint", "vocabulary", "temperature", "max_context_chars"}),
-}
 
 
 def _known_keys(spec: Mapping, keys: frozenset[str], section: str) -> None:
@@ -72,14 +62,15 @@ def _known_keys(spec: Mapping, keys: frozenset[str], section: str) -> None:
         raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
 
 
-def _typed_section(spec: Mapping | None, table: Mapping[str, frozenset[str]], section: str) -> None:
-    """Check a model or labeler spec's type, and its keys against that type's."""
-    if spec is None:
-        return
+def _typed_builder(spec: Mapping, table: Mapping[str, tuple], section: str):
+    """A model or labeler spec's builder, once its type is one of ``table``'s
+    and its keys are that type's."""
     kind = spec.get("type")
     if type(kind) is not str or kind not in table:
         raise ConfigError(f"unknown {section} type {kind!r}")
-    _known_keys(spec, table[kind], f"{kind} {section}")
+    keys, build = table[kind]
+    _known_keys(spec, keys, f"{kind} {section}")
+    return build
 
 
 @dataclass
@@ -149,13 +140,13 @@ def load_config(path: str | Path) -> Config:
             raise ConfigError(f"cannot read inject template: {err}") from err
     policy = InterventionPolicy(**policy_raw)
     for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
-        _typed_section(spec, MODEL_KEYS, section)
+        if spec is not None:
+            _typed_builder(spec, MODELS, section)
 
     # The session ends on the config's stop token, so a script must emit that one.
     stop_token = checked(raw.get("stop_token", "DONE"), "string", "stop_token")
     model_spec = checked(raw.get("model"), "object", "model", nullable=True)
-    _typed_section(model_spec, MODEL_KEYS, "model")
-    if model_spec is not None and model_spec.get("type") == "scripted":
+    if model_spec is not None and _typed_builder(model_spec, MODELS, "model") is _scripted_model:
         if (script_stop := model_spec.get("stop_token", "DONE")) != stop_token:
             raise ConfigError(
                 f"invalid config value: the scripted model's stop_token {script_stop!r}"
@@ -166,7 +157,8 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(f"mode must be 'plain' or 'reset', got {mode!r}")
 
     labeler_spec = checked(raw.get("labeler"), "object", "labeler", nullable=True)
-    _typed_section(labeler_spec, LABELER_KEYS, "labeler")
+    if labeler_spec is not None:
+        _typed_builder(labeler_spec, LABELERS, "labeler")
 
     return Config(
         constraints=constraints,
@@ -196,33 +188,43 @@ def _distribution(dist: object) -> tuple[tuple[str, float], ...]:
     )
 
 
+def _scripted_model(spec: Mapping) -> ScriptedModel:
+    stop_token = checked(spec.get("stop_token", "DONE"), "string", "stop_token")
+    if "outputs" in spec:
+        outputs = tuple(checked_items(spec["outputs"], "string", "outputs"))
+        return ScriptedModel(outputs=outputs, stop_token=stop_token)
+    if "distributions" in spec:
+        distributions = tuple(map(_distribution, checked(spec["distributions"], "array", "distributions")))
+        return ScriptedModel(distributions=distributions, stop_token=stop_token)
+    raise ConfigError("scripted model needs 'outputs' or 'distributions'")
+
+
+def _endpoint_model(spec: Mapping) -> EndpointModel:
+    return EndpointModel(
+        base_url=checked(spec["base_url"], "string", "base_url"),
+        model=checked(spec["model"], "string", "model"),
+        api_key_env=checked(spec.get("api_key_env", "LTLGUARD_API_KEY"), "string", "api_key_env"),
+        system_prompt=checked(spec.get("system_prompt"), "string", "system_prompt", nullable=True),
+        max_tokens=checked(spec.get("max_tokens"), "integer", "max_tokens", nullable=True),
+        timeout=checked(spec.get("timeout", 60.0), "number", "timeout"),
+        retries=checked(spec.get("retries", 3), "integer", "retries"),
+        backoff=checked(spec.get("backoff", 1.0), "number", "backoff"),
+        audit_log_path=checked(spec.get("audit_log_path"), "string", "audit_log_path", nullable=True),
+    )
+
+
+# Each model type: the keys its spec may have, and its builder.
+MODELS = {
+    "scripted": (frozenset({"type", "outputs", "distributions", "stop_token"}), _scripted_model),
+    "endpoint": (ENDPOINT_KEYS, _endpoint_model),
+}
+
+
 @_config_errors
 def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
     if not spec:
         raise ConfigError("model specification must be a nonempty JSON object")
-    kind = spec.get("type")
-    if kind == "scripted":
-        stop_token = checked(spec.get("stop_token", "DONE"), "string", "stop_token")
-        if "outputs" in spec:
-            outputs = tuple(checked_items(spec["outputs"], "string", "outputs"))
-            return ScriptedModel(outputs=outputs, stop_token=stop_token)
-        if "distributions" in spec:
-            distributions = tuple(map(_distribution, checked(spec["distributions"], "array", "distributions")))
-            return ScriptedModel(distributions=distributions, stop_token=stop_token)
-        raise ConfigError("scripted model needs 'outputs' or 'distributions'")
-    if kind == "endpoint":
-        return EndpointModel(
-            base_url=checked(spec["base_url"], "string", "base_url"),
-            model=checked(spec["model"], "string", "model"),
-            api_key_env=checked(spec.get("api_key_env", "LTLGUARD_API_KEY"), "string", "api_key_env"),
-            system_prompt=checked(spec.get("system_prompt"), "string", "system_prompt", nullable=True),
-            max_tokens=checked(spec.get("max_tokens"), "integer", "max_tokens", nullable=True),
-            timeout=checked(spec.get("timeout", 60.0), "number", "timeout"),
-            retries=checked(spec.get("retries", 3), "integer", "retries"),
-            backoff=checked(spec.get("backoff", 1.0), "number", "backoff"),
-            audit_log_path=checked(spec.get("audit_log_path"), "string", "audit_log_path", nullable=True),
-        )
-    raise ConfigError(f"unknown model type {kind!r}")
+    return _typed_builder(spec, MODELS, "model")(spec)
 
 
 @_config_errors
@@ -242,32 +244,49 @@ def endpoint_spec(spec: object, name: str) -> dict:
 EMBEDDED = "embedded"
 
 
+def _rule_labeler(spec: Mapping) -> RuleLabeler:
+    rules = checked(spec["rules"], "object", "rules")
+    try:
+        return RuleLabeler(
+            vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
+            rules={prop: checked(rx, "string", f"rule {prop!r}") for prop, rx in rules.items()},
+        )
+    except re.error as err:
+        raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
+
+
+def _event_labeler(spec: Mapping) -> AttributeEventLabeler:
+    return AttributeEventLabeler(
+        entities=checked(spec.get("entities", 1), "integer", "entities"),
+        tagged=checked(spec["tagged"], "boolean", "tagged") if "tagged" in spec else None,
+    )
+
+
+def _endpoint_labeler(spec: Mapping) -> EndpointLabeler:
+    return EndpointLabeler(
+        endpoint=build_model(endpoint_spec(spec["endpoint"], "endpoint")),
+        vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
+        temperature=float(checked(spec.get("temperature", 0.0), "number", "temperature")),
+        max_context_chars=checked(spec.get("max_context_chars", 8000), "integer", "max_context_chars"),
+    )
+
+
+# Each labeler type: the keys its spec may have, and its builder.
+LABELERS = {
+    EMBEDDED: (frozenset({"type"}), lambda spec: EMBEDDED),
+    "rule": (frozenset({"type", "vocabulary", "rules"}), _rule_labeler),
+    "event": (frozenset({"type", "entities", "tagged"}), _event_labeler),
+    "endpoint": (
+        frozenset({"type", "endpoint", "vocabulary", "temperature", "max_context_chars"}),
+        _endpoint_labeler,
+    ),
+}
+
+
 @_config_errors
 def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
     """Build the configured labeler; the string ``embedded`` means the
     trace's own ground-truth labels are used."""
-    if spec is None or spec.get("type") == "embedded":
+    if spec is None:
         return EMBEDDED
-    kind = spec.get("type")
-    if kind == "rule":
-        rules = checked(spec["rules"], "object", "rules")
-        try:
-            return RuleLabeler(
-                vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
-                rules={prop: checked(rx, "string", f"rule {prop!r}") for prop, rx in rules.items()},
-            )
-        except re.error as err:
-            raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
-    if kind == "event":
-        return AttributeEventLabeler(
-            entities=checked(spec.get("entities", 1), "integer", "entities"),
-            tagged=checked(spec["tagged"], "boolean", "tagged") if "tagged" in spec else None,
-        )
-    if kind == "endpoint":
-        return EndpointLabeler(
-            endpoint=build_model(endpoint_spec(spec["endpoint"], "endpoint")),
-            vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
-            temperature=float(checked(spec.get("temperature", 0.0), "number", "temperature")),
-            max_context_chars=checked(spec.get("max_context_chars", 8000), "integer", "max_context_chars"),
-        )
-    raise ConfigError(f"unknown labeler type {kind!r}")
+    return _typed_builder(spec, LABELERS, "labeler")(spec)

@@ -88,16 +88,6 @@ def _simplify_connective(
     # duplicates are found by structural ``==``, since reference nodes are
     # fresh objects.
     unit_kind, zero_kind = type(unit), type(zero)
-    left_kind, right_kind = type(left), type(right)
-    if left_kind is not kind and right_kind is not kind:
-        # Two single operands: the loop below, unrolled.
-        if left_kind is zero_kind or right_kind is zero_kind:
-            return zero
-        if left_kind is unit_kind:
-            return unit if right_kind is unit_kind else right
-        if right_kind is unit_kind or left is right or left == right:
-            return left
-        return kind(left, right)
     flat: list[Formula] = []
     _flatten(kind, left, flat)
     _flatten(kind, right, flat)

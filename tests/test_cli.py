@@ -17,8 +17,8 @@ from ltlguard.cli import main
 from ltlguard.config import (
     CONSTRAINT_KEYS,
     ENDPOINT_KEYS,
-    LABELER_KEYS,
-    MODEL_KEYS,
+    LABELERS,
+    MODELS,
     ConfigError,
     build_labeler,
     build_model,
@@ -866,24 +866,24 @@ SECTION_CASES = [
     *(
         (f"{kind} model", keys, {**GUARD_CONFIG, "model": model}, ("model",))
         for kind, keys, model in (
-            ("scripted", MODEL_KEYS["scripted"], GUARD_CONFIG["model"]),
-            ("endpoint", MODEL_KEYS["endpoint"], ENDPOINT),
+            ("scripted", MODELS["scripted"][0], GUARD_CONFIG["model"]),
+            ("endpoint", MODELS["endpoint"][0], ENDPOINT),
         )
     ),
-    ("scripted substitute_model", MODEL_KEYS["scripted"], GUARD_CONFIG, ("substitute_model",)),
+    ("scripted substitute_model", MODELS["scripted"][0], GUARD_CONFIG, ("substitute_model",)),
     (
         "scripted policy.substitute_model",
-        MODEL_KEYS["scripted"],
+        MODELS["scripted"][0],
         {**GUARD_CONFIG, "policy": {**GUARD_CONFIG["policy"], "substitute_model": GUARD_CONFIG["substitute_model"]}},
         ("policy", "substitute_model"),
     ),
     *(
         (f"{kind} labeler", keys, {**GUARD_CONFIG, "labeler": labeler}, ("labeler",))
         for kind, keys, labeler in (
-            ("embedded", LABELER_KEYS["embedded"], {"type": "embedded"}),
-            ("rule", LABELER_KEYS["rule"], GUARD_CONFIG["labeler"]),
-            ("event", LABELER_KEYS["event"], {"type": "event"}),
-            ("endpoint", LABELER_KEYS["endpoint"], ENDPOINT_LABELER),
+            ("embedded", LABELERS["embedded"][0], {"type": "embedded"}),
+            ("rule", LABELERS["rule"][0], GUARD_CONFIG["labeler"]),
+            ("event", LABELERS["event"][0], {"type": "event"}),
+            ("endpoint", LABELERS["endpoint"][0], ENDPOINT_LABELER),
         )
     ),
     ("endpoint", ENDPOINT_KEYS, {**GUARD_CONFIG, "labeler": ENDPOINT_LABELER}, ("labeler", "endpoint")),
@@ -947,6 +947,62 @@ class TestUnknownSectionKeys:
         assert (code, stdout) == (2, "")
         assert err == f"error: unknown judge config key(s): {misspelled(key)!r}\n"
         assert not out.exists()
+
+
+
+class RecordingSpec(dict):
+    """A spec that records every key read from it."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+class TestTypeTables:
+    """``MODELS`` and ``LABELERS`` own each type's name and keys: the
+    builders dispatch through them and read no key they do not declare."""
+
+    @pytest.mark.parametrize(
+        "build, table, specs",
+        [
+            (build_model, MODELS, [GUARD_CONFIG["model"], {"type": "scripted", "outputs": ["a"]}, ENDPOINT]),
+            (
+                build_labeler,
+                LABELERS,
+                [{"type": "embedded"}, RULE_CONFIG["labeler"], {"type": "event"}, ENDPOINT_LABELER],
+            ),
+        ],
+        ids=["model", "labeler"],
+    )
+    def test_builders_read_the_declared_keys(self, build, table, specs):
+        read = {kind: set() for kind in table}
+        for spec in specs:
+            spec = RecordingSpec(spec)
+            build(spec)
+            read[spec["type"]] |= spec.read
+        assert read == {kind: set(keys) for kind, (keys, _) in table.items()}
+
+    @pytest.mark.parametrize("build, section", [(build_model, "model"), (build_labeler, "labeler")])
+    @pytest.mark.parametrize("kind", ["x", None, 5])
+    def test_unknown_type(self, build, section, kind):
+        with pytest.raises(ConfigError, match=f"^unknown {section} type {kind!r}$"):
+            build({"type": kind, "outputs": ["a"]})
+
+    def test_builder_checks_keys(self):
+        with pytest.raises(ConfigError, match="^unknown scripted model key\\(s\\): 'temprature'$"):
+            build_model({**GUARD_CONFIG["model"], "temprature": 0.5})
 
 
 DROP = object()
