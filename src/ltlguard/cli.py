@@ -14,7 +14,7 @@ import sys
 from collections.abc import Mapping
 from pathlib import Path
 
-from .config import EMBEDDED, ConfigError, build_labeler, build_model, endpoint_spec, load_config
+from .config import EMBEDDED, ConfigError, build_labeler, build_model, endpoint_spec, load_config, read_json
 from .intervention import GuardedSession, run_guarded, violation_rate
 from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, render
 from .ltl.ast import SYNTAX
@@ -250,8 +250,7 @@ def cmd_bench_eval(args: argparse.Namespace) -> int:
     else:
         if not args.judge_config:
             raise ConfigError("--judge endpoint requires --judge-config")
-        spec = json.loads(Path(args.judge_config).read_text(encoding="utf-8"))
-        judge = build_model(endpoint_spec(spec, "judge config"))
+        judge = build_model(endpoint_spec(read_json(args.judge_config, "judge config"), "judge config"))
     report = eval_judge(cases, judge, level=args.level, seed=args.seed)
     write_json(report.to_dict(), args.out)
     _human(

@@ -42,35 +42,68 @@ def _config_errors(build):
     return wrapped
 
 
-# The keys of the top level, of a constraint entry and of a nested endpoint
-# spec.  Each model and labeler type's keys are declared beside its builder,
-# in ``MODELS`` and ``LABELERS``.  The policy's keys are
-# ``InterventionPolicy``'s fields, ``template_path`` and ``substitute_model``.
-KEYS = frozenset({
-    "constraints", "labeler", "model", "substitute_model", "policy", "mode", "seed",
-    "initial_input", "stop_token", "action_temperature", "sampling_temperature",
-})
-CONSTRAINT_KEYS = frozenset({"id", "formula", "gloss"})
-ENDPOINT_KEYS = frozenset({
-    "type", "base_url", "model", "api_key_env", "system_prompt", "max_tokens", "timeout",
-    "retries", "backoff", "audit_log_path",
-})
+def read_json(path: str | Path, name: str) -> object:
+    """The JSON document in the file at ``path``, called ``name`` in errors;
+    ``NaN``, ``Infinity`` and ``-Infinity``, which JSON lacks, are rejected."""
+
+    def non_finite(constant: str):
+        raise ConfigError(f"{name} is not valid JSON: {constant} is not a JSON number")
+
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=non_finite)
+    except OSError as err:
+        raise ConfigError(f"cannot read {name}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{name} is not valid JSON: {err}") from err
 
 
-def _known_keys(spec: Mapping, keys: frozenset[str], section: str) -> None:
+# Each section's keys, each with its JSON kind as ``trace.checked`` names it;
+# a trailing ``?`` also allows null.  An absent key takes the default of the
+# class its section builds.  Each model and labeler type's keys are declared
+# beside its builder, in ``MODELS`` and ``LABELERS``.
+KEYS = {
+    "constraints": "array", "labeler": "object?", "model": "object?", "substitute_model": "object?",
+    "policy": "object", "mode": "string", "seed": "integer", "initial_input": "string",
+    "stop_token": "string", "action_temperature": "number", "sampling_temperature": "number",
+}
+CONSTRAINT_KEYS = {"id": "string", "formula": "string", "gloss": "string"}
+POLICY_KEYS = {
+    "strategy": "string", "tau": "number", "n": "integer", "k": "integer", "m": "integer",
+    "pattern": "string", "inject_template": "string?", "template_path": "string?",
+    "substitute_model": "object?",
+}
+ENDPOINT_KEYS = {
+    "type": "string", "base_url": "string", "model": "string", "api_key_env": "string",
+    "system_prompt": "string?", "max_tokens": "integer?", "timeout": "number", "retries": "integer",
+    "backoff": "number", "audit_log_path": "string?",
+}
+
+
+def _read(spec: object, keys: Mapping[str, str], section: str, prefix: str = "") -> dict:
+    """The keys ``spec`` has, with their values, once it is an object whose
+    every key is one of ``keys`` and whose every value has its key's kind;
+    a value of another kind is named by ``prefix`` and its key."""
+    spec = checked(spec, "object", section)
     if unknown := sorted(spec.keys() - keys):
         raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+    return {
+        key: checked(spec[key], kind.rstrip("?"), prefix + key, nullable=kind.endswith("?"))
+        for key, kind in keys.items()
+        if key in spec
+    }
 
 
-def _typed_builder(spec: Mapping, table: Mapping[str, tuple], section: str):
-    """A model or labeler spec's builder, once its type is one of ``table``'s
-    and its keys are that type's."""
+def _typed(spec: Mapping, table: Mapping[str, tuple], section: str) -> tuple:
+    """A model or labeler spec's builder, and its values but its ``type``,
+    once the type is one of ``table``'s and the spec reads through that
+    type's keys."""
     kind = spec.get("type")
     if type(kind) is not str or kind not in table:
         raise ConfigError(f"unknown {section} type {kind!r}")
     keys, build = table[kind]
-    _known_keys(spec, keys, f"{kind} {section}")
-    return build
+    values = _read(spec, keys, f"{kind} {section}")
+    del values["type"]
+    return build, values
 
 
 @dataclass
@@ -92,73 +125,62 @@ class Config:
     action_temperature: float = 0.2
     sampling_temperature: float = 0.8
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("plain", "reset"):
+            raise ConfigError(f"mode must be 'plain' or 'reset', got {self.mode!r}")
+        self.action_temperature = float(self.action_temperature)
+        self.sampling_temperature = float(self.sampling_temperature)
+
 
 @_config_errors
 def load_config(path: str | Path) -> Config:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    raw = checked(raw, "object", "config")
-    _known_keys(raw, KEYS, "config")
-    entries = checked(raw.get("constraints", []), "array", "constraints")
-    if not entries:
+    raw = _read(read_json(path, "config"), KEYS, "config")
+    if not (entries := raw.pop("constraints", None)):
         raise ConfigError("config needs a nonempty 'constraints' array")
     automaton = ProgressionCache()
     constraints: dict[str, Formula] = {}
     propositions: dict[str, frozenset[str]] = {}
     glosses: dict[str, str] = {}
     for i, entry in enumerate(entries, 1):
-        _known_keys(checked(entry, "object", f"constraint #{i}"), CONSTRAINT_KEYS, f"constraint #{i}")
+        # A wrong value is named by the constraint's id once the id is a string.
+        cid = checked(entry, "object", f"constraint #{i}").get("id")
+        prefix = f"constraint {cid!r}: " if type(cid) is str else f"constraint #{i}: "
+        entry = _read(entry, CONSTRAINT_KEYS, f"constraint #{i}", prefix)
         if "id" not in entry or "formula" not in entry:
             raise ConfigError(f"constraint #{i} needs 'id' and 'formula' fields")
-        cid = checked(entry["id"], "string", f"constraint #{i}: id")
         if cid in constraints:
             raise ConfigError(f"duplicate constraint id {cid!r}")
         try:
-            constraints[cid], propositions[cid] = parse_written(
-                checked(entry["formula"], "string", f"constraint {cid!r}: formula"), automaton
-            )
+            constraints[cid], propositions[cid] = parse_written(entry["formula"], automaton)
         except ParseError as err:
             raise ConfigError(f"constraint {cid!r}: {err}") from err
-        if gloss := checked(entry.get("gloss", ""), "string", f"constraint {cid!r}: gloss"):
+        if gloss := entry.get("gloss"):
             glosses[cid] = gloss
 
-    policy_raw = dict(checked(raw.get("policy", {}), "object", "policy"))
-    template_path = checked(policy_raw.pop("template_path", None), "string", "template_path", nullable=True)
+    policy = _read(raw.pop("policy", {}), POLICY_KEYS, "policy")
     # A substitute model given in the policy takes the place of a top-level one.
-    substitute_spec, top_substitute = (
-        checked(spec, "object", "substitute_model", nullable=True)
-        for spec in (policy_raw.pop("substitute_model", None), raw.get("substitute_model"))
-    )
-    if template_path is not None:
+    substitute_spec, top_substitute = policy.pop("substitute_model", None), raw.pop("substitute_model", None)
+    if (template_path := policy.pop("template_path", None)) is not None:
         try:
-            policy_raw["inject_template"] = Path(template_path).read_text(encoding="utf-8")
+            policy["inject_template"] = Path(template_path).read_text(encoding="utf-8")
         except OSError as err:
             raise ConfigError(f"cannot read inject template: {err}") from err
-    policy = InterventionPolicy(**policy_raw)
+    policy = InterventionPolicy(**policy)
     for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
         if spec is not None:
-            _typed_builder(spec, MODELS, section)
+            _typed(spec, MODELS, section)
 
     # The session ends on the config's stop token, so a script must emit that one.
-    stop_token = checked(raw.get("stop_token", "DONE"), "string", "stop_token")
-    model_spec = checked(raw.get("model"), "object", "model", nullable=True)
-    if model_spec is not None and _typed_builder(model_spec, MODELS, "model") is _scripted_model:
-        if (script_stop := model_spec.get("stop_token", "DONE")) != stop_token:
+    if (model_spec := raw.pop("model", None)) is not None:
+        build, values = _typed(model_spec, MODELS, "model")
+        script_stop = values.get("stop_token", ScriptedModel.stop_token)
+        if build is _scripted_model and script_stop != (stop_token := raw.get("stop_token", Config.stop_token)):
             raise ConfigError(
                 f"invalid config value: the scripted model's stop_token {script_stop!r}"
                 f" differs from {stop_token!r}"
             )
-    mode = raw.get("mode", "reset")
-    if mode not in ("plain", "reset"):
-        raise ConfigError(f"mode must be 'plain' or 'reset', got {mode!r}")
-
-    labeler_spec = checked(raw.get("labeler"), "object", "labeler", nullable=True)
-    if labeler_spec is not None:
-        _typed_builder(labeler_spec, LABELERS, "labeler")
+    if (labeler_spec := raw.pop("labeler", None)) is not None:
+        _typed(labeler_spec, LABELERS, "labeler")
 
     return Config(
         constraints=constraints,
@@ -169,14 +191,7 @@ def load_config(path: str | Path) -> Config:
         model_spec=model_spec,
         substitute_spec=top_substitute if substitute_spec is None else substitute_spec,
         policy=policy,
-        mode=mode,
-        seed=checked(raw.get("seed", 0), "integer", "seed"),
-        initial_input=checked(raw.get("initial_input", ""), "string", "initial_input"),
-        stop_token=stop_token,
-        action_temperature=float(checked(raw.get("action_temperature", 0.2), "number", "action_temperature")),
-        sampling_temperature=float(
-            checked(raw.get("sampling_temperature", 0.8), "number", "sampling_temperature")
-        ),
+        **raw,
     )
 
 
@@ -188,35 +203,22 @@ def _distribution(dist: object) -> tuple[tuple[str, float], ...]:
     )
 
 
-def _scripted_model(spec: Mapping) -> ScriptedModel:
-    stop_token = checked(spec.get("stop_token", "DONE"), "string", "stop_token")
-    if "outputs" in spec:
-        outputs = tuple(checked_items(spec["outputs"], "string", "outputs"))
-        return ScriptedModel(outputs=outputs, stop_token=stop_token)
-    if "distributions" in spec:
-        distributions = tuple(map(_distribution, checked(spec["distributions"], "array", "distributions")))
-        return ScriptedModel(distributions=distributions, stop_token=stop_token)
-    raise ConfigError("scripted model needs 'outputs' or 'distributions'")
+def _scripted_model(values: dict) -> ScriptedModel:
+    if "outputs" in values:
+        values["outputs"] = tuple(checked_items(values["outputs"], "string", "outputs"))
+    elif "distributions" in values:
+        values["distributions"] = tuple(map(_distribution, values["distributions"]))
+    else:
+        raise ConfigError("scripted model needs 'outputs' or 'distributions'")
+    return ScriptedModel(**values)
 
 
-def _endpoint_model(spec: Mapping) -> EndpointModel:
-    return EndpointModel(
-        base_url=checked(spec["base_url"], "string", "base_url"),
-        model=checked(spec["model"], "string", "model"),
-        api_key_env=checked(spec.get("api_key_env", "LTLGUARD_API_KEY"), "string", "api_key_env"),
-        system_prompt=checked(spec.get("system_prompt"), "string", "system_prompt", nullable=True),
-        max_tokens=checked(spec.get("max_tokens"), "integer", "max_tokens", nullable=True),
-        timeout=checked(spec.get("timeout", 60.0), "number", "timeout"),
-        retries=checked(spec.get("retries", 3), "integer", "retries"),
-        backoff=checked(spec.get("backoff", 1.0), "number", "backoff"),
-        audit_log_path=checked(spec.get("audit_log_path"), "string", "audit_log_path", nullable=True),
-    )
-
-
-# Each model type: the keys its spec may have, and its builder.
+# Each model type: its keys with their kinds, and its builder.
 MODELS = {
-    "scripted": (frozenset({"type", "outputs", "distributions", "stop_token"}), _scripted_model),
-    "endpoint": (ENDPOINT_KEYS, _endpoint_model),
+    "scripted": (
+        {"type": "string", "outputs": "array", "distributions": "array", "stop_token": "string"}, _scripted_model
+    ),
+    "endpoint": (ENDPOINT_KEYS, lambda values: EndpointModel(**values)),
 }
 
 
@@ -224,7 +226,8 @@ MODELS = {
 def build_model(spec: Mapping | None) -> ScriptedModel | EndpointModel:
     if not spec:
         raise ConfigError("model specification must be a nonempty JSON object")
-    return _typed_builder(spec, MODELS, "model")(spec)
+    build, values = _typed(spec, MODELS, "model")
+    return build(values)
 
 
 @_config_errors
@@ -232,52 +235,38 @@ def endpoint_spec(spec: object, name: str) -> dict:
     """A nested endpoint model spec, such as the ``endpoint`` labeler's or a
     judge config, as a ``build_model`` spec: its ``type``, if present, must
     be ``endpoint``."""
-    spec = checked(spec, "object", name)
-    if spec.get("type", "endpoint") != "endpoint":
-        raise ConfigError(
-            f"invalid config value: {name}'s 'type' must be 'endpoint' or absent, got {spec['type']!r}"
-        )
-    _known_keys(spec, ENDPOINT_KEYS, name)
-    return {**spec, "type": "endpoint"}
+    if (kind := checked(spec, "object", name).get("type", "endpoint")) != "endpoint":
+        raise ConfigError(f"invalid config value: {name}'s 'type' must be 'endpoint' or absent, got {kind!r}")
+    return {**_read(spec, ENDPOINT_KEYS, name), "type": "endpoint"}
 
 
 EMBEDDED = "embedded"
 
 
-def _rule_labeler(spec: Mapping) -> RuleLabeler:
-    rules = checked(spec["rules"], "object", "rules")
+def _rule_labeler(values: dict) -> RuleLabeler:
+    rules = {prop: checked(rx, "string", f"rule {prop!r}") for prop, rx in values["rules"].items()}
     try:
-        return RuleLabeler(
-            vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
-            rules={prop: checked(rx, "string", f"rule {prop!r}") for prop, rx in rules.items()},
-        )
+        return RuleLabeler(frozenset(checked_items(values["vocabulary"], "string", "vocabulary")), rules)
     except re.error as err:
         raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
 
 
-def _event_labeler(spec: Mapping) -> AttributeEventLabeler:
-    return AttributeEventLabeler(
-        entities=checked(spec.get("entities", 1), "integer", "entities"),
-        tagged=checked(spec["tagged"], "boolean", "tagged") if "tagged" in spec else None,
-    )
+def _endpoint_labeler(values: dict) -> EndpointLabeler:
+    values["endpoint"] = build_model(endpoint_spec(values["endpoint"], "endpoint"))
+    values["vocabulary"] = frozenset(checked_items(values["vocabulary"], "string", "vocabulary"))
+    return EndpointLabeler(**values)
 
 
-def _endpoint_labeler(spec: Mapping) -> EndpointLabeler:
-    return EndpointLabeler(
-        endpoint=build_model(endpoint_spec(spec["endpoint"], "endpoint")),
-        vocabulary=frozenset(checked_items(spec["vocabulary"], "string", "vocabulary")),
-        temperature=float(checked(spec.get("temperature", 0.0), "number", "temperature")),
-        max_context_chars=checked(spec.get("max_context_chars", 8000), "integer", "max_context_chars"),
-    )
-
-
-# Each labeler type: the keys its spec may have, and its builder.
+# Each labeler type: its keys with their kinds, and its builder.
 LABELERS = {
-    EMBEDDED: (frozenset({"type"}), lambda spec: EMBEDDED),
-    "rule": (frozenset({"type", "vocabulary", "rules"}), _rule_labeler),
-    "event": (frozenset({"type", "entities", "tagged"}), _event_labeler),
+    EMBEDDED: ({"type": "string"}, lambda values: EMBEDDED),
+    "rule": ({"type": "string", "vocabulary": "array", "rules": "object"}, _rule_labeler),
+    "event": (
+        {"type": "string", "entities": "integer", "tagged": "boolean"}, lambda values: AttributeEventLabeler(**values)
+    ),
     "endpoint": (
-        frozenset({"type", "endpoint", "vocabulary", "temperature", "max_context_chars"}),
+        {"type": "string", "endpoint": "object", "vocabulary": "array", "temperature": "number",
+         "max_context_chars": "integer"},
         _endpoint_labeler,
     ),
 }
@@ -289,4 +278,5 @@ def build_labeler(spec: Mapping | None) -> LabelingFunction | str:
     trace's own ground-truth labels are used."""
     if spec is None:
         return EMBEDDED
-    return _typed_builder(spec, LABELERS, "labeler")(spec)
+    build, values = _typed(spec, LABELERS, "labeler")
+    return build(values)

@@ -20,7 +20,7 @@ from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state, run_states
 from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern, rollout
-from .trace import LabelingFunction, StepRecord, Trace, VerdictReport, checked
+from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
 STRATEGIES = ("none", "resample", "inject", "switch")
 
@@ -46,13 +46,6 @@ class InterventionPolicy:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise PolicyError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
-        try:
-            for name, kind in (("n", "integer"), ("k", "integer"), ("m", "integer"), ("tau", "number")):
-                checked(getattr(self, name), kind, name)
-            checked(self.pattern, "string", "pattern")
-            checked(self.inject_template, "string", "inject_template", nullable=True)
-        except TypeError as err:
-            raise PolicyError(str(err)) from None
         if not 0.0 <= self.tau <= 1.0:
             raise PolicyError(f"tau must be in [0, 1], got {self.tau}")
         if self.n < 1:

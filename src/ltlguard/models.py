@@ -314,6 +314,7 @@ class EndpointLabeler:
     warnings: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.temperature = float(self.temperature)
         if self.max_context_chars < 1:
             raise ValueError(f"max_context_chars must be at least 1, got {self.max_context_chars}")
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -17,8 +18,10 @@ from ltlguard.cli import main
 from ltlguard.config import (
     CONSTRAINT_KEYS,
     ENDPOINT_KEYS,
+    KEYS,
     LABELERS,
     MODELS,
+    POLICY_KEYS,
     ConfigError,
     build_labeler,
     build_model,
@@ -610,6 +613,8 @@ class TestGuardCommand:
             {"labeler": {"type": "event", "tagged": 1}},
             {"labeler": {"type": "event", "tagged": None}},
             {"model": {"type": "scripted", "outputs": "abc"}},
+            # A script has outputs or distributions, not both.
+            {"model": {"type": "scripted", "outputs": ["ok move"], "distributions": [[["bad move", 1.0]]]}},
             {"substitute_model": []},
             {"policy": []},
             {"policy": {**GUARD_CONFIG["policy"], "template_path": 0}},
@@ -858,17 +863,22 @@ class TestEndpointSpecValues:
         assert err == "error: invalid config value: base_url must be a string, got 5\n"
 
 
-# Each config section with its declared keys: (section as errors name it,
-# its keys, a valid guard config, the path to the section in it).
+# Each config section with its declared keys, taken from the tables:
+# (section as errors name it, its keys, a valid guard config, the path to the
+# section in it).  Every model and labeler type needs a valid spec here.
 ENDPOINT_LABELER = {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"]}
+MODEL_SPECS = {"scripted": GUARD_CONFIG["model"], "endpoint": ENDPOINT}
+LABELER_SPECS = {
+    "embedded": {"type": "embedded"}, "rule": GUARD_CONFIG["labeler"], "event": {"type": "event"},
+    "endpoint": ENDPOINT_LABELER,
+}
 SECTION_CASES = [
+    ("config", KEYS, GUARD_CONFIG, ()),
     ("constraint #1", CONSTRAINT_KEYS, GUARD_CONFIG, ("constraints", 0)),
+    ("policy", POLICY_KEYS, GUARD_CONFIG, ("policy",)),
     *(
-        (f"{kind} model", keys, {**GUARD_CONFIG, "model": model}, ("model",))
-        for kind, keys, model in (
-            ("scripted", MODELS["scripted"][0], GUARD_CONFIG["model"]),
-            ("endpoint", MODELS["endpoint"][0], ENDPOINT),
-        )
+        (f"{kind} model", keys, {**GUARD_CONFIG, "model": MODEL_SPECS[kind]}, ("model",))
+        for kind, (keys, _) in MODELS.items()
     ),
     ("scripted substitute_model", MODELS["scripted"][0], GUARD_CONFIG, ("substitute_model",)),
     (
@@ -878,28 +888,35 @@ SECTION_CASES = [
         ("policy", "substitute_model"),
     ),
     *(
-        (f"{kind} labeler", keys, {**GUARD_CONFIG, "labeler": labeler}, ("labeler",))
-        for kind, keys, labeler in (
-            ("embedded", LABELERS["embedded"][0], {"type": "embedded"}),
-            ("rule", LABELERS["rule"][0], GUARD_CONFIG["labeler"]),
-            ("event", LABELERS["event"][0], {"type": "event"}),
-            ("endpoint", LABELERS["endpoint"][0], ENDPOINT_LABELER),
-        )
+        (f"{kind} labeler", keys, {**GUARD_CONFIG, "labeler": LABELER_SPECS[kind]}, ("labeler",))
+        for kind, (keys, _) in LABELERS.items()
     ),
     ("endpoint", ENDPOINT_KEYS, {**GUARD_CONFIG, "labeler": ENDPOINT_LABELER}, ("labeler", "endpoint")),
 ]
 
 
-def misspelled(key):
-    """``key`` without its last letter, as ``glos`` for ``gloss``."""
-    return key[:-1]
+def misspelled(key, keys=()):
+    """``key`` without its last letter, as ``glos`` for ``gloss``; or, where
+    that spells another of ``keys``, with its last letter doubled, as
+    ``modell`` for the top level's ``model``."""
+    return key + key[-1] if key[:-1] in keys else key[:-1]
 
 
-def with_misspelled(section, key):
+def with_misspelled(section, key, keys=()):
     """A copy of ``section`` with ``key`` misspelled, or added misspelled."""
     section = dict(section)
-    section[misspelled(key)] = section.pop(key, "x")
+    section[misspelled(key, keys)] = section.pop(key, "x")
     return section
+
+
+def replaced(doc, path, change):
+    """A deep copy of ``doc`` whose value at ``path`` is ``change`` of it."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return change(doc)
+    parent = value_at(doc, path[:-1])
+    parent[path[-1]] = change(parent[path[-1]])
+    return doc
 
 
 class TestUnknownSectionKeys:
@@ -913,10 +930,8 @@ class TestUnknownSectionKeys:
     )
     @pytest.mark.parametrize("command", ["audit", "guard"])
     def test_exit_2(self, capsys, tmp_path, command, section, keys, key, doc, path):
-        assert misspelled(key) not in keys
-        doc = copy.deepcopy(doc)
-        parent = value_at(doc, path[:-1])
-        parent[path[-1]] = with_misspelled(parent[path[-1]], key)
+        assert misspelled(key, keys) not in keys
+        doc = replaced(doc, path, lambda spec: with_misspelled(spec, key, keys))
         config, trace, out = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "out"
         write_json(config, doc)
         write_trace(trace, ["a bad move"])
@@ -930,7 +945,7 @@ class TestUnknownSectionKeys:
             # Without its type a model or labeler spec has no key set.
             assert err == f"error: unknown {section.split(' ', 1)[1]} type None\n"
         else:
-            assert err == f"error: unknown {section} key(s): {misspelled(key)!r}\n"
+            assert err == f"error: unknown {section} key(s): {misspelled(key, keys)!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(ENDPOINT_KEYS))
@@ -1157,6 +1172,104 @@ class TestEveryValueOfAnotherKind:
                 if out.exists():
                     shutil.rmtree(out) if out.is_dir() else out.unlink()
         assert runs > 0 and failures == []
+
+
+# One value of each JSON kind, as the config tables name the kinds.
+KIND_VALUES = {"string": "", "integer": 0, "number": 2.5, "boolean": False, "array": [], "object": {}}
+
+
+def other_kinds(kind):
+    """A value of each JSON kind that a table's ``kind`` does not accept,
+    where an integer counts as a number, and null unless ``kind`` allows it."""
+    accepted = {"number", "integer"} if kind.rstrip("?") == "number" else {kind.rstrip("?")}
+    return [value for name, value in KIND_VALUES.items() if name not in accepted] + [None] * (kind[-1] != "?")
+
+
+class TestEveryKeyOfAnotherKind:
+    """Every key of every section's table, set to a value of each JSON kind
+    the table does not accept, exits 2 with one error line that names the
+    key, before any output is written."""
+
+    @pytest.mark.parametrize("section, keys, doc, path", SECTION_CASES, ids=[case[0] for case in SECTION_CASES])
+    def test_exit_2_with_one_error_line(self, tmp_path, section, keys, doc, path):
+        trace, config, out = tmp_path / "trace.jsonl", tmp_path / "config.json", tmp_path / "out"
+        write_trace(trace, ["a bad move"])
+        write_json(config, doc)
+        assert not rejected(config, "guard")
+        failures = []
+        for key, kind in keys.items():
+            for wrong in other_kinds(kind):
+                write_json(config, replaced(doc, path, lambda spec: {**spec, key: wrong}))
+                stdout, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                    code = main(["audit", str(trace), "--config", str(config), "--out", str(out)])
+                lines = err.getvalue().splitlines()
+                if (code, stdout.getvalue(), len(lines)) != (2, "", 1) or key not in lines[0] or out.exists():
+                    failures.append((key, wrong, code, lines))
+        assert failures == []
+
+
+class TestNonFiniteNumbers:
+    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: a config or a
+    judge config that holds one exits 2 with one error line, writing nothing."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"action_temperature": float("nan")},
+            {"sampling_temperature": float("inf")},
+            {"seed": float("-inf")},
+            {"model": {"type": "scripted", "distributions": [[["bad move", float("nan")], ["ok move", 0.5]]]}},
+        ],
+        ids=["action_temperature-NaN", "sampling_temperature-Infinity", "seed--Infinity", "distribution-weight-NaN"],
+    )
+    def test_config_exit_2(self, capsys, tmp_path, override):
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, **override})
+        code, out, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: config is not valid JSON: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_judge_config_exit_2(self, capsys, tmp_path):
+        bench, judge, out = tmp_path / "bench.jsonl", tmp_path / "judge.json", tmp_path / "eval.json"
+        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
+        write_json(judge, {**ENDPOINT, "timeout": float("inf")})
+        code, stdout, err = run_cli(
+            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge),
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: judge config is not valid JSON: Infinity is not a JSON number\n"
+        assert not out.exists()
+
+
+class TestReadmeValueTypes:
+    """README's "Value types" table lists every key of every section under
+    its table's kind, and no other key."""
+
+    def test_matches_the_tables(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("**Value types.**", 1)[1].split("\n- **", 1)[0]
+        listed = {
+            label: dict(re.findall(r"`(\w+)` (\w+(?: or null)?)", cell))
+            for label, cell in re.findall(r"^ *\| (.+?) \| (.+) \|$", block, re.M)
+            if "`" in cell
+        }
+        # A nested endpoint spec reads the endpoint model's keys.
+        assert MODELS["endpoint"][0] is ENDPOINT_KEYS
+        sections = {
+            "top level": KEYS, "constraint": CONSTRAINT_KEYS, "policy": POLICY_KEYS,
+            **{f"`{kind}` model": keys for kind, (keys, _) in MODELS.items()},
+            **{f"`{kind}` labeler": keys for kind, (keys, _) in LABELERS.items()},
+        }
+        assert listed == {
+            label: {key: kind.replace("?", " or null") for key, kind in keys.items()}
+            for label, keys in sections.items()
+        }
 
 
 class TestBenchCommands:
