@@ -128,6 +128,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     trace = load_trace(args.trace)
     labeler = build_labeler(config.labeler_spec)
+    if args.relabel and labeler is EMBEDDED:
+        raise ConfigError("--relabel needs a labeler, but the config has none and keeps embedded labels")
     _check_propositions(config.propositions, labeler, trace)
     if labeler is not EMBEDDED:
         trace = apply_labeler(trace, labeler, overwrite=args.relabel)

@@ -14,12 +14,12 @@ purpose tag, so runs are reproducible and the baseline (strategy
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state, run_states
-from .predictive import MonitoringPattern, advance, estimate_risks, get_pattern, rollout
+from .predictive import PATTERNS, advance, estimate_risks, rollout
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
 STRATEGIES = ("none", "resample", "inject", "switch")
@@ -52,10 +52,8 @@ class InterventionPolicy:
             raise PolicyError("n must be >= 1")
         if self.k < 1 or self.m < 1:
             raise PolicyError("k and m must be >= 1")
-        try:
-            get_pattern(self.pattern)
-        except KeyError as err:
-            raise PolicyError(err.args[0]) from None
+        if self.pattern not in PATTERNS:
+            raise PolicyError(f"unknown monitoring pattern {self.pattern!r}; known: {sorted(PATTERNS)}")
 
 
 @dataclass(frozen=True)
@@ -77,26 +75,14 @@ class GuardedStepOutcome:
     m: int | None = None
 
     def to_dict(self) -> dict:
-        def risks(value):
-            return dict(sorted(value.items())) if value is not None else None
-
-        return {
-            "t": self.t,
-            "input": self.input,
-            "final_input": self.final_input,
-            "original_output": self.original_output,
-            "final_output": self.final_output,
-            "intervened": self.intervened,
-            "strategy": self.strategy,
-            "verdicts": {cid: v._value_ for cid, v in sorted(self.verdicts.items())},
-            "residuals": dict(sorted(self.residuals.items())),
-            "trigger_risk": risks(self.trigger_risk),
-            "risk_original": risks(self.risk_original),
-            "risk_after": risks(self.risk_after),
-            "contract_ok": self.contract_ok,
-            "k": self.k,
-            "m": self.m,
-        }
+        """Every field by name, each map sorted by constraint id and each
+        verdict as its string."""
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        for name, value in doc.items():
+            if isinstance(value, Mapping):
+                doc[name] = dict(sorted(value.items()))
+        doc["verdicts"] = {cid: v._value_ for cid, v in doc["verdicts"].items()}
+        return doc
 
 
 class GuardedSession:
@@ -122,7 +108,7 @@ class GuardedSession:
         self.model = model
         self.labeler = labeler
         self.policy = policy
-        self.pattern: MonitoringPattern = get_pattern(policy.pattern)
+        self.pattern = PATTERNS[policy.pattern]
         self.substitute = substitute
         self.seed = seed
         self.stop_token = stop_token
@@ -194,24 +180,31 @@ def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
     def scored(j: int) -> tuple[int, int, str]:
         seed = derive_seed(session.seed, t, "resample", j)
         seeds = [seed, *(derive_seed(seed, "roll", i) for i in range(session.policy.k - 1))]
-        steps, trail = rollout(
+        output, verdicts = rollout(
             session.states, session.model, session.labeler, session.steps, input, seeds,
             session.sampling_temperature,
         )
-        violations = sum(st.last_verdict is Verdict.VIOLATED for states in trail[1:] for st in states.values())
-        return violations, j, steps[len(session.steps)].output
+        violations = sum(seq[1:].count(Verdict.VIOLATED) for seq in verdicts.values())
+        return violations, j, output
 
     return min(map(scored, range(n)))[2]
 
 
 def _risks(
     session: GuardedSession,
-    states: Mapping[str, MonitorState],
-    next_input: str,
-    history: Sequence[StepRecord],
+    input: str,
     seed: int,
+    committed: str | None = None,
 ) -> dict[str, float]:
-    """Pattern probability per constraint under the session's estimator settings."""
+    """Pattern probability per constraint under the session's estimator
+    settings, for continuations that start with ``input``; given a
+    ``committed`` output, for continuations after (input, committed), whose
+    own verdict opens each sequence."""
+    states, history = session.states, session.steps
+    if committed is not None:
+        history = list(history)
+        states = advance(states, session.labeler, history, input, committed)
+        input = ""
     estimates = estimate_risks(
         states,
         session.model,
@@ -219,22 +212,12 @@ def _risks(
         session.pattern,
         session.policy.k,
         session.policy.m,
-        next_input,
+        input,
         history,
         seed,
         session.sampling_temperature,
     )
     return {cid: est.probability for cid, est in estimates.items()}
-
-
-def _post_pair_risks(
-    session: GuardedSession, input: str, output: str, seed: int
-) -> dict[str, float]:
-    """Estimated pattern risk after committing (input, output), the pair's
-    own verdict included as the first element of each sequence."""
-    steps = list(session.steps)
-    progressed = advance(session.states, session.labeler, steps, input, output)
-    return _risks(session, progressed, "", steps, seed)
 
 
 def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome | None:
@@ -249,8 +232,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     t = len(session.steps) + 1
     trigger: dict[str, float] | None = None
     if policy.strategy != "none":
-        predict_seed = derive_seed(session.seed, t, "predict")
-        trigger = _risks(session, session.states, next_input, session.steps, predict_seed)
+        trigger = _risks(session, next_input, derive_seed(session.seed, t, "predict"))
     original_output = _act(session, session.model, session.steps, next_input, t, "action")
     if original_output == session.stop_token:
         session.finished = True
@@ -276,8 +258,8 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
         elif policy.strategy == "switch":
             final_output = apply_switch(session, t)
         post_seed = derive_seed(session.seed, t, "post")
-        risk_original = _post_pair_risks(session, next_input, original_output, post_seed)
-        risk_after = _post_pair_risks(session, final_input, final_output, post_seed)
+        risk_original = _risks(session, next_input, post_seed, original_output)
+        risk_after = _risks(session, final_input, post_seed, final_output)
         contract_ok = all(
             risk_after[cid] <= risk_original[cid] for cid in session.states
         )

@@ -1,10 +1,11 @@
 """Sampling-based prediction of near-future verdict patterns.
 
 The estimator draws independent continuations of the session from the
-model through ``rollout``, which labels them and progresses copies of the
-monitor states along each, and reports the fraction whose verdict
-sequence (current verdict first) matches a monitoring pattern.  Sampled
-steps never touch the live state or history.
+model through ``rollout``, which labels them, progresses copies of the
+monitor states along each and returns each constraint's verdict sequence
+(current verdict first); it reports the fraction of sequences that match
+a monitoring pattern.  Sampled steps never touch the live state or
+history.
 """
 
 from __future__ import annotations
@@ -17,44 +18,15 @@ from .models import BlackBoxModel, SampleParams, derive_seed
 from .monitor import MonitorState, step
 from .trace import LabelingFunction, StepRecord, label_step
 
-
-@dataclass(frozen=True)
-class MonitoringPattern:
-    """Named predicate over finite verdict sequences."""
-
-    name: str
-    matches: Callable[[Sequence[Verdict]], bool]
-
-
-CONTAINS_VIOLATED = MonitoringPattern(
-    "contains_violated", lambda seq: Verdict.VIOLATED in seq
-)
-CONTAINS_SATISFIED = MonitoringPattern(
-    "contains_satisfied", lambda seq: Verdict.SATISFIED in seq
-)
-ENDS_VIOLATED = MonitoringPattern(
-    "ends_violated", lambda seq: bool(seq) and seq[-1] is Verdict.VIOLATED
-)
-
-_REGISTRY: dict[str, MonitoringPattern] = {}
-
-
-def register_pattern(pattern: MonitoringPattern) -> MonitoringPattern:
-    _REGISTRY[pattern.name] = pattern
-    return pattern
-
-
-def get_pattern(name: str) -> MonitoringPattern:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown monitoring pattern {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-
-
-for _p in (CONTAINS_VIOLATED, CONTAINS_SATISFIED, ENDS_VIOLATED):
-    register_pattern(_p)
+# Each monitoring pattern by name: a predicate over a finite verdict sequence.
+PATTERNS: dict[str, Callable[[Sequence[Verdict]], bool]] = {
+    "contains_violated": lambda seq: Verdict.VIOLATED in seq,
+    "contains_satisfied": lambda seq: Verdict.SATISFIED in seq,
+    "ends_violated": lambda seq: bool(seq) and seq[-1] is Verdict.VIOLATED,
+}
+CONTAINS_VIOLATED = PATTERNS["contains_violated"]
+CONTAINS_SATISFIED = PATTERNS["contains_satisfied"]
+ENDS_VIOLATED = PATTERNS["ends_violated"]
 
 
 def advance(
@@ -78,26 +50,26 @@ def rollout(
     input: str,
     seeds: Sequence[int],
     temperature: float,
-) -> tuple[list[StepRecord], list[Mapping[str, MonitorState]]]:
+) -> tuple[str, dict[str, tuple[Verdict, ...]]]:
     """Sample one continuation of ``history``: one model call and one
-    ``advance`` per seed, the first step with ``input`` and later steps
-    with none.  Returns the steps (a private copy of ``history`` followed
-    by the sampled steps) and the trail of states, ``states`` first."""
+    ``advance`` per seed, on a private copy of ``history``, the first step
+    with ``input`` and later steps with none.  Returns the first sampled
+    output and each constraint's verdict sequence, its current verdict
+    first."""
     steps = list(history)
-    trail = [states]
+    sequences = {cid: [st.last_verdict] for cid, st in states.items()}
     for offset, seed in enumerate(seeds):
         inp = input if offset == 0 else ""
         out = model.next_output(steps, inp, SampleParams(temperature=temperature, seed=seed))
-        trail.append(advance(trail[-1], labeler, steps, inp, out))
-    return steps, trail
+        states = advance(states, labeler, steps, inp, out)
+        for cid, st in states.items():
+            sequences[cid].append(st.last_verdict)
+    return steps[len(history)].output, {cid: tuple(seq) for cid, seq in sequences.items()}
 
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    constraint_id: str
     probability: float
-    samples: int
-    horizon: int
     verdict_sequences: tuple[tuple[Verdict, ...], ...]
 
 
@@ -105,7 +77,7 @@ def estimate_risks(
     states: Mapping[str, MonitorState],
     model: BlackBoxModel,
     labeler: LabelingFunction,
-    pattern: MonitoringPattern,
+    pattern: Callable[[Sequence[Verdict]], bool],
     k: int,
     m: int,
     next_input: str,
@@ -124,18 +96,12 @@ def estimate_risks(
     sequences: dict[str, list[tuple[Verdict, ...]]] = {cid: [] for cid in states}
     for j in range(m):
         seeds = [derive_seed(seed, "sample", j)] * k
-        _, trail = rollout(states, model, labeler, history, next_input, seeds, temperature)
-        for cid in states:
-            sequences[cid].append(tuple(copies[cid].last_verdict for copies in trail))
+        _, verdicts = rollout(states, model, labeler, history, next_input, seeds, temperature)
+        for cid, seq in verdicts.items():
+            sequences[cid].append(seq)
     return {
-        cid: RiskEstimate(
-            constraint_id=cid,
-            probability=sum(map(pattern.matches, sequences[cid])) / m,
-            samples=m,
-            horizon=k,
-            verdict_sequences=tuple(sequences[cid]),
-        )
-        for cid in states
+        cid: RiskEstimate(sum(map(pattern, seqs)) / m, tuple(seqs))
+        for cid, seqs in sequences.items()
     }
 
 
@@ -143,7 +109,7 @@ def estimate_risk(
     state: MonitorState,
     model: BlackBoxModel,
     labeler: LabelingFunction,
-    pattern: MonitoringPattern,
+    pattern: Callable[[Sequence[Verdict]], bool],
     k: int,
     m: int,
     next_input: str,

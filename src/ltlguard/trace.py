@@ -360,8 +360,12 @@ def save_reports(reports: Iterable[VerdictReport], path: str | Path | None, extr
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:
-    """Load a report document; a missing or malformed field raises ``TraceError``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a report document; a file that is not JSON, or a missing or
+    malformed field, raises ``TraceError`` naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # a JSON or a UTF-8 decoding error
+        raise TraceError(f"{path}: not valid JSON: {err}") from err
     try:
         reports = checked(doc, "object", "a report document")["reports"]
         return [report_from_dict(obj) for obj in checked_items(reports, "object", "reports")]

@@ -28,6 +28,7 @@ from ltlguard.config import (
     load_config,
 )
 from ltlguard.ltl import parse, progress, render, simplify, verdict_of
+from ltlguard.predictive import PATTERNS
 from helpers import DEFAULT_PROPS, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
@@ -360,6 +361,33 @@ class TestAuditCommand:
         assert code == 2 and out == ""
         assert err == f"error: {truth}: malformed report: {message}\n"
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"reports: none\n", "Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["not-json", "not-utf-8"],
+    )
+    def test_f1_truth_not_json_exit_2_naming_the_file(self, capsys, tmp_path, content, reason):
+        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
+        write_json(config, RULE_CONFIG)
+        truth.write_bytes(content)
+        write_trace(trace, ["bad"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {truth}: not valid JSON: {reason}\n"
+
+    def test_relabel_without_labeler_exit_2(self, capsys, tmp_path):
+        # Relabeling needs a labeler: auditing the embedded labels instead
+        # would report on labels the user asked to replace.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, {"constraints": [{"id": "c", "formula": "G !bad"}]})
+        trace.write_text(json.dumps({"t": 1, "output": "bad", "labels": []}) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--relabel"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --relabel needs a labeler, but the config has none and keeps embedded labels\n"
+
     def test_embedded_labels_outside_vocabulary_kept_without_relabel(self, capsys, tmp_path):
         # The vocabulary check covers what a labeler produces, not labels a
         # trace embeds: without --relabel, step 1 keeps its labels as given,
@@ -619,6 +647,7 @@ class TestGuardCommand:
             {"policy": []},
             {"policy": {**GUARD_CONFIG["policy"], "template_path": 0}},
             {"policy": {**GUARD_CONFIG["policy"], "substitute_model": 0}},
+            {"policy": {**GUARD_CONFIG["policy"], "pattern": "contains_violatd"}},
             {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": []}},
             {"labeler": {"type": "rule", "vocabulary": "bad", "rules": {"b": "b", "a": "a", "d": "d"}}},
             # A vocabulary proposition without a rule could never be labeled.
@@ -1249,7 +1278,8 @@ class TestNonFiniteNumbers:
 
 class TestReadmeValueTypes:
     """README's "Value types" table lists every key of every section under
-    its table's kind, and no other key."""
+    its table's kind, and no other key; its "pattern" values list every
+    monitoring pattern."""
 
     def test_matches_the_tables(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -1270,6 +1300,11 @@ class TestReadmeValueTypes:
             label: {key: kind.replace("?", " or null") for key, kind in keys.items()}
             for label, keys in sections.items()
         }
+
+    def test_lists_the_patterns(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.split(r"\n(?:\n|- )", readme.split("- **pattern** values", 1)[1], maxsplit=1)[0]
+        assert re.findall(r"`(\w+)`\s+\(", block) == list(PATTERNS)
 
 
 class TestBenchCommands:
@@ -1569,3 +1604,63 @@ class TestLabelerHistories:
         )
         assert code == 0
         assert actual == digest
+
+
+
+GUARD_BYTES_CONFIG = {
+    **GUARD_CONFIG,
+    "constraints": [{"id": "no_bad", "formula": "G !bad"}, {"id": "reach_ok", "formula": "F ok"}],
+    "labeler": {"type": "rule", "vocabulary": ["bad", "ok"], "rules": {"bad": r"\bbad\b", "ok": r"\bok\b"}},
+}
+
+
+class TestGuardOutputBytes:
+    """The sha256 of a guard run's ``trace.jsonl``, ``guard_log.jsonl`` and
+    ``reports.json``, in that order, pinned for every strategy, monitoring
+    pattern and monitor mode at one seed."""
+
+    DIGESTS = {
+        ("none", "contains_violated", "plain"): "24b6c2d20b931f7d7be78bd465ba6931d607657c81a7d4ab8eb094bde4a280eb",
+        ("none", "contains_violated", "reset"): "46cf73d13ab54a2fc9ee8d47ce37f2ec601616aeb0b3f4ff4efc57c85359aeea",
+        ("none", "contains_satisfied", "plain"): "24b6c2d20b931f7d7be78bd465ba6931d607657c81a7d4ab8eb094bde4a280eb",
+        ("none", "contains_satisfied", "reset"): "46cf73d13ab54a2fc9ee8d47ce37f2ec601616aeb0b3f4ff4efc57c85359aeea",
+        ("none", "ends_violated", "plain"): "24b6c2d20b931f7d7be78bd465ba6931d607657c81a7d4ab8eb094bde4a280eb",
+        ("none", "ends_violated", "reset"): "46cf73d13ab54a2fc9ee8d47ce37f2ec601616aeb0b3f4ff4efc57c85359aeea",
+        ("resample", "contains_violated", "plain"): "80a1b36442b7ab873dad5bcaf031382219a2cf9b3e904bfefe4f681f58358fff",
+        ("resample", "contains_violated", "reset"): "328137e90aa29b0edf2237d78270b09280d7c477c606d98520b2958e43f5dfea",
+        ("resample", "contains_satisfied", "plain"): "5aed4d05f0c93314ac0e6c6abfcfe8ea9206a85de669a24aa498908b0ade33b5",
+        ("resample", "contains_satisfied", "reset"): "e4f8985cfecfd5a13335eb247005c79a8329293c9c993d95ae5394369a53f047",
+        ("resample", "ends_violated", "plain"): "80a1b36442b7ab873dad5bcaf031382219a2cf9b3e904bfefe4f681f58358fff",
+        ("resample", "ends_violated", "reset"): "7a37d3ad861dbe6437fcb28fc7af2b72cf35b7d1f139eaca09e2289373b755b1",
+        ("inject", "contains_violated", "plain"): "75745bbb1c99bd4a65b237c234cb6c821caece9d5045d4062c4286b6cf6e4ea0",
+        ("inject", "contains_violated", "reset"): "98ab22a6d40bd5b03627aac6b0998939d12dbb6868738e5bcf960bc9370cdefc",
+        ("inject", "contains_satisfied", "plain"): "5ab09bac82ea18dae5746852dbfea87b7eab73b54d1130fcdbe285179f145614",
+        ("inject", "contains_satisfied", "reset"): "a0b9a095df4e360146850b12bfbd50089927430e6b65186e19ed85be7aa35a50",
+        ("inject", "ends_violated", "plain"): "75745bbb1c99bd4a65b237c234cb6c821caece9d5045d4062c4286b6cf6e4ea0",
+        ("inject", "ends_violated", "reset"): "bda9c18ef8dfeaee3e1693c2ec0df2fa67820e1069348d1ec2ec4e46b48c7346",
+        ("switch", "contains_violated", "plain"): "7e65b4d466c8aa35469f3466fce00ee700878445c87d81f3eebf5b0458d0e2d9",
+        ("switch", "contains_violated", "reset"): "06527d0d47613a62171f4007f662928622498732bace9e07c1067572ce288284",
+        ("switch", "contains_satisfied", "plain"): "d07c7a1c32a59d4f33c27afc7c156752d42d1aa3a1b504fbf4ae6ac6ee3208c0",
+        ("switch", "contains_satisfied", "reset"): "ba5876e82f97c8546d125a0f717f99ae79633d513f7534abde22dc40041ac626",
+        ("switch", "ends_violated", "plain"): "7e65b4d466c8aa35469f3466fce00ee700878445c87d81f3eebf5b0458d0e2d9",
+        ("switch", "ends_violated", "reset"): "f0dc847add5eee83e0636aa67dc2c91bc3fb2eb76e05b24ea6b36b246d8389c2",
+    }
+
+    @pytest.mark.parametrize("strategy", ["none", "resample", "inject", "switch"])
+    def test_outputs_pinned(self, capsys, tmp_path, strategy):
+        config = tmp_path / "config.json"
+        for (kind, pattern, mode), expected in self.DIGESTS.items():
+            if kind != strategy:
+                continue
+            out_dir = tmp_path / f"{pattern}-{mode}"
+            policy = {"strategy": strategy, "tau": 0.3, "n": 3, "k": 2, "m": 3, "pattern": pattern}
+            write_json(config, {**GUARD_BYTES_CONFIG, "policy": policy, "mode": mode})
+            code, _, _ = run_cli(
+                ["guard", "--config", str(config), "--max-steps", "60", "--seed", "3", "--out-dir", str(out_dir)],
+                capsys,
+            )
+            assert code == 0
+            digest = hashlib.sha256()
+            for name in ("trace.jsonl", "guard_log.jsonl", "reports.json"):
+                digest.update((out_dir / name).read_bytes())
+            assert digest.hexdigest() == expected, (pattern, mode)

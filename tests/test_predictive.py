@@ -2,6 +2,7 @@
 
 import pytest
 
+from ltlguard.intervention import InterventionPolicy, PolicyError
 from ltlguard.ltl import Verdict, parse
 from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.monitor import REFERENCE, ProgressionCache, new_state, step
@@ -9,11 +10,9 @@ from ltlguard.predictive import (
     CONTAINS_SATISFIED,
     CONTAINS_VIOLATED,
     ENDS_VIOLATED,
-    MonitoringPattern,
+    PATTERNS,
     estimate_risk,
     estimate_risks,
-    get_pattern,
-    register_pattern,
 )
 from ltlguard.trace import StepRecord
 
@@ -28,26 +27,24 @@ def bernoulli_model(p):
 
 class TestPatterns:
     def test_contains_violated(self):
-        assert CONTAINS_VIOLATED.matches([I, V, I])
-        assert not CONTAINS_VIOLATED.matches([I, S])
+        assert CONTAINS_VIOLATED([I, V, I])
+        assert not CONTAINS_VIOLATED([I, S])
 
     def test_contains_satisfied(self):
-        assert CONTAINS_SATISFIED.matches([S])
-        assert not CONTAINS_SATISFIED.matches([I, V])
+        assert CONTAINS_SATISFIED([S])
+        assert not CONTAINS_SATISFIED([I, V])
 
     def test_ends_violated(self):
-        assert ENDS_VIOLATED.matches([I, V])
-        assert not ENDS_VIOLATED.matches([V, I])
+        assert ENDS_VIOLATED([I, V])
+        assert not ENDS_VIOLATED([V, I])
 
     def test_registry_lookup(self):
-        assert get_pattern("contains_violated") is CONTAINS_VIOLATED
-        with pytest.raises(KeyError, match="unknown monitoring pattern"):
-            get_pattern("nope")
-
-    def test_registration_extends_library(self):
-        extra = MonitoringPattern("all_satisfied", lambda s: all(v is S for v in s))
-        register_pattern(extra)
-        assert get_pattern("all_satisfied") is extra
+        assert PATTERNS["contains_violated"] is CONTAINS_VIOLATED
+        assert InterventionPolicy(pattern="ends_violated").pattern == "ends_violated"
+        known = "['contains_satisfied', 'contains_violated', 'ends_violated']"
+        with pytest.raises(PolicyError) as err:
+            InterventionPolicy(pattern="nope")
+        assert str(err.value) == f"unknown monitoring pattern 'nope'; known: {known}"
 
 
 class TestEstimateRisk:
@@ -67,7 +64,9 @@ class TestEstimateRisk:
         )
         matches = sum(V in seq for seq in estimate.verdict_sequences)
         assert estimate.probability == matches / 4
-        assert estimate.samples == 4 and estimate.horizon == 1
+        # m sequences, each the current verdict and then k = 1 sampled step.
+        assert len(estimate.verdict_sequences) == 4
+        assert all(len(seq) == 2 for seq in estimate.verdict_sequences)
 
     def test_current_terminal_verdict_forces_match(self):
         state = new_state("c", parse("G !bad"))
