@@ -111,7 +111,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_progress(args: argparse.Namespace) -> int:
     phi = parse(args.formula)
     if args.steps_file:
-        lines = Path(args.steps_file).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(args.steps_file).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{args.steps_file}: not valid UTF-8: {err}") from err
         assignments = [_parse_labels(line) for line in lines]
     else:
         assignments = [_parse_labels(args.labels or "")]
@@ -221,6 +224,8 @@ def _save_guard_log(session: GuardedSession, path: Path) -> None:
 
 
 def cmd_bench_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.suite == "elasticity":
         cases = gen_elasticity(gap=args.gap, family=args.family, seed=args.seed, count=args.count)
     elif args.suite == "constraint":

@@ -53,7 +53,7 @@ def read_json(path: str | Path, name: str) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=non_finite)
     except OSError as err:
         raise ConfigError(f"cannot read {name}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"{name} is not valid JSON: {err}") from err
 
 
@@ -163,8 +163,8 @@ def load_config(path: str | Path) -> Config:
     if (template_path := policy.pop("template_path", None)) is not None:
         try:
             policy["inject_template"] = Path(template_path).read_text(encoding="utf-8")
-        except OSError as err:
-            raise ConfigError(f"cannot read inject template: {err}") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read inject template {template_path}: {err}") from err
     policy = InterventionPolicy(**policy)
     for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
         if spec is not None:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from ..ltl import TruthAssignment
 from ..trace import StepRecord
@@ -21,26 +22,16 @@ from ..trace import StepRecord
 CATEGORIES = ("animal", "shape", "color", "number")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    animals: tuple[str, ...]
-    shapes: tuple[str, ...]
-    colors: tuple[str, ...]
-    numbers: tuple[int, ...]
-
-
 @lru_cache(maxsize=1)
-def load_vocabulary() -> Vocabulary:
+def load_vocabulary() -> Mapping[str, tuple]:
+    """Each category's values, keyed in ``CATEGORIES`` order; read-only,
+    because the one cached mapping is shared by every caller."""
     raw = json.loads(
         resources.files("ltlguard.synthbench").joinpath("vocab.json").read_text("utf-8")
     )
-    lo, hi = raw["number_range"]
-    return Vocabulary(
-        animals=tuple(raw["animals"]),
-        shapes=tuple(raw["shapes"]),
-        colors=tuple(raw["colors"]),
-        numbers=tuple(range(lo, hi + 1)),
-    )
+    lo, hi = raw.pop("number_range")
+    raw["numbers"] = range(lo, hi + 1)
+    return MappingProxyType({category: tuple(raw[f"{category}s"]) for category in CATEGORIES})
 
 
 def prop_name(entity: int | None, category: str, value: object) -> str:
@@ -63,14 +54,7 @@ class AttributeEvent:
 
     def props(self, tagged: bool) -> frozenset[str]:
         entity = self.entity if tagged else None
-        return frozenset(
-            {
-                prop_name(entity, "animal", self.animal),
-                prop_name(entity, "shape", self.shape),
-                prop_name(entity, "color", self.color),
-                prop_name(entity, "number", self.number),
-            }
-        )
+        return frozenset(prop_name(entity, category, getattr(self, category)) for category in CATEGORIES)
 
 
 SINGLE_TEMPLATES = (
@@ -88,24 +72,11 @@ ENTITY_TEMPLATES = (
 
 def render_step(events: Sequence[AttributeEvent], t: int, tagged: bool) -> str:
     if not tagged:
-        event = events[0]
-        template = SINGLE_TEMPLATES[(t - 1) % len(SINGLE_TEMPLATES)]
-        return template.format(
-            color=event.color, shape=event.shape, number=event.number, animal=event.animal
-        )
-    parts = []
-    for event in events:
-        template = ENTITY_TEMPLATES[(t - 1 + event.entity - 1) % len(ENTITY_TEMPLATES)]
-        parts.append(
-            template.format(
-                entity=event.entity,
-                color=event.color,
-                shape=event.shape,
-                number=event.number,
-                animal=event.animal,
-            )
-        )
-    return " ".join(parts)
+        return SINGLE_TEMPLATES[(t - 1) % len(SINGLE_TEMPLATES)].format_map(vars(events[0]))
+    return " ".join(
+        ENTITY_TEMPLATES[(t - 1 + event.entity - 1) % len(ENTITY_TEMPLATES)].format_map(vars(event))
+        for event in events
+    )
 
 
 _ENTITY_SPLIT = re.compile(r"Entity (\d+):")
@@ -124,21 +95,15 @@ class AttributeEventLabeler:
         self.entities = entities
         self.tagged = entities > 1 if tagged is None else tagged
         vocab = load_vocabulary()
-        self._by_category = {
-            "animal": set(vocab.animals),
-            "shape": set(vocab.shapes),
-            "color": set(vocab.colors),
-        }
-        self._numbers = set(vocab.numbers)
-        props: set[str] = set()
-        for entity in range(1, entities + 1):
-            ent = entity if self.tagged else None
-            for category in ("animal", "shape", "color"):
-                for value in self._by_category[category]:
-                    props.add(prop_name(ent, category, value))
-            for value in vocab.numbers:
-                props.add(prop_name(ent, "number", value))
-        self.vocabulary = frozenset(props)
+        # Numbers are found by pattern, the other categories by word lookup.
+        self._by_category = {category: set(values) for category, values in vocab.items() if category != "number"}
+        self._numbers = set(vocab["number"])
+        self.vocabulary = frozenset(
+            prop_name(entity if self.tagged else None, category, value)
+            for entity in range(1, entities + 1)
+            for category, values in vocab.items()
+            for value in values
+        )
 
     def _segment_props(self, entity: int | None, text: str) -> set[str]:
         words = set(re.findall(r"[A-Za-z]+", text.lower()))

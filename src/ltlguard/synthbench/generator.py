@@ -134,6 +134,8 @@ def load_cases(path) -> list[BenchCase]:
             cases.append(case_from_dict(obj, n))
         except (KeyError, TypeError) as err:
             raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
+    if not cases:
+        raise GenerationError(f"{path}: bench file has no cases")
     return cases
 
 
@@ -167,21 +169,15 @@ class _Pools:
 
 
 def _make_pools(entities: int, family: str) -> _Pools:
+    """The complex family reserves the last ``ALT_POOL_SIZE`` numbers for
+    its branch alternatives; no event draws them."""
     vocab = load_vocabulary()
-    numbers = list(vocab.numbers)
-    if family == "complex":
-        alt_values = numbers[-ALT_POOL_SIZE:]
-        emittable_numbers = numbers[:-ALT_POOL_SIZE]
-    else:
-        alt_values = []
-        emittable_numbers = numbers
-    available: dict[tuple[int, str], list] = {}
-    for entity in range(1, entities + 1):
-        available[(entity, "animal")] = list(vocab.animals)
-        available[(entity, "shape")] = list(vocab.shapes)
-        available[(entity, "color")] = list(vocab.colors)
-        available[(entity, "number")] = list(emittable_numbers)
-    return _Pools(available=available, alt_values=alt_values)
+    split = len(vocab["number"]) - (ALT_POOL_SIZE if family == "complex" else 0)
+    emittable = {**vocab, "number": vocab["number"][:split]}
+    available = {
+        (entity, category): list(values) for entity in range(1, entities + 1) for category, values in emittable.items()
+    }
+    return _Pools(available=available, alt_values=list(vocab["number"][split:]))
 
 
 def build_tree_formula(
@@ -268,6 +264,8 @@ def _place_positions(
     gap: int,
     length: int,
 ) -> list[int]:
+    """A seeded start for ``count`` events ``gap`` apart on free steps; a
+    trace whose free starts 10,000 tries all miss counts as too full."""
     span = (count - 1) * gap
     latest_start = length - span
     if latest_start < 1:
@@ -276,11 +274,6 @@ def _place_positions(
         )
     for _ in range(10000):
         start = rng.randint(1, latest_start)
-        positions = [start + i * gap for i in range(count)]
-        if not occupied.intersection(positions):
-            occupied.update(positions)
-            return positions
-    for start in range(1, latest_start + 1):
         positions = [start + i * gap for i in range(count)]
         if not occupied.intersection(positions):
             occupied.update(positions)
@@ -323,10 +316,7 @@ def _build_case(
         truth = tuple(truths)
 
     keys = sorted(pools.available)
-    constraint_slots: list[list[tuple[tuple[int, str], object]]] = []
-    for _ in range(n_constraints):
-        slots = [pools.draw_path_value(rng, keys) for _ in range(path_len)]
-        constraint_slots.append(slots)
+    constraint_slots = [[pools.draw_path_value(rng, keys) for _ in range(path_len)] for _ in range(n_constraints)]
 
     constraints: list[BenchConstraint] = []
     for index, slots in enumerate(constraint_slots):
@@ -380,10 +370,8 @@ def _build_case(
     for t in range(1, length + 1):
         events = []
         for entity in range(1, entities + 1):
-            fixed: dict[str, object] = {}
             slot = designated.get(t)
-            if slot is not None and slot[0][0] == entity:
-                fixed[slot[0][1]] = slot[1]
+            fixed = {slot[0][1]: slot[1]} if slot is not None and slot[0][0] == entity else {}
             attributes = {
                 category: fixed.get(category, pools.distractor(rng, (entity, category)))
                 for category in CATEGORIES

@@ -151,14 +151,22 @@ def checked_items(value: object, kind: str, name: str) -> list:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` for each nonblank line of a JSONL file; a
-    line that is not JSON raises ``TraceError``."""
-    with Path(path).open(encoding="utf-8") as fh:
+    line that is not UTF-8 or not JSON raises ``TraceError`` naming the file
+    and the line.  Bytes that are not UTF-8 are kept as escapes while the
+    file is read, so each line is checked, and its fault placed, alone."""
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    yield line_no, json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise TraceError(f"line {line_no}: malformed JSON: {err.msg}") from err
+            if not line.strip():
+                continue
+            try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                value = json.loads(line)
+            except UnicodeDecodeError as err:
+                raise TraceError(f"{path}: line {line_no}: not valid UTF-8: {err}") from err
+            except json.JSONDecodeError as err:
+                raise TraceError(f"{path}: line {line_no}: malformed JSON: {err.msg}") from err
+            yield line_no, value
 
 
 def write_jsonl(rows: Iterable[object], path: str | Path) -> None:

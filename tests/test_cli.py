@@ -1488,6 +1488,47 @@ class TestBenchCommands:
         assert code == 2 and out == ""
         assert err.splitlines()[1:] == ["  F (animal_fox", "  " + " " * 13 + "^"]
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_gen_count_below_one_exit_2(self, capsys, tmp_path, count):
+        bench = tmp_path / "bench.jsonl"
+        code, out, err = run_cli(
+            ["bench", "gen", "--suite", "elasticity", "--count", str(count), "--out", str(bench)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --count must be at least 1, got {count}\n"
+        assert not bench.exists()
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_eval_bench_without_cases_exit_2(self, capsys, tmp_path, content):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(content, encoding="utf-8")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bench}: bench file has no cases\n"
+
+    @pytest.mark.parametrize("level", ["precise", "precise+ltl"])
+    def test_eval_level_words_the_judge_prompt(self, capsys, tmp_path, level):
+        bench, judge = tmp_path / "bench.jsonl", tmp_path / "judge.json"
+        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "1", "--out", str(bench)], capsys)
+        (constraint,) = json.loads(bench.read_text(encoding="utf-8"))["constraints"]
+        with MockEndpoint(lambda body: "VALID") as mock:
+            write_json(judge, {"base_url": mock.base_url, "model": "m"})
+            code, _, _ = run_cli(
+                [
+                    "bench", "eval", "--bench", str(bench), "--judge", "endpoint",
+                    "--judge-config", str(judge), "--level", level,
+                ],
+                capsys,
+            )
+        assert code == 0
+        (request,) = mock.requests
+        prompt = request["body"]["messages"][-1]["content"]
+        wording = constraint["precise"]
+        if level == "precise+ltl":
+            wording += f" LTL: {constraint['formula']}"
+        assert f"satisfies the following constraint: {wording}." in prompt
+        assert constraint["informal"] not in prompt
+
 
 class TestDeterminism:
     """Identical flags and seeds produce byte-identical machine outputs."""
@@ -1664,3 +1705,129 @@ class TestGuardOutputBytes:
             for name in ("trace.jsonl", "guard_log.jsonl", "reports.json"):
                 digest.update((out_dir / name).read_bytes())
             assert digest.hexdigest() == expected, (pattern, mode)
+
+
+class TestBenchGenBytes:
+    """The sha256 of a ``bench gen`` file, pinned for every suite and formula
+    family at one seed; the digests were computed before the generator read
+    its vocabulary from one category table."""
+
+    SUITE_ARGS = {"elasticity": [], "constraint": ["--n", "20"], "proposition": ["--entities", "3"]}
+    DIGESTS = {
+        ("elasticity", "simple"): "9fa8e6737fe6bafe76463858466dc1c11c5f8108e29e80a328f4243e015e4b24",
+        ("elasticity", "complex"): "78bf1c094dc2d81f7e04774fa39e4a085a56cdbf05217b5a81f7fa5b55cbde6d",
+        ("constraint", "simple"): "425eb17cd8ebabbd1f882256dbf7d62c61105fe744e8e2a43aa0154e4493a922",
+        ("constraint", "complex"): "987735c8e43b998afcf464f59429d9613a59287be5c47180287a9fc0b5543517",
+        ("proposition", "simple"): "125a1e64a9428a6ef14ee6049a1552aa2d082379253cfe7ae3f7a8437bc774b8",
+        ("proposition", "complex"): "35db6a6ab27f2f96b13d11e6e6c1faa502fe865ba8001933a313bc381d875cc3",
+    }
+
+    @pytest.mark.parametrize("suite, family", list(DIGESTS))
+    def test_output_pinned(self, capsys, tmp_path, suite, family):
+        out = tmp_path / "bench.jsonl"
+        code, _, _ = run_cli(
+            [
+                "bench", "gen", "--suite", suite, "--family", family, *self.SUITE_ARGS[suite],
+                "--count", "2", "--seed", "7", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[suite, family]
+
+
+class TestInputFaultsNameTheFile:
+    """A file that is not UTF-8, or a trace line that is not JSON, is named
+    in the one error line, with its line for the JSONL readers."""
+
+    CODEC = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    NOT_UTF8 = f"not valid UTF-8: {CODEC}"
+
+    def test_trace_line_not_utf8(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_bytes(b'{"t": 1, "output": "ok"}\n\xff\n')
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: line 2: {self.NOT_UTF8}\n"
+
+    def test_trace_line_not_json(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_text('{"t": 1, "output": "ok"}\nnope\n', encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: line 2: malformed JSON: Expecting value\n"
+
+    def test_non_ascii_trace_still_audits(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        write_trace(trace, ["café", "a bad move — über"])
+        code, out, _ = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert code == 1
+        assert json.loads(out)["reports"][0]["verdicts"][-1] == "violated"
+
+    def test_bench_line_not_utf8(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_bytes(bench_case_line(FOX_STEP).encode("utf-8") + b"\n\xff\n")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bench}: line 2: {self.NOT_UTF8}\n"
+
+    def test_steps_file_not_utf8(self, capsys, tmp_path):
+        steps = tmp_path / "steps.txt"
+        steps.write_bytes(b"p\n\xffq\n")
+        code, out, err = run_cli(["progress", "G p", "--steps-file", str(steps)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {steps}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 2: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("name", ["config", "judge config"])
+    def test_config_not_utf8(self, capsys, tmp_path, name):
+        path, bench = tmp_path / "c.json", tmp_path / "bench.jsonl"
+        path.write_bytes(b"\xff{}")
+        bench.write_text(bench_case_line(FOX_STEP) + "\n", encoding="utf-8")
+        if name == "config":
+            write_trace(tmp_path / "trace.jsonl", ["ok"])
+            args = ["audit", str(tmp_path / "trace.jsonl"), "--config", str(path)]
+        else:
+            args = ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(path)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} is not valid JSON: {self.CODEC}\n"
+
+    def run_inject_guard(self, capsys, tmp_path, template):
+        """Run 3 steps of an ``inject`` guard that reads its template from
+        ``template`` into ``tmp_path / "run"``."""
+        config = tmp_path / "config.json"
+        policy = {"strategy": "inject", "tau": 0.0, "n": 3, "k": 1, "m": 4, "template_path": str(template)}
+        write_json(config, {**GUARD_CONFIG, "policy": policy})
+        return run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")], capsys
+        )
+
+    def test_inject_template_path_is_injected(self, capsys, tmp_path):
+        template = tmp_path / "reminder.txt"
+        template.write_text("Mind the rules:\n{constraints}\n", encoding="utf-8")
+        code, _, _ = self.run_inject_guard(capsys, tmp_path, template)
+        assert code == 0
+        log = (tmp_path / "run" / "guard_log.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(log[0])
+        assert first["intervened"]
+        assert first["final_input"] == "begin\nMind the rules:\nalways, not (bad) must hold"
+
+    def test_inject_template_path_missing_exit_2(self, capsys, tmp_path):
+        template = tmp_path / "missing.txt"
+        code, out, err = self.run_inject_guard(capsys, tmp_path, template)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read inject template {template}: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_inject_template_path_not_utf8_exit_2(self, capsys, tmp_path):
+        template = tmp_path / "reminder.txt"
+        template.write_bytes(b"\xff{constraints}")
+        code, out, err = self.run_inject_guard(capsys, tmp_path, template)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read inject template {template}: {self.CODEC}\n"

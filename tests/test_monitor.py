@@ -1,5 +1,6 @@
 """Monitor stepping, reset behavior, auditing, witnesses, and F1 scoring."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -24,6 +25,7 @@ from ltlguard.monitor import (
     REFERENCE,
     CrossCheckError,
     ProgressionCache,
+    _cross_check,
     audit_log,
     new_state,
     report,
@@ -404,6 +406,31 @@ class TestAuditLog:
         assert report.verdicts == (I, S, S)
         with pytest.raises(CrossCheckError, match="constraint c: step 2"):
             audit_log(trace, constraints, cross_check=True)
+
+    def test_cross_check_rejects_a_flipped_verdict(self):
+        trace = labeled_trace([{"p"}, set(), {"p"}])
+        constraints = {"c": parse("G p")}
+        (given,) = audit_log(trace, constraints)
+        assert given.verdicts == (I, V, V)
+        flipped = dataclasses.replace(given, verdicts=(I, S, V))
+        with pytest.raises(
+            CrossCheckError, match="^constraint c: step 2: reference verdict violated, compiled violated, reported satisfied$"
+        ):
+            _cross_check(trace, constraints, "plain", [flipped])
+
+    @pytest.mark.parametrize("field", ["violations", "satisfactions", "witnesses"])
+    def test_cross_check_rejects_changed_counters_or_witnesses(self, field):
+        trace = labeled_trace([{"p"}, set(), {"p"}, set()])
+        constraints = {"c": parse("G p")}
+        (given,) = audit_log(trace, constraints, mode="reset")
+        tampered = dataclasses.replace(
+            given, **{field: given.witnesses[1:] if field == "witnesses" else getattr(given, field) + 1}
+        )
+        _cross_check(trace, constraints, "reset", [given])
+        with pytest.raises(
+            CrossCheckError, match="^constraint c: reported counters or witnesses differ from the reference run$"
+        ):
+            _cross_check(trace, constraints, "reset", [tampered])
 
     def test_empty_constraint_set(self):
         assert audit_log(labeled_trace([set()]), {}) == []

@@ -24,6 +24,7 @@ from ltlguard.synthbench import (
     render_constraint,
     save_cases,
 )
+from ltlguard.synthbench.events import CATEGORIES
 from ltlguard.synthbench.patterns import _TREE_D4_LABELS
 from ltlguard.trace import StepRecord
 
@@ -49,16 +50,22 @@ def monitor_never_violated(case):
 class TestVocabulary:
     def test_committed_sizes(self):
         vocab = load_vocabulary()
-        assert len(vocab.animals) == 30
-        assert len(vocab.shapes) == 20
-        assert len(vocab.colors) == 20
-        assert vocab.numbers == tuple(range(1, 101))
+        assert len(vocab["animal"]) == 30
+        assert len(vocab["shape"]) == 20
+        assert len(vocab["color"]) == 20
+        assert vocab["number"] == tuple(range(1, 101))
 
     def test_disjoint_word_lists(self):
         vocab = load_vocabulary()
-        assert not set(vocab.animals) & set(vocab.shapes)
-        assert not set(vocab.animals) & set(vocab.colors)
-        assert not set(vocab.shapes) & set(vocab.colors)
+        assert not set(vocab["animal"]) & set(vocab["shape"])
+        assert not set(vocab["animal"]) & set(vocab["color"])
+        assert not set(vocab["shape"]) & set(vocab["color"])
+
+    def test_read_only_mapping_in_category_order(self):
+        vocab = load_vocabulary()
+        assert tuple(vocab) == CATEGORIES
+        with pytest.raises(TypeError):
+            vocab["animal"] = ("cat",)
 
 
 class TestAttributeEventLabeler:

@@ -106,6 +106,24 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="line 2"):
             load_trace(path)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_universal_newlines(self, tmp_path, newline):
+        path = tmp_path / "t.jsonl"
+        lines = ['{"t": 1, "output": "caf\u00e9"}', '{"t": 2, "output": "b"}']
+        path.write_bytes(newline.join(line.encode("utf-8") for line in lines) + newline)
+        assert [s.output for s in load_trace(path).steps] == ["caf\u00e9", "b"]
+
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        # The position is counted from the start of the faulty line.
+        path.write_bytes('{"t": 1, "output": "a"}\n{"t": 2, "output": "\xe9"}\n'.encode("latin-1"))
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+        assert str(info.value) == (
+            f"{path}: line 2: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 20: "
+            "invalid continuation byte"
+        )
+
     def test_missing_output(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_lines(path, ['{"t": 1}'])
