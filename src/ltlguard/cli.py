@@ -20,6 +20,7 @@ from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, 
 from .ltl.ast import SYNTAX
 from .monitor import CrossCheckError, audit_log, new_state, score_f1, step
 from .synthbench import (
+    LEVELS,
     CoinFlipJudge,
     MonitorOracleJudge,
     eval_judge,
@@ -29,6 +30,7 @@ from .synthbench import (
     load_cases,
     save_cases,
 )
+from .synthbench.generator import FAMILIES, SUITES
 from .trace import (
     LabelingFunction,
     Trace,
@@ -313,8 +315,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_gen = bench_sub.add_parser("gen", help="generate benchmark cases")
-    p_gen.add_argument("--suite", choices=("elasticity", "constraint", "proposition"), required=True)
-    p_gen.add_argument("--family", choices=("simple", "complex"), default="simple")
+    p_gen.add_argument("--suite", choices=tuple(SUITES), required=True)
+    p_gen.add_argument("--family", choices=tuple(FAMILIES), default="simple")
     p_gen.add_argument("--gap", type=int, default=None, help="steps between target events")
     p_gen.add_argument("--n", type=int, default=1, help="constraints per case (constraint suite)")
     p_gen.add_argument("--entities", type=int, default=1, help="entities per step (proposition suite)")
@@ -327,7 +329,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--bench", required=True)
     p_eval.add_argument("--judge", choices=("oracle", "coinflip", "endpoint"), required=True)
     p_eval.add_argument("--judge-config", default=None)
-    p_eval.add_argument("--level", choices=("informal", "precise", "precise+ltl"), default="informal")
+    p_eval.add_argument("--level", choices=LEVELS, default="informal")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_bench_eval)

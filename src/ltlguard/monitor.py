@@ -256,9 +256,9 @@ def _cross_check(
     of ``simplify(progress(...))`` step densely through the trace side by
     side and must agree on every residual and verdict; the report of the
     reference run, every step a change point, must equal the given one.
-    Replaying each witness episode's labels from the objective must then
-    reproduce every recorded residual and end in the episode's verdict.
-    Raises ``CrossCheckError`` on the first disagreement.
+    That comparison covers the witness episodes too: their residuals and
+    verdicts must be those of the reference run.  Raises ``CrossCheckError``
+    on the first disagreement.
     """
     cache = ProgressionCache()
     for given in reports:
@@ -286,19 +286,6 @@ def _cross_check(
             raise CrossCheckError(
                 f"constraint {cid}: reported counters or witnesses differ from the reference run"
             )
-        for n, episode in enumerate(given.witnesses, 1):
-            residual = start.objective
-            for entry in episode.entries:
-                residual = simplify(progress(residual, entry.labels))
-                if residual != entry.residual:
-                    raise CrossCheckError(
-                        f"constraint {cid}: witness episode {n} does not replay at step {entry.t}"
-                    )
-            if verdict_of(residual) is not episode.verdict:
-                raise CrossCheckError(
-                    f"constraint {cid}: witness episode {n} replays to "
-                    f"{verdict_of(residual).value}, not {episode.verdict.value}"
-                )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ from .events import (
 )
 
 TREE_DEPTH = 4
+# Each formula family is the depth of its eventuality tree.
+FAMILIES = {"simple": 0, "complex": TREE_DEPTH}
+# Each suite's knobs that seed its cases' draws, in seeding order.
+SUITES = {
+    "elasticity": ("suite", "family", "gap", "seed", "case"),
+    "constraint": ("suite", "family", "n", "seed"),
+    "proposition": ("suite", "family", "entities", "seed"),
+}
 # Number values reserved for never-occurring branch alternatives of
 # complex formulas; excluded from every event draw.
 ALT_POOL_SIZE = 40
@@ -86,9 +94,9 @@ class BenchCase:
         }
 
 
-def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
-    """Decode one case of a bench file; ``line_no`` is its line, for errors.
-    A value of the wrong JSON type raises ``TypeError``."""
+def case_from_dict(obj: Mapping) -> BenchCase:
+    """Decode one case of a bench file.  A value of the wrong JSON type
+    raises ``TypeError``, a wrong value ``ValueError``."""
     obj = checked(obj, "object", "a case")
     constraints = tuple(
         BenchConstraint(
@@ -106,14 +114,14 @@ def case_from_dict(obj: Mapping, line_no: int) -> BenchCase:
     )
     truth = checked_items(obj["truth"], "boolean", "truth")
     if not constraints:
-        raise GenerationError(f"line {line_no}: a case needs at least one constraint")
+        raise GenerationError("a case needs at least one constraint")
     if len(truth) != len(constraints):
-        raise GenerationError(f"line {line_no}: 'truth' must be an array of booleans, one per constraint")
+        raise GenerationError("'truth' must be an array of booleans, one per constraint")
     trace = checked(obj["trace"], "object", "trace")
     # A step without labels carries the empty set: bench traces are fully labeled.
     steps = tuple(
         step if step.labels is not None else replace(step, labels=frozenset())
-        for step in (step_from_dict(s, line_no) for s in checked(trace["steps"], "array", "steps"))
+        for step in (step_from_dict(s) for s in checked(trace["steps"], "array", "steps"))
     )
     return BenchCase(
         trace=Trace(steps, checked(trace.get("metadata", {}), "object", "metadata")),
@@ -131,9 +139,12 @@ def load_cases(path) -> list[BenchCase]:
     cases = []
     for n, obj in read_jsonl(path):
         try:
-            cases.append(case_from_dict(obj, n))
+            cases.append(case_from_dict(obj))
         except (KeyError, TypeError) as err:
             raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
+        except ValueError as err:  # located in place, so a ParseError keeps its caret
+            err.args = (f"{path}: line {n}: {err}",)
+            raise
     if not cases:
         raise GenerationError(f"{path}: bench file has no cases")
     return cases
@@ -150,9 +161,8 @@ class _Pools:
         return len(self.available[key]) - DISTRACTOR_FLOOR
 
     def draw_path_value(self, rng: random.Random, keys: Sequence[tuple[int, str]]):
+        # Never empty: ``_build_case`` checks the total capacity first.
         weighted = [(key, self.capacity(key)) for key in keys if self.capacity(key) > 0]
-        if not weighted:
-            raise GenerationError("vocabulary exhausted: too many target propositions")
         total = sum(w for _, w in weighted)
         roll = rng.randrange(total)
         acc = 0
@@ -168,11 +178,11 @@ class _Pools:
         return pool[rng.randrange(len(pool))]
 
 
-def _make_pools(entities: int, family: str) -> _Pools:
-    """The complex family reserves the last ``ALT_POOL_SIZE`` numbers for
-    its branch alternatives; no event draws them."""
+def _make_pools(entities: int, depth: int) -> _Pools:
+    """A family of branching trees (``depth`` above 0) reserves the last
+    ``ALT_POOL_SIZE`` numbers for its branch alternatives; no event draws them."""
     vocab = load_vocabulary()
-    split = len(vocab["number"]) - (ALT_POOL_SIZE if family == "complex" else 0)
+    split = len(vocab["number"]) - (ALT_POOL_SIZE if depth else 0)
     emittable = {**vocab, "number": vocab["number"][:split]}
     available = {
         (entity, category): list(values) for entity in range(1, entities + 1) for category, values in emittable.items()
@@ -281,27 +291,22 @@ def _place_positions(
     raise GenerationError("could not place designated events without collisions")
 
 
-def _build_case(
-    *,
-    family: str,
-    n_constraints: int,
-    entities: int,
-    gap: int,
-    seed_material: tuple,
-    knobs: Mapping[str, object],
-    truths: Sequence[bool] | None = None,
-    length: int | None = None,
-    tagged: bool | None = None,
-) -> BenchCase:
-    if family not in ("simple", "complex"):
+def _build_case(knobs: Mapping[str, object], truths: Sequence[bool] | None = None) -> BenchCase:
+    """The case that ``knobs`` describe: its ``family`` and ``gap``, ``n``
+    constraints and ``entities`` per step (each 1 when absent), and its
+    ``length`` (when absent, the path's own span plus a seeded margin).
+    The knobs that ``SUITES`` names for the case's suite seed every draw."""
+    family, gap = knobs["family"], knobs["gap"]
+    n_constraints, entities = knobs.get("n", 1), knobs.get("entities", 1)
+    if family not in FAMILIES:
         raise GenerationError(f"unknown formula family {family!r}")
     if gap < 1:
         raise GenerationError(f"gap must be >= 1, got {gap}")
-    rng = random.Random(f"synthbench:{derive_seed(*seed_material)}")
-    tagged = entities > 1 if tagged is None else tagged
-    depth = 0 if family == "simple" else TREE_DEPTH
+    rng = random.Random(f"synthbench:{derive_seed(*(knobs[k] for k in SUITES[knobs['suite']]))}")
+    tagged = knobs["suite"] == "proposition"
+    depth = FAMILIES[family]
     path_len = depth + 2
-    pools = _make_pools(entities, family)
+    pools = _make_pools(entities, depth)
 
     total_capacity = sum(max(0, pools.capacity(k)) for k in pools.available)
     if n_constraints * path_len > total_capacity:
@@ -346,6 +351,7 @@ def _build_case(
     # Designate event positions; satisfied cases place the full path,
     # unsatisfied ones omit the final fulfillment event.  Only the
     # single-constraint elasticity cases leave the length to the generator.
+    length = knobs.get("length")
     if length is None:
         start = rng.randint(1, 6)
         tail = rng.randint(0, 5)
@@ -392,28 +398,13 @@ def gen_elasticity(gap: int | None, family: str, seed: int, count: int) -> list[
     gap = DEFAULT_GAP if gap is None else gap
     if not 1 <= gap <= 1000:
         raise GenerationError(f"gap must be in [1, 1000], got {gap}")
-    cases = []
-    for i in range(count):
-        satisfied = i % 2 == 0
-        knobs = {
-            "suite": "elasticity",
-            "family": family,
-            "gap": gap,
-            "seed": seed,
-            "case": i,
-        }
-        cases.append(
-            _build_case(
-                family=family,
-                n_constraints=1,
-                entities=1,
-                gap=gap,
-                seed_material=("elasticity", family, gap, seed, i),
-                knobs=knobs,
-                truths=(satisfied,),
-            )
+    return [
+        _build_case(
+            {"suite": "elasticity", "family": family, "gap": gap, "seed": seed, "case": i},
+            truths=(i % 2 == 0,),
         )
-    return cases
+        for i in range(count)
+    ]
 
 
 def gen_constraint_scaling(
@@ -435,22 +426,8 @@ def gen_constraint_scaling(
             eligible = [k for k in sorted(COMPLEX_GAP_SCHEDULE) if k <= n]
             gap = COMPLEX_GAP_SCHEDULE[eligible[-1]]
         length = 1000 if length is None else length
-    knobs = {
-        "suite": "constraint",
-        "family": family,
-        "n": n,
-        "gap": gap,
-        "length": length,
-        "seed": seed,
-    }
     return _build_case(
-        family=family,
-        n_constraints=n,
-        entities=1,
-        gap=gap,
-        seed_material=("constraint", family, n, seed),
-        knobs=knobs,
-        length=length,
+        {"suite": "constraint", "family": family, "n": n, "gap": gap, "length": length, "seed": seed}
     )
 
 
@@ -466,23 +443,8 @@ def gen_proposition_scaling(
     gap = DEFAULT_GAP if gap is None else gap
     if entities < 1:
         raise GenerationError(f"entities must be >= 1, got {entities}")
-    knobs = {
-        "suite": "proposition",
-        "family": family,
-        "entities": entities,
-        "gap": gap,
-        "length": length,
-        "seed": seed,
-    }
     return _build_case(
-        family=family,
-        n_constraints=1,
-        entities=entities,
-        gap=gap,
-        seed_material=("proposition", family, entities, seed),
-        knobs=knobs,
-        length=length,
-        tagged=True,
+        {"suite": "proposition", "family": family, "entities": entities, "gap": gap, "length": length, "seed": seed}
     )
 
 

@@ -167,8 +167,7 @@ def eval_judge(
     seed: int = 0,
 ) -> JudgeReport:
     """Score a judge's VALID/INVALID calls against construction truth."""
-    per_knob: dict[str, list[int]] = {}
-    total_correct = total_n = total_failures = 0
+    per_knob: dict[str, list[int]] = {}  # correct, judged, parse failures
     for index, case in enumerate(cases):
         if hasattr(judge, "judge_case"):
             judgments: list[bool | None] = judge.judge_case(case)
@@ -180,18 +179,10 @@ def eval_judge(
             judgments = parse_reply(reply, len(case.constraints))
         bucket = per_knob.setdefault(knob_key(case.knobs), [0, 0, 0])
         for judged, actual in zip(judgments, case.truth):
-            correct = judged is not None and judged == actual
-            failure = judged is None
-            bucket[0] += correct
+            bucket[0] += judged is not None and judged == actual
             bucket[1] += 1
-            bucket[2] += failure
-            total_correct += correct
-            total_n += 1
-            total_failures += failure
+            bucket[2] += judged is None
     return JudgeReport(
-        overall=_accuracy(total_correct, total_n, total_failures),
-        by_knob={
-            key: _accuracy(correct, n, failures)
-            for key, (correct, n, failures) in per_knob.items()
-        },
+        overall=_accuracy(*map(sum, zip([0, 0, 0], *per_knob.values()))),
+        by_knob={key: _accuracy(*bucket) for key, bucket in per_knob.items()},
     )

@@ -104,19 +104,21 @@ def step_to_dict(step: StepRecord) -> dict:
     return out
 
 
-def step_from_dict(obj: dict, line_no: int) -> StepRecord:
+def step_from_dict(obj: dict) -> StepRecord:
+    """Decode one step; a malformed one raises ``TraceError``, which its
+    reader prefixes with the file and the line."""
     if not isinstance(obj, dict):
-        raise TraceError(f"line {line_no}: step must be a JSON object")
+        raise TraceError("step must be a JSON object")
     if not isinstance(obj.get("t"), int) or isinstance(obj["t"], bool):
-        raise TraceError(f"line {line_no}: missing or non-integer 't'")
+        raise TraceError("missing or non-integer 't'")
     if "output" not in obj or not isinstance(obj["output"], str):
-        raise TraceError(f"line {line_no}: missing or non-string 'output'")
+        raise TraceError("missing or non-string 'output'")
     if obj.get("input") is not None and not isinstance(obj["input"], str):
-        raise TraceError(f"line {line_no}: 'input' must be a string")
+        raise TraceError("'input' must be a string")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise TraceError(f"line {line_no}: 'labels' must be an array of strings")
+            raise TraceError("'labels' must be an array of strings")
         labels = frozenset(labels)
     return StepRecord(
         t=obj["t"],
@@ -248,9 +250,13 @@ def load_trace(path: str | Path) -> Trace:
         if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
             metadata = obj["meta"]
             continue
-        step = step_from_dict(obj, line_no)
+        try:
+            step = step_from_dict(obj)
+        except TraceError as err:
+            err.args = (f"{path}: line {line_no}: {err}",)
+            raise
         if step.t != len(steps) + 1:
-            raise TraceError(f"non-contiguous step index at line {line_no}")
+            raise TraceError(f"{path}: non-contiguous step index at line {line_no}")
         steps.append(step)
     if not steps:
         raise TraceError(f"{path}: {'trace has no steps' if rows else 'empty trace file'}")
@@ -379,5 +385,5 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
         return [report_from_dict(obj) for obj in checked_items(reports, "object", "reports")]
     except KeyError as err:
         raise TraceError(f"{path}: missing field {err.args[0]!r}") from err
-    except TypeError as err:
+    except (TypeError, ValueError) as err:  # a value of the wrong type, verdict or formula
         raise TraceError(f"{path}: malformed report: {err}") from err

@@ -348,8 +348,9 @@ class TestAuditCommand:
                 {"witnesses": [{"verdict": "violated", "entries": [{"t": 1, "labels": "bad", "residual": "false"}]}]},
                 "labels must be an array, got 'bad'",
             ),
+            ({"verdicts": ["bogus"]}, "'bogus' is not a valid Verdict"),
         ],
-        ids=["verdicts-string", "violations-string", "witnesses-object", "entry-labels-string"],
+        ids=["verdicts-string", "violations-string", "witnesses-object", "entry-labels-string", "verdict-unknown"],
     )
     def test_wrongly_typed_f1_truth_exit_2(self, capsys, tmp_path, report, message):
         config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
@@ -452,7 +453,7 @@ class TestAuditCommand:
         trace.write_text(json.dumps({"t": 1, "input": 5, "output": "ok"}) + "\n", encoding="utf-8")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2 and out == ""
-        assert err == "error: line 1: 'input' must be a string\n"
+        assert err == f"error: {trace}: line 1: 'input' must be a string\n"
 
     def test_boolean_step_index_exit_2(self, capsys, tmp_path):
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
@@ -460,7 +461,7 @@ class TestAuditCommand:
         trace.write_text(json.dumps({"t": True, "output": "bad"}) + "\n", encoding="utf-8")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2 and out == ""
-        assert err == "error: line 1: missing or non-integer 't'\n"
+        assert err == f"error: {trace}: line 1: missing or non-integer 't'\n"
 
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -573,6 +574,56 @@ class TestGuardCommand:
             ["guard", "--config", str(config), "--max-steps", "3"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"labeler": {"type": "embedded"}}, "guard mode needs a concrete labeler, not embedded labels"),
+            ({"labeler": None}, "guard mode needs a concrete labeler, not embedded labels"),
+            ({"constraints": [{"formula": "G !bad"}]}, "constraint #1 needs 'id' and 'formula' fields"),
+            ({"constraints": [{"id": "no_bad"}]}, "constraint #1 needs 'id' and 'formula' fields"),
+            ({"constraints": GUARD_CONFIG["constraints"] * 2}, "duplicate constraint id 'no_bad'"),
+            ({"model": {"type": "scripted"}}, "scripted model needs 'outputs' or 'distributions'"),
+            ({"mode": "sometimes"}, "mode must be 'plain' or 'reset', got 'sometimes'"),
+            (
+                {"model": {"type": "scripted", "distributions": []}},
+                "invalid config value: distributions must not be empty",
+            ),
+        ],
+        ids=[
+            "embedded-labeler", "null-labeler", "no-id", "no-formula", "duplicate-id", "no-script", "unknown-mode",
+            "no-distributions",
+        ],
+    )
+    def test_config_fault_exit_2(self, capsys, tmp_path, change, message):
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, **change})
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(out_dir)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("outputs", [["ok move", "a bad move"], []], ids=["two", "none"])
+    def test_script_running_out_ends_the_session(self, capsys, tmp_path, outputs):
+        # The script's stop token ends the run before --max-steps, and every
+        # output file counts the steps that were taken.
+        config = tmp_path / "config.json"
+        write_json(config, {**GUARD_CONFIG, "model": {"type": "scripted", "outputs": outputs}})
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)], capsys
+        )
+        assert code == 0
+        assert err.startswith(f"ran {len(outputs)} steps, ")
+        log = (out_dir / "guard_log.jsonl").read_text(encoding="utf-8").splitlines()
+        trace = [json.loads(line) for line in (out_dir / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
+        reports = json.loads((out_dir / "reports.json").read_text(encoding="utf-8"))
+        assert [step["t"] for step in trace if "t" in step] == list(range(1, len(outputs) + 1))
+        assert len(log) == reports["steps"] == len(reports["reports"][0]["verdicts"]) == len(outputs)
+        assert reports["violation_rate"] == 0.0
 
     def test_model_failure_flushes_partial_outputs(self, capsys, tmp_path):
         config_doc = dict(GUARD_CONFIG)
@@ -1737,8 +1788,9 @@ class TestBenchGenBytes:
 
 
 class TestInputFaultsNameTheFile:
-    """A file that is not UTF-8, or a trace line that is not JSON, is named
-    in the one error line, with its line for the JSONL readers."""
+    """A file that is not UTF-8, a line that is not JSON, or a malformed
+    step or case is named in the one error line, with its line for the
+    JSONL readers."""
 
     CODEC = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     NOT_UTF8 = f"not valid UTF-8: {CODEC}"
@@ -1783,6 +1835,36 @@ class TestInputFaultsNameTheFile:
             f"error: {steps}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
             "in position 2: invalid start byte\n"
         )
+
+    def test_trace_step_not_an_object(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        write_trace(trace, ["ok", "fine"])
+        with trace.open("a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: line 3: step must be a JSON object\n"
+
+    def test_bench_formula_not_parsing(self, capsys, tmp_path):
+        # The one error line is located; the caret under the formula follows.
+        bench = tmp_path / "bench.jsonl"
+        line = json.loads(bench_case_line(FOX_STEP))
+        line["constraints"][0]["formula"] = "F (a &"
+        bench.write_text(bench_case_line(FOX_STEP) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[:1]
+        assert lines[0].startswith(f"error: {bench}: line 2: unexpected end of input at line 1, column 7")
+        assert lines[1:] == ["  F (a &", "  " + " " * 6 + "^"]
+
+    def test_bench_step_fault(self, capsys, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(bench_case_line([1]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bench}: line 1: step must be a JSON object\n"
 
     @pytest.mark.parametrize("name", ["config", "judge config"])
     def test_config_not_utf8(self, capsys, tmp_path, name):

@@ -17,6 +17,7 @@ from ltlguard.models import (
     EndpointModel,
     EndpointError,
     EndpointStatusError,
+    EndpointTimeoutError,
     RuleLabeler,
     SampleParams,
     ScriptedModel,
@@ -139,6 +140,34 @@ class TestEndpointModel:
         with MockEndpoint(raw_body=b'{"not_choices": []}') as mock:
             model = EndpointModel(base_url=mock.base_url, model="m")
             with pytest.raises(EndpointFormatError):
+                model.next_output([], "go", params())
+
+    def test_max_tokens_in_request_body(self):
+        with MockEndpoint() as mock:
+            EndpointModel(base_url=mock.base_url, model="m", max_tokens=7).next_output([], "go", params())
+        assert mock.requests[0]["body"]["max_tokens"] == 7
+
+    def test_slow_reply_times_out(self):
+        def slow(body):
+            time.sleep(0.5)
+            return "late"
+
+        with MockEndpoint(slow) as mock:
+            model = EndpointModel(base_url=mock.base_url, model="m", timeout=0.1, retries=1)
+            with pytest.raises(EndpointTimeoutError, match="timed out after 0.1s"):
+                model.next_output([], "go", params())
+        assert len(mock.requests) == 1
+
+    def test_non_text_content(self):
+        with MockEndpoint(lambda body: 5) as mock:
+            model = EndpointModel(base_url=mock.base_url, model="m")
+            with pytest.raises(EndpointFormatError, match="message content is not text: 5"):
+                model.next_output([], "go", params())
+
+    def test_non_json_body(self):
+        with MockEndpoint(raw_body=b"<html>busy</html>") as mock:
+            model = EndpointModel(base_url=mock.base_url, model="m")
+            with pytest.raises(EndpointFormatError, match="response is not JSON"):
                 model.next_output([], "go", params())
 
     def test_audit_log_written(self, tmp_path):

@@ -304,3 +304,19 @@ class TestMonitorReferenceLookup:
         assert calls == ["progress", "simplify"]
         assert monitor.REFERENCE.normalize(And(TRUE, P)) == P
         assert calls[2:] == ["simplify"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: progress(5, frozenset()),
+        lambda: simplify(5),
+        lambda: ProgressionCache().normalize(And(Prop("p"), 5)),
+        lambda: ProgressionCache().build(int),
+        lambda: evaluate_lasso(5, [], [frozenset()]),
+    ],
+    ids=["progress", "simplify", "normalize", "build", "evaluate_lasso"],
+)
+def test_non_formula_raises_type_error(call):
+    with pytest.raises(TypeError, match="not a formula"):
+        call()

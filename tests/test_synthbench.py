@@ -25,6 +25,8 @@ from ltlguard.synthbench import (
     save_cases,
 )
 from ltlguard.synthbench.events import CATEGORIES
+from ltlguard.synthbench.generator import _build_case
+from ltlguard.synthbench.judge import constraint_text
 from ltlguard.synthbench.patterns import _TREE_D4_LABELS
 from ltlguard.trace import StepRecord
 
@@ -250,6 +252,50 @@ class TestPropositionScaling:
             gen_constraint_scaling(2, "simple", seed=1, gap=gap)
         with pytest.raises(GenerationError, match="gap"):
             gen_proposition_scaling(2, "simple", seed=1, gap=gap)
+
+
+class TestBuiltFromKnobs:
+    """A case is built from its knobs alone; knobs that no case can be built
+    from raise ``GenerationError``."""
+
+    def test_unknown_family(self):
+        for generate in (
+            lambda: gen_elasticity(gap=3, family="medium", seed=0, count=1),
+            lambda: gen_constraint_scaling(2, "medium", seed=0),
+            lambda: gen_proposition_scaling(2, "medium", seed=0),
+        ):
+            with pytest.raises(GenerationError, match="unknown formula family 'medium'"):
+                generate()
+
+    def test_trace_too_short_for_gap(self):
+        with pytest.raises(GenerationError, match="trace length 30 cannot accommodate 6 events 10 steps apart"):
+            gen_constraint_scaling(1, "complex", seed=0, gap=10, length=30)
+        with pytest.raises(GenerationError, match="trace length 5 cannot accommodate 2 events 10 steps apart"):
+            gen_proposition_scaling(1, "simple", seed=0, length=5)
+
+    def test_too_many_targets_for_vocabulary(self):
+        # The public generators cap n at 20; 21 complex paths of 6 values
+        # need more than the 122 values left once the alternatives are reserved.
+        knobs = {"suite": "constraint", "family": "complex", "n": 21, "gap": 40, "length": 1000, "seed": 0}
+        with pytest.raises(GenerationError, match="21 complex constraints need 126 target values; vocabulary provides 122"):
+            _build_case(knobs)
+
+    def test_knobs_are_the_recorded_parameters(self):
+        case = gen_constraint_scaling(3, "complex", seed=4, gap=12, length=400)
+        assert case.knobs == case.trace.metadata
+        assert _build_case(case.knobs).to_dict() == case.to_dict()
+
+
+class TestJudgeInputs:
+    def test_no_cases_score_no_judgments(self):
+        report = eval_judge([], MonitorOracleJudge()).to_dict()
+        empty = {"accuracy": 0.0, "half_width": 0.0, "judgments": 0, "parse_failures": 0}
+        assert report == {"overall": empty, "by_knob": {}}
+
+    def test_unknown_specification_level(self):
+        case = gen_elasticity(gap=3, family="simple", seed=0, count=1)[0]
+        with pytest.raises(ValueError, match="unknown specification level 'vague'"):
+            constraint_text(case, 0, "vague")
 
 
 class TestComplexTreeStructure:
