@@ -18,7 +18,7 @@ from .intervention import InterventionPolicy
 from .ltl import Formula, ParseError, ProgressionCache, parse_written
 from .models import EndpointLabeler, EndpointModel, RuleLabeler, ScriptedModel
 from .synthbench import AttributeEventLabeler
-from .trace import LabelingFunction, checked, checked_items
+from .trace import Keys, LabelingFunction, checked, checked_items, read
 
 
 class ConfigError(ValueError):
@@ -58,39 +58,35 @@ def read_json(path: str | Path, name: str) -> object:
 
 
 # Each section's keys, each with its JSON kind as ``trace.checked`` names it;
-# a trailing ``?`` also allows null.  An absent key takes the default of the
-# class its section builds.  Each model and labeler type's keys are declared
-# beside its builder, in ``MODELS`` and ``LABELERS``.
-KEYS = {
+# a trailing ``?`` also allows null.  An absent optional key takes the default
+# of the class its section builds.  Each model and labeler type's keys are
+# declared beside its builder, in ``MODELS`` and ``LABELERS``.
+KEYS = Keys(optional={
     "constraints": "array", "labeler": "object?", "model": "object?", "substitute_model": "object?",
     "policy": "object", "mode": "string", "seed": "integer", "initial_input": "string",
     "stop_token": "string", "action_temperature": "number", "sampling_temperature": "number",
-}
-CONSTRAINT_KEYS = {"id": "string", "formula": "string", "gloss": "string"}
-POLICY_KEYS = {
+})
+CONSTRAINT_KEYS = Keys(required={"id": "string", "formula": "string"}, optional={"gloss": "string"})
+POLICY_KEYS = Keys(optional={
     "strategy": "string", "tau": "number", "n": "integer", "k": "integer", "m": "integer",
     "pattern": "string", "inject_template": "string?", "template_path": "string?",
     "substitute_model": "object?",
-}
-ENDPOINT_KEYS = {
-    "type": "string", "base_url": "string", "model": "string", "api_key_env": "string",
-    "system_prompt": "string?", "max_tokens": "integer?", "timeout": "number", "retries": "integer",
-    "backoff": "number", "audit_log_path": "string?",
-}
+})
+ENDPOINT_KEYS = Keys(
+    required={"base_url": "string", "model": "string"},
+    optional={
+        "type": "string", "api_key_env": "string", "system_prompt": "string?", "max_tokens": "integer?",
+        "timeout": "number", "retries": "integer", "backoff": "number", "audit_log_path": "string?",
+    },
+)
 
 
-def _read(spec: object, keys: Mapping[str, str], section: str, prefix: str = "") -> dict:
-    """The keys ``spec`` has, with their values, once it is an object whose
-    every key is one of ``keys`` and whose every value has its key's kind;
-    a value of another kind is named by ``prefix`` and its key."""
-    spec = checked(spec, "object", section)
-    if unknown := sorted(spec.keys() - keys):
+def _read(spec: object, keys: Keys, section: str, prefix: str = "") -> dict:
+    """``trace.read`` of ``spec`` once it is an object whose every key is
+    one of ``keys``."""
+    if unknown := sorted(checked(spec, "object", section).keys() - keys):
         raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
-    return {
-        key: checked(spec[key], kind.rstrip("?"), prefix + key, nullable=kind.endswith("?"))
-        for key, kind in keys.items()
-        if key in spec
-    }
+    return read(spec, keys, section, prefix)
 
 
 def _typed(spec: Mapping, table: Mapping[str, tuple], section: str) -> tuple:
@@ -146,8 +142,6 @@ def load_config(path: str | Path) -> Config:
         cid = checked(entry, "object", f"constraint #{i}").get("id")
         prefix = f"constraint {cid!r}: " if type(cid) is str else f"constraint #{i}: "
         entry = _read(entry, CONSTRAINT_KEYS, f"constraint #{i}", prefix)
-        if "id" not in entry or "formula" not in entry:
-            raise ConfigError(f"constraint #{i} needs 'id' and 'formula' fields")
         if cid in constraints:
             raise ConfigError(f"duplicate constraint id {cid!r}")
         try:
@@ -216,7 +210,8 @@ def _scripted_model(values: dict) -> ScriptedModel:
 # Each model type: its keys with their kinds, and its builder.
 MODELS = {
     "scripted": (
-        {"type": "string", "outputs": "array", "distributions": "array", "stop_token": "string"}, _scripted_model
+        Keys(optional={"type": "string", "outputs": "array", "distributions": "array", "stop_token": "string"}),
+        _scripted_model,
     ),
     "endpoint": (ENDPOINT_KEYS, lambda values: EndpointModel(**values)),
 }
@@ -259,14 +254,17 @@ def _endpoint_labeler(values: dict) -> EndpointLabeler:
 
 # Each labeler type: its keys with their kinds, and its builder.
 LABELERS = {
-    EMBEDDED: ({"type": "string"}, lambda values: EMBEDDED),
-    "rule": ({"type": "string", "vocabulary": "array", "rules": "object"}, _rule_labeler),
+    EMBEDDED: (Keys(optional={"type": "string"}), lambda values: EMBEDDED),
+    "rule": (Keys(required={"vocabulary": "array", "rules": "object"}, optional={"type": "string"}), _rule_labeler),
     "event": (
-        {"type": "string", "entities": "integer", "tagged": "boolean"}, lambda values: AttributeEventLabeler(**values)
+        Keys(optional={"type": "string", "entities": "integer", "tagged": "boolean"}),
+        lambda values: AttributeEventLabeler(**values),
     ),
     "endpoint": (
-        {"type": "string", "endpoint": "object", "vocabulary": "array", "temperature": "number",
-         "max_context_chars": "integer"},
+        Keys(
+            required={"endpoint": "object", "vocabulary": "array"},
+            optional={"type": "string", "temperature": "number", "max_context_chars": "integer"},
+        ),
         _endpoint_labeler,
     ),
 }

@@ -199,14 +199,6 @@ def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) ->
     return [report(records, start, points) for start, points in zip(states, changes)]
 
 
-def _require_labels(trace: Trace) -> None:
-    if not trace.steps:
-        raise TraceError("cannot monitor an empty trace")
-    for record in trace.steps:
-        if record.labels is None:
-            raise TraceError(f"missing labels at step {record.t}")
-
-
 def run_monitor(
     trace: Trace,
     constraints: Mapping[str, Formula],
@@ -220,7 +212,9 @@ def run_monitor(
     """
     if mode not in ("plain", "reset"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_labels(trace)
+    for record in trace.steps:
+        if record.labels is None:
+            raise TraceError(f"missing labels at step {record.t}")
     automaton = ProgressionCache() if cache is None else cache
     states = [new_state(cid, constraints[cid], mode == "reset", automaton) for cid in sorted(constraints)]
     return run_states(states, trace.steps)

@@ -22,9 +22,7 @@ from dataclasses import dataclass, replace
 
 from ..ltl import And, Eventually, Formula, Next, Or, Prop, parse, render
 from ..models import derive_seed
-from ..trace import (
-    StepRecord, Trace, checked, checked_items, read_jsonl, step_from_dict, step_to_dict, write_jsonl
-)
+from ..trace import Keys, StepRecord, Trace, read, read_jsonl, step_from_dict, step_to_dict, write_jsonl
 from .events import (
     CATEGORIES,
     AttributeEvent,
@@ -94,41 +92,42 @@ class BenchCase:
         }
 
 
-def case_from_dict(obj: Mapping) -> BenchCase:
-    """Decode one case of a bench file.  A value of the wrong JSON type
-    raises ``TypeError``, a wrong value ``ValueError``."""
-    obj = checked(obj, "object", "a case")
+CASE_KEYS = Keys(required={"knobs": "object", "truth": "boolean[]", "constraints": "array", "trace": "object"})
+CONSTRAINT_KEYS = Keys(
+    required={"id": "string", "formula": "string", "informal": "string", "precise": "string", "path": "string[]"},
+    optional={"tree_paths": "string[][]"},
+)
+TRACE_KEYS = Keys(required={"steps": "array"}, optional={"metadata": "object"})
+# The knobs a generator writes; a case may carry others.
+KNOB_KEYS = Keys(optional={
+    "suite": "string", "family": "string", "gap": "integer", "n": "integer", "entities": "integer",
+    "length": "integer", "seed": "integer", "case": "integer",
+})
+
+
+def case_from_dict(obj: object) -> BenchCase:
+    """Decode one case of a bench file.  A malformed one raises
+    ``ShapeError``, a wrong value another ``ValueError``."""
+    case = read(obj, CASE_KEYS, "case")
     constraints = tuple(
         BenchConstraint(
-            constraint_id=checked(c["id"], "string", "id"),
-            formula=parse(checked(c["formula"], "string", "formula")),
-            informal=checked(c["informal"], "string", "informal"),
-            precise=checked(c["precise"], "string", "precise"),
-            path=tuple(checked_items(c["path"], "string", "path")),
-            tree_paths=tuple(
-                tuple(checked_items(p, "string", "a tree path"))
-                for p in checked(c.get("tree_paths", []), "array", "tree_paths")
-            ),
+            c["id"], parse(c["formula"]), c["informal"], c["precise"], tuple(c["path"]),
+            tuple(map(tuple, c.get("tree_paths", ()))),
         )
-        for c in checked_items(obj["constraints"], "object", "constraints")
+        for c in (read(c, CONSTRAINT_KEYS, "constraint") for c in case["constraints"])
     )
-    truth = checked_items(obj["truth"], "boolean", "truth")
     if not constraints:
         raise GenerationError("a case needs at least one constraint")
-    if len(truth) != len(constraints):
+    if len(case["truth"]) != len(constraints):
         raise GenerationError("'truth' must be an array of booleans, one per constraint")
-    trace = checked(obj["trace"], "object", "trace")
+    trace = read(case["trace"], TRACE_KEYS, "trace")
     # A step without labels carries the empty set: bench traces are fully labeled.
     steps = tuple(
         step if step.labels is not None else replace(step, labels=frozenset())
-        for step in (step_from_dict(s) for s in checked(trace["steps"], "array", "steps"))
+        for step in map(step_from_dict, trace["steps"])
     )
-    return BenchCase(
-        trace=Trace(steps, checked(trace.get("metadata", {}), "object", "metadata")),
-        constraints=constraints,
-        truth=tuple(truth),
-        knobs=checked(obj["knobs"], "object", "knobs"),
-    )
+    read(case["knobs"], KNOB_KEYS, "knobs")
+    return BenchCase(Trace(steps, trace.get("metadata", {})), constraints, tuple(case["truth"]), case["knobs"])
 
 
 def save_cases(cases: Sequence[BenchCase], path) -> None:
@@ -140,8 +139,6 @@ def load_cases(path) -> list[BenchCase]:
     for n, obj in read_jsonl(path):
         try:
             cases.append(case_from_dict(obj))
-        except (KeyError, TypeError) as err:
-            raise GenerationError(f"{path}: line {n}: malformed case: {err!r}") from err
         except ValueError as err:  # located in place, so a ParseError keeps its caret
             err.args = (f"{path}: line {n}: {err}",)
             raise

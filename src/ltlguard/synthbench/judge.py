@@ -70,7 +70,7 @@ def prompt_for_case(case: BenchCase, level: str = "informal") -> str:
             for i in range(len(case.constraints))
         )
         return MULTI_PROMPT.format(constraints=lines, trace=trace_text(case))
-    if entities and int(entities) > 1:
+    if entities > 1:
         return ENTITY_PROMPT.format(
             entities=entities,
             constraint=constraint_text(case, 0, level),

@@ -1,9 +1,8 @@
 """Histories, labels, verdict reports, witnesses, and the labeler contract.
 
-Trace files are UTF-8 JSONL: one step object per line with fields ``t``
-(integer), ``input`` (string, optional; missing, null or empty means no new input),
-``output`` (string), ``labels`` (array of strings, optional), plus an
-optional leading metadata line ``{"meta": {...}}``.
+Trace files are UTF-8 JSONL: an optional leading metadata line
+``{"meta": {...}}``, then one step object per line, read through
+``STEP_KEYS``; a missing, null or empty ``input`` means no new input.
 """
 
 from __future__ import annotations
@@ -104,28 +103,9 @@ def step_to_dict(step: StepRecord) -> dict:
     return out
 
 
-def step_from_dict(obj: dict) -> StepRecord:
-    """Decode one step; a malformed one raises ``TraceError``, which its
-    reader prefixes with the file and the line."""
-    if not isinstance(obj, dict):
-        raise TraceError("step must be a JSON object")
-    if not isinstance(obj.get("t"), int) or isinstance(obj["t"], bool):
-        raise TraceError("missing or non-integer 't'")
-    if "output" not in obj or not isinstance(obj["output"], str):
-        raise TraceError("missing or non-string 'output'")
-    if obj.get("input") is not None and not isinstance(obj["input"], str):
-        raise TraceError("'input' must be a string")
-    labels = obj.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise TraceError("'labels' must be an array of strings")
-        labels = frozenset(labels)
-    return StepRecord(
-        t=obj["t"],
-        input=obj.get("input") or "",
-        output=obj["output"],
-        labels=labels,
-    )
+class ShapeError(TypeError, ValueError):
+    """A JSON value of another kind than declared, or an object without a
+    required key; a ``ValueError`` too, as the input fault it is."""
 
 
 _JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool, "array": list, "object": dict}
@@ -133,22 +113,62 @@ _JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean":
 
 def checked(value: object, kind: str, name: str, nullable: bool = False):
     """``value`` unchanged if its JSON type is ``kind`` (``string``,
-    ``integer``, ``number``, ``boolean``, ``array`` or ``object``), where an
+    ``integer``, ``number``, ``boolean``, ``array`` or ``object``, or one of
+    these followed by ``[]`` for an array of values of that kind), where an
     integer counts as a number and a bool as neither, or if it is null and
-    ``nullable`` is set; otherwise ``TypeError`` names it."""
-    if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean"):
+    ``nullable`` is set; otherwise ``ShapeError`` names it."""
+    if isinstance(value, _JSON_TYPES.get(kind, ())) and isinstance(value, bool) == (kind == "boolean"):
         return value
     if nullable and value is None:
         return value
+    if kind[-2:] == "[]":
+        for item in checked(value, "array", name, nullable):
+            checked(item, kind[:-2], f"an item of {name}")
+        return value
     article = "an" if kind[0] in "aio" else "a"
-    raise TypeError(f"{name} must be {article} {kind}{' or null' if nullable else ''}, got {value!r}")
+    raise ShapeError(f"{name} must be {article} {kind}{' or null' if nullable else ''}, got {value!r}")
 
 
 def checked_items(value: object, kind: str, name: str) -> list:
     """``value`` unchanged if it is an array whose every item has JSON type ``kind``."""
-    for item in checked(value, "array", name):
-        checked(item, kind, f"an item of {name}")
-    return value
+    return checked(value, kind + "[]", name)
+
+
+class Keys(dict):
+    """A key table: each key of a JSON object with its kind as ``checked``
+    names it, where a trailing ``?`` also allows null; an object must have
+    the ``required`` keys and may have the ``optional`` ones."""
+
+    def __init__(self, required: Mapping[str, str] | None = None, optional: Mapping[str, str] | None = None):
+        super().__init__(required or {}, **(optional or {}))
+        self.required = frozenset(required or ())
+        self.checks = tuple((key, kind.rstrip("?"), kind[-1] == "?") for key, kind in self.items())
+
+
+def read(obj: object, keys: Keys, section: str, prefix: str = "") -> dict:
+    """The keys of ``keys`` that the JSON object ``obj`` has, with their
+    values, once it has every required key and each of those values has
+    its key's kind; other keys are ignored.  A fault raises ``ShapeError``
+    naming the object by ``section``, or a value by ``prefix`` and its key."""
+    obj = checked(obj, "object", section)
+    values = {}
+    for key, kind, nullable in keys.checks:
+        if key in obj:
+            values[key] = checked(obj[key], kind, prefix + key, nullable)
+        elif key in keys.required:
+            raise ShapeError(f"{section} is missing field {key!r}")
+    return values
+
+
+STEP_KEYS = Keys(required={"t": "integer", "output": "string"}, optional={"input": "string?", "labels": "string[]?"})
+META_KEYS = Keys(required={"meta": "object"})
+
+
+def step_from_dict(obj: object) -> StepRecord:
+    """Decode one step; a malformed one raises ``ShapeError``."""
+    step = read(obj, STEP_KEYS, "step")
+    labels = step.get("labels")
+    return StepRecord(step["t"], step.get("input") or "", step["output"], None if labels is None else frozenset(labels))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
@@ -241,25 +261,25 @@ def _key_text(key: object) -> str:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Load a JSONL trace, validating step-index contiguity."""
+    """Load a JSONL trace, validating step-index contiguity; a file holding
+    only the metadata line is a trace of no steps."""
     path = Path(path)
     steps: list[StepRecord] = []
     metadata: dict = {}
     rows = 0
     for rows, (line_no, obj) in enumerate(read_jsonl(path), 1):
-        if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
-            metadata = obj["meta"]
-            continue
         try:
+            if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
+                metadata = read(obj, META_KEYS, "meta line")["meta"]
+                continue
             step = step_from_dict(obj)
-        except TraceError as err:
-            err.args = (f"{path}: line {line_no}: {err}",)
-            raise
+        except ShapeError as err:
+            raise TraceError(f"{path}: line {line_no}: {err}") from err
         if step.t != len(steps) + 1:
             raise TraceError(f"{path}: non-contiguous step index at line {line_no}")
         steps.append(step)
-    if not steps:
-        raise TraceError(f"{path}: {'trace has no steps' if rows else 'empty trace file'}")
+    if not rows:
+        raise TraceError(f"{path}: empty trace file")
     return Trace(tuple(steps), metadata)
 
 
@@ -339,28 +359,37 @@ def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) ->
     }
 
 
-def report_from_dict(obj: Mapping) -> VerdictReport:
-    """Decode one report; a value of the wrong JSON type raises ``TypeError``."""
+REPORT_DOCUMENT_KEYS = Keys(required={"reports": "array"})
+REPORT_KEYS = Keys(
+    required={"constraint_id": "string", "verdicts": "string[]", "violations": "integer", "satisfactions": "integer"},
+    optional={"witnesses": "array"},
+)
+EPISODE_KEYS = Keys(required={"verdict": "string"}, optional={"entries": "array"})
+ENTRY_KEYS = Keys(
+    required={"t": "integer", "residual": "string"},
+    optional={"input": "string", "output": "string", "labels": "string[]"},
+)
+
+
+def report_from_dict(obj: object) -> VerdictReport:
+    """Decode one report; a malformed one raises ``ShapeError``, and an
+    unknown verdict or a residual that does not parse ``ValueError``."""
+    report = read(obj, REPORT_KEYS, "report")
     witnesses = []
-    for ep in checked_items(obj.get("witnesses", []), "object", "witnesses"):
-        entries = tuple(
-            WitnessEntry(
-                t=checked(e["t"], "integer", "t"),
-                input=checked(e.get("input", ""), "string", "input"),
-                output=checked(e.get("output", ""), "string", "output"),
-                labels=frozenset(checked_items(e.get("labels", []), "string", "labels")),
-                residual=parse(checked(e["residual"], "string", "residual")),
-            )
-            for e in checked_items(ep.get("entries", []), "object", "entries")
-        )
-        witnesses.append(WitnessEpisode(Verdict(checked(ep["verdict"], "string", "verdict")), entries))
+    for episode in report.get("witnesses", ()):
+        episode = read(episode, EPISODE_KEYS, "witness episode")
+        entries = tuple(map(_entry_from_dict, episode.get("entries", ())))
+        witnesses.append(WitnessEpisode(Verdict(episode["verdict"]), entries))
     return VerdictReport(
-        constraint_id=checked(obj["constraint_id"], "string", "constraint_id"),
-        verdicts=tuple(map(Verdict, checked_items(obj["verdicts"], "string", "verdicts"))),
-        violations=checked(obj["violations"], "integer", "violations"),
-        satisfactions=checked(obj["satisfactions"], "integer", "satisfactions"),
-        witnesses=tuple(witnesses),
+        report["constraint_id"], tuple(map(Verdict, report["verdicts"])), report["violations"], report["satisfactions"],
+        tuple(witnesses),
     )
+
+
+def _entry_from_dict(obj: object) -> WitnessEntry:
+    entry = read(obj, ENTRY_KEYS, "witness entry")
+    labels = frozenset(entry.get("labels", ()))
+    return WitnessEntry(entry["t"], entry.get("input", ""), entry.get("output", ""), labels, parse(entry["residual"]))
 
 
 def save_reports(reports: Iterable[VerdictReport], path: str | Path | None, extra: Mapping | None = None) -> None:
@@ -381,9 +410,6 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
     except ValueError as err:  # a JSON or a UTF-8 decoding error
         raise TraceError(f"{path}: not valid JSON: {err}") from err
     try:
-        reports = checked(doc, "object", "a report document")["reports"]
-        return [report_from_dict(obj) for obj in checked_items(reports, "object", "reports")]
-    except KeyError as err:
-        raise TraceError(f"{path}: missing field {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:  # a value of the wrong type, verdict or formula
+        return [report_from_dict(obj) for obj in read(doc, REPORT_DOCUMENT_KEYS, "report document")["reports"]]
+    except ValueError as err:  # a malformed value, an unknown verdict or a residual that does not parse
         raise TraceError(f"{path}: malformed report: {err}") from err

@@ -29,6 +29,8 @@ from ltlguard.config import (
 )
 from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from ltlguard.predictive import PATTERNS
+from ltlguard.synthbench import generator
+from ltlguard.trace import ENTRY_KEYS, EPISODE_KEYS, META_KEYS, REPORT_DOCUMENT_KEYS, REPORT_KEYS, STEP_KEYS
 from helpers import DEFAULT_PROPS, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
@@ -453,7 +455,7 @@ class TestAuditCommand:
         trace.write_text(json.dumps({"t": 1, "input": 5, "output": "ok"}) + "\n", encoding="utf-8")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2 and out == ""
-        assert err == f"error: {trace}: line 1: 'input' must be a string\n"
+        assert err == f"error: {trace}: line 1: input must be a string or null, got 5\n"
 
     def test_boolean_step_index_exit_2(self, capsys, tmp_path):
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
@@ -461,7 +463,7 @@ class TestAuditCommand:
         trace.write_text(json.dumps({"t": True, "output": "bad"}) + "\n", encoding="utf-8")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2 and out == ""
-        assert err == f"error: {trace}: line 1: missing or non-integer 't'\n"
+        assert err == f"error: {trace}: line 1: t must be an integer, got True\n"
 
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -580,8 +582,8 @@ class TestGuardCommand:
         [
             ({"labeler": {"type": "embedded"}}, "guard mode needs a concrete labeler, not embedded labels"),
             ({"labeler": None}, "guard mode needs a concrete labeler, not embedded labels"),
-            ({"constraints": [{"formula": "G !bad"}]}, "constraint #1 needs 'id' and 'formula' fields"),
-            ({"constraints": [{"id": "no_bad"}]}, "constraint #1 needs 'id' and 'formula' fields"),
+            ({"constraints": [{"formula": "G !bad"}]}, "invalid config value: constraint #1 is missing field 'id'"),
+            ({"constraints": [{"id": "no_bad"}]}, "invalid config value: constraint #1 is missing field 'formula'"),
             ({"constraints": GUARD_CONFIG["constraints"] * 2}, "duplicate constraint id 'no_bad'"),
             ({"model": {"type": "scripted"}}, "scripted model needs 'outputs' or 'distributions'"),
             ({"mode": "sometimes"}, "mode must be 'plain' or 'reset', got 'sometimes'"),
@@ -624,6 +626,10 @@ class TestGuardCommand:
         assert [step["t"] for step in trace if "t" in step] == list(range(1, len(outputs) + 1))
         assert len(log) == reports["steps"] == len(reports["reports"][0]["verdicts"]) == len(outputs)
         assert reports["violation_rate"] == 0.0
+        # The run's trace audits to the run's reports, also when it holds no step.
+        code, out, _ = run_cli(["audit", str(out_dir / "trace.jsonl"), "--config", str(config)], capsys)
+        assert code == 0
+        assert json.loads(out)["reports"] == reports["reports"]
 
     def test_model_failure_flushes_partial_outputs(self, capsys, tmp_path):
         config_doc = dict(GUARD_CONFIG)
@@ -1289,6 +1295,107 @@ class TestEveryKeyOfAnotherKind:
         assert failures == []
 
 
+def wrong_values(kind):
+    """``other_kinds`` of ``kind``; for an array of values of one kind
+    (``kind[]``), also an array of one value of each kind it does not accept."""
+    nullable = "?" * kind.endswith("?")
+    kind = kind.rstrip("?")
+    if not kind.endswith("[]"):
+        return other_kinds(kind + nullable)
+    return other_kinds("array" + nullable) + [[value] for value in wrong_values(kind[:-2])]
+
+
+BENCH_CASE = {
+    "knobs": {
+        "suite": "constraint", "family": "simple", "gap": 1, "n": 1, "entities": 1, "length": 1, "seed": 0, "case": 0,
+    },
+    "truth": [True],
+    "constraints": [
+        {"id": "c1", "formula": "F animal_fox", "informal": "a fox", "precise": "a fox", "path": ["animal_fox"],
+         "tree_paths": [["animal_fox"]]},
+    ],
+    "trace": {"metadata": {"seed": 0}, "steps": [{"t": 1, "input": "", "output": "a fox", "labels": ["animal_fox"]}]},
+}
+# Each table a trace, report or bench file is decoded through, by name: its
+# keys, the file, and the path to one object it reads there.  The path into
+# a JSONL file starts with the index of the line.
+DECODED_TABLES = {
+    "meta line": (META_KEYS, "trace", (0,)),
+    "step": (STEP_KEYS, "trace", (1,)),
+    "report document": (REPORT_DOCUMENT_KEYS, "report", ()),
+    "report": (REPORT_KEYS, "report", ("reports", 0)),
+    "witness episode": (EPISODE_KEYS, "report", ("reports", 0, "witnesses", 0)),
+    "witness entry": (ENTRY_KEYS, "report", ("reports", 0, "witnesses", 0, "entries", 0)),
+    "case": (generator.CASE_KEYS, "bench", (0,)),
+    "bench constraint": (generator.CONSTRAINT_KEYS, "bench", (0, "constraints", 0)),
+    "bench trace": (generator.TRACE_KEYS, "bench", (0, "trace")),
+    "knobs": (generator.KNOB_KEYS, "bench", (0, "knobs")),
+    "bench step": (STEP_KEYS, "bench", (0, "trace", "steps", 0)),
+}
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code, stdout and stderr; an exception that
+    escapes it stands for its code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def write_decoded(path, doc):
+    """Write ``doc`` to ``path``: as JSONL, one line per item, if ``path`` is a JSONL file."""
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(line) + "\n" for line in doc), encoding="utf-8")
+    else:
+        write_json(path, doc)
+
+
+class TestEveryDecodedKeyOfAnotherKind:
+    """Every key of every table a trace, report or bench file is decoded
+    through, set to a value of each JSON kind the table does not accept, or
+    dropped where the table requires it, exits 2 with one error line that
+    names the file, and the line of a JSONL file."""
+
+    @pytest.mark.parametrize("keys, file, path", list(DECODED_TABLES.values()), ids=list(DECODED_TABLES))
+    def test_exit_2_with_one_error_line(self, tmp_path, keys, file, path):
+        config, trace, report, bench = (tmp_path / name for name in ("c.json", "t.jsonl", "r.json", "b.jsonl"))
+        write_json(config, {"constraints": [{"id": "no_bad", "formula": "G !bad"}]})
+        write_decoded(trace, [{"meta": {"seed": 1}}, {"t": 1, "input": "go", "output": "a bad move", "labels": ["bad"]}])
+        audit = ["audit", str(trace), "--config", str(config)]
+        assert run_main([*audit, "--out", str(report)])[0] == 1
+        write_decoded(bench, [BENCH_CASE])
+        target, argv = {
+            "trace": (trace, audit),
+            "report": (report, [*audit, "--f1-against", str(report)]),
+            "bench": (bench, ["bench", "eval", "--bench", str(bench), "--judge", "coinflip"]),
+        }[file]
+        base = json.loads(report.read_text(encoding="utf-8")) if file == "report" else [
+            json.loads(line) for line in target.read_text(encoding="utf-8").splitlines()
+        ]
+        assert value_at(base, path) is not None and run_main(argv)[0] in (0, 1)
+        located = f"error: {target}: line {path[0] + 1}: " if target.suffix == ".jsonl" else f"error: {target}: "
+        faults = [(key, {key: wrong}) for key, kind in keys.items() for wrong in wrong_values(kind)]
+        failures = []
+        for key, change in faults + [(key, None) for key in keys.required]:
+            drop = change is None
+            write_decoded(target, replaced(
+                base, path, lambda obj: {k: v for k, v in obj.items() if k != key} if drop else {**obj, **change}
+            ))
+            code, stdout, err = run_main(argv)
+            lines = err.splitlines()
+            # A dropped key may leave another fault first: a meta line
+            # without "meta" is a step without "t".
+            if (code, stdout, len(lines)) != (2, "", 1) or not (
+                lines[0].startswith(located) and (drop or key in lines[0])
+            ):
+                failures.append((key, change, code, lines))
+        assert failures == []
+
+
 class TestNonFiniteNumbers:
     """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: a config or a
     judge config that holds one exits 2 with one error line, writing nothing."""
@@ -1844,7 +1951,24 @@ class TestInputFaultsNameTheFile:
             fh.write("[1]\n")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: {trace}: line 3: step must be a JSON object\n"
+        assert err == f"error: {trace}: line 3: step must be an object, got [1]\n"
+
+    def test_meta_line_not_an_object(self, capsys, tmp_path):
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, RULE_CONFIG)
+        trace.write_text('{"meta": 5}\n{"t": 1, "output": "ok"}\n', encoding="utf-8")
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: line 1: meta must be an object, got 5\n"
+
+    @pytest.mark.parametrize("entities", [[2], "two"], ids=["array", "string"])
+    def test_bench_knob_of_another_kind(self, capsys, tmp_path, entities):
+        # The coin flip judge words its prompt by the entities knob.
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(bench_case_line(FOX_STEP, knobs={"entities": entities}) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "coinflip"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bench}: line 1: entities must be an integer, got {entities!r}\n"
 
     def test_bench_formula_not_parsing(self, capsys, tmp_path):
         # The one error line is located; the caret under the formula follows.
@@ -1864,7 +1988,7 @@ class TestInputFaultsNameTheFile:
         bench.write_text(bench_case_line([1]) + "\n", encoding="utf-8")
         code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: {bench}: line 1: step must be a JSON object\n"
+        assert err == f"error: {bench}: line 1: step must be an object, got [1]\n"
 
     @pytest.mark.parametrize("name", ["config", "judge config"])
     def test_config_not_utf8(self, capsys, tmp_path, name):

@@ -153,9 +153,9 @@ class TestRunMonitor:
         with pytest.raises(TraceError, match="missing labels"):
             run_monitor(trace, {"c": TRUE})
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(TraceError, match="empty"):
-            run_monitor(Trace(()), {"c": TRUE})
+    def test_empty_trace_has_empty_reports(self):
+        (report,) = run_monitor(Trace(()), {"c": TRUE})
+        assert report == VerdictReport("c", (), 0, 0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
