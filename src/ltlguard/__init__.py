@@ -40,12 +40,8 @@ from .monitor import (
     step,
 )
 from .predictive import (
-    CONTAINS_SATISFIED,
-    CONTAINS_VIOLATED,
-    ENDS_VIOLATED,
     PATTERNS,
     RiskEstimate,
-    estimate_risk,
     estimate_risks,
 )
 from .trace import (
@@ -64,9 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlackBoxModel",
-    "CONTAINS_SATISFIED",
-    "CONTAINS_VIOLATED",
-    "ENDS_VIOLATED",
     "EndpointLabeler",
     "EndpointModel",
     "Formula",
@@ -91,7 +84,6 @@ __all__ = [
     "WitnessEpisode",
     "apply_labeler",
     "audit_log",
-    "estimate_risk",
     "estimate_risks",
     "evaluate_lasso",
     "guard_step",

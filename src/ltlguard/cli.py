@@ -67,7 +67,12 @@ def _ast_dict(node: Formula | str) -> dict | str:
     }
 
 
-def _print_caret(err: ParseError) -> None:
+def _print_caret(err: BaseException | None) -> None:
+    """Show where the first ``ParseError`` in ``err``'s ``__cause__`` chain lies."""
+    while err is not None and not isinstance(err, ParseError):
+        err = err.__cause__
+    if err is None:
+        return
     lines = err.text.splitlines() or [""]
     if 1 <= err.line <= len(lines):
         _human(f"  {lines[err.line - 1]}")
@@ -145,7 +150,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     extra: dict = {"mode": mode, "trace_length": len(trace)}
     if args.f1_against:
         truth = load_reports(args.f1_against)
-        result = score_f1(reports, truth)
+        try:
+            result = score_f1(reports, truth)
+        except ValueError as err:
+            raise ValueError(f"{args.f1_against}: {err}") from err
         extra["f1"] = {
             "pooled": {
                 "precision": result.pooled.precision,
@@ -190,9 +198,6 @@ def cmd_guard(args: argparse.Namespace) -> int:
         substitute=substitute,
         seed=seed,
         glosses=config.glosses,
-        stop_token=config.stop_token,
-        action_temperature=config.action_temperature,
-        sampling_temperature=config.sampling_temperature,
         reset_mode=(config.mode == "reset"),
         cache=config.automaton,
     )
@@ -344,8 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ERRORS as err:
         _human(f"error: {err}")
-        if isinstance(err, ParseError):
-            _print_caret(err)
+        _print_caret(err)
         return EXIT_ERROR
 
 

@@ -18,7 +18,7 @@ from .intervention import InterventionPolicy
 from .ltl import Formula, ParseError, ProgressionCache, parse_written
 from .models import EndpointLabeler, EndpointModel, RuleLabeler, ScriptedModel
 from .synthbench import AttributeEventLabeler
-from .trace import Keys, LabelingFunction, checked, checked_items, read
+from .trace import Keys, LabelingFunction, checked, read
 
 
 class ConfigError(ValueError):
@@ -117,15 +117,10 @@ class Config:
     mode: str = "reset"
     seed: int = 0
     initial_input: str = ""
-    stop_token: str = "DONE"
-    action_temperature: float = 0.2
-    sampling_temperature: float = 0.8
 
     def __post_init__(self) -> None:
         if self.mode not in ("plain", "reset"):
             raise ConfigError(f"mode must be 'plain' or 'reset', got {self.mode!r}")
-        self.action_temperature = float(self.action_temperature)
-        self.sampling_temperature = float(self.sampling_temperature)
 
 
 @_config_errors
@@ -159,7 +154,9 @@ def load_config(path: str | Path) -> Config:
             policy["inject_template"] = Path(template_path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read inject template {template_path}: {err}") from err
-    policy = InterventionPolicy(**policy)
+    # The session's run settings are written at the top level and kept on the policy.
+    run = {key: raw.pop(key) for key in ("stop_token", "action_temperature", "sampling_temperature") if key in raw}
+    policy = InterventionPolicy(**policy, **run)
     for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
         if spec is not None:
             _typed(spec, MODELS, section)
@@ -168,10 +165,10 @@ def load_config(path: str | Path) -> Config:
     if (model_spec := raw.pop("model", None)) is not None:
         build, values = _typed(model_spec, MODELS, "model")
         script_stop = values.get("stop_token", ScriptedModel.stop_token)
-        if build is _scripted_model and script_stop != (stop_token := raw.get("stop_token", Config.stop_token)):
+        if build is _scripted_model and script_stop != policy.stop_token:
             raise ConfigError(
                 f"invalid config value: the scripted model's stop_token {script_stop!r}"
-                f" differs from {stop_token!r}"
+                f" differs from {policy.stop_token!r}"
             )
     if (labeler_spec := raw.pop("labeler", None)) is not None:
         _typed(labeler_spec, LABELERS, "labeler")
@@ -193,13 +190,13 @@ def _distribution(dist: object) -> tuple[tuple[str, float], ...]:
     """A scripted model's categorical distribution: an array of [text, weight] arrays."""
     return tuple(
         (checked(text, "string", "a distribution text"), float(checked(weight, "number", "a distribution weight")))
-        for text, weight in checked_items(dist, "array", "a distribution")
+        for text, weight in checked(dist, "array[]", "a distribution")
     )
 
 
 def _scripted_model(values: dict) -> ScriptedModel:
     if "outputs" in values:
-        values["outputs"] = tuple(checked_items(values["outputs"], "string", "outputs"))
+        values["outputs"] = tuple(checked(values["outputs"], "string[]", "outputs"))
     elif "distributions" in values:
         values["distributions"] = tuple(map(_distribution, values["distributions"]))
     else:
@@ -241,14 +238,14 @@ EMBEDDED = "embedded"
 def _rule_labeler(values: dict) -> RuleLabeler:
     rules = {prop: checked(rx, "string", f"rule {prop!r}") for prop, rx in values["rules"].items()}
     try:
-        return RuleLabeler(frozenset(checked_items(values["vocabulary"], "string", "vocabulary")), rules)
+        return RuleLabeler(frozenset(checked(values["vocabulary"], "string[]", "vocabulary")), rules)
     except re.error as err:
         raise ConfigError(f"rule labeler: invalid regex {err.pattern!r}: {err}") from err
 
 
 def _endpoint_labeler(values: dict) -> EndpointLabeler:
     values["endpoint"] = build_model(endpoint_spec(values["endpoint"], "endpoint"))
-    values["vocabulary"] = frozenset(checked_items(values["vocabulary"], "string", "vocabulary"))
+    values["vocabulary"] = frozenset(checked(values["vocabulary"], "string[]", "vocabulary"))
     return EndpointLabeler(**values)
 
 

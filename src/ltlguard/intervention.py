@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 
 from .ltl import Formula, Verdict, render
-from .models import BlackBoxModel, SampleParams, derive_seed, load_template
+from .models import BlackBoxModel, SampleParams, ScriptedModel, derive_seed, load_template
 from .monitor import MonitorState, ProgressionCache, new_state, run_states
 from .predictive import PATTERNS, advance, estimate_risks, rollout
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
@@ -29,10 +29,6 @@ class PolicyError(ValueError):
     """Invalid intervention policy or session configuration."""
 
 
-def default_inject_template() -> str:
-    return load_template("inject_template.txt")
-
-
 @dataclass(frozen=True)
 class InterventionPolicy:
     strategy: str = "none"
@@ -42,8 +38,15 @@ class InterventionPolicy:
     m: int = 5
     pattern: str = "contains_violated"
     inject_template: str | None = None
+    # The session's run settings: the output that ends it, and the sampling
+    # temperatures of its own outputs and of its sampled continuations.
+    stop_token: str = ScriptedModel.stop_token
+    action_temperature: float = 0.2
+    sampling_temperature: float = 0.8
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "action_temperature", float(self.action_temperature))
+        object.__setattr__(self, "sampling_temperature", float(self.sampling_temperature))
         if self.strategy not in STRATEGIES:
             raise PolicyError(f"unknown strategy {self.strategy!r}; one of {STRATEGIES}")
         if not 0.0 <= self.tau <= 1.0:
@@ -97,9 +100,6 @@ class GuardedSession:
         substitute: BlackBoxModel | None = None,
         seed: int = 0,
         glosses: Mapping[str, str] | None = None,
-        stop_token: str = "DONE",
-        action_temperature: float = 0.2,
-        sampling_temperature: float = 0.8,
         reset_mode: bool = True,
         cache: ProgressionCache | None = None,
     ):
@@ -111,9 +111,6 @@ class GuardedSession:
         self.pattern = PATTERNS[policy.pattern]
         self.substitute = substitute
         self.seed = seed
-        self.stop_token = stop_token
-        self.action_temperature = action_temperature
-        self.sampling_temperature = sampling_temperature
         # The session's residual automaton: ``cache``, such as the one its
         # config was parsed into, or a fresh one.
         cache = ProgressionCache() if cache is None else cache
@@ -151,7 +148,7 @@ def apply_inject(
 
 def _act(session: GuardedSession, model: BlackBoxModel, history: Sequence[StepRecord], input: str, t: int, purpose: str) -> str:
     """One output at the session's action temperature, seeded by step and purpose."""
-    params = SampleParams(session.action_temperature, derive_seed(session.seed, t, purpose))
+    params = SampleParams(session.policy.action_temperature, derive_seed(session.seed, t, purpose))
     return model.next_output(history, input, params)
 
 
@@ -168,13 +165,13 @@ def apply_switch(session: GuardedSession, t: int) -> str:
     return _act(session, session.substitute, [], prompt, t, "switch")
 
 
-def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
+def apply_resample(session: GuardedSession, input: str, t: int) -> str:
     """Best-of-n output selection by fewest predicted violations.
 
-    Draws n candidates at the sampling temperature, each the first step of
-    a rollout over the horizon, scores each by the terminal-violation
-    count over its rollout (candidate step included), and returns the
-    argmin; ties break on the earliest sample index.
+    Draws the policy's n candidates at the sampling temperature, each the
+    first step of a rollout over the horizon, scores each by the
+    terminal-violation count over its rollout (candidate step included),
+    and returns the argmin; ties break on the earliest sample index.
     """
 
     def scored(j: int) -> tuple[int, int, str]:
@@ -182,12 +179,12 @@ def apply_resample(session: GuardedSession, input: str, n: int, t: int) -> str:
         seeds = [seed, *(derive_seed(seed, "roll", i) for i in range(session.policy.k - 1))]
         output, verdicts = rollout(
             session.states, session.model, session.labeler, session.steps, input, seeds,
-            session.sampling_temperature,
+            session.policy.sampling_temperature,
         )
         violations = sum(seq[1:].count(Verdict.VIOLATED) for seq in verdicts.values())
         return violations, j, output
 
-    return min(map(scored, range(n)))[2]
+    return min(map(scored, range(session.policy.n)))[2]
 
 
 def _risks(
@@ -215,7 +212,7 @@ def _risks(
         input,
         history,
         seed,
-        session.sampling_temperature,
+        session.policy.sampling_temperature,
     )
     return {cid: est.probability for cid, est in estimates.items()}
 
@@ -234,7 +231,7 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     if policy.strategy != "none":
         trigger = _risks(session, next_input, derive_seed(session.seed, t, "predict"))
     original_output = _act(session, session.model, session.steps, next_input, t, "action")
-    if original_output == session.stop_token:
+    if original_output == policy.stop_token:
         session.finished = True
         return None
 
@@ -245,14 +242,14 @@ def guard_step(session: GuardedSession, next_input: str) -> GuardedStepOutcome |
     if trigger is not None and any(risk >= policy.tau for risk in trigger.values()):
         intervened = True
         if policy.strategy == "resample":
-            final_output = apply_resample(session, next_input, policy.n, t)
+            final_output = apply_resample(session, next_input, t)
         elif policy.strategy == "inject":
             at_risk = [
                 (cid, session.states[cid].residual)
                 for cid in session.states
                 if trigger[cid] >= policy.tau
             ]
-            template = policy.inject_template or default_inject_template()
+            template = policy.inject_template or load_template("inject_template.txt")
             final_input = apply_inject(next_input, at_risk, template)
             final_output = _act(session, session.model, session.steps, final_input, t, "inject")
         elif policy.strategy == "switch":

@@ -25,9 +25,6 @@ class Verdict(Enum):
     VIOLATED = "violated"
     INCONCLUSIVE = "inconclusive"
 
-    def is_terminal(self) -> bool:
-        return self is not Verdict.INCONCLUSIVE
-
 
 @dataclass(frozen=True)
 class Formula:

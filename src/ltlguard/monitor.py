@@ -302,7 +302,7 @@ def _events(report: VerdictReport) -> set[tuple[int, str, Verdict]]:
     return {
         (t + 1, report.constraint_id, v)
         for t, v in enumerate(report.verdicts)
-        if v.is_terminal()
+        if v is not _INCONCLUSIVE
     }
 
 

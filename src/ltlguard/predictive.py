@@ -24,9 +24,6 @@ PATTERNS: dict[str, Callable[[Sequence[Verdict]], bool]] = {
     "contains_satisfied": lambda seq: Verdict.SATISFIED in seq,
     "ends_violated": lambda seq: bool(seq) and seq[-1] is Verdict.VIOLATED,
 }
-CONTAINS_VIOLATED = PATTERNS["contains_violated"]
-CONTAINS_SATISFIED = PATTERNS["contains_satisfied"]
-ENDS_VIOLATED = PATTERNS["ends_violated"]
 
 
 def advance(
@@ -83,7 +80,7 @@ def estimate_risks(
     next_input: str,
     history: Sequence[StepRecord],
     seed: int,
-    temperature: float = 0.8,
+    temperature: float,
 ) -> dict[str, RiskEstimate]:
     """Estimate the pattern probability for every constraint at once.
 
@@ -103,30 +100,3 @@ def estimate_risks(
         cid: RiskEstimate(sum(map(pattern, seqs)) / m, tuple(seqs))
         for cid, seqs in sequences.items()
     }
-
-
-def estimate_risk(
-    state: MonitorState,
-    model: BlackBoxModel,
-    labeler: LabelingFunction,
-    pattern: Callable[[Sequence[Verdict]], bool],
-    k: int,
-    m: int,
-    next_input: str,
-    history: Sequence[StepRecord] = (),
-    seed: int = 0,
-    temperature: float = 0.8,
-) -> RiskEstimate:
-    """Single-constraint risk estimate; see ``estimate_risks``."""
-    return estimate_risks(
-        {state.constraint_id: state},
-        model,
-        labeler,
-        pattern,
-        k,
-        m,
-        next_input,
-        history,
-        seed,
-        temperature,
-    )[state.constraint_id]

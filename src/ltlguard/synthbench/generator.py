@@ -139,9 +139,8 @@ def load_cases(path) -> list[BenchCase]:
     for n, obj in read_jsonl(path):
         try:
             cases.append(case_from_dict(obj))
-        except ValueError as err:  # located in place, so a ParseError keeps its caret
-            err.args = (f"{path}: line {n}: {err}",)
-            raise
+        except ValueError as err:
+            raise GenerationError(f"{path}: line {n}: {err}") from err
     if not cases:
         raise GenerationError(f"{path}: bench file has no cases")
     return cases

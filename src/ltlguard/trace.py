@@ -129,11 +129,6 @@ def checked(value: object, kind: str, name: str, nullable: bool = False):
     raise ShapeError(f"{name} must be {article} {kind}{' or null' if nullable else ''}, got {value!r}")
 
 
-def checked_items(value: object, kind: str, name: str) -> list:
-    """``value`` unchanged if it is an array whose every item has JSON type ``kind``."""
-    return checked(value, kind + "[]", name)
-
-
 class Keys(dict):
     """A key table: each key of a JSON object with its kind as ``checked``
     names it, where a trailing ``?`` also allows null; an object must have
@@ -331,17 +326,6 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
 _TEXT = operator.attrgetter("_value_")  # a verdict's string, read past ``Enum.value``
 
 
-def witness_entry_to_dict(entry: WitnessEntry, memo: dict[int, str] | None = None) -> dict:
-    """``entry`` as a dict; ``memo`` is passed to ``render`` for the residual."""
-    return {
-        "t": entry.t,
-        "input": entry.input,
-        "output": entry.output,
-        "labels": sorted(entry.labels),
-        "residual": render(entry.residual, "ascii", memo),
-    }
-
-
 def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) -> dict:
     """``report`` as a dict; ``memo`` is passed to ``render`` for every residual."""
     return {
@@ -352,7 +336,16 @@ def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) ->
         "witnesses": [
             {
                 "verdict": _TEXT(ep.verdict),
-                "entries": [witness_entry_to_dict(e, memo) for e in ep.entries],
+                "entries": [
+                    {
+                        "t": e.t,
+                        "input": e.input,
+                        "output": e.output,
+                        "labels": sorted(e.labels),
+                        "residual": render(e.residual, "ascii", memo),
+                    }
+                    for e in ep.entries
+                ],
             }
             for ep in report.witnesses
         ],

@@ -1,7 +1,9 @@
 """In-process chat-completions endpoint for tests.
 
 Serves canned responses; the reply is chosen by a pluggable function of
-the request body so tests can script endpoint behavior.
+the request body so tests can script endpoint behavior.  The contents in
+``healthy``, if any, answer the first requests with status 200, so a test
+can let an endpoint fail after some good replies.
 
 With ``keep_alive=True`` it speaks HTTP/1.1, so a client may reuse a
 connection, and counts the connections it accepted.  Like the benchmark
@@ -17,11 +19,17 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
+def reply(content) -> bytes:
+    """A chat-completions response body whose one message holds ``content``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode("utf-8")
+
+
 class MockEndpoint:
-    def __init__(self, reply_fn=None, status=200, raw_body=None, keep_alive=False):
+    def __init__(self, reply_fn=None, status=200, raw_body=None, keep_alive=False, healthy=()):
         self.reply_fn = reply_fn or (lambda body: "ok")
         self.status = status
         self.raw_body = raw_body
+        self.healthy = tuple(healthy)
         self.requests: list[dict] = []
         self.connections = 0
         lock = threading.Lock()
@@ -43,14 +51,14 @@ class MockEndpoint:
                 outer.requests.append(
                     {"path": self.path, "body": body, "headers": dict(self.headers)}
                 )
-                if outer.raw_body is not None:
+                index, status = len(outer.requests) - 1, outer.status
+                if index < len(outer.healthy):
+                    status, payload = 200, reply(outer.healthy[index])
+                elif outer.raw_body is not None:
                     payload = outer.raw_body
                 else:
-                    content = outer.reply_fn(body)
-                    payload = json.dumps(
-                        {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                    ).encode("utf-8")
-                self.send_response(outer.status)
+                    payload = reply(outer.reply_fn(body))
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()

@@ -29,7 +29,7 @@ from ltlguard.models import (
     measure_labeler_accuracy,
 )
 from ltlguard.monitor import ProgressionCache, new_state, run_monitor, score_f1
-from ltlguard.predictive import CONTAINS_VIOLATED, estimate_risk
+from ltlguard.predictive import PATTERNS, estimate_risks
 from ltlguard.synthbench import (
     CoinFlipJudge,
     MonitorOracleJudge,
@@ -196,16 +196,18 @@ def test_criterion_5_estimator_consistency():
     start = time.time()
     for p_index, p in enumerate((0.1, 0.5, 0.9)):
         state = new_state("c", parse("G !bad"))
-        estimate = estimate_risk(
-            state,
+        estimate = estimate_risks(
+            {"c": state},
             bernoulli_model(p),
             BAD_LABELER,
-            CONTAINS_VIOLATED,
+            PATTERNS["contains_violated"],
             k=1,
             m=10_000,
             next_input="go",
+            history=[],
             seed=500 + p_index,
-        )
+            temperature=0.8,
+        )["c"]
         assert abs(estimate.probability - p) <= 0.02, (p, estimate.probability)
     elapsed = time.time() - start
     assert elapsed < 30.0, f"estimator consistency took {elapsed:.1f}s"

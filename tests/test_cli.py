@@ -9,6 +9,7 @@ import random
 import re
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,20 @@ class TestAuditCommand:
         code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2
 
+    def test_bad_formula_in_config_shows_caret(self, capsys, tmp_path):
+        # The config names the constraint; the caret of the ParseError it
+        # wraps follows.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write_json(config, {"constraints": [{"id": "c", "formula": "G (!bad"}]})
+        write_trace(trace, ["x"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: constraint 'c': unbalanced parentheses at line 1, column 8 (expected one of: ')')\n"
+            "  G (!bad\n"
+            "  " + " " * 7 + "^\n"
+        )
+
     def test_endpoint_labeler_without_vocabulary_exit_2(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -380,6 +395,40 @@ class TestAuditCommand:
         code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {truth}: not valid JSON: {reason}\n"
+
+    def test_f1_truth_residual_fault_shows_caret(self, capsys, tmp_path):
+        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
+        write_json(config, {**RULE_CONFIG, "constraints": RULE_CONFIG["constraints"][:1]})
+        entry = {"t": 1, "residual": "F (a &"}
+        report = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
+        write_json(truth, {"reports": [{**report, "witnesses": [{"verdict": "violated", "entries": [entry]}]}]})
+        write_trace(trace, ["bad"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {truth}: malformed report: unexpected end of input at line 1, column 7"
+            " (expected one of: identifier, 'true', 'false', '(', '!', 'G', 'F', 'X')\n"
+            "  F (a &\n"
+            "  " + " " * 6 + "^\n"
+        )
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"constraint_id": "other"}, "mismatched constraint ids between predicted and truth reports"),
+            ({"verdicts": ["violated", "violated"]}, "constraint no_bad: mismatched verdict sequence lengths"),
+        ],
+        ids=["constraint-ids", "verdict-lengths"],
+    )
+    def test_f1_truth_mismatch_names_the_file(self, capsys, tmp_path, report, message):
+        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
+        write_json(config, {**RULE_CONFIG, "constraints": RULE_CONFIG["constraints"][:1]})
+        base = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
+        write_json(truth, {"reports": [{**base, **report}]})
+        write_trace(trace, ["bad"])
+        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {truth}: {message}\n"
 
     def test_relabel_without_labeler_exit_2(self, capsys, tmp_path):
         # Relabeling needs a labeler: auditing the embedded labels instead
@@ -2037,3 +2086,54 @@ class TestInputFaultsNameTheFile:
         code, out, err = self.run_inject_guard(capsys, tmp_path, template)
         assert (code, out) == (2, "")
         assert err == f"error: cannot read inject template {template}: {self.CODEC}\n"
+
+
+class TestEndpointFaults:
+    """An endpoint that fails after good replies ends the run with exit 2,
+    one error line and no traceback; a guard flushes the steps it completed
+    to guard_log.jsonl and trace.jsonl.  The response kinds: HTTP 400, 429
+    and 500 with one attempt and no backoff, a body that is not JSON, a body
+    without ``choices``, non-text content, and a reply slower than the
+    0.5 s timeout."""
+
+    FAULTS = {
+        "status-400": ({"status": 400}, "endpoint returned HTTP 400: "),
+        "status-429": ({"status": 429}, "endpoint returned HTTP 429: "),
+        "status-500": ({"status": 500}, "endpoint returned HTTP 500: "),
+        "not-json": ({"raw_body": b"not json"}, "response is not JSON: "),
+        "no-choices": ({"raw_body": b'{"id": "r"}'}, "malformed response body: KeyError('choices')"),
+        "non-text-content": ({"reply_fn": lambda body: 5}, "message content is not text: 5"),
+        "slow": ({"reply_fn": lambda body: time.sleep(1.0) or "ok move"}, "request timed out after 0.5s"),
+    }
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_guard_flushes_completed_steps(self, capsys, tmp_path, kind):
+        fault, message = self.FAULTS[kind]
+        config, out_dir = tmp_path / "config.json", tmp_path / "run"
+        with MockEndpoint(healthy=["ok move"] * 2, **fault) as mock:
+            model = {**ENDPOINT, "base_url": mock.base_url, "timeout": 0.5, "retries": 1, "backoff": 0}
+            write_json(config, {**GUARD_CONFIG, "model": model, "policy": {"strategy": "none"}})
+            code, out, err = run_cli(
+                ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)], capsys
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert err.endswith(f" (partial outputs flushed to {out_dir})\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert len(mock.requests) == 3
+        for name in ("guard_log.jsonl", "trace.jsonl"):
+            lines = (out_dir / name).read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line)["t"] for line in lines] == [1, 2]
+
+    def test_bench_eval_judge(self, capsys, tmp_path):
+        bench, judge = tmp_path / "bench.jsonl", tmp_path / "judge.json"
+        bench.write_text(bench_case_line(FOX_STEP) + "\n" + bench_case_line(FOX_STEP) + "\n", encoding="utf-8")
+        with MockEndpoint(healthy=["VALID"], raw_body=b"not json") as mock:
+            write_json(judge, {"base_url": mock.base_url, "model": "m", "retries": 1, "backoff": 0})
+            code, out, err = run_cli(
+                ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)], capsys
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: response is not JSON: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert len(mock.requests) == 2

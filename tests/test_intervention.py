@@ -9,14 +9,13 @@ from ltlguard.intervention import (
     apply_inject,
     apply_resample,
     apply_switch,
-    default_inject_template,
     guard_step,
     run_guarded,
     violation_rate,
 )
 from ltlguard.ltl import Eventually, Prop, Verdict, parse
-from ltlguard.models import RuleLabeler, SampleParams, ScriptedModel, derive_seed
-from ltlguard.predictive import CONTAINS_VIOLATED, estimate_risks
+from ltlguard.models import RuleLabeler, SampleParams, ScriptedModel, derive_seed, load_template
+from ltlguard.predictive import PATTERNS, estimate_risks
 from ltlguard.trace import LabelingError, StepRecord
 
 BAD_LABELER = RuleLabeler(frozenset({"bad"}), {"bad": r"\bbad\b"})
@@ -81,20 +80,20 @@ class TestApplyInject:
         out = apply_inject(
             "pick the next action",
             [("c", Eventually(Prop("putdown")))],
-            default_inject_template(),
+            load_template("inject_template.txt"),
         )
         assert out.startswith("pick the next action\n")
         assert "eventually, putdown must hold" in out
         assert "VERY IMPORTANT: PAY ATTENTION" in out
 
     def test_empty_residuals_is_identity(self):
-        assert apply_inject("go", [], default_inject_template()) == "go"
+        assert apply_inject("go", [], load_template("inject_template.txt")) == "go"
 
     def test_two_residuals_ordered_by_constraint_id(self):
         out = apply_inject(
             "go",
             [("z", Prop("late")), ("a", Prop("early"))],
-            default_inject_template(),
+            load_template("inject_template.txt"),
         )
         assert out.index("early must hold") < out.index("late must hold")
         assert "early must hold\nlate must hold" in out
@@ -117,20 +116,20 @@ class TestApplyResample:
             },
             policy=InterventionPolicy(strategy="resample", n=3, k=1, m=1),
         )
-        assert apply_resample(session, "go", 3, t=1) == "clean"
+        assert apply_resample(session, "go", t=1) == "clean"
 
     def test_tie_breaks_on_first_candidate(self):
         session = make_session(
             QueueModel(["first ok", "second ok"]),
             InterventionPolicy(strategy="resample", n=2, k=1, m=1),
         )
-        assert apply_resample(session, "go", 2, t=1) == "first ok"
+        assert apply_resample(session, "go", t=1) == "first ok"
 
     def test_n_equals_one_returns_sole_candidate(self):
         session = make_session(
             QueueModel(["only"]), InterventionPolicy(strategy="resample", n=1, k=1, m=1)
         )
-        assert apply_resample(session, "go", 1, t=1) == "only"
+        assert apply_resample(session, "go", t=1) == "only"
 
 
 class TestApplySwitch:
@@ -260,7 +259,7 @@ class TestGuardStep:
         assert (session.steps, session.outcomes, session.states) == before
         with pytest.raises(LabelingError, match="step 2: undeclared proposition"):
             estimate_risks(
-                session.states, COMPLIANT, labeler, CONTAINS_VIOLATED, 2, 2, "", session.steps, 0
+                session.states, COMPLIANT, labeler, PATTERNS["contains_violated"], 2, 2, "", session.steps, 0, 0.8
             )
 
 

@@ -6,14 +6,7 @@ from ltlguard.intervention import InterventionPolicy, PolicyError
 from ltlguard.ltl import Verdict, parse
 from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.monitor import REFERENCE, ProgressionCache, new_state, step
-from ltlguard.predictive import (
-    CONTAINS_SATISFIED,
-    CONTAINS_VIOLATED,
-    ENDS_VIOLATED,
-    PATTERNS,
-    estimate_risk,
-    estimate_risks,
-)
+from ltlguard.predictive import PATTERNS, estimate_risks
 from ltlguard.trace import StepRecord
 
 I, S, V = Verdict.INCONCLUSIVE, Verdict.SATISFIED, Verdict.VIOLATED
@@ -27,19 +20,18 @@ def bernoulli_model(p):
 
 class TestPatterns:
     def test_contains_violated(self):
-        assert CONTAINS_VIOLATED([I, V, I])
-        assert not CONTAINS_VIOLATED([I, S])
+        assert PATTERNS["contains_violated"]([I, V, I])
+        assert not PATTERNS["contains_violated"]([I, S])
 
     def test_contains_satisfied(self):
-        assert CONTAINS_SATISFIED([S])
-        assert not CONTAINS_SATISFIED([I, V])
+        assert PATTERNS["contains_satisfied"]([S])
+        assert not PATTERNS["contains_satisfied"]([I, V])
 
     def test_ends_violated(self):
-        assert ENDS_VIOLATED([I, V])
-        assert not ENDS_VIOLATED([V, I])
+        assert PATTERNS["ends_violated"]([I, V])
+        assert not PATTERNS["ends_violated"]([V, I])
 
     def test_registry_lookup(self):
-        assert PATTERNS["contains_violated"] is CONTAINS_VIOLATED
         assert InterventionPolicy(pattern="ends_violated").pattern == "ends_violated"
         known = "['contains_satisfied', 'contains_violated', 'ends_violated']"
         with pytest.raises(PolicyError) as err:
@@ -52,16 +44,18 @@ class TestEstimateRisk:
         # Four deterministic-by-seed samples; seeds chosen so exactly some
         # fraction violates: verify probability == matches / m exactly.
         state = new_state("c", parse("G !bad"))
-        estimate = estimate_risk(
-            state,
+        estimate = estimate_risks(
+            {"c": state},
             bernoulli_model(0.5),
             BAD_LABELER,
-            CONTAINS_VIOLATED,
+            PATTERNS["contains_violated"],
             k=1,
             m=4,
             next_input="go",
+            history=[],
             seed=123,
-        )
+            temperature=0.8,
+        )["c"]
         matches = sum(V in seq for seq in estimate.verdict_sequences)
         assert estimate.probability == matches / 4
         # m sequences, each the current verdict and then k = 1 sampled step.
@@ -73,86 +67,91 @@ class TestEstimateRisk:
         record = StepRecord(1, "", "bad move", frozenset({"bad"}))
         state = step(state, frozenset({"bad"}))
         assert state.last_verdict is V
-        estimate = estimate_risk(
-            state,
+        estimate = estimate_risks(
+            {"c": state},
             bernoulli_model(0.0),
             BAD_LABELER,
-            CONTAINS_VIOLATED,
+            PATTERNS["contains_violated"],
             k=2,
             m=6,
             next_input="",
             history=[record],
             seed=5,
-        )
+            temperature=0.8,
+        )["c"]
         assert estimate.probability == 1.0
 
     def test_estimates_bernoulli_probability(self):
         state = new_state("c", parse("G !bad"))
-        estimate = estimate_risk(
-            state,
+        estimate = estimate_risks(
+            {"c": state},
             bernoulli_model(0.5),
             BAD_LABELER,
-            CONTAINS_VIOLATED,
+            PATTERNS["contains_violated"],
             k=1,
             m=2000,
             next_input="go",
+            history=[],
             seed=99,
-        )
+            temperature=0.8,
+        )["c"]
         assert estimate.probability == pytest.approx(0.5, abs=0.04)
 
     def test_deterministic_under_seed(self):
-        state = new_state("c", parse("G !bad"))
+        states = {"c": new_state("c", parse("G !bad"))}
         args = dict(
             model=bernoulli_model(0.3),
             labeler=BAD_LABELER,
-            pattern=CONTAINS_VIOLATED,
+            pattern=PATTERNS["contains_violated"],
             k=3,
             m=25,
             next_input="go",
+            history=[],
             seed=7,
+            temperature=0.8,
         )
-        assert estimate_risk(state, **args) == estimate_risk(state, **args)
+        assert estimate_risks(states, **args) == estimate_risks(states, **args)
 
     def test_seed_changes_samples(self):
-        state = new_state("c", parse("G !bad"))
-        a = estimate_risk(
-            state, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-            k=1, m=30, next_input="", seed=1,
-        )
-        b = estimate_risk(
-            state, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-            k=1, m=30, next_input="", seed=2,
-        )
+        states = {"c": new_state("c", parse("G !bad"))}
+        a = estimate_risks(
+            states, bernoulli_model(0.5), BAD_LABELER, PATTERNS["contains_violated"],
+            k=1, m=30, next_input="", history=[], seed=1, temperature=0.8,
+        )["c"]
+        b = estimate_risks(
+            states, bernoulli_model(0.5), BAD_LABELER, PATTERNS["contains_violated"],
+            k=1, m=30, next_input="", history=[], seed=2, temperature=0.8,
+        )["c"]
         assert a.verdict_sequences != b.verdict_sequences
 
     def test_live_state_not_mutated(self):
         state = new_state("c", parse("G !bad"), reset_mode=True)
         before = state
-        estimate_risk(
-            state, bernoulli_model(1.0), BAD_LABELER, CONTAINS_VIOLATED,
-            k=2, m=3, next_input="go", seed=0,
+        estimate_risks(
+            {"c": state}, bernoulli_model(1.0), BAD_LABELER, PATTERNS["contains_violated"],
+            k=2, m=3, next_input="go", history=[], seed=0, temperature=0.8,
         )
         assert state == before
 
     def test_horizon_extends_sequences(self):
-        state = new_state("c", parse("G !bad"))
-        estimate = estimate_risk(
-            state, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-            k=4, m=5, next_input="go", seed=3,
-        )
+        states = {"c": new_state("c", parse("G !bad"))}
+        estimate = estimate_risks(
+            states, bernoulli_model(0.5), BAD_LABELER, PATTERNS["contains_violated"],
+            k=4, m=5, next_input="go", history=[], seed=3, temperature=0.8,
+        )["c"]
         assert all(len(seq) == 5 for seq in estimate.verdict_sequences)
 
     def test_invalid_arguments(self):
-        state = new_state("c", parse("G !bad"))
+        states = {"c": new_state("c", parse("G !bad"))}
         with pytest.raises(ValueError):
-            estimate_risk(
-                state, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-                k=0, m=1, next_input="",
+            estimate_risks(
+                states, bernoulli_model(0.5), BAD_LABELER, PATTERNS["contains_violated"],
+                k=0, m=1, next_input="", history=[], seed=0, temperature=0.8,
             )
         with pytest.raises(ValueError):
-            estimate_risk(
-                state, bernoulli_model(0.5), BAD_LABELER, CONTAINS_VIOLATED,
-                k=1, m=0, next_input="",
+            estimate_risks(
+                states, bernoulli_model(0.5), BAD_LABELER, PATTERNS["contains_violated"],
+                k=1, m=0, next_input="", history=[], seed=0, temperature=0.8,
             )
 
 
@@ -166,12 +165,13 @@ class TestEstimateRisks:
             states,
             bernoulli_model(0.5),
             BAD_LABELER,
-            CONTAINS_VIOLATED,
+            PATTERNS["contains_violated"],
             k=1,
             m=400,
             next_input="go",
             history=[],
             seed=11,
+            temperature=0.8,
         )
         # Same sampled outputs: the violation fraction of one constraint is
         # the satisfaction fraction of the mirrored one.
@@ -199,7 +199,7 @@ class TestEstimateRisks:
         history = [StepRecord(1, "go", "ok", frozenset())]
         before = list(history)
         states = {"c": new_state("c", parse("G !bad"))}
-        estimate_risks(states, Model(), Labeler(), CONTAINS_VIOLATED, 3, 2, "go", history, 0)
+        estimate_risks(states, Model(), Labeler(), PATTERNS["contains_violated"], 3, 2, "go", history, 0, 0.8)
         assert history == before
         # k model calls and k labeler calls per continuation, all on one list
         # that is not the caller's.
@@ -213,5 +213,5 @@ class TestEstimateRisks:
         cache = ProgressionCache()
         compiled = {cid: new_state(cid, phi, True, cache) for cid, phi in formulas.items()}
         reference = {cid: new_state(cid, phi, True, REFERENCE) for cid, phi in formulas.items()}
-        args = (bernoulli_model(0.4), BAD_LABELER, CONTAINS_VIOLATED, 3, 5, "go", [], 17)
+        args = (bernoulli_model(0.4), BAD_LABELER, PATTERNS["contains_violated"], 3, 5, "go", [], 17, 0.8)
         assert estimate_risks(compiled, *args) == estimate_risks(reference, *args)

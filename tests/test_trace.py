@@ -14,7 +14,6 @@ from ltlguard.trace import (
     TraceError,
     apply_labeler,
     checked,
-    checked_items,
     label_step,
     load_trace,
     save_trace,
@@ -180,11 +179,11 @@ class TestChecked:
 
     def test_items(self):
         items = ["a", "b"]
-        assert checked_items(items, "string", "v") is items
+        assert checked(items, "string[]", "v") is items
         with pytest.raises(TypeError, match="^an item of v must be a string, got 5$"):
-            checked_items(["a", 5], "string", "v")
+            checked(["a", 5], "string[]", "v")
         with pytest.raises(TypeError, match="^v must be an array, got 'ab'$"):
-            checked_items("ab", "string", "v")
+            checked("ab", "string[]", "v")
 
 
 class TestTraceInvariants:
