@@ -7,7 +7,7 @@ the verdict.  In reset mode the residual returns to the original
 objective after each terminal verdict so further episodes can be
 counted.  A state holds only what stepping needs; ``report`` builds the
 verdicts, counters and witness episodes from a constraint's change
-points, the steps that may have changed its state.
+points.  A step changed a state exactly when it returned a new object.
 
 ``run_states`` steps all constraints step-major and sparsely.  An event
 only reaches the monitors whose propositions it touches (Chen & Roşu,
@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 from .ltl import (
     FALSE,
     TRUE,
+    FalseBool,
     Formula,
     ProgressionCache,
+    TrueBool,
     TruthAssignment,
     Verdict,
     progress,
@@ -51,15 +53,21 @@ class CrossCheckError(AssertionError):
 
 class _Reference:
     """The reference progression as an engine: ``simplify(progress(...))``,
-    uncached, with ``progress`` and ``simplify`` looked up at call time."""
+    uncached, with ``progress`` and ``simplify`` looked up at call time.  As
+    in the compiled automaton, an unchanged residual is ``phi`` itself and a
+    constant is the ``TRUE``/``FALSE`` singleton."""
 
     __slots__ = ()
 
     def normalize(self, phi: Formula) -> Formula:
-        return simplify(phi)
+        phi = simplify(phi)
+        kind = type(phi)
+        return TRUE if kind is TrueBool else FALSE if kind is FalseBool else phi
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
         residual = simplify(progress(phi, labels))
+        if residual == phi:
+            residual = phi
         return residual, verdict_of(residual)
 
 
@@ -96,27 +104,19 @@ def new_state(
 def step(state: MonitorState, labels: TruthAssignment) -> MonitorState:
     """Progress one step; the successor's ``last_verdict`` is the step's verdict.
 
-    In reset mode a terminal verdict returns the residual to the objective.
     A step that keeps the residual object and the verdict returns ``state``
-    itself.
+    itself; any other step returns a new state.  In reset mode a terminal
+    verdict closes an episode and returns the residual to the objective,
+    always in a new state.
     """
     residual, verdict = state.automaton.transition(state.residual, labels)
     if verdict is not _INCONCLUSIVE and state.reset_mode:
         residual = state.objective
-    if residual is state.residual and verdict is state.last_verdict:
+    elif residual is state.residual and verdict is state.last_verdict:
         return state
     return MonitorState(
         state.constraint_id, state.objective, residual, state.automaton, state.reset_mode, verdict
     )
-
-
-def _settled(state: MonitorState) -> bool:
-    """Whether a step that reads none of the objective's propositions keeps
-    ``state``, verdict included.  A reset-mode state at a terminal verdict
-    never is: its next step may count another episode from the objective."""
-    if state.reset_mode and state.last_verdict is not _INCONCLUSIVE:
-        return False
-    return step(state, _NO_LABELS) is state
 
 
 def report(
@@ -127,13 +127,13 @@ def report(
     """The verdict report of ``start`` stepped along ``records``.
 
     ``changes`` lists, in step order, ``(i, state)`` for each step
-    ``records[i]`` that may have changed the state, with the state it
-    reached; every step left out kept the state and its verdict.  Listing
-    more steps, up to every step, gives the same report.  A step is a
-    witness entry when the residual it reaches (``true`` or ``false`` at a
-    terminal verdict, the new residual otherwise) differs from the previous
-    state's.  A terminal verdict reached by such a step closes an episode;
-    reset mode then starts a new witness.
+    ``records[i]`` that returned a new state, with that state; every step
+    left out kept the state and its verdict.  Listing more steps, up to
+    every step, gives the same report.  A step is a witness entry when the
+    residual it reaches (``true`` or ``false`` at a terminal verdict, the
+    new residual otherwise) is not the previous state's residual object.
+    A terminal verdict reached by such a step closes an episode; reset
+    mode then starts a new witness.
     """
     inconclusive, satisfied = Verdict.INCONCLUSIVE, Verdict.SATISFIED
     verdicts: list[Verdict] = []
@@ -145,8 +145,7 @@ def report(
         verdict = state.last_verdict
         verdicts.append(verdict)
         reached = state.residual if verdict is inconclusive else TRUE if verdict is satisfied else FALSE
-        # Reference residuals are fresh objects: identity alone is no change.
-        if reached is not previous.residual and reached != previous.residual:
+        if reached is not previous.residual:
             record = records[i]
             witness.append(WitnessEntry(record.t, record.input, record.output, record.labels, reached))
             if verdict is not inconclusive:
@@ -165,11 +164,10 @@ def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) ->
 
     An index maps each proposition to the states whose objective mentions
     it.  A state is stepped when the step's labels meet its objective's
-    propositions, or while it is not settled (``_settled``); any other step
-    reads none of its propositions and so keeps it.  A stepped state's
-    change point is kept when the step reaches a new state, or a terminal
-    verdict in reset mode, which may keep the state and still closes an
-    episode.
+    propositions, or while it is not settled: while a step with no labels
+    would return a new state.  Any other step reads none of its
+    propositions and so keeps it.  A stepped state's change point is kept
+    when the step returns a new state.
     """
     watchers: dict[str, list[int]] = {}
     for j, state in enumerate(states):
@@ -178,7 +176,7 @@ def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) ->
     watched = frozenset(watchers)
     current = list(states)
     changes: list[list[tuple[int, MonitorState]]] = [[] for _ in states]
-    unsettled = {j for j, state in enumerate(states) if not _settled(state)}
+    unsettled = {j for j, state in enumerate(states) if step(state, _NO_LABELS) is not state}
     for i, record in enumerate(records):
         labels = record.labels
         touched = watched.intersection(labels)
@@ -190,12 +188,10 @@ def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) ->
             if successor is not state:
                 current[j] = successor
                 changes[j].append((i, successor))
-                if _settled(successor):
+                if step(successor, _NO_LABELS) is successor:
                     unsettled.discard(j)
                 else:
                     unsettled.add(j)
-            elif successor.reset_mode and successor.last_verdict is not _INCONCLUSIVE:
-                changes[j].append((i, successor))
     return [report(records, start, points) for start, points in zip(states, changes)]
 
 

@@ -122,8 +122,12 @@ def checked(value: object, kind: str, name: str, nullable: bool = False):
     if nullable and value is None:
         return value
     if kind[-2:] == "[]":
+        item_kind = kind[:-2]
+        types, boolean = _JSON_TYPES.get(item_kind, ()), item_kind == "boolean"
         for item in checked(value, "array", name, nullable):
-            checked(item, kind[:-2], f"an item of {name}")
+            # Only a faulty item, or an array to check in turn, is named.
+            if not isinstance(item, types) or isinstance(item, bool) != boolean:
+                checked(item, item_kind, f"an item of {name}")
         return value
     article = "an" if kind[0] in "aio" else "a"
     raise ShapeError(f"{name} must be {article} {kind}{' or null' if nullable else ''}, got {value!r}")

@@ -74,7 +74,9 @@ class MockEndpoint:
                     super().handle_error(request, client_address)
 
         self.server = Server(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # ``shutdown`` waits for the serving loop's next poll, so a short
+        # poll lets a ``with`` block leave promptly.
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
 
     @property
     def base_url(self) -> str:

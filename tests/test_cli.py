@@ -205,6 +205,20 @@ class TestAuditCommand:
         (report,) = json.loads(out)["reports"]
         assert report["violations"] == 0 and report["satisfactions"] == 300
 
+    @pytest.mark.parametrize("mode", ["plain", "reset"])
+    @pytest.mark.parametrize("formula", ["!(F X G ok U G F !bad)", "F G(!bad -> ok) U X F G ok"])
+    def test_growing_residual_audits(self, capsys, tmp_path, formula, mode):
+        # These residuals gain a layer per step.  A change is decided by
+        # identity, so no structural comparison walks down them.
+        rng = random.Random(24)
+        config, trace, report = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "report.json"
+        write_json(config, {"constraints": [{"id": "c", "formula": formula}], "mode": mode})
+        steps = [{"t": t, "output": "step", "labels": [p for p in ("ok", "bad") if rng.random() < 0.5]} for t in range(1, 201)]
+        trace.write_text("".join(json.dumps(step) + "\n" for step in steps), encoding="utf-8")
+        code, _, err = run_cli(["audit", str(trace), "--config", str(config), "--out", str(report)], capsys)
+        assert code in (0, 1), err
+        assert len(json.loads(report.read_text())["reports"][0]["verdicts"]) == 200
+
     def test_compliant_trace_exit_0(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"

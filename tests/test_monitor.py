@@ -13,6 +13,11 @@ from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
 from ltlguard.ltl import (
     FALSE,
     TRUE,
+    Always,
+    Eventually,
+    FalseBool,
+    Next,
+    TrueBool,
     Verdict,
     evaluate_lasso,
     parse,
@@ -260,10 +265,11 @@ class TestSparseStepping:
     """``run_states`` steps a constraint only when a step can move it."""
 
     def test_reset_mode_repeated_terminals(self):
-        # The second step keeps the very state object and still closes an
-        # episode: a change point must be kept for it.
+        # The second step returns to the same objective with the same
+        # verdict, yet closes another episode, so it returns a new state
+        # and is kept as a change point.
         state = step(new_state("c", parse("F p"), reset_mode=True), frozenset({"p"}))
-        assert step(state, frozenset({"p"})) is state
+        assert step(state, frozenset({"p"})) is not state
         trace = labeled_trace([{"p"}, {"p"}, set()])
         (result,) = run_monitor(trace, {"c": parse("F p")}, mode="reset")
         assert result.verdicts == (S, S, I)
@@ -434,6 +440,30 @@ class TestAuditLog:
 
     def test_empty_constraint_set(self):
         assert audit_log(labeled_trace([set()]), {}) == []
+
+    @pytest.mark.parametrize("mode", ["plain", "reset"])
+    def test_fresh_constant_objectives(self, mode):
+        # Any TrueBool/FalseBool instance is that constant.  Both engines
+        # normalize it to the singleton, so a pinned constant is no change
+        # and adds no witness entry.
+        trace = labeled_trace([{"p"}, set(), {"p"}, set()])
+        built = {
+            "f": FalseBool(),
+            "t": TrueBool(),
+            "gf": Always(FalseBool()),
+            "ft": Eventually(TrueBool()),
+            "xf": Next(FalseBool()),
+        }
+        parsed = {
+            "f": parse("false"),
+            "t": parse("true"),
+            "gf": parse("G false"),
+            "ft": parse("F true"),
+            "xf": parse("X false"),
+        }
+        reports = audit_log(trace, built, mode=mode, cross_check=True)
+        assert reports == audit_log(trace, parsed, mode=mode, cross_check=True)
+        assert all(not r.witnesses for r in reports)
 
     @pytest.mark.parametrize(
         "mode, digest",
