@@ -9,8 +9,11 @@ package that constructs network requests.
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import math
@@ -19,16 +22,13 @@ import random
 import re
 import socket
 import time
+import urllib.parse
+import urllib.request
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Protocol, runtime_checkable
-
-import requests
-import urllib3
-from requests.adapters import HTTPAdapter
-from urllib3.connection import HTTPConnection, HTTPSConnection
 
 from .ltl import TruthAssignment
 from .trace import LabelingFunction, StepRecord, Trace, apply_labeler
@@ -119,58 +119,13 @@ class EndpointFormatError(EndpointError):
     pass
 
 
-class _QuickAck:
-    """Asks the kernel to acknowledge the response at once.
-
-    A server that writes the headers and the body in two sends, with
-    Nagle's algorithm on, holds the body back until the headers are
-    acknowledged; on a reused connection the client delays that ACK by
-    up to 40 ms.  ``TCP_QUICKACK`` is not sticky, so it is set again
-    before every response is read.
-    """
-
-    def getresponse(self, *args, **kwargs):
-        if self.sock is not None:
-            try:
-                self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-            except OSError:
-                pass
-        return super().getresponse(*args, **kwargs)
-
-
-class _QuickAckHTTPPool(urllib3.HTTPConnectionPool):
-    ConnectionCls = type("QuickAckHTTPConnection", (_QuickAck, HTTPConnection), {})
-
-
-class _QuickAckHTTPSPool(urllib3.HTTPSConnectionPool):
-    ConnectionCls = type("QuickAckHTTPSConnection", (_QuickAck, HTTPSConnection), {})
-
-
-class _QuickAckAdapter(HTTPAdapter):
-    def init_poolmanager(self, *args, **kwargs) -> None:
-        super().init_poolmanager(*args, **kwargs)
-        self.poolmanager.pool_classes_by_scheme = {"http": _QuickAckHTTPPool, "https": _QuickAckHTTPSPool}
-
-
-# Calls are sequential, so a session keeps one keep-alive connection.
-_POOL_SIZE = 1
-
-
-def _http_session() -> requests.Session:
-    session = requests.Session()
-    adapter_class = _QuickAckAdapter if hasattr(socket, "TCP_QUICKACK") else HTTPAdapter
-    adapter = adapter_class(pool_connections=_POOL_SIZE, pool_maxsize=_POOL_SIZE)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
-
-
 @dataclass
 class EndpointModel:
     """Client for a chat-completions-shaped HTTP endpoint.
 
-    Calls go through one ``requests.Session``, made on the first call,
-    whose keep-alive connection is reused.
+    Calls go through one kept-alive ``http.client`` connection and through
+    the proxy that the environment names for the URL, unless ``no_proxy``
+    lists its host.  Redirects are not followed.
     """
 
     base_url: str
@@ -184,13 +139,16 @@ class EndpointModel:
     audit_log_path: str | None = None
 
     def __post_init__(self) -> None:
-        self._session: requests.Session | None = None
         if self.retries < 1:
             raise ValueError(f"retries must be at least 1, got {self.retries}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if not self.backoff >= 0:
             raise ValueError(f"backoff must be nonnegative, got {self.backoff}")
+        url = urllib.parse.urlsplit(self.base_url.rstrip("/") + "/chat/completions")
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
+        self._connection, self._target, self._proxy_headers = self._connect(url)
 
     def _messages(self, history: Sequence[StepRecord], input: str) -> list[dict]:
         messages: list[dict] = []
@@ -224,39 +182,90 @@ class EndpointModel:
         return content
 
     def _post_with_retries(self, body: dict) -> dict:
-        url = self.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json", **self._proxy_headers}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        if self._session is None:
-            self._session = _http_session()
         last_error: EndpointError | None = None
         for attempt in range(self.retries):
             if attempt:
                 delay = self.backoff * 2 ** (attempt - 1)
                 time.sleep(delay * (0.5 + random.random() / 2))
             try:
-                raw = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.Timeout:
+                status, data = self._post(payload, headers)
+            except TimeoutError:
                 last_error = EndpointTimeoutError(f"request timed out after {self.timeout}s")
                 continue
-            except requests.RequestException as err:
+            except (OSError, http.client.HTTPException) as err:
                 last_error = EndpointError(f"transport failure: {err}")
                 continue
-            if raw.status_code >= 500 or raw.status_code == 429:
-                last_error = EndpointStatusError(raw.status_code, raw.text)
+            if status >= 500 or status == 429:
+                last_error = EndpointStatusError(status, data.decode("utf-8", "replace"))
                 continue
-            if raw.status_code >= 400:
-                raise EndpointStatusError(raw.status_code, raw.text)
+            if status >= 300:
+                raise EndpointStatusError(status, data.decode("utf-8", "replace"))
             try:
-                parsed = raw.json()
+                parsed = json.loads(data)
             except ValueError as err:
                 raise EndpointFormatError(f"response is not JSON: {err}") from err
             self._audit(body, parsed)
             return parsed
         assert last_error is not None
         raise last_error
+
+    def _post(self, payload: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Status and body of one POST.  A reused connection found closed is
+        replaced and the request sent again; any failure closes the connection."""
+
+        def send() -> http.client.HTTPResponse:
+            self._connection.request("POST", self._target, payload, headers)
+            if hasattr(socket, "TCP_QUICKACK"):
+                # A server that writes the headers and the body in two
+                # sends, with Nagle's algorithm on, holds the body back
+                # until the headers are acknowledged; on a reused connection
+                # the client delays that ACK by up to 40 ms.  TCP_QUICKACK
+                # is not sticky, so it is set again before every response.
+                with contextlib.suppress(OSError):
+                    self._connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            return self._connection.getresponse()
+
+        reused = self._connection.sock is not None
+        try:
+            try:
+                response = send()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+                if not reused:
+                    raise
+                self._connection.close()
+                response = send()
+            return response.status, response.read()
+        except BaseException:
+            self._connection.close()
+            raise
+
+    def _connect(self, url: urllib.parse.SplitResult) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """An unopened connection for ``url``, the request target and the proxy's
+        headers for each request: through a proxy, an ``http`` request names the
+        absolute URL, and an ``https`` one a ``CONNECT`` tunnel with the headers."""
+        https = url.scheme == "https"
+        connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        host, port = url.hostname, url.port or connection_class.default_port  # else a bare IPv6 host is misread
+        target = url.path + (f"?{url.query}" if url.query else "")
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if not proxy or urllib.request.proxy_bypass(host):
+            return connection_class(host, port, timeout=self.timeout), target, {}
+        proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        headers = {}
+        if proxy.username is not None:
+            credentials = f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password or '')}"
+            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode("latin-1")).decode("ascii")
+        connection = connection_class(proxy.hostname, proxy.port or 80, timeout=self.timeout)
+        if https:
+            connection.set_tunnel(host, port, headers)
+            return connection, target, {}
+        return connection, url.geturl(), headers
 
     def _audit(self, request_body: dict, response_body: dict) -> None:
         if not self.audit_log_path:

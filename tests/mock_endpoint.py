@@ -6,7 +6,8 @@ the request body so tests can script endpoint behavior.  The contents in
 can let an endpoint fail after some good replies.
 
 With ``keep_alive=True`` it speaks HTTP/1.1, so a client may reuse a
-connection, and counts the connections it accepted.  Like the benchmark
+connection, and counts the connections it accepted; it closes a
+connection that stays idle for ``idle_timeout`` seconds.  Like the benchmark
 stub it keeps ``BaseHTTPRequestHandler``'s separate header and body
 writes, which a client that delays its ACKs stalls on.
 """
@@ -25,7 +26,7 @@ def reply(content) -> bytes:
 
 
 class MockEndpoint:
-    def __init__(self, reply_fn=None, status=200, raw_body=None, keep_alive=False, healthy=()):
+    def __init__(self, reply_fn=None, status=200, raw_body=None, keep_alive=False, healthy=(), idle_timeout=10):
         self.reply_fn = reply_fn or (lambda body: "ok")
         self.status = status
         self.raw_body = raw_body
@@ -38,7 +39,7 @@ class MockEndpoint:
         class Handler(BaseHTTPRequestHandler):
             if keep_alive:
                 protocol_version = "HTTP/1.1"
-                timeout = 10  # an idle keep-alive connection frees its thread
+                timeout = idle_timeout  # an idle keep-alive connection frees its thread
 
             def setup(self):
                 super().setup()

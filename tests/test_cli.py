@@ -8,6 +8,8 @@ import json
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -32,7 +34,7 @@ from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from ltlguard.predictive import PATTERNS
 from ltlguard.synthbench import generator
 from ltlguard.trace import ENTRY_KEYS, EPISODE_KEYS, META_KEYS, REPORT_DOCUMENT_KEYS, REPORT_KEYS, STEP_KEYS
-from helpers import DEFAULT_PROPS, random_assignment, random_formula, run_cli_process
+from helpers import DEFAULT_PROPS, PACKAGE_ROOT, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
 RULE_CONFIG = {
@@ -772,6 +774,10 @@ class TestGuardCommand:
             {"labeler": {"type": "rule", "vocabulary": "bad", "rules": {"b": "b", "a": "a", "d": "d"}}},
             # A vocabulary proposition without a rule could never be labeled.
             {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": {}}},
+            # A base_url must be an http:// or https:// URL with a host and a well-formed port.
+            {"model": {**ENDPOINT, "base_url": "localhost:8000/v1"}},
+            {"model": {**ENDPOINT, "base_url": "ftp://h/v1"}},
+            {"model": {**ENDPOINT, "base_url": "http://h:port/v1"}},
         ],
     )
     def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
@@ -1797,6 +1803,18 @@ class TestDeterminism:
         assert runs[0].returncode == 0
 
 
+class TestStandardLibraryOnly:
+    def test_cli_imports_nothing_outside_the_standard_library(self):
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import ltlguard.cli; "
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names) - {'ltlguard'}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE_ROOT)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class SpyLabeler:
     """Wraps a labeler and records each history it is called with as
     ``(t, input, output, labels)`` tuples."""
@@ -2107,8 +2125,8 @@ class TestEndpointFaults:
     one error line and no traceback; a guard flushes the steps it completed
     to guard_log.jsonl and trace.jsonl.  The response kinds: HTTP 400, 429
     and 500 with one attempt and no backoff, a body that is not JSON, a body
-    without ``choices``, non-text content, and a reply slower than the
-    0.5 s timeout."""
+    without ``choices``, non-text content, a reply slower than the 0.5 s
+    timeout, and an HTTP 307, since redirects are not followed."""
 
     FAULTS = {
         "status-400": ({"status": 400}, "endpoint returned HTTP 400: "),
@@ -2118,6 +2136,7 @@ class TestEndpointFaults:
         "no-choices": ({"raw_body": b'{"id": "r"}'}, "malformed response body: KeyError('choices')"),
         "non-text-content": ({"reply_fn": lambda body: 5}, "message content is not text: 5"),
         "slow": ({"reply_fn": lambda body: time.sleep(1.0) or "ok move"}, "request timed out after 0.5s"),
+        "status-307": ({"status": 307}, "endpoint returned HTTP 307: "),
     }
 
     @pytest.mark.parametrize("kind", FAULTS)
