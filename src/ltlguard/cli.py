@@ -256,6 +256,8 @@ def cmd_bench_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_eval(args: argparse.Namespace) -> int:
+    if args.judge_config and args.judge != "endpoint":
+        raise ConfigError("--judge-config requires --judge endpoint")
     cases = load_cases(args.bench)
     if args.judge == "oracle":
         judge = MonitorOracleJudge()
@@ -293,10 +295,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_progress = sub.add_parser("progress", help="progress a formula through truth assignments")
     p_progress.add_argument("formula")
-    p_progress.add_argument("--labels", default=None, help="comma list for a single step")
-    p_progress.add_argument(
-        "--steps-file", default=None, help="file with one comma list of labels per line"
-    )
+    labels = p_progress.add_mutually_exclusive_group()
+    labels.add_argument("--labels", default=None, help="comma list for a single step")
+    labels.add_argument("--steps-file", default=None, help="file with one comma list of labels per line")
     p_progress.set_defaults(func=cmd_progress)
 
     p_audit = sub.add_parser("audit", help="audit a recorded trace against constraints")

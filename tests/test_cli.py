@@ -34,6 +34,7 @@ from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from ltlguard.predictive import PATTERNS
 from ltlguard.synthbench import generator
 from ltlguard.trace import ENTRY_KEYS, EPISODE_KEYS, META_KEYS, REPORT_DOCUMENT_KEYS, REPORT_KEYS, STEP_KEYS
+from cli_cases import CASES, ENDPOINT, FOX_STEP, bench_case, check
 from helpers import DEFAULT_PROPS, PACKAGE_ROOT, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
@@ -62,9 +63,6 @@ GUARD_CONFIG = {
     "initial_input": "begin",
 }
 
-ENDPOINT = {"type": "endpoint", "base_url": "http://127.0.0.1:9", "model": "m"}
-
-
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -73,18 +71,6 @@ def run_cli(args, capsys):
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
-
-
-def bench_case_line(step, **fields):
-    """One bench case line whose only step is ``step``; well-formed unless
-    ``fields`` overrides a top-level field."""
-    constraint = {"id": "c1", "formula": "F animal_fox", "informal": "", "precise": "", "path": []}
-    return json.dumps(
-        {"knobs": {}, "truth": [True], "constraints": [constraint], "trace": {"steps": [step]}, **fields}
-    )
-
-
-FOX_STEP = {"t": 1, "output": "a fox", "labels": ["animal_fox"]}
 
 
 def write_trace(path, outputs):
@@ -104,13 +90,6 @@ class TestParseCommand:
         code, out, _ = run_cli(["parse", "F(pickup & X F putdown)"], capsys)
         assert code == 0
         assert json.loads(out)["canonical"] == "F(pickup & X F putdown)"
-
-    def test_parse_error_exit_2_with_caret(self, capsys):
-        code, out, err = run_cli(["parse", "G(a ->"], capsys)
-        assert code == 2
-        assert "^" in err
-        caret_line = [line for line in err.splitlines() if line.strip() == "^"][0]
-        assert caret_line.index("^") == 2 + 6  # two-space margin + column 7
 
     def test_simplification_applied(self, capsys):
         code, out, _ = run_cli(["parse", "true & F p"], capsys)
@@ -207,20 +186,6 @@ class TestAuditCommand:
         (report,) = json.loads(out)["reports"]
         assert report["violations"] == 0 and report["satisfactions"] == 300
 
-    @pytest.mark.parametrize("mode", ["plain", "reset"])
-    @pytest.mark.parametrize("formula", ["!(F X G ok U G F !bad)", "F G(!bad -> ok) U X F G ok"])
-    def test_growing_residual_audits(self, capsys, tmp_path, formula, mode):
-        # These residuals gain a layer per step.  A change is decided by
-        # identity, so no structural comparison walks down them.
-        rng = random.Random(24)
-        config, trace, report = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "report.json"
-        write_json(config, {"constraints": [{"id": "c", "formula": formula}], "mode": mode})
-        steps = [{"t": t, "output": "step", "labels": [p for p in ("ok", "bad") if rng.random() < 0.5]} for t in range(1, 201)]
-        trace.write_text("".join(json.dumps(step) + "\n" for step in steps), encoding="utf-8")
-        code, _, err = run_cli(["audit", str(trace), "--config", str(config), "--out", str(report)], capsys)
-        assert code in (0, 1), err
-        assert len(json.loads(report.read_text())["reports"][0]["verdicts"]) == 200
-
     def test_compliant_trace_exit_0(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -247,70 +212,6 @@ class TestAuditCommand:
         assert no_bad["violations"] == 1
         assert len(no_bad["witnesses"]) >= 1
         assert no_bad["witnesses"][0]["entries"][-1]["residual"] == "false"
-
-    def test_missing_config_exit_2(self, capsys, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        write_trace(trace, ["x"])
-        code, _, err = run_cli(
-            ["audit", str(trace), "--config", str(tmp_path / "absent.json")], capsys
-        )
-        assert code == 2
-        assert "error:" in err
-
-    def test_bad_formula_in_config_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        write_json(config, {"constraints": [{"id": "c", "formula": "G("}]})
-        write_trace(trace, ["x"])
-        code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2
-
-    def test_bad_formula_in_config_shows_caret(self, capsys, tmp_path):
-        # The config names the constraint; the caret of the ParseError it
-        # wraps follows.
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, {"constraints": [{"id": "c", "formula": "G (!bad"}]})
-        write_trace(trace, ["x"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: constraint 'c': unbalanced parentheses at line 1, column 8 (expected one of: ')')\n"
-            "  G (!bad\n"
-            "  " + " " * 7 + "^\n"
-        )
-
-    def test_endpoint_labeler_without_vocabulary_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        endpoint = {"base_url": "http://127.0.0.1:9/v1", "model": "m"}
-        labeler = {"type": "endpoint", "endpoint": endpoint}
-        write_json(config, {**RULE_CONFIG, "labeler": labeler})
-        write_trace(trace, ["x"])
-        code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2
-        assert "error:" in err and "vocabulary" in err
-
-    def test_invalid_rule_regex_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": "(("}}
-        write_json(config, {**RULE_CONFIG, "labeler": labeler})
-        write_trace(trace, ["x"])
-        code, _, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2
-        assert "error:" in err and "regex" in err
-
-    def test_out_in_missing_directory_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        write_trace(trace, ["fine", "goal reached"])
-        out = tmp_path / "missing" / "r.json"
-        code, _, err = run_cli(
-            ["audit", str(trace), "--config", str(config), "--out", str(out)], capsys
-        )
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
 
     def test_cross_check_flag(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -349,112 +250,6 @@ class TestAuditCommand:
         assert "pooled F1 1.0000" in err
         second = json.loads((tmp_path / "second.json").read_text())
         assert second["f1"]["pooled"]["f1"] == 1.0
-
-    @pytest.mark.parametrize(
-        "truth, field",
-        [
-            ({"mode": "reset"}, "reports"),
-            ({"reports": [{"verdicts": [], "violations": 0, "satisfactions": 0}]}, "constraint_id"),
-        ],
-    )
-    def test_malformed_f1_truth_exit_2(self, capsys, tmp_path, truth, field):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        truth_path = tmp_path / "truth.json"
-        write_json(config, RULE_CONFIG)
-        write_json(truth_path, truth)
-        write_trace(trace, ["bad", "goal"])
-        code, _, err = run_cli(
-            ["audit", str(trace), "--config", str(config), "--f1-against", str(truth_path)],
-            capsys,
-        )
-        assert code == 2
-        assert "error:" in err and repr(field) in err
-
-    @pytest.mark.parametrize(
-        "report, message",
-        [
-            ({"verdicts": "violated"}, "verdicts must be an array, got 'violated'"),
-            ({"violations": "1"}, "violations must be an integer, got '1'"),
-            ({"witnesses": {}}, "witnesses must be an array, got {}"),
-            (
-                {"witnesses": [{"verdict": "violated", "entries": [{"t": 1, "labels": "bad", "residual": "false"}]}]},
-                "labels must be an array, got 'bad'",
-            ),
-            ({"verdicts": ["bogus"]}, "'bogus' is not a valid Verdict"),
-        ],
-        ids=["verdicts-string", "violations-string", "witnesses-object", "entry-labels-string", "verdict-unknown"],
-    )
-    def test_wrongly_typed_f1_truth_exit_2(self, capsys, tmp_path, report, message):
-        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
-        write_json(config, RULE_CONFIG)
-        base = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
-        write_json(truth, {"reports": [{**base, **report}]})
-        write_trace(trace, ["bad"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {truth}: malformed report: {message}\n"
-
-    @pytest.mark.parametrize(
-        "content, reason",
-        [
-            (b"reports: none\n", "Expecting value: line 1 column 1 (char 0)"),
-            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        ],
-        ids=["not-json", "not-utf-8"],
-    )
-    def test_f1_truth_not_json_exit_2_naming_the_file(self, capsys, tmp_path, content, reason):
-        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
-        write_json(config, RULE_CONFIG)
-        truth.write_bytes(content)
-        write_trace(trace, ["bad"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {truth}: not valid JSON: {reason}\n"
-
-    def test_f1_truth_residual_fault_shows_caret(self, capsys, tmp_path):
-        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
-        write_json(config, {**RULE_CONFIG, "constraints": RULE_CONFIG["constraints"][:1]})
-        entry = {"t": 1, "residual": "F (a &"}
-        report = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
-        write_json(truth, {"reports": [{**report, "witnesses": [{"verdict": "violated", "entries": [entry]}]}]})
-        write_trace(trace, ["bad"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: {truth}: malformed report: unexpected end of input at line 1, column 7"
-            " (expected one of: identifier, 'true', 'false', '(', '!', 'G', 'F', 'X')\n"
-            "  F (a &\n"
-            "  " + " " * 6 + "^\n"
-        )
-
-    @pytest.mark.parametrize(
-        "report, message",
-        [
-            ({"constraint_id": "other"}, "mismatched constraint ids between predicted and truth reports"),
-            ({"verdicts": ["violated", "violated"]}, "constraint no_bad: mismatched verdict sequence lengths"),
-        ],
-        ids=["constraint-ids", "verdict-lengths"],
-    )
-    def test_f1_truth_mismatch_names_the_file(self, capsys, tmp_path, report, message):
-        config, trace, truth = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "truth.json"
-        write_json(config, {**RULE_CONFIG, "constraints": RULE_CONFIG["constraints"][:1]})
-        base = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, "satisfactions": 0}
-        write_json(truth, {"reports": [{**base, **report}]})
-        write_trace(trace, ["bad"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--f1-against", str(truth)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {truth}: {message}\n"
-
-    def test_relabel_without_labeler_exit_2(self, capsys, tmp_path):
-        # Relabeling needs a labeler: auditing the embedded labels instead
-        # would report on labels the user asked to replace.
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, {"constraints": [{"id": "c", "formula": "G !bad"}]})
-        trace.write_text(json.dumps({"t": 1, "output": "bad", "labels": []}) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--relabel"], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: --relabel needs a labeler, but the config has none and keeps embedded labels\n"
 
     def test_embedded_labels_outside_vocabulary_kept_without_relabel(self, capsys, tmp_path):
         # The vocabulary check covers what a labeler produces, not labels a
@@ -504,32 +299,6 @@ class TestAuditCommand:
         assert code == 0
         assert json.loads(out)["reports"][0]["verdicts"] == ["satisfied"]
 
-    def test_proposition_outside_vocabulary_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        trace = tmp_path / "trace.jsonl"
-        labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": r"\bbad\b"}}
-        write_json(config, {"constraints": [{"id": "c", "formula": "G !bda"}], "labeler": labeler})
-        write_trace(trace, ["a bad move"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: constraint 'c': proposition(s) bda ")
-
-    def test_non_string_input_exit_2(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        trace.write_text(json.dumps({"t": 1, "input": 5, "output": "ok"}) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {trace}: line 1: input must be a string or null, got 5\n"
-
-    def test_boolean_step_index_exit_2(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        trace.write_text(json.dumps({"t": True, "output": "bad"}) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {trace}: line 1: t must be an integer, got True\n"
-
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
@@ -561,15 +330,6 @@ class TestAuditCommand:
         assert code == 1
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert warnings == ["warning: constraint 'c': proposition 'zzz' is in no step's labels"]
-
-    def test_unknown_top_level_key_exit_2(self, capsys, tmp_path):
-        config, trace, report = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "r.json"
-        write_json(config, {**RULE_CONFIG, "polcy": {"strategy": "resample"}, "Mode": "plain"})
-        write_trace(trace, ["a bad move"])
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config), "--out", str(report)], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: unknown config key(s): 'Mode', 'polcy'\n"
-        assert not report.exists()
 
     def test_config_formulas_are_states_of_one_automaton(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -633,47 +393,7 @@ class TestGuardCommand:
         ]
         assert all(entry["intervened"] is False for entry in log_lines)
 
-    def test_missing_model_exit_2(self, capsys, tmp_path):
-        config_doc = {k: v for k, v in GUARD_CONFIG.items() if k != "model"}
-        config = tmp_path / "config.json"
-        write_json(config, config_doc)
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3"], capsys
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"labeler": {"type": "embedded"}}, "guard mode needs a concrete labeler, not embedded labels"),
-            ({"labeler": None}, "guard mode needs a concrete labeler, not embedded labels"),
-            ({"constraints": [{"formula": "G !bad"}]}, "invalid config value: constraint #1 is missing field 'id'"),
-            ({"constraints": [{"id": "no_bad"}]}, "invalid config value: constraint #1 is missing field 'formula'"),
-            ({"constraints": GUARD_CONFIG["constraints"] * 2}, "duplicate constraint id 'no_bad'"),
-            ({"model": {"type": "scripted"}}, "scripted model needs 'outputs' or 'distributions'"),
-            ({"mode": "sometimes"}, "mode must be 'plain' or 'reset', got 'sometimes'"),
-            (
-                {"model": {"type": "scripted", "distributions": []}},
-                "invalid config value: distributions must not be empty",
-            ),
-        ],
-        ids=[
-            "embedded-labeler", "null-labeler", "no-id", "no-formula", "duplicate-id", "no-script", "unknown-mode",
-            "no-distributions",
-        ],
-    )
-    def test_config_fault_exit_2(self, capsys, tmp_path, change, message):
-        config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, **change})
-        out_dir = tmp_path / "run"
-        code, out, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(out_dir)], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("outputs", [["ok move", "a bad move"], []], ids=["two", "none"])
+    @pytest.mark.parametrize("outputs", [["ok move", "a bad move"]], ids=["two"])
     def test_script_running_out_ends_the_session(self, capsys, tmp_path, outputs):
         # The script's stop token ends the run before --max-steps, and every
         # output file counts the steps that were taken.
@@ -691,7 +411,7 @@ class TestGuardCommand:
         assert [step["t"] for step in trace if "t" in step] == list(range(1, len(outputs) + 1))
         assert len(log) == reports["steps"] == len(reports["reports"][0]["verdicts"]) == len(outputs)
         assert reports["violation_rate"] == 0.0
-        # The run's trace audits to the run's reports, also when it holds no step.
+        # The run's trace audits to the run's reports.
         code, out, _ = run_cli(["audit", str(out_dir / "trace.jsonl"), "--config", str(config)], capsys)
         assert code == 0
         assert json.loads(out)["reports"] == reports["reports"]
@@ -717,103 +437,6 @@ class TestGuardCommand:
         assert "partial outputs flushed" in err
         assert (out_dir / "guard_log.jsonl").exists()
         assert (out_dir / "trace.jsonl").exists()
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            {"seed": "abc"},
-            {"model": {"type": "scripted", "distributions": [[["bad move", -1], ["ok move", 1]]]}},
-            {"labeler": {"type": "event", "entities": "two"}},
-            {"policy": {**GUARD_CONFIG["policy"], "n": 2.5}},
-            {"policy": {**GUARD_CONFIG["policy"], "k": 1.5}},
-            {"policy": {**GUARD_CONFIG["policy"], "m": 2.0}},
-            {"policy": {**GUARD_CONFIG["policy"], "k": True}},
-            {"policy": {**GUARD_CONFIG["policy"], "tau": True}},
-            {"policy": {**GUARD_CONFIG["policy"], "strategy": "inject", "inject_template": 5}},
-            {"initial_input": 5},
-            {"initial_input": None},
-            {"stop_token": 7},
-            {"stop_token": "END"},
-            {"model": {**GUARD_CONFIG["model"], "stop_token": "END"}},
-            {"seed": 2.7},
-            {"seed": True},
-            {"labeler": {"type": "event", "entities": 2.5}},
-            {"labeler": {"type": "event", "entities": True}},
-            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "max_context_chars": 2.5}},
-            {"labeler": {"type": "endpoint", "endpoint": {**ENDPOINT, "base_url": 5}, "vocabulary": ["bad"]}},
-            {"constraints": [{"id": "no_bad", "formula": "G !bad", "gloss": 5}]},
-            {"model": {**ENDPOINT, "base_url": 5}},
-            {"model": {**ENDPOINT, "api_key_env": 5}},
-            {"model": {**ENDPOINT, "audit_log_path": 5}},
-            {"model": {**ENDPOINT, "retries": 2.5}},
-            {"model": {**ENDPOINT, "retries": True}},
-            {"substitute_model": {**ENDPOINT, "timeout": True}},
-            {"action_temperature": True},
-            {"action_temperature": "0.2"},
-            {"sampling_temperature": "0.8"},
-            {"sampling_temperature": None},
-            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "temperature": True}},
-            {"labeler": {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "temperature": "0"}},
-            {"model": {"type": "scripted", "distributions": [[["bad move", "0.5"], ["ok move", 0.5]]]}},
-            {"model": {"type": "scripted", "distributions": [[["bad move", True], ["ok move", 0.5]]]}},
-            {"substitute_model": {"type": "scripted", "distributions": [[["ok move", True]]]}},
-            {"model": {"type": "scripted", "distributions": [[[5, 0.5], ["ok move", 0.5]]]}},
-            {"model": {"type": "scripted", "distributions": [[[None, 0.5], ["ok move", 0.5]]]}},
-            {"labeler": {"type": "event", "tagged": "no"}},
-            {"labeler": {"type": "event", "tagged": 1}},
-            {"labeler": {"type": "event", "tagged": None}},
-            {"model": {"type": "scripted", "outputs": "abc"}},
-            # A script has outputs or distributions, not both.
-            {"model": {"type": "scripted", "outputs": ["ok move"], "distributions": [[["bad move", 1.0]]]}},
-            {"substitute_model": []},
-            {"policy": []},
-            {"policy": {**GUARD_CONFIG["policy"], "template_path": 0}},
-            {"policy": {**GUARD_CONFIG["policy"], "substitute_model": 0}},
-            {"policy": {**GUARD_CONFIG["policy"], "pattern": "contains_violatd"}},
-            {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": []}},
-            {"labeler": {"type": "rule", "vocabulary": "bad", "rules": {"b": "b", "a": "a", "d": "d"}}},
-            # A vocabulary proposition without a rule could never be labeled.
-            {"labeler": {"type": "rule", "vocabulary": ["bad"], "rules": {}}},
-            # A base_url must be an http:// or https:// URL with a host and a well-formed port.
-            {"model": {**ENDPOINT, "base_url": "localhost:8000/v1"}},
-            {"model": {**ENDPOINT, "base_url": "ftp://h/v1"}},
-            {"model": {**ENDPOINT, "base_url": "http://h:port/v1"}},
-        ],
-    )
-    def test_bad_config_value_exit_2(self, capsys, tmp_path, override):
-        config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, **override})
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error: invalid config value")
-        # Rejected before the session starts: no step ran, no output was written.
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("max_steps", ["0", "-1"])
-    def test_max_steps_below_one_exit_2(self, capsys, tmp_path, max_steps):
-        config = tmp_path / "config.json"
-        write_json(config, GUARD_CONFIG)
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", max_steps, "--out-dir", str(tmp_path / "run")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith(f"error: --max-steps must be at least 1, got {max_steps}")
-        assert not (tmp_path / "run").exists()
-
-    def test_out_dir_under_regular_file_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        write_json(config, GUARD_CONFIG)
-        (tmp_path / "afile").write_text("", encoding="utf-8")
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "afile" / "sub")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("role, completed", [("model", 0), ("substitute_model", 2)])
     def test_unwritable_endpoint_audit_log_flushes_partial_outputs(
@@ -846,17 +469,6 @@ class TestGuardCommand:
         assert f"(partial outputs flushed to {out_dir})" in err
         assert len((out_dir / "trace.jsonl").read_text().splitlines()) == completed
         assert len((out_dir / "guard_log.jsonl").read_text().splitlines()) == completed
-
-    def test_proposition_outside_vocabulary_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, "constraints": [{"id": "c", "formula": "G !bda"}]})
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error: constraint 'c': proposition(s) bda ")
-        assert not (tmp_path / "run").exists()
 
     def test_undeclared_label_exit_2_flushes_partial_outputs(self, capsys, tmp_path):
         # A single-entity tagged event labeler declares only e1_* propositions
@@ -949,73 +561,6 @@ class TestEndpointSpecValues:
         spec = {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"], "max_context_chars": chars}
         with pytest.raises(ConfigError, match="max_context_chars"):
             build_labeler(spec)
-
-    def test_guard_exit_2(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, "model": {**ENDPOINT, "retries": 0}})
-        code, _, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error: invalid config value: retries must be at least 1")
-
-    def test_bench_eval_exit_2(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        run_cli(
-            ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys
-        )
-        judge = tmp_path / "judge.json"
-        write_json(judge, {"base_url": ENDPOINT["base_url"], "model": "m", "timeout": 0})
-        code, out, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
-            capsys,
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: invalid config value: timeout must be positive")
-
-    def test_endpoint_labeler_inner_type_exit_2(self, capsys, tmp_path):
-        # A nested endpoint spec must not turn into another model type.
-        config = tmp_path / "config.json"
-        endpoint = {"type": "scripted", "outputs": ["bad: yes"], "base_url": ENDPOINT["base_url"], "model": "m"}
-        labeler = {"type": "endpoint", "endpoint": endpoint, "vocabulary": ["bad"]}
-        write_json(config, {**GUARD_CONFIG, "labeler": labeler})
-        code, out, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: invalid config value: endpoint's 'type' must be 'endpoint' or absent, got 'scripted'\n"
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("kind", ["scripted", None, 5])
-    def test_bench_eval_judge_inner_type_exit_2(self, capsys, tmp_path, kind):
-        bench = tmp_path / "bench.jsonl"
-        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
-        judge = tmp_path / "judge.json"
-        with MockEndpoint(lambda body: "VALID") as mock:
-            write_json(judge, {"type": kind, "outputs": ["VALID"], "base_url": mock.base_url, "model": "m"})
-            code, out, err = run_cli(
-                ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
-                capsys,
-            )
-            assert mock.requests == []
-        assert (code, out) == (2, "")
-        assert err == f"error: invalid config value: judge config's 'type' must be 'endpoint' or absent, got {kind!r}\n"
-
-    def test_bench_eval_bad_type_exit_2(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        run_cli(
-            ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys
-        )
-        judge = tmp_path / "judge.json"
-        write_json(judge, {"base_url": 5, "model": "m"})
-        code, out, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)],
-            capsys,
-        )
-        assert code == 2 and out == ""
-        assert err == "error: invalid config value: base_url must be a string, got 5\n"
 
 
 # Each config section with its declared keys, taken from the tables:
@@ -1404,15 +949,24 @@ DECODED_TABLES = {
 
 
 def run_main(argv):
-    """``main(argv)``'s exit code, stdout and stderr; an exception that
-    escapes it stands for its code."""
+    """``main(argv)``'s exit code, stdout and stderr; argparse's exit gives
+    its code, and an exception that escapes ``main`` stands for its code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     except Exception as exc:
         code = repr(exc)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("row", CASES, ids=[row.name for row in CASES])
+def test_case(row, tmp_path, monkeypatch):
+    """Each row of ``cli_cases.py``, run in-process in its own working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert check(row, run_main, tmp_path) == []
 
 
 def write_decoded(path, doc):
@@ -1463,44 +1017,6 @@ class TestEveryDecodedKeyOfAnotherKind:
             ):
                 failures.append((key, change, code, lines))
         assert failures == []
-
-
-class TestNonFiniteNumbers:
-    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: a config or a
-    judge config that holds one exits 2 with one error line, writing nothing."""
-
-    @pytest.mark.parametrize(
-        "override",
-        [
-            {"action_temperature": float("nan")},
-            {"sampling_temperature": float("inf")},
-            {"seed": float("-inf")},
-            {"model": {"type": "scripted", "distributions": [[["bad move", float("nan")], ["ok move", 0.5]]]}},
-        ],
-        ids=["action_temperature-NaN", "sampling_temperature-Infinity", "seed--Infinity", "distribution-weight-NaN"],
-    )
-    def test_config_exit_2(self, capsys, tmp_path, override):
-        config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, **override})
-        code, out, err = run_cli(
-            ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")], capsys
-        )
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: config is not valid JSON: ")
-        assert not (tmp_path / "run").exists()
-
-    def test_judge_config_exit_2(self, capsys, tmp_path):
-        bench, judge, out = tmp_path / "bench.jsonl", tmp_path / "judge.json", tmp_path / "eval.json"
-        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
-        write_json(judge, {**ENDPOINT, "timeout": float("inf")})
-        code, stdout, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge),
-             "--out", str(out)],
-            capsys,
-        )
-        assert (code, stdout) == (2, "")
-        assert err == "error: judge config is not valid JSON: Infinity is not a JSON number\n"
-        assert not out.exists()
 
 
 class TestReadmeValueTypes:
@@ -1575,35 +1091,6 @@ class TestBenchCommands:
         assert code == 0
         assert json.loads(out)["overall"]["accuracy"] == 1.0
 
-    @pytest.mark.parametrize("suite", ["elasticity", "constraint", "proposition"])
-    def test_gen_gap_below_one_exit_2(self, capsys, tmp_path, suite):
-        code, _, err = run_cli(
-            ["bench", "gen", "--suite", suite, "--gap", "0", "--count", "2", "--out", str(tmp_path / "x.jsonl")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error: gap must be")
-
-    def test_eval_out_in_missing_directory_exit_2(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
-        code, _, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "oracle", "--out", str(tmp_path / "missing" / "e.json")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
-
-    def test_gen_invalid_knob_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            [
-                "bench", "gen", "--suite", "elasticity", "--gap", "5000",
-                "--count", "2", "--out", str(tmp_path / "x.jsonl"),
-            ],
-            capsys,
-        )
-        assert code == 2
-
     def test_eval_oracle_perfect(self, capsys, tmp_path):
         bench = tmp_path / "bench.jsonl"
         run_cli(
@@ -1637,101 +1124,6 @@ class TestBenchCommands:
         accuracy = json.loads(out)["overall"]["accuracy"]
         assert 0.2 <= accuracy <= 0.8
 
-    def test_eval_endpoint_requires_judge_config(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        run_cli(
-            [
-                "bench", "gen", "--suite", "elasticity", "--gap", "2",
-                "--count", "2", "--out", str(bench),
-            ],
-            capsys,
-        )
-        code, _, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint"], capsys
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "bench_line, judge_config",
-        [
-            (None, "[1]"),
-            ("{}", None),
-            (bench_case_line({"t": 1, "output": "a fox", "labels": "animal_fox"}), None),
-            (bench_case_line({"t": 1, "output": 7, "labels": ["animal_fox"]}), None),
-            (bench_case_line(FOX_STEP, knobs=5), None),
-            (bench_case_line(FOX_STEP, truth=[True, False]), None),
-            (bench_case_line(FOX_STEP, truth=[]), None),
-            (bench_case_line(FOX_STEP, truth=["yes"]), None),
-            (bench_case_line(FOX_STEP, truth=[1]), None),
-            (bench_case_line(FOX_STEP, truth=True), None),
-            (bench_case_line(FOX_STEP, truth=[], constraints=[]), None),
-            (
-                bench_case_line(
-                    FOX_STEP,
-                    constraints=[{"id": "c1", "formula": "F animal_fox", "informal": "", "precise": "", "path": "abc"}],
-                ),
-                None,
-            ),
-        ],
-        ids=[
-            "judge-config-not-an-object",
-            "case-without-constraints",
-            "step-labels-not-an-array",
-            "step-output-not-a-string",
-            "knobs-not-an-object",
-            "truth-longer-than-constraints",
-            "truth-shorter-than-constraints",
-            "truth-not-booleans",
-            "truth-integer",
-            "truth-not-an-array",
-            "no-constraints",
-            "path-not-an-array",
-        ],
-    )
-    def test_eval_malformed_input_exit_2(self, capsys, tmp_path, bench_line, judge_config):
-        bench = tmp_path / "bench.jsonl"
-        if bench_line is None:
-            run_cli(
-                ["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)],
-                capsys,
-            )
-        else:
-            bench.write_text(bench_line + "\n", encoding="utf-8")
-        judge = ["--judge", "oracle"]
-        if judge_config is not None:
-            (tmp_path / "judge.json").write_text(judge_config, encoding="utf-8")
-            judge = ["--judge", "endpoint", "--judge-config", str(tmp_path / "judge.json")]
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), *judge], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error:")
-
-
-    def test_eval_bad_formula_exit_2_with_caret(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        line = json.loads(bench_case_line(FOX_STEP))
-        line["constraints"][0]["formula"] = "F (animal_fox"
-        bench.write_text(json.dumps(line) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
-        assert code == 2 and out == ""
-        assert err.splitlines()[1:] == ["  F (animal_fox", "  " + " " * 13 + "^"]
-
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_gen_count_below_one_exit_2(self, capsys, tmp_path, count):
-        bench = tmp_path / "bench.jsonl"
-        code, out, err = run_cli(
-            ["bench", "gen", "--suite", "elasticity", "--count", str(count), "--out", str(bench)], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: --count must be at least 1, got {count}\n"
-        assert not bench.exists()
-
-    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
-    def test_eval_bench_without_cases_exit_2(self, capsys, tmp_path, content):
-        bench = tmp_path / "bench.jsonl"
-        bench.write_text(content, encoding="utf-8")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {bench}: bench file has no cases\n"
 
     @pytest.mark.parametrize("level", ["precise", "precise+ltl"])
     def test_eval_level_words_the_judge_prompt(self, capsys, tmp_path, level):
@@ -1976,28 +1368,8 @@ class TestBenchGenBytes:
 
 
 class TestInputFaultsNameTheFile:
-    """A file that is not UTF-8, a line that is not JSON, or a malformed
-    step or case is named in the one error line, with its line for the
-    JSONL readers."""
-
-    CODEC = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-    NOT_UTF8 = f"not valid UTF-8: {CODEC}"
-
-    def test_trace_line_not_utf8(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        trace.write_bytes(b'{"t": 1, "output": "ok"}\n\xff\n')
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {trace}: line 2: {self.NOT_UTF8}\n"
-
-    def test_trace_line_not_json(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        trace.write_text('{"t": 1, "output": "ok"}\nnope\n', encoding="utf-8")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {trace}: line 2: malformed JSON: Expecting value\n"
+    """The inputs whose faults name their file (rows of ``cli_cases.py``),
+    read where they hold no fault."""
 
     def test_non_ascii_trace_still_audits(self, capsys, tmp_path):
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
@@ -2007,117 +1379,19 @@ class TestInputFaultsNameTheFile:
         assert code == 1
         assert json.loads(out)["reports"][0]["verdicts"][-1] == "violated"
 
-    def test_bench_line_not_utf8(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        bench.write_bytes(bench_case_line(FOX_STEP).encode("utf-8") + b"\n\xff\n")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {bench}: line 2: {self.NOT_UTF8}\n"
-
-    def test_steps_file_not_utf8(self, capsys, tmp_path):
-        steps = tmp_path / "steps.txt"
-        steps.write_bytes(b"p\n\xffq\n")
-        code, out, err = run_cli(["progress", "G p", "--steps-file", str(steps)], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: {steps}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
-            "in position 2: invalid start byte\n"
-        )
-
-    def test_trace_step_not_an_object(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        write_trace(trace, ["ok", "fine"])
-        with trace.open("a", encoding="utf-8") as fh:
-            fh.write("[1]\n")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {trace}: line 3: step must be an object, got [1]\n"
-
-    def test_meta_line_not_an_object(self, capsys, tmp_path):
-        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
-        trace.write_text('{"meta": 5}\n{"t": 1, "output": "ok"}\n', encoding="utf-8")
-        code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {trace}: line 1: meta must be an object, got 5\n"
-
-    @pytest.mark.parametrize("entities", [[2], "two"], ids=["array", "string"])
-    def test_bench_knob_of_another_kind(self, capsys, tmp_path, entities):
-        # The coin flip judge words its prompt by the entities knob.
-        bench = tmp_path / "bench.jsonl"
-        bench.write_text(bench_case_line(FOX_STEP, knobs={"entities": entities}) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "coinflip"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {bench}: line 1: entities must be an integer, got {entities!r}\n"
-
-    def test_bench_formula_not_parsing(self, capsys, tmp_path):
-        # The one error line is located; the caret under the formula follows.
-        bench = tmp_path / "bench.jsonl"
-        line = json.loads(bench_case_line(FOX_STEP))
-        line["constraints"][0]["formula"] = "F (a &"
-        bench.write_text(bench_case_line(FOX_STEP) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
-        assert (code, out) == (2, "")
-        lines = err.splitlines()
-        assert [line for line in lines if line.startswith("error:")] == lines[:1]
-        assert lines[0].startswith(f"error: {bench}: line 2: unexpected end of input at line 1, column 7")
-        assert lines[1:] == ["  F (a &", "  " + " " * 6 + "^"]
-
-    def test_bench_step_fault(self, capsys, tmp_path):
-        bench = tmp_path / "bench.jsonl"
-        bench.write_text(bench_case_line([1]) + "\n", encoding="utf-8")
-        code, out, err = run_cli(["bench", "eval", "--bench", str(bench), "--judge", "oracle"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {bench}: line 1: step must be an object, got [1]\n"
-
-    @pytest.mark.parametrize("name", ["config", "judge config"])
-    def test_config_not_utf8(self, capsys, tmp_path, name):
-        path, bench = tmp_path / "c.json", tmp_path / "bench.jsonl"
-        path.write_bytes(b"\xff{}")
-        bench.write_text(bench_case_line(FOX_STEP) + "\n", encoding="utf-8")
-        if name == "config":
-            write_trace(tmp_path / "trace.jsonl", ["ok"])
-            args = ["audit", str(tmp_path / "trace.jsonl"), "--config", str(path)]
-        else:
-            args = ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(path)]
-        code, out, err = run_cli(args, capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {name} is not valid JSON: {self.CODEC}\n"
-
-    def run_inject_guard(self, capsys, tmp_path, template):
-        """Run 3 steps of an ``inject`` guard that reads its template from
-        ``template`` into ``tmp_path / "run"``."""
-        config = tmp_path / "config.json"
+    def test_inject_template_path_is_injected(self, capsys, tmp_path):
+        config, template = tmp_path / "config.json", tmp_path / "reminder.txt"
+        template.write_text("Mind the rules:\n{constraints}\n", encoding="utf-8")
         policy = {"strategy": "inject", "tau": 0.0, "n": 3, "k": 1, "m": 4, "template_path": str(template)}
         write_json(config, {**GUARD_CONFIG, "policy": policy})
-        return run_cli(
+        code, _, _ = run_cli(
             ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")], capsys
         )
-
-    def test_inject_template_path_is_injected(self, capsys, tmp_path):
-        template = tmp_path / "reminder.txt"
-        template.write_text("Mind the rules:\n{constraints}\n", encoding="utf-8")
-        code, _, _ = self.run_inject_guard(capsys, tmp_path, template)
         assert code == 0
         log = (tmp_path / "run" / "guard_log.jsonl").read_text(encoding="utf-8").splitlines()
         first = json.loads(log[0])
         assert first["intervened"]
         assert first["final_input"] == "begin\nMind the rules:\nalways, not (bad) must hold"
-
-    def test_inject_template_path_missing_exit_2(self, capsys, tmp_path):
-        template = tmp_path / "missing.txt"
-        code, out, err = self.run_inject_guard(capsys, tmp_path, template)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: cannot read inject template {template}: ")
-        assert not (tmp_path / "run").exists()
-
-    def test_inject_template_path_not_utf8_exit_2(self, capsys, tmp_path):
-        template = tmp_path / "reminder.txt"
-        template.write_bytes(b"\xff{constraints}")
-        code, out, err = self.run_inject_guard(capsys, tmp_path, template)
-        assert (code, out) == (2, "")
-        assert err == f"error: cannot read inject template {template}: {self.CODEC}\n"
 
 
 class TestEndpointFaults:
@@ -2160,7 +1434,7 @@ class TestEndpointFaults:
 
     def test_bench_eval_judge(self, capsys, tmp_path):
         bench, judge = tmp_path / "bench.jsonl", tmp_path / "judge.json"
-        bench.write_text(bench_case_line(FOX_STEP) + "\n" + bench_case_line(FOX_STEP) + "\n", encoding="utf-8")
+        bench.write_text(2 * (json.dumps(bench_case(FOX_STEP)) + "\n"), encoding="utf-8")
         with MockEndpoint(healthy=["VALID"], raw_body=b"not json") as mock:
             write_json(judge, {"base_url": mock.base_url, "model": "m", "retries": 1, "backoff": 0})
             code, out, err = run_cli(
