@@ -6,8 +6,9 @@ there in order, and names the exit codes each may end with and what stderr,
 stdout and the directory must show afterwards.  Paths are relative to that
 directory, so a message that names a file reads the same wherever it runs.
 
-The rows run two ways.  Tier-1 (``test_cli.py::test_case``) calls
-``ltlguard.cli.main`` in-process.  ``python tests/cli_cases.py`` runs them
+The rows run two ways.  Tier-1 calls ``ltlguard.cli.main`` in-process,
+through ``test_cli.py::test_case`` and, for three families of rows, the
+parametrized tests whose cases they were.  ``python tests/cli_cases.py`` runs them
 through the ``ltlguard`` console script on ``PATH``, prints each row that
 fails and exits nonzero if any does, or if there is no ``ltlguard`` to run.
 """

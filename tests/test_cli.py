@@ -34,7 +34,7 @@ from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from ltlguard.predictive import PATTERNS
 from ltlguard.synthbench import generator
 from ltlguard.trace import ENTRY_KEYS, EPISODE_KEYS, META_KEYS, REPORT_DOCUMENT_KEYS, REPORT_KEYS, STEP_KEYS
-from cli_cases import CASES, ENDPOINT, FOX_STEP, bench_case, check
+from cli_cases import BAD_CONFIG_VALUES, CASES, ENDPOINT, FOX_STEP, MALFORMED_BENCH, bench_case, check
 from helpers import DEFAULT_PROPS, PACKAGE_ROOT, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
@@ -76,6 +76,31 @@ def write_json(path, obj):
 def write_trace(path, outputs):
     lines = [json.dumps({"t": i, "input": "", "output": o}) for i, o in enumerate(outputs, 1)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Three families of rows run under the parametrized tests whose cases they
+# were before the table held them, case id -> row name; test_case runs the rest.
+BAD_CONFIG_VALUE_ROWS = {f"override{i}": f"guard-bad-config-value-{i}" for i in range(len(BAD_CONFIG_VALUES))}
+CONFIG_FAULT_ROWS = {
+    row.name.removeprefix("guard-config-fault-"): row.name for row in CASES if row.name.startswith("guard-config-fault-")
+}
+MALFORMED_BENCH_ROWS = {name: f"bench-eval-{name}" for name in MALFORMED_BENCH} | {
+    "judge-config-not-an-object": "judge-config-not-an-object"
+}
+FAMILY_ROWS = {*BAD_CONFIG_VALUE_ROWS.values(), *CONFIG_FAULT_ROWS.values(), *MALFORMED_BENCH_ROWS.values()}
+OTHER_ROWS = [row for row in CASES if row.name not in FAMILY_ROWS]
+
+
+def over_rows(family):
+    """Parametrize over the rows ``family`` names, under its case ids."""
+    rows = {row.name: row for row in CASES}
+    return pytest.mark.parametrize("row", [rows[name] for name in family.values()], ids=list(family))
+
+
+def run_row(row, tmp_path, monkeypatch):
+    """Run ``row`` of ``cli_cases.py`` in-process in its own working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert check(row, run_main, tmp_path) == []
 
 
 class TestParseCommand:
@@ -392,6 +417,14 @@ class TestGuardCommand:
             json.loads(line) for line in (out_dir / "guard_log.jsonl").read_text().splitlines()
         ]
         assert all(entry["intervened"] is False for entry in log_lines)
+
+    @over_rows(CONFIG_FAULT_ROWS)
+    def test_config_fault_exit_2(self, row, tmp_path, monkeypatch):
+        run_row(row, tmp_path, monkeypatch)
+
+    @over_rows(BAD_CONFIG_VALUE_ROWS)
+    def test_bad_config_value_exit_2(self, row, tmp_path, monkeypatch):
+        run_row(row, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("outputs", [["ok move", "a bad move"]], ids=["two"])
     def test_script_running_out_ends_the_session(self, capsys, tmp_path, outputs):
@@ -962,11 +995,10 @@ def run_main(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-@pytest.mark.parametrize("row", CASES, ids=[row.name for row in CASES])
+@pytest.mark.parametrize("row", OTHER_ROWS, ids=[row.name for row in OTHER_ROWS])
 def test_case(row, tmp_path, monkeypatch):
-    """Each row of ``cli_cases.py``, run in-process in its own working directory."""
-    monkeypatch.chdir(tmp_path)
-    assert check(row, run_main, tmp_path) == []
+    """Each row of ``cli_cases.py`` outside the three families, run in-process."""
+    run_row(row, tmp_path, monkeypatch)
 
 
 def write_decoded(path, doc):
@@ -1077,6 +1109,10 @@ class TestBenchCommands:
         assert code == 0
         case = json.loads(out.read_text().splitlines()[0])
         assert all(len(s["labels"]) == 12 for s in case["trace"]["steps"])
+
+    @over_rows(MALFORMED_BENCH_ROWS)
+    def test_eval_malformed_input_exit_2(self, row, tmp_path, monkeypatch):
+        run_row(row, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("suite", ["constraint", "proposition"])
     def test_gen_gap_passed_through(self, capsys, tmp_path, suite):
