@@ -187,6 +187,8 @@ def cmd_guard(args: argparse.Namespace) -> int:
     if labeler is EMBEDDED:
         raise ConfigError("guard mode needs a concrete labeler, not embedded labels")
     _check_propositions(config.propositions, labeler)
+    if config.model_spec is None:
+        raise ConfigError("guard needs a 'model' object in the config")
     model = build_model(config.model_spec)
     substitute = None if config.substitute_spec is None else build_model(config.substitute_spec)
     seed = config.seed if args.seed is None else args.seed

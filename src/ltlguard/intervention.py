@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .ltl import Formula, Verdict, render
 from .models import BlackBoxModel, SampleParams, ScriptedModel, derive_seed, load_template
-from .monitor import MonitorState, ProgressionCache, new_state, run_states
+from .monitor import Product, ProgressionCache, new_state, run_states
 from .predictive import PATTERNS, advance, estimate_risks, rollout
 from .trace import LabelingFunction, StepRecord, Trace, VerdictReport
 
@@ -114,10 +114,10 @@ class GuardedSession:
         # The session's residual automaton: ``cache``, such as the one its
         # config was parsed into, or a fresh one.
         cache = ProgressionCache() if cache is None else cache
-        self.states: dict[str, MonitorState] = {
-            cid: new_state(cid, constraints[cid], reset_mode, cache)
-            for cid in sorted(constraints)
-        }
+        # The session's monitor states as the root of its product automaton.
+        self.states: Product = Product(
+            {cid: new_state(cid, constraints[cid], reset_mode, cache) for cid in constraints}
+        )
         glosses = glosses or {}
         self.rules_text = "\n".join(
             f"- {glosses.get(cid) or render(state.objective, 'english')}"

@@ -275,6 +275,9 @@ class EndpointModel:
             fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
+RULE_MEMO_SIZE = 4096  # outputs whose labels a ``RuleLabeler`` keeps
+
+
 @dataclass(frozen=True)
 class RuleLabeler:
     """Deterministic regex labeler over the latest step's output: one rule
@@ -292,10 +295,17 @@ class RuleLabeler:
         object.__setattr__(
             self, "_compiled", {p: re.compile(rx) for p, rx in self.rules.items()}
         )
+        # Labels by output text: a sampled output repeats, its labels do not change.
+        object.__setattr__(self, "_memo", {})
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
         text = steps[-1].output
-        return frozenset(p for p, rx in self._compiled.items() if rx.search(text))
+        labels = self._memo.get(text)
+        if labels is None:
+            if len(self._memo) >= RULE_MEMO_SIZE:
+                self._memo.clear()
+            labels = self._memo[text] = frozenset(p for p, rx in self._compiled.items() if rx.search(text))
+        return labels
 
 
 @functools.cache

@@ -16,11 +16,15 @@ self-loop on a letter may skip that letter (Bauer, Leucker &
 Schallhart, TOSEM 20(4), 2011): a constraint is stepped only when the
 step's labels meet its objective's propositions or its state is not yet
 settled, and each keeps only its change points.
+
+The guard steps all of a session's constraints at once, at every sampled
+step, so it steps them as one interned ``Product`` state whose
+transitions are memoized.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .ltl import (
@@ -117,6 +121,60 @@ def step(state: MonitorState, labels: TruthAssignment) -> MonitorState:
     return MonitorState(
         state.constraint_id, state.objective, residual, state.automaton, state.reset_mode, verdict
     )
+
+
+class Product(Mapping[str, MonitorState]):
+    """The monitor states of a set of constraints as one state of their
+    product automaton: a read-only mapping from constraint id to state, in
+    id order, with each member's ``last_verdict`` in ``verdicts``.
+
+    A product of monitors is itself a finite Moore machine (Bauer, Leucker
+    & Schallhart, TOSEM 20(4), 2011), so its transitions are memoized once
+    (Brzozowski, JACM 11(4), 1964).  ``step(labels)`` is a lookup of the
+    full label set; a miss steps each member with ``step`` and interns the
+    successor by each member's residual object and verdict, in one table
+    shared by every product reached from the root.
+    """
+
+    __slots__ = ("_states", "verdicts", "_next", "_table")
+
+    def __init__(self, states: Mapping[str, MonitorState], _table: dict | None = None) -> None:
+        self._states = {cid: states[cid] for cid in sorted(states)}
+        self.verdicts = tuple(st.last_verdict for st in self._states.values())
+        self._next: dict[TruthAssignment, Product] = {}
+        self._table = {} if _table is None else _table
+        self._table.setdefault(_key(self._states.values()), self)
+
+    def __getitem__(self, cid: str) -> MonitorState:
+        return self._states[cid]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def step(self, labels: TruthAssignment) -> Product:
+        """The product state after one step of every member on ``labels``."""
+        successor = self._next.get(labels)
+        if successor is None:
+            states = {cid: step(st, labels) for cid, st in self._states.items()}
+            successor = self._table.get(_key(states.values()))
+            if successor is None:
+                successor = Product(states, self._table)
+            self._next[labels] = successor
+        return successor
+
+
+def _key(states: Iterable[MonitorState]) -> tuple:
+    # Residual objects are kept alive by the interned products, so their ids
+    # are not reused while the table lives.
+    return tuple((id(st.residual), st.last_verdict) for st in states)
+
+
+def product(states: Mapping[str, MonitorState]) -> Product:
+    """``states`` if it is a product state, else a fresh root holding them."""
+    return states if isinstance(states, Product) else Product(states)
 
 
 def report(

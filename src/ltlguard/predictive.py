@@ -1,10 +1,12 @@
 """Sampling-based prediction of near-future verdict patterns.
 
 The estimator draws independent continuations of the session from the
-model through ``rollout``, which labels them, progresses copies of the
-monitor states along each and returns each constraint's verdict sequence
-(current verdict first); it reports the fraction of sequences that match
-a monitoring pattern.  Sampled steps never touch the live state or
+model through ``rollout``, which labels them, steps the session's
+product state (``monitor.Product``) along each and returns each
+constraint's verdict sequence (current verdict first); it reports the
+fraction of sequences that match a monitoring pattern.  A product state
+is immutable and interned, so a sampled step that repeats an earlier
+one is a lookup, and sampled steps never touch the live state or
 history.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .ltl import Verdict
 from .models import BlackBoxModel, SampleParams, derive_seed
-from .monitor import MonitorState, step
+from .monitor import MonitorState, Product, product
 from .trace import LabelingFunction, StepRecord, label_step
 
 # Each monitoring pattern by name: a predicate over a finite verdict sequence.
@@ -32,11 +34,11 @@ def advance(
     steps: list[StepRecord],
     input: str,
     output: str,
-) -> dict[str, MonitorState]:
-    """Append (input, output), labeled, to ``steps`` and return every state
-    progressed along it; a labeling failure leaves ``steps`` as it was."""
-    labels = label_step(labeler, steps, input, output)
-    return {cid: step(st, labels) for cid, st in states.items()}
+) -> Product:
+    """Append (input, output), labeled, to ``steps`` and return the product
+    state of ``states`` after it; a labeling failure leaves ``steps`` as it
+    was."""
+    return product(states).step(label_step(labeler, steps, input, output))
 
 
 def rollout(
@@ -49,19 +51,20 @@ def rollout(
     temperature: float,
 ) -> tuple[str, dict[str, tuple[Verdict, ...]]]:
     """Sample one continuation of ``history``: one model call and one
-    ``advance`` per seed, on a private copy of ``history``, the first step
-    with ``input`` and later steps with none.  Returns the first sampled
-    output and each constraint's verdict sequence, its current verdict
-    first."""
+    labeled step of the product state per seed, on a private copy of
+    ``history``, the first step with ``input`` and later steps with none.
+    Returns the first sampled output and each constraint's verdict
+    sequence, its current verdict first, read from the product states
+    visited."""
     steps = list(history)
-    sequences = {cid: [st.last_verdict] for cid, st in states.items()}
+    states = product(states)
+    visited = [states.verdicts]
     for offset, seed in enumerate(seeds):
         inp = input if offset == 0 else ""
         out = model.next_output(steps, inp, SampleParams(temperature=temperature, seed=seed))
-        states = advance(states, labeler, steps, inp, out)
-        for cid, st in states.items():
-            sequences[cid].append(st.last_verdict)
-    return steps[len(history)].output, {cid: tuple(seq) for cid, seq in sequences.items()}
+        states = states.step(label_step(labeler, steps, inp, out))
+        visited.append(states.verdicts)
+    return steps[len(history)].output, dict(zip(states, zip(*visited)))
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ def estimate_risks(
     """
     if k < 1 or m < 1:
         raise ValueError("horizon k and sample count m must be >= 1")
+    states = product(states)
     sequences: dict[str, list[tuple[Verdict, ...]]] = {cid: [] for cid in states}
     for j in range(m):
         seeds = [derive_seed(seed, "sample", j)] * k

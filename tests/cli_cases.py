@@ -582,7 +582,7 @@ CASES = [
         "guard-missing-model",
         {},
         files={"config.json": {key: value for key, value in README_CONFIG.items() if key != "model"}},
-        err_is="error: model specification must be a nonempty JSON object\n",
+        err_is="error: guard needs a 'model' object in the config\n",
     ),
     *(
         guard(f"guard-config-fault-{name}", change, err_is=f"error: {message}\n")

@@ -3,6 +3,7 @@
 import base64
 import collections
 import json
+import random
 import re
 import socket
 import statistics
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltlguard import models
 from ltlguard.models import (
     EndpointFormatError,
     EndpointLabeler,
@@ -265,6 +267,21 @@ class TestRuleLabeler:
         labeler = RuleLabeler(frozenset({"x", "y"}), {"x": "foo", "y": "bar"})
         steps = [StepRecord(1, "", "foo and bar")]
         assert labeler(steps) == labeler(steps) == frozenset({"x", "y"})
+
+    @pytest.mark.parametrize("bound", [8, models.RULE_MEMO_SIZE])
+    def test_memoized_labels_equal_fresh_evaluation(self, monkeypatch, bound):
+        monkeypatch.setattr(models, "RULE_MEMO_SIZE", bound)
+        rules = {"bad": r"\bbad\b", "ok": r"\bok\b", "stop": r"STOP$"}
+        labeler = RuleLabeler(frozenset(rules), rules)
+        rng = random.Random(2802)
+        words = ("bad", "ok", "okay", "STOP", "move", "")
+        for i in range(3 * bound):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 4)))
+            if i % 3 == 0:
+                text += f" {i}"  # a new output, so that the memo fills
+            labels = labeler([StepRecord(1, "in", "ok"), StepRecord(2, "", text)])
+            assert labels == frozenset(p for p, rx in rules.items() if re.search(rx, text))
+            assert len(labeler._memo) <= bound
 
 
 class TestEndpointLabeler:

@@ -29,10 +29,12 @@ from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.monitor import (
     REFERENCE,
     CrossCheckError,
+    Product,
     ProgressionCache,
     _cross_check,
     audit_log,
     new_state,
+    product,
     report,
     run_monitor,
     score_f1,
@@ -321,6 +323,71 @@ class TestSparseStepping:
         # A settledness probe per new state, and the steps at and right after
         # ``bad``; no idle step reaches the automaton.
         assert Counting.calls < 20
+
+
+class TestProductStates:
+    """A session's constraints stepped as one interned product state."""
+
+    def test_product_step_equals_member_fold(self):
+        rng = random.Random(2801)
+        for _ in range(40):
+            props = ("p", "q", "r")[: rng.randint(2, 3)]
+            formulas = {
+                f"c{i}": random_formula(rng, depth=rng.randint(1, 4), props=props) for i in range(rng.randint(1, 4))
+            }
+            for mode, engine in itertools.product(("plain", "reset"), ("compiled", "reference")):
+                cache = ProgressionCache() if engine == "compiled" else REFERENCE
+                folded = {cid: new_state(cid, phi, mode == "reset", cache) for cid, phi in formulas.items()}
+                state = Product(folded)
+                for _ in range(rng.randint(10, 40)):
+                    labels = random_assignment(rng, (*props, "noise"))
+                    before, state = state, state.step(labels)
+                    folded = {cid: step(st, labels) for cid, st in folded.items()}
+                    assert before.step(labels) is state
+                    assert list(state) == sorted(formulas)
+                    assert state.verdicts == tuple(folded[cid].last_verdict for cid in sorted(formulas))
+                    for cid, member in state.items():
+                        assert member.last_verdict is folded[cid].last_verdict
+                        if engine == "compiled":
+                            assert member.residual is folded[cid].residual
+
+    def test_plain_mapping_gets_a_fresh_root(self):
+        states = {"c": new_state("c", parse("G !bad"))}
+        root = product(states)
+        assert isinstance(root, Product) and root == states and product(root) is root
+        assert product(states) is not root
+
+    def test_guard_session_reaches_few_interned_products(self, monkeypatch):
+        reached = []
+        original = Product.step
+
+        def spy(state, labels):
+            successor = original(state, labels)
+            reached.append(successor)
+            return successor
+
+        monkeypatch.setattr(Product, "step", spy)
+        labeler = RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"})
+        session = GuardedSession(
+            model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
+            labeler=labeler,
+            constraints={
+                "no_bad": parse("G !bad"),
+                "bad_then_ok": parse("G (bad -> F ok)"),
+                "ok_then_bad": parse("F (ok & X F bad)"),
+            },
+            policy=InterventionPolicy(strategy="resample", tau=0.5, n=5, k=3, m=5),
+            seed=5,
+        )
+        for _ in range(300):
+            guard_step(session, "")
+        assert len(reached) > 10_000
+        by_members: dict[tuple, set[int]] = {}
+        for state in reached:
+            members = tuple((st.residual, st.last_verdict) for st in state.values())
+            by_members.setdefault(members, set()).add(id(state))
+        assert len(by_members) <= 8
+        assert all(len(ids) == 1 for ids in by_members.values())
 
 
 class TestRenderMemo:
