@@ -235,6 +235,12 @@ def _save_guard_log(session: GuardedSession, path: Path) -> None:
 def cmd_bench_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    # --n and --entities are read by one suite each, and default to 1 there.
+    for flag, suite in (("n", "constraint"), ("entities", "proposition")):
+        if getattr(args, flag) is None:
+            setattr(args, flag, 1)
+        elif args.suite != suite:
+            raise ValueError(f"--{flag} requires --suite {suite}")
     if args.suite == "elasticity":
         cases = gen_elasticity(gap=args.gap, family=args.family, seed=args.seed, count=args.count)
     elif args.suite == "constraint":
@@ -326,8 +332,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--suite", choices=tuple(SUITES), required=True)
     p_gen.add_argument("--family", choices=tuple(FAMILIES), default="simple")
     p_gen.add_argument("--gap", type=int, default=None, help="steps between target events")
-    p_gen.add_argument("--n", type=int, default=1, help="constraints per case (constraint suite)")
-    p_gen.add_argument("--entities", type=int, default=1, help="entities per step (proposition suite)")
+    p_gen.add_argument("--n", type=int, default=None, help="constraints per case (constraint suite; default 1)")
+    p_gen.add_argument("--entities", type=int, default=None, help="entities per step (proposition suite; default 1)")
     p_gen.add_argument("--count", type=int, default=40)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ from .intervention import InterventionPolicy
 from .ltl import Formula, ParseError, ProgressionCache, parse_written
 from .models import EndpointLabeler, EndpointModel, RuleLabeler, ScriptedModel
 from .synthbench import AttributeEventLabeler
-from .trace import Keys, LabelingFunction, checked, read
+from .trace import Keys, LabelingFunction, ShapeError, checked, read
 
 
 class ConfigError(ValueError):
@@ -93,12 +93,24 @@ def _typed(spec: Mapping, table: Mapping[str, tuple], section: str) -> tuple:
     """A model or labeler spec's builder, and its values but its ``type``,
     once the type is one of ``table``'s and the spec reads through that
     type's keys."""
-    kind = spec.get("type")
+    if "type" not in spec:
+        raise ShapeError(f"{section} is missing field 'type'")
+    kind = spec["type"]
     if type(kind) is not str or kind not in table:
         raise ConfigError(f"unknown {section} type {kind!r}")
     keys, build = table[kind]
     values = _read(spec, keys, f"{kind} {section}")
     del values["type"]
+    return build, values
+
+
+def _model(spec: Mapping, section: str) -> tuple:
+    """``_typed`` of a model spec.  A scripted model is also built, so its
+    script is checked item by item wherever the config is read, and a
+    config that ``audit`` accepts is one ``guard`` can run."""
+    build, values = _typed(spec, MODELS, section)
+    if build is _scripted_model:
+        build(dict(values))
     return build, values
 
 
@@ -150,6 +162,10 @@ def load_config(path: str | Path) -> Config:
     # A substitute model given in the policy takes the place of a top-level one.
     substitute_spec, top_substitute = policy.pop("substitute_model", None), raw.pop("substitute_model", None)
     if (template_path := policy.pop("template_path", None)) is not None:
+        if not template_path:
+            raise ValueError("template_path must name a file, got ''")
+        if policy.get("inject_template") is not None:
+            raise ConfigError("policy sets both 'inject_template' and 'template_path'; set at most one")
         try:
             policy["inject_template"] = Path(template_path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as err:
@@ -159,11 +175,11 @@ def load_config(path: str | Path) -> Config:
     policy = InterventionPolicy(**policy, **run)
     for spec, section in ((substitute_spec, "policy.substitute_model"), (top_substitute, "substitute_model")):
         if spec is not None:
-            _typed(spec, MODELS, section)
+            _model(spec, section)
 
     # The session ends on the config's stop token, so a script must emit that one.
     if (model_spec := raw.pop("model", None)) is not None:
-        build, values = _typed(model_spec, MODELS, "model")
+        build, values = _model(model_spec, "model")
         script_stop = values.get("stop_token", ScriptedModel.stop_token)
         if build is _scripted_model and script_stop != policy.stop_token:
             raise ConfigError(
@@ -188,9 +204,12 @@ def load_config(path: str | Path) -> Config:
 
 def _distribution(dist: object) -> tuple[tuple[str, float], ...]:
     """A scripted model's categorical distribution: an array of [text, weight] arrays."""
+    pairs = checked(dist, "array[]", "a distribution")
+    if odd := [pair for pair in pairs if len(pair) != 2]:
+        raise ValueError(f"a distribution item must be a [text, weight] pair, got {odd[0]!r}")
     return tuple(
         (checked(text, "string", "a distribution text"), float(checked(weight, "number", "a distribution weight")))
-        for text, weight in checked(dist, "array[]", "a distribution")
+        for text, weight in pairs
     )
 
 

@@ -6,15 +6,22 @@ there in order, and names the exit codes each may end with and what stderr,
 stdout and the directory must show afterwards.  Paths are relative to that
 directory, so a message that names a file reads the same wherever it runs.
 
-The rows run two ways.  Tier-1 calls ``ltlguard.cli.main`` in-process,
-through ``test_cli.py::test_case`` and, for three families of rows, the
-parametrized tests whose cases they were.  ``python tests/cli_cases.py`` runs them
-through the ``ltlguard`` console script on ``PATH``, prints each row that
-fails and exits nonzero if any does, or if there is no ``ltlguard`` to run.
+The rows of ``CASES`` run two ways.  Tier-1 calls ``ltlguard.cli.main``
+in-process, through ``test_cli.py::test_case`` and, for three families of
+rows, the parametrized tests whose cases they were.  ``python
+tests/cli_cases.py`` runs them through the ``ltlguard`` console script on
+``PATH``, prints each row that fails and exits nonzero if any does, or if
+there is no ``ltlguard`` to run.
+
+Rows are also generated, and run in-process only: ``paths`` walks a valid
+input document to each of its values, and ``shapes`` gives each value the
+wrong shapes its key table, or its own kind, rules out.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import random
 import re
@@ -39,14 +46,17 @@ EXIT_0_OR_1 = (0, 1)
 class Case:
     """One row: ``runs`` holds each command, as a shell would split it, with
     the exit codes it may end with.  The stderr of all runs, in order, must
-    equal ``err_is`` unless it is None, and contain ``err_has``; ``out``
-    gets the last run's stdout and the working directory."""
+    equal ``err_is`` unless it is None, and contain ``err_has``; the stderr
+    of each run that exits 2 must match the regular expression ``err_re``
+    as a whole unless it is None; ``out`` gets the last run's stdout and the
+    working directory; no path of ``absent`` may exist once a run exits 2."""
 
     name: str
     runs: tuple[tuple[str, tuple[int, ...]], ...]
     files: Mapping[str, object] = field(default_factory=dict)
     err_is: str | None = None
     err_has: str = ""
+    err_re: str | None = None
     out: Callable[[str, Path], object] | None = None
     absent: tuple[str, ...] = ()
 
@@ -84,16 +94,104 @@ def check(row: Case, run: Callable[[list[str]], tuple[int, str, str]], workdir: 
             problems.append(f"`{cmd}` exited {code}, not {' or '.join(map(str, codes))}")
         if "Traceback" in err:
             problems.append(f"`{cmd}` printed a traceback")
-        if code == 2 and (stdout or sum("error:" in line for line in err.splitlines()) != 1):
+        if code != 2:
+            continue
+        if stdout or sum("error:" in line for line in err.splitlines()) != 1:
             problems.append(f"`{cmd}` exited 2 without an empty stdout and one error line")
+        if row.err_re is not None and not re.fullmatch(row.err_re, err):
+            problems.append(f"`{cmd}` exited 2 with a stderr that does not match {row.err_re!r}")
+        problems += [f"`{cmd}` exited 2 and left {path}" for path in row.absent if (workdir / path).exists()]
     if row.err_is is not None and stderr != row.err_is:
         problems.append(f"stderr is not {row.err_is!r}")
     if row.err_has not in stderr:
         problems.append(f"stderr does not contain {row.err_has!r}")
     if row.out is not None and not row.out(stdout, workdir):
         problems.append(f"stdout fails its check: {stdout[:200]!r}")
-    problems += [f"{path} exists" for path in row.absent if (workdir / path).exists()]
-    return problems + [f"stderr was {stderr!r}"] * bool(problems)
+    return problems + [f"stderr was {stderr[:2000]!r}"] * bool(problems)
+
+
+def paths(node, prefix=()):
+    """The path to every value below the root of a JSON document, each
+    before the paths below it."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replaced(doc, path, change):
+    """A deep copy of ``doc`` whose value at ``path`` is ``change`` of it."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return change(doc)
+    parent = value_at(doc, path[:-1])
+    parent[path[-1]] = change(parent[path[-1]])
+    return doc
+
+
+def misspelled(key: str, keys=()) -> str:
+    """``key`` without its last letter, as ``glos`` for ``gloss``; or, where
+    that spells another of ``keys``, with its last letter doubled, as
+    ``modell`` for the top level's ``model``."""
+    return key + key[-1] if key[:-1] in keys else key[:-1]
+
+
+# One value of each JSON kind, as key tables name the kinds.
+KIND_VALUES = {"string": "", "integer": 0, "number": 2.5, "boolean": False, "array": [], "object": {}}
+KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object"}
+# What each value of a valid input is replaced with in turn, by name.
+EDGE_VALUES = {"null": None, "empty-string": "", "empty-array": [], "empty-object": {}, "long-string": "x" * 100_000}
+
+
+def kind_of(value) -> str:
+    """The JSON kind of ``value`` as a key table writes it, with null
+    allowed: the wrong shapes of a value no table declares are the other
+    kinds, not null."""
+    return KINDS[type(value)] + "?"
+
+
+def shapes(key, kind: str, keys=None) -> dict[str, Callable]:
+    """The wrong shapes of the value at ``key`` of a JSON object or array, by
+    name, each a function that changes that container in place and returns it.
+
+    The value takes one of each JSON kind that ``kind``, as a key table
+    writes it, rules out: an integer counts as a number, null is ruled out
+    unless ``kind`` ends in ``?``, and ``kind[]`` also rules out an array
+    holding one value that ``kind`` rules out.  A key of the container's
+    key table ``keys`` is also misspelled, and dropped if the table requires
+    it.  An undeclared value, such as an array item, is shaped by its own
+    kind, ``kind_of`` it."""
+
+    def ruled_out(kind):
+        nullable, kind = kind.endswith("?"), kind.rstrip("?")
+        if kind.endswith("[]"):
+            return ruled_out("array" + "?" * nullable) + [[value] for value in ruled_out(kind[:-2])]
+        accepted = {"number", "integer"} if kind == "number" else {kind}
+        return [value for name, value in KIND_VALUES.items() if name not in accepted] + [None] * (not nullable)
+
+    def put(container, value):
+        container[key] = value
+        return container
+
+    found = {json.dumps(value): functools.partial(put, value=value) for value in ruled_out(kind)}
+    if keys is not None:
+        if key in keys.required:
+            found["dropped"] = lambda obj: {k: v for k, v in obj.items() if k != key}
+        found["misspelled"] = lambda obj: {
+            **{k: v for k, v in obj.items() if k != key}, misspelled(key, keys): obj.get(key, "x")
+        }
+    return found
 
 
 def trace(*outputs):
@@ -279,6 +377,10 @@ BAD_CONFIG_VALUES = [
         "base_url must be an http:// or https:// URL with a host, got 'ftp://h/v1'",
     ),
     ({"model": {**ENDPOINT, "base_url": "http://h:port/v1"}}, "Port could not be cast to integer value as 'port'"),
+    (
+        {"model": {"type": "scripted", "distributions": [[["bad move", 0.5, 1], ["ok move", 0.5]]]}},
+        "a distribution item must be a [text, weight] pair, got ['bad move', 0.5, 1]",
+    ),
 ]
 
 TRUTH_PER_CONSTRAINT = "error: bench.jsonl: line 1: 'truth' must be an array of booleans, one per constraint\n"
@@ -613,6 +715,16 @@ CASES = [
         guard(f"guard-bad-config-value-{i}", change, err_is=f"error: invalid config value: {message}\n")
         for i, (change, message) in enumerate(BAD_CONFIG_VALUES)
     ),
+    # A model or labeler spec without its type names the section it is in.
+    guard(
+        "guard-model-without-type", {"model": {}}, err_is="error: invalid config value: model is missing field 'type'\n"
+    ),
+    audit(
+        "audit-labeler-without-type",
+        trace("x"),
+        "error: invalid config value: labeler is missing field 'type'\n",
+        config=with_readme(labeler={}),
+    ),
     guard(
         "guard-out-dir-under-regular-file",
         {},
@@ -674,10 +786,40 @@ CASES = [
         err_is="error: cannot read inject template missing.txt: [Errno 2] No such file or directory: 'missing.txt'\n",
     ),
     guard(
+        "guard-inject-template-path-empty",
+        {"policy": {**README_CONFIG["policy"], "strategy": "inject", "template_path": ""}},
+        err_is="error: invalid config value: template_path must name a file, got ''\n",
+    ),
+    guard(
         "guard-inject-template-not-utf8",
         {"policy": {**README_CONFIG["policy"], "strategy": "inject", "template_path": "reminder.txt"}},
         files={"reminder.txt": b"\xff{constraints}"},
         err_is=f"error: cannot read inject template reminder.txt: {CODEC}\n",
+    ),
+    # Audit and guard check a script item by item alike: a config one
+    # accepts, the other runs.
+    audit(
+        "audit-distribution-not-an-array",
+        trace("x"),
+        "error: invalid config value: a distribution must be an array, got None\n",
+        config=with_readme(model={"type": "scripted", "distributions": [None]}),
+    ),
+    guard(
+        "guard-distribution-not-an-array",
+        {"model": {"type": "scripted", "distributions": [None]}},
+        err_is="error: invalid config value: a distribution must be an array, got None\n",
+    ),
+    # An inline template and a template file: neither is dropped silently.
+    guard(
+        "guard-inject-template-and-template-path",
+        {
+            "policy": {
+                **README_CONFIG["policy"], "strategy": "inject", "inject_template": "Mind {constraints}",
+                "template_path": "reminder.txt",
+            }
+        },
+        files={"reminder.txt": "Remember {constraints}"},
+        err_is="error: policy sets both 'inject_template' and 'template_path'; set at most one\n",
     ),
     # The monitor-backed oracle scores a generated benchmark perfectly.
     Case(
@@ -715,6 +857,20 @@ CASES = [
             absent=("bench.jsonl",),
         )
         for count in ("0", "-3")
+    ),
+    # A flag that the suite would ignore names the suite that reads it.
+    *(
+        case(
+            f"bench-gen-{suite}-{flags.split()[0][2:]}",
+            f"bench gen --suite {suite} {flags} --count 2 --out bench.jsonl",
+            err_is=f"error: {message}\n",
+            absent=("bench.jsonl",),
+        )
+        for suite, flags, message in (
+            ("elasticity", "--n 5 --entities 3", "--n requires --suite constraint"),
+            ("constraint", "--entities 3", "--entities requires --suite proposition"),
+            ("proposition", "--n 5", "--n requires --suite constraint"),
+        )
     ),
     bench(
         "bench-eval-out-in-missing-directory",

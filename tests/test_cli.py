@@ -34,7 +34,11 @@ from ltlguard.ltl import parse, progress, render, simplify, verdict_of
 from ltlguard.predictive import PATTERNS
 from ltlguard.synthbench import generator
 from ltlguard.trace import ENTRY_KEYS, EPISODE_KEYS, META_KEYS, REPORT_DOCUMENT_KEYS, REPORT_KEYS, STEP_KEYS
-from cli_cases import BAD_CONFIG_VALUES, CASES, ENDPOINT, FOX_STEP, MALFORMED_BENCH, bench_case, check
+from cli_cases import (
+    BAD_CONFIG_VALUES, CASES, EDGE_VALUES, ENDPOINT, ENDPOINT_LABELER, EXIT_0_OR_1, FOX_STEP, JUDGE, MALFORMED_BENCH,
+    README_CONFIG, REPORT, bench_case, case, check, judge, kind_of, misspelled, paths, replaced, shapes, trace,
+    value_at, write,
+)
 from helpers import DEFAULT_PROPS, PACKAGE_ROOT, random_assignment, random_formula, run_cli_process
 from mock_endpoint import MockEndpoint
 
@@ -69,13 +73,8 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def write_json(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
-
-
 def write_trace(path, outputs):
-    lines = [json.dumps({"t": i, "input": "", "output": o}) for i, o in enumerate(outputs, 1)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write(path, trace(*outputs))
 
 
 # Three families of rows run under the parametrized tests whose cases they
@@ -97,10 +96,22 @@ def over_rows(family):
     return pytest.mark.parametrize("row", [rows[name] for name in family.values()], ids=list(family))
 
 
-def run_row(row, tmp_path, monkeypatch):
-    """Run ``row`` of ``cli_cases.py`` in-process in its own working directory."""
-    monkeypatch.chdir(tmp_path)
-    assert check(row, run_main, tmp_path) == []
+def run_rows(rows, tmp_path, monkeypatch):
+    """Run each of ``rows`` in-process, each in an empty working directory of
+    its own, and name every row that fails with its problems."""
+    failures = {}
+    for i, row in enumerate(rows):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        problems = check(row, run_main, workdir)
+        monkeypatch.chdir(tmp_path)
+        if problems:
+            failures[row.name] = problems
+        else:
+            shutil.rmtree(workdir)
+    assert rows
+    assert failures == {}
 
 
 class TestParseCommand:
@@ -204,7 +215,7 @@ class TestAuditCommand:
         # Without the temporal unit laws the residual gains a layer per step
         # and the audit dies of recursion depth within 300 steps.
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, {**RULE_CONFIG, "constraints": [{"id": "c", "formula": "X(G true U G true)"}]})
+        write(config, {**RULE_CONFIG, "constraints": [{"id": "c", "formula": "X(G true U G true)"}]})
         write_trace(trace, ["idle"] * 300)
         code, out, _ = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 0
@@ -214,7 +225,7 @@ class TestAuditCommand:
     def test_compliant_trace_exit_0(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         write_trace(trace, ["move", "reach the goal"])
         code, out, _ = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 0
@@ -225,7 +236,7 @@ class TestAuditCommand:
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
         report_path = tmp_path / "report.json"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         write_trace(trace, ["a bad move", "goal"])
         code, _, err = run_cli(
             ["audit", str(trace), "--config", str(config), "--out", str(report_path)],
@@ -241,7 +252,7 @@ class TestAuditCommand:
     def test_cross_check_flag(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         write_trace(trace, ["ok", "bad thing", "goal", "ok"])
         code, _, _ = run_cli(
             ["audit", str(trace), "--config", str(config), "--cross-check"], capsys
@@ -252,7 +263,7 @@ class TestAuditCommand:
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
         report_path = tmp_path / "report.json"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         write_trace(trace, ["bad", "goal"])
         run_cli(
             ["audit", str(trace), "--config", str(config), "--out", str(report_path)],
@@ -281,7 +292,7 @@ class TestAuditCommand:
         # trace embeds: without --relabel, step 1 keeps its labels as given,
         # "done" included, and only step 2 is labeled.
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         trace.write_text(
             json.dumps({"t": 1, "output": "x", "labels": ["done", "goal"]}) + "\n"
             + json.dumps({"t": 2, "output": "fine"}) + "\n",
@@ -315,7 +326,7 @@ class TestAuditCommand:
     def test_embedded_labels_used_when_no_labeler(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
-        write_json(config, {"constraints": [{"id": "c", "formula": "F done"}]})
+        write(config, {"constraints": [{"id": "c", "formula": "F done"}]})
         trace.write_text(
             json.dumps({"t": 1, "output": "anything", "labels": ["done"]}) + "\n",
             encoding="utf-8",
@@ -327,7 +338,7 @@ class TestAuditCommand:
     def test_embedded_labels_warn_on_unseen_proposition(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         trace = tmp_path / "trace.jsonl"
-        write_json(config, {"constraints": [{"id": "c", "formula": "F done & G !oops"}]})
+        write(config, {"constraints": [{"id": "c", "formula": "F done & G !oops"}]})
         trace.write_text(
             json.dumps({"t": 1, "output": "anything", "labels": ["done"]}) + "\n",
             encoding="utf-8",
@@ -344,12 +355,12 @@ class TestAuditCommand:
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
         constraints = [{"id": "c", "formula": "G (zzz | true) & G !bad"}]
         labeler = {"type": "rule", "vocabulary": ["bad"], "rules": {"bad": r"\bbad\b"}}
-        write_json(config, {"constraints": constraints, "labeler": labeler})
+        write(config, {"constraints": constraints, "labeler": labeler})
         write_trace(trace, ["a bad move"])
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: constraint 'c': proposition(s) zzz ")
-        write_json(config, {"constraints": constraints})
+        write(config, {"constraints": constraints})
         trace.write_text(json.dumps({"t": 1, "output": "a bad move", "labels": ["bad"]}) + "\n", encoding="utf-8")
         code, out, err = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 1
@@ -362,7 +373,7 @@ class TestAuditCommand:
             {"id": "a", "formula": "G (bad -> F goal) & G (bad -> F goal)"},
             {"id": "b", "formula": "F goal | false"},
         ]
-        write_json(config_path, {**RULE_CONFIG, "constraints": constraints})
+        write(config_path, {**RULE_CONFIG, "constraints": constraints})
         config = load_config(config_path)
         automaton = config.automaton
         for cid, text in (("a", "G (bad -> F goal)"), ("b", "F goal")):
@@ -373,7 +384,7 @@ class TestAuditCommand:
 class TestGuardCommand:
     def test_switch_guard_run(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        write_json(config, GUARD_CONFIG)
+        write(config, GUARD_CONFIG)
         out_dir = tmp_path / "run"
         code, _, err = run_cli(
             [
@@ -406,7 +417,7 @@ class TestGuardCommand:
         config_doc = dict(GUARD_CONFIG)
         config_doc["policy"] = {"strategy": "none"}
         config = tmp_path / "config.json"
-        write_json(config, config_doc)
+        write(config, config_doc)
         out_dir = tmp_path / "run"
         code, _, err = run_cli(
             ["guard", "--config", str(config), "--max-steps", "6", "--out-dir", str(out_dir)],
@@ -420,18 +431,18 @@ class TestGuardCommand:
 
     @over_rows(CONFIG_FAULT_ROWS)
     def test_config_fault_exit_2(self, row, tmp_path, monkeypatch):
-        run_row(row, tmp_path, monkeypatch)
+        run_rows([row], tmp_path, monkeypatch)
 
     @over_rows(BAD_CONFIG_VALUE_ROWS)
     def test_bad_config_value_exit_2(self, row, tmp_path, monkeypatch):
-        run_row(row, tmp_path, monkeypatch)
+        run_rows([row], tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("outputs", [["ok move", "a bad move"]], ids=["two"])
     def test_script_running_out_ends_the_session(self, capsys, tmp_path, outputs):
         # The script's stop token ends the run before --max-steps, and every
         # output file counts the steps that were taken.
         config = tmp_path / "config.json"
-        write_json(config, {**GUARD_CONFIG, "model": {"type": "scripted", "outputs": outputs}})
+        write(config, {**GUARD_CONFIG, "model": {"type": "scripted", "outputs": outputs}})
         out_dir = tmp_path / "run"
         code, _, err = run_cli(
             ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)], capsys
@@ -460,7 +471,7 @@ class TestGuardCommand:
         }
         config_doc["policy"] = {"strategy": "none"}
         config = tmp_path / "config.json"
-        write_json(config, config_doc)
+        write(config, config_doc)
         out_dir = tmp_path / "run"
         code, _, err = run_cli(
             ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(out_dir)],
@@ -492,7 +503,7 @@ class TestGuardCommand:
                 "audit_log_path": str(tmp_path / "missing" / "audit.jsonl"),
             }
             config = tmp_path / "config.json"
-            write_json(config, config_doc)
+            write(config, config_doc)
             code, _, err = run_cli(
                 ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)],
                 capsys,
@@ -513,7 +524,7 @@ class TestGuardCommand:
             "policy": {"strategy": "none"},
         }
         config = tmp_path / "config.json"
-        write_json(config, config_doc)
+        write(config, config_doc)
         out_dir = tmp_path / "run"
         code, _, err = run_cli(
             ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(out_dir)],
@@ -527,7 +538,7 @@ class TestGuardCommand:
 
     def test_guard_log_carries_estimator_parameters(self, capsys, tmp_path):
         config = tmp_path / "config.json"
-        write_json(config, GUARD_CONFIG)
+        write(config, GUARD_CONFIG)
         out_dir = tmp_path / "run"
         code, _, _ = run_cli(
             ["guard", "--config", str(config), "--max-steps", "4", "--out-dir", str(out_dir)],
@@ -556,7 +567,7 @@ class TestGuardCommand:
         with MockEndpoint(lambda body: "ok move") as mock:
             config_doc["substitute_model"] = {**ENDPOINT, "base_url": mock.base_url, "retries": 1}
             config = tmp_path / "config.json"
-            write_json(config, config_doc)
+            write(config, config_doc)
             code, _, _ = run_cli(
                 ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(tmp_path / "run")],
                 capsys,
@@ -599,7 +610,6 @@ class TestEndpointSpecValues:
 # Each config section with its declared keys, taken from the tables:
 # (section as errors name it, its keys, a valid guard config, the path to the
 # section in it).  Every model and labeler type needs a valid spec here.
-ENDPOINT_LABELER = {"type": "endpoint", "endpoint": ENDPOINT, "vocabulary": ["bad"]}
 MODEL_SPECS = {"scripted": GUARD_CONFIG["model"], "endpoint": ENDPOINT}
 LABELER_SPECS = {
     "embedded": {"type": "embedded"}, "rule": GUARD_CONFIG["labeler"], "event": {"type": "event"},
@@ -628,28 +638,16 @@ SECTION_CASES = [
 ]
 
 
-def misspelled(key, keys=()):
-    """``key`` without its last letter, as ``glos`` for ``gloss``; or, where
-    that spells another of ``keys``, with its last letter doubled, as
-    ``modell`` for the top level's ``model``."""
-    return key + key[-1] if key[:-1] in keys else key[:-1]
+# Labeled, so an audit that got past its config would call no labeler.
+CONFIG_TRACE = [{"t": 1, "output": "goal done", "labels": ["goal", "done"]}]
 
 
-def with_misspelled(section, key, keys=()):
-    """A copy of ``section`` with ``key`` misspelled, or added misspelled."""
-    section = dict(section)
-    section[misspelled(key, keys)] = section.pop(key, "x")
-    return section
-
-
-def replaced(doc, path, change):
-    """A deep copy of ``doc`` whose value at ``path`` is ``change`` of it."""
-    doc = copy.deepcopy(doc)
-    if not path:
-        return change(doc)
-    parent = value_at(doc, path[:-1])
-    parent[path[-1]] = change(parent[path[-1]])
-    return doc
+def config_row(name, command, config, **fields):
+    """A run of ``command``, ``audit`` of CONFIG_TRACE or ``guard``, on
+    ``config`` that exits 2 and leaves no output."""
+    cmd = ("audit trace.jsonl --config config.json --out out" if command == "audit"
+           else "guard --config config.json --max-steps 2 --out-dir out")
+    return case(name, cmd, files={"config.json": config, "trace.jsonl": CONFIG_TRACE}, absent=("out",), **fields)
 
 
 class TestUnknownSectionKeys:
@@ -662,40 +660,28 @@ class TestUnknownSectionKeys:
         ids=[f"{section}-{key}" for section, keys, _, _ in SECTION_CASES for key in sorted(keys)],
     )
     @pytest.mark.parametrize("command", ["audit", "guard"])
-    def test_exit_2(self, capsys, tmp_path, command, section, keys, key, doc, path):
+    def test_exit_2(self, tmp_path, monkeypatch, command, section, keys, key, doc, path):
         assert misspelled(key, keys) not in keys
-        doc = replaced(doc, path, lambda spec: with_misspelled(spec, key, keys))
-        config, trace, out = tmp_path / "config.json", tmp_path / "trace.jsonl", tmp_path / "out"
-        write_json(config, doc)
-        write_trace(trace, ["a bad move"])
-        if command == "audit":
-            argv = ["audit", str(trace), "--config", str(config), "--out", str(out)]
-        else:
-            argv = ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(out)]
-        code, stdout, err = run_cli(argv, capsys)
-        assert (code, stdout) == (2, "")
         if key == "type" and section != "endpoint":
-            # Without its type a model or labeler spec has no key set.
-            assert err == f"error: unknown {section.split(' ', 1)[1]} type None\n"
+            # A model or labeler spec without its type names its section.
+            err = f"error: invalid config value: {section.split(' ', 1)[1]} is missing field 'type'\n"
         else:
-            assert err == f"error: unknown {section} key(s): {misspelled(key, keys)!r}\n"
-        assert not out.exists()
+            err = f"error: unknown {section} key(s): {misspelled(key, keys)!r}\n"
+        config = replaced(doc, path, shapes(key, keys[key], keys)["misspelled"])
+        row = config_row(f"{command}-{section}-{key}-misspelled", command, config, err_is=err)
+        run_rows([row], tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("key", sorted(ENDPOINT_KEYS))
-    def test_judge_config_exit_2(self, capsys, tmp_path, key):
-        bench, judge, out = tmp_path / "bench.jsonl", tmp_path / "judge.json", tmp_path / "eval.json"
-        run_cli(["bench", "gen", "--suite", "elasticity", "--count", "2", "--out", str(bench)], capsys)
+    def test_judge_config_exit_2(self, tmp_path, monkeypatch, key):
         assert misspelled(key) not in ENDPOINT_KEYS
-        write_json(judge, with_misspelled(ENDPOINT, key))
-        code, stdout, err = run_cli(
-            ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge),
-             "--out", str(out)],
-            capsys,
+        row = judge(
+            f"judge-config-{key}-misspelled",
+            shapes(key, ENDPOINT_KEYS[key], ENDPOINT_KEYS)["misspelled"](dict(ENDPOINT)),
+            f"error: unknown judge config key(s): {misspelled(key)!r}\n",
+            cmd=f"{JUDGE} --out eval.json",
+            absent=("eval.json",),
         )
-        assert (code, stdout) == (2, "")
-        assert err == f"error: unknown judge config key(s): {misspelled(key)!r}\n"
-        assert not out.exists()
-
+        run_rows([row], tmp_path, monkeypatch)
 
 
 class RecordingSpec(dict):
@@ -773,29 +759,16 @@ MUTATION_BASES = (
 )
 
 
-def json_paths(node, prefix=()):
-    """Paths to every value below the root of a JSON document."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield prefix + (key,)
-        yield from json_paths(child, prefix + (key,))
-
-
 @st.composite
 def mutated_configs(draw):
     """A valid config with one or two values dropped or replaced from a small pool."""
     command, doc = draw(st.sampled_from(MUTATION_BASES))
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 2))):
-        paths = list(json_paths(doc))
-        if not paths:
+        found = list(paths(doc))
+        if not found:
             break
-        *parents, last = draw(st.sampled_from(paths))
+        *parents, last = draw(st.sampled_from(found))
         node = doc
         for key in parents:
             node = node[key]
@@ -829,7 +802,7 @@ class TestConfigMutation:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             config = tmp / "config.json"
-            write_json(config, doc)
+            write(config, doc)
             if command == "audit":
                 trace = tmp / "trace.jsonl"
                 steps = [("a bad move", ["bad"]), ("goal done", ["goal", "done"])]
@@ -854,22 +827,6 @@ class TestConfigMutation:
             assert err.getvalue().startswith("error:")
 
 
-def wrong_kinds(value):
-    """The empty or zero value of each JSON kind other than ``value``'s,
-    and 2.5 in place of an integer."""
-
-    def kind(v):
-        return "number" if type(v) in (int, float) else type(v)
-
-    return [v for v in ("", 0, False, [], {}) if kind(v) != kind(value)] + [2.5] * (type(value) is int)
-
-
-def value_at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
 class TestEveryValueOfAnotherKind:
     """Each non-null value of each mutation base, replaced by a value of
     another JSON kind, is rejected before any step runs or output is written."""
@@ -877,79 +834,37 @@ class TestEveryValueOfAnotherKind:
     @pytest.mark.parametrize(
         "command, base", MUTATION_BASES, ids=["audit-rule", "audit-embedded", "guard-switch", "guard-resample"]
     )
-    def test_exit_2_with_one_error_line(self, tmp_path, command, base):
-        trace, config, out = tmp_path / "trace.jsonl", tmp_path / "config.json", tmp_path / "out"
-        trace.write_text(json.dumps({"t": 1, "output": "goal done", "labels": ["goal", "done"]}) + "\n")
-        if command == "audit":
-            argv = ["audit", str(trace), "--config", str(config), "--out", str(out)]
-        else:
-            argv = ["guard", "--config", str(config), "--max-steps", "2", "--out-dir", str(out)]
-        failures, runs = [], 0
-        for path in json_paths(base):
-            if value_at(base, path) is None:
-                continue
-            for wrong in wrong_kinds(value_at(base, path)):
-                doc = copy.deepcopy(base)
-                value_at(doc, path[:-1])[path[-1]] = copy.deepcopy(wrong)
-                write_json(config, doc)
-                err = io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                        code = main(argv)
-                except Exception as exc:  # an exception escaping main is a failure too
-                    code = repr(exc)
-                runs += 1
-                lines = err.getvalue().splitlines()
-                if code != 2 or len(lines) != 1 or not lines[0].startswith("error:") or out.exists():
-                    failures.append((path, wrong, code, lines))
-                if out.exists():
-                    shutil.rmtree(out) if out.is_dir() else out.unlink()
-        assert runs > 0 and failures == []
-
-
-# One value of each JSON kind, as the config tables name the kinds.
-KIND_VALUES = {"string": "", "integer": 0, "number": 2.5, "boolean": False, "array": [], "object": {}}
-
-
-def other_kinds(kind):
-    """A value of each JSON kind that a table's ``kind`` does not accept,
-    where an integer counts as a number, and null unless ``kind`` allows it."""
-    accepted = {"number", "integer"} if kind.rstrip("?") == "number" else {kind.rstrip("?")}
-    return [value for name, value in KIND_VALUES.items() if name not in accepted] + [None] * (kind[-1] != "?")
+    def test_exit_2_with_one_error_line(self, tmp_path, monkeypatch, command, base):
+        rows = [
+            config_row(
+                f"{command}-{'.'.join(map(str, path))}-{name}", command, replaced(base, path[:-1], change),
+                err_re=r"error: .*\n",
+            )
+            for path in paths(base)
+            if value_at(base, path) is not None
+            for name, change in shapes(path[-1], kind_of(value_at(base, path))).items()
+        ]
+        run_rows(rows, tmp_path, monkeypatch)
 
 
 class TestEveryKeyOfAnotherKind:
     """Every key of every section's table, set to a value of each JSON kind
-    the table does not accept, exits 2 with one error line that names the
-    key, before any output is written."""
+    the table does not accept, or dropped where the table requires it, exits
+    2 with one error line that names the key, before any output is written."""
 
     @pytest.mark.parametrize("section, keys, doc, path", SECTION_CASES, ids=[case[0] for case in SECTION_CASES])
-    def test_exit_2_with_one_error_line(self, tmp_path, section, keys, doc, path):
-        trace, config, out = tmp_path / "trace.jsonl", tmp_path / "config.json", tmp_path / "out"
-        write_trace(trace, ["a bad move"])
-        write_json(config, doc)
-        assert not rejected(config, "guard")
-        failures = []
-        for key, kind in keys.items():
-            for wrong in other_kinds(kind):
-                write_json(config, replaced(doc, path, lambda spec: {**spec, key: wrong}))
-                stdout, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-                    code = main(["audit", str(trace), "--config", str(config), "--out", str(out)])
-                lines = err.getvalue().splitlines()
-                if (code, stdout.getvalue(), len(lines)) != (2, "", 1) or key not in lines[0] or out.exists():
-                    failures.append((key, wrong, code, lines))
-        assert failures == []
-
-
-def wrong_values(kind):
-    """``other_kinds`` of ``kind``; for an array of values of one kind
-    (``kind[]``), also an array of one value of each kind it does not accept."""
-    nullable = "?" * kind.endswith("?")
-    kind = kind.rstrip("?")
-    if not kind.endswith("[]"):
-        return other_kinds(kind + nullable)
-    return other_kinds("array" + nullable) + [[value] for value in wrong_values(kind[:-2])]
+    def test_exit_2_with_one_error_line(self, tmp_path, monkeypatch, section, keys, doc, path):
+        write(tmp_path / "base.json", doc)
+        assert not rejected(tmp_path / "base.json", "guard")
+        rows = [
+            config_row(
+                f"{section}-{key}-{name}", "audit", replaced(doc, path, change), err_re=rf"error: .*{re.escape(key)}.*\n"
+            )
+            for key, kind in keys.items()
+            for name, change in shapes(key, kind, keys).items()
+            if name != "misspelled"
+        ]
+        run_rows(rows, tmp_path, monkeypatch)
 
 
 BENCH_CASE = {
@@ -962,6 +877,18 @@ BENCH_CASE = {
          "tree_paths": [["animal_fox"]]},
     ],
     "trace": {"metadata": {"seed": 0}, "steps": [{"t": 1, "input": "", "output": "a fox", "labels": ["animal_fox"]}]},
+}
+DECODED_TRACE = [{"meta": {"seed": 1}}, {"t": 1, "input": "go", "output": "a bad move", "labels": ["bad"]}]
+# The reports an audit of DECODED_TRACE against "G !bad" writes.
+DECODED_ENTRY = {"t": 1, "input": "go", "output": "a bad move", "labels": ["bad"], "residual": "false"}
+DECODED_REPORT = {"reports": [{**REPORT, "witnesses": [{"verdict": "violated", "entries": [DECODED_ENTRY]}]}]}
+DECODED_CONFIG = {"constraints": [{"id": "no_bad", "formula": "G !bad"}]}
+# Each file a trace, report or bench file is decoded from: its path, a valid
+# document of it, and the command that reads it.
+DECODED_FILES = {
+    "trace": ("t.jsonl", DECODED_TRACE, "audit t.jsonl --config c.json"),
+    "report": ("r.json", DECODED_REPORT, "audit t.jsonl --config c.json --f1-against r.json"),
+    "bench": ("b.jsonl", [BENCH_CASE], "bench eval --bench b.jsonl --judge coinflip"),
 }
 # Each table a trace, report or bench file is decoded through, by name: its
 # keys, the file, and the path to one object it reads there.  The path into
@@ -998,15 +925,7 @@ def run_main(argv):
 @pytest.mark.parametrize("row", OTHER_ROWS, ids=[row.name for row in OTHER_ROWS])
 def test_case(row, tmp_path, monkeypatch):
     """Each row of ``cli_cases.py`` outside the three families, run in-process."""
-    run_row(row, tmp_path, monkeypatch)
-
-
-def write_decoded(path, doc):
-    """Write ``doc`` to ``path``: as JSONL, one line per item, if ``path`` is a JSONL file."""
-    if path.suffix == ".jsonl":
-        path.write_text("".join(json.dumps(line) + "\n" for line in doc), encoding="utf-8")
-    else:
-        write_json(path, doc)
+    run_rows([row], tmp_path, monkeypatch)
 
 
 class TestEveryDecodedKeyOfAnotherKind:
@@ -1016,39 +935,64 @@ class TestEveryDecodedKeyOfAnotherKind:
     names the file, and the line of a JSONL file."""
 
     @pytest.mark.parametrize("keys, file, path", list(DECODED_TABLES.values()), ids=list(DECODED_TABLES))
-    def test_exit_2_with_one_error_line(self, tmp_path, keys, file, path):
-        config, trace, report, bench = (tmp_path / name for name in ("c.json", "t.jsonl", "r.json", "b.jsonl"))
-        write_json(config, {"constraints": [{"id": "no_bad", "formula": "G !bad"}]})
-        write_decoded(trace, [{"meta": {"seed": 1}}, {"t": 1, "input": "go", "output": "a bad move", "labels": ["bad"]}])
-        audit = ["audit", str(trace), "--config", str(config)]
-        assert run_main([*audit, "--out", str(report)])[0] == 1
-        write_decoded(bench, [BENCH_CASE])
-        target, argv = {
-            "trace": (trace, audit),
-            "report": (report, [*audit, "--f1-against", str(report)]),
-            "bench": (bench, ["bench", "eval", "--bench", str(bench), "--judge", "coinflip"]),
-        }[file]
-        base = json.loads(report.read_text(encoding="utf-8")) if file == "report" else [
-            json.loads(line) for line in target.read_text(encoding="utf-8").splitlines()
+    def test_exit_2_with_one_error_line(self, tmp_path, monkeypatch, keys, file, path):
+        target, base, cmd = DECODED_FILES[file]
+        assert value_at(base, path) is not None
+        files = {"c.json": DECODED_CONFIG, "t.jsonl": DECODED_TRACE}
+        located = re.escape(f"error: {target}: " + (f"line {path[0] + 1}: " if target.endswith(".jsonl") else ""))
+        rows = [case(f"{file}-base", cmd, EXIT_0_OR_1, files=files | {target: base})] + [
+            # A dropped key may leave another fault first: a meta line without
+            # "meta" is a step without "t".
+            case(f"{file}-{key}-{name}", cmd, files=files | {target: replaced(base, path, change)},
+                 err_re=located + (".*\n" if name == "dropped" else rf".*{re.escape(key)}.*\n"))
+            for key, kind in keys.items()
+            for name, change in shapes(key, kind, keys).items()
+            if name != "misspelled"
         ]
-        assert value_at(base, path) is not None and run_main(argv)[0] in (0, 1)
-        located = f"error: {target}: line {path[0] + 1}: " if target.suffix == ".jsonl" else f"error: {target}: "
-        faults = [(key, {key: wrong}) for key, kind in keys.items() for wrong in wrong_values(kind)]
-        failures = []
-        for key, change in faults + [(key, None) for key in keys.required]:
-            drop = change is None
-            write_decoded(target, replaced(
-                base, path, lambda obj: {k: v for k, v in obj.items() if k != key} if drop else {**obj, **change}
-            ))
-            code, stdout, err = run_main(argv)
-            lines = err.splitlines()
-            # A dropped key may leave another fault first: a meta line
-            # without "meta" is a step without "t".
-            if (code, stdout, len(lines)) != (2, "", 1) or not (
-                lines[0].startswith(located) and (drop or key in lines[0])
-            ):
-                failures.append((key, change, code, lines))
-        assert failures == []
+        run_rows(rows, tmp_path, monkeypatch)
+
+
+# Each input kind, with a valid document of it: the file it is read from,
+# the files beside it, the command that reads it, and the exit codes that
+# command may end with.  The judge's endpoint refuses at once, and is tried once.
+EDGE_TRACE = [*DECODED_TRACE, {"t": 2, "input": None, "output": "ok move"}]
+EDGE_JUDGE = {**ENDPOINT, "retries": 1, "backoff": 0, "timeout": 5, "max_tokens": 16, "system_prompt": "judge"}
+EDGE_AUDIT = "audit trace.jsonl --config config.json --out out"
+EDGE_BASES = {
+    "audit-config": ("config.json", README_CONFIG, {"trace.jsonl": EDGE_TRACE}, EDGE_AUDIT, (0, 1, 2)),
+    "guard-config": ("config.json", README_CONFIG, {}, "guard --config config.json --max-steps 3 --out-dir out", (0, 2)),
+    "trace-line": ("trace.jsonl", EDGE_TRACE, {"config.json": README_CONFIG}, EDGE_AUDIT, (0, 1, 2)),
+    "bench-case": ("bench.jsonl", [BENCH_CASE], {}, "bench eval --bench bench.jsonl --judge oracle --out out", (0, 2)),
+    "judge-config": ("judge.json", EDGE_JUDGE, {"bench.jsonl": [BENCH_CASE]}, f"{JUDGE} --out out", (0, 2)),
+    "f1-report": (
+        "truth.json", DECODED_REPORT, {"config.json": DECODED_CONFIG, "trace.jsonl": DECODED_TRACE},
+        f"{EDGE_AUDIT} --f1-against truth.json", (0, 1, 2),
+    ),
+}
+
+
+class TestEveryValueOfEveryEdgeShape:
+    """Every value of a valid input of each kind, replaced in turn by null,
+    an empty string, array or object and a 100,000-character string, ends
+    with an exit code its command allows.  On exit 2 stdout is empty, stderr
+    is one error line, with a caret under a formula that does not parse, and
+    no output is left."""
+
+    @pytest.mark.parametrize("target, base, files, cmd, codes", EDGE_BASES.values(), ids=list(EDGE_BASES))
+    def test_keeps_the_exit_contract(self, tmp_path, monkeypatch, target, base, files, cmd, codes):
+        rows = [
+            case(
+                f"{'.'.join(map(str, path))}-{name}",
+                cmd,
+                codes,
+                files=files | {target: replaced(base, path, lambda _: value)},
+                err_re=r"error: .*\n(  .*\n +\^\n)?",
+                absent=("out",),
+            )
+            for path in paths(base)
+            for name, value in EDGE_VALUES.items()
+        ]
+        run_rows(rows, tmp_path, monkeypatch)
 
 
 class TestReadmeValueTypes:
@@ -1112,7 +1056,7 @@ class TestBenchCommands:
 
     @over_rows(MALFORMED_BENCH_ROWS)
     def test_eval_malformed_input_exit_2(self, row, tmp_path, monkeypatch):
-        run_row(row, tmp_path, monkeypatch)
+        run_rows([row], tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("suite", ["constraint", "proposition"])
     def test_gen_gap_passed_through(self, capsys, tmp_path, suite):
@@ -1167,7 +1111,7 @@ class TestBenchCommands:
         run_cli(["bench", "gen", "--suite", "elasticity", "--count", "1", "--out", str(bench)], capsys)
         (constraint,) = json.loads(bench.read_text(encoding="utf-8"))["constraints"]
         with MockEndpoint(lambda body: "VALID") as mock:
-            write_json(judge, {"base_url": mock.base_url, "model": "m"})
+            write(judge, {"base_url": mock.base_url, "model": "m"})
             code, _, _ = run_cli(
                 [
                     "bench", "eval", "--bench", str(bench), "--judge", "endpoint",
@@ -1190,7 +1134,7 @@ class TestDeterminism:
 
     def test_guard_outputs_byte_identical(self, tmp_path):
         config = tmp_path / "config.json"
-        write_json(config, GUARD_CONFIG)
+        write(config, GUARD_CONFIG)
         results = []
         for name in ("one", "two"):
             out_dir = tmp_path / name
@@ -1277,7 +1221,7 @@ class TestLabelerHistories:
 
     def test_audit_relabel(self, capsys, tmp_path, monkeypatch):
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         rows = [
             {"t": t, "input": f"in {t}" if t % 4 == 1 else "", "output": ("bad", "goal", "idle")[t % 3],
              "labels": ["goal"] if t % 5 == 0 else []}
@@ -1304,7 +1248,7 @@ class TestLabelerHistories:
     def test_guard(self, capsys, tmp_path, monkeypatch, strategy, digest):
         config = tmp_path / "config.json"
         policy = {"strategy": strategy, "tau": 0.3, "n": 3, "k": 2, "m": 3}
-        write_json(config, {**GUARD_CONFIG, "policy": policy})
+        write(config, {**GUARD_CONFIG, "policy": policy})
         code, actual = _spied_run(
             ["guard", "--config", str(config), "--max-steps", "30", "--seed", "5", "--out-dir", str(tmp_path / "run")],
             capsys,
@@ -1362,7 +1306,7 @@ class TestGuardOutputBytes:
                 continue
             out_dir = tmp_path / f"{pattern}-{mode}"
             policy = {"strategy": strategy, "tau": 0.3, "n": 3, "k": 2, "m": 3, "pattern": pattern}
-            write_json(config, {**GUARD_BYTES_CONFIG, "policy": policy, "mode": mode})
+            write(config, {**GUARD_BYTES_CONFIG, "policy": policy, "mode": mode})
             code, _, _ = run_cli(
                 ["guard", "--config", str(config), "--max-steps", "60", "--seed", "3", "--out-dir", str(out_dir)],
                 capsys,
@@ -1409,7 +1353,7 @@ class TestInputFaultsNameTheFile:
 
     def test_non_ascii_trace_still_audits(self, capsys, tmp_path):
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
-        write_json(config, RULE_CONFIG)
+        write(config, RULE_CONFIG)
         write_trace(trace, ["café", "a bad move — über"])
         code, out, _ = run_cli(["audit", str(trace), "--config", str(config)], capsys)
         assert code == 1
@@ -1419,7 +1363,7 @@ class TestInputFaultsNameTheFile:
         config, template = tmp_path / "config.json", tmp_path / "reminder.txt"
         template.write_text("Mind the rules:\n{constraints}\n", encoding="utf-8")
         policy = {"strategy": "inject", "tau": 0.0, "n": 3, "k": 1, "m": 4, "template_path": str(template)}
-        write_json(config, {**GUARD_CONFIG, "policy": policy})
+        write(config, {**GUARD_CONFIG, "policy": policy})
         code, _, _ = run_cli(
             ["guard", "--config", str(config), "--max-steps", "3", "--out-dir", str(tmp_path / "run")], capsys
         )
@@ -1455,7 +1399,7 @@ class TestEndpointFaults:
         config, out_dir = tmp_path / "config.json", tmp_path / "run"
         with MockEndpoint(healthy=["ok move"] * 2, **fault) as mock:
             model = {**ENDPOINT, "base_url": mock.base_url, "timeout": 0.5, "retries": 1, "backoff": 0}
-            write_json(config, {**GUARD_CONFIG, "model": model, "policy": {"strategy": "none"}})
+            write(config, {**GUARD_CONFIG, "model": model, "policy": {"strategy": "none"}})
             code, out, err = run_cli(
                 ["guard", "--config", str(config), "--max-steps", "5", "--out-dir", str(out_dir)], capsys
             )
@@ -1472,7 +1416,7 @@ class TestEndpointFaults:
         bench, judge = tmp_path / "bench.jsonl", tmp_path / "judge.json"
         bench.write_text(2 * (json.dumps(bench_case(FOX_STEP)) + "\n"), encoding="utf-8")
         with MockEndpoint(healthy=["VALID"], raw_body=b"not json") as mock:
-            write_json(judge, {"base_url": mock.base_url, "model": "m", "retries": 1, "backoff": 0})
+            write(judge, {"base_url": mock.base_url, "model": "m", "retries": 1, "backoff": 0})
             code, out, err = run_cli(
                 ["bench", "eval", "--bench", str(bench), "--judge", "endpoint", "--judge-config", str(judge)], capsys
             )

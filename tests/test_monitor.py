@@ -325,6 +325,26 @@ class TestSparseStepping:
         assert Counting.calls < 20
 
 
+def run_session(strategy, **fields):
+    """A 300-step guard session at seed 5 of a scripted model on three
+    constraints over ``bad`` and ``ok``, under ``strategy``."""
+    session = GuardedSession(
+        model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
+        labeler=RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"}),
+        constraints={
+            "no_bad": parse("G !bad"),
+            "bad_then_ok": parse("G (bad -> F ok)"),
+            "ok_then_bad": parse("F (ok & X F bad)"),
+        },
+        policy=InterventionPolicy(strategy=strategy, tau=0.5, n=5, k=3, m=5),
+        seed=5,
+        **fields,
+    )
+    for _ in range(300):
+        guard_step(session, "")
+    return session
+
+
 class TestProductStates:
     """A session's constraints stepped as one interned product state."""
 
@@ -367,20 +387,7 @@ class TestProductStates:
             return successor
 
         monkeypatch.setattr(Product, "step", spy)
-        labeler = RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"})
-        session = GuardedSession(
-            model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
-            labeler=labeler,
-            constraints={
-                "no_bad": parse("G !bad"),
-                "bad_then_ok": parse("G (bad -> F ok)"),
-                "ok_then_bad": parse("F (ok & X F bad)"),
-            },
-            policy=InterventionPolicy(strategy="resample", tau=0.5, n=5, k=3, m=5),
-            seed=5,
-        )
-        for _ in range(300):
-            guard_step(session, "")
+        run_session("resample")
         assert len(reached) > 10_000
         by_members: dict[tuple, set[int]] = {}
         for state in reached:
@@ -388,6 +395,14 @@ class TestProductStates:
             by_members.setdefault(members, set()).add(id(state))
         assert len(by_members) <= 8
         assert all(len(ids) == 1 for ids in by_members.values())
+
+    @pytest.mark.parametrize("strategy", ["none", "inject", "switch"])
+    def test_other_strategies_reach_few_interned_products(self, strategy):
+        session = run_session(strategy, substitute=ScriptedModel(distributions=((("ok move", 1.0),),)))
+        assert any(outcome.intervened for outcome in session.outcomes) == (strategy != "none")
+        # Every product reached from the session's root, by its steps and
+        # its rollouts, is interned in the one table the root holds.
+        assert len(session.states._table) <= 8
 
 
 class TestRenderMemo:
