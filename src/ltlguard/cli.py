@@ -73,10 +73,11 @@ def _print_caret(err: BaseException | None) -> None:
         err = err.__cause__
     if err is None:
         return
-    lines = err.text.splitlines() or [""]
-    if 1 <= err.line <= len(lines):
-        _human(f"  {lines[err.line - 1]}")
-        _human("  " + " " * (err.column - 1) + "^")
+    # Lines split at "\n" alone, as the parser counts them; the indent keeps
+    # the line's tabs so the caret lands under the column in any tab width.
+    line = err.text.split("\n")[err.line - 1]
+    _human(f"  {line}")
+    _human("  " + "".join(c if c == "\t" else " " for c in line[: err.column - 1]) + "^")
 
 
 def _parse_labels(text: str) -> TruthAssignment:

@@ -6,12 +6,16 @@ tightest: ``->``, ``|``, ``&``, ``U`` (all right-assoc), unary (``!``,
 accepted for every operator so that the symbolic rendering parses back.
 Given a residual automaton, the parser builds each node through its
 normalizing constructors, so no plain tree is built and walked again.
+
+One operator-precedence pass (Dijkstra's shunting yard) reads the tokens
+with two explicit stacks and no recursion, so no depth or length of input
+reaches Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .ast import ATOM, FALSE, IDENT, SYNTAX, TRUE, UNARY, Formula, Prop
 
@@ -26,18 +30,11 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.expected = expected
-        self.text = ""  # the whole input, filled in by ``parse``
+        self.text = ""  # the whole input, filled in by the parser
         detail = f"{message} at line {line}, column {column}"
         if expected:
             detail += f" (expected one of: {', '.join(expected)})"
         super().__init__(detail)
-
-
-class Token(NamedTuple):
-    text: str  # "" at the end of input
-    line: int
-    column: int
-    node: type[Formula] | None  # the class the spelling denotes; None for parentheses and the end
 
 
 _SPELLINGS = {
@@ -56,6 +53,7 @@ _TOKEN = re.compile(
 )
 
 _CONSTANTS = {type(c): c for c in (TRUE, FALSE)}
+_UNARY = frozenset(cls for cls, syntax in SYNTAX.items() if syntax.strength == UNARY)
 _BINARY = {cls: syntax.strength for cls, syntax in SYNTAX.items() if syntax.strength < UNARY}
 
 _ATOM_EXPECTED = (
@@ -66,81 +64,16 @@ _ATOM_EXPECTED = (
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: index of the current line's first character
-    multiline = "\n" in text
-    end = 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if multiline and (newlines := text.count("\n", m.start(), start)):
-            line += newlines
-            line_start = text.rindex("\n", 0, start) + 1
-        word, column = text[start:end], start - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unknown operator or character {word!r}", line, column)
-        tokens.append(Token(word, line, column, _SPELLINGS.get(word, Prop if kind == "word" else None)))
-    if multiline and (newlines := text.count("\n", end)):
-        line += newlines
-        line_start = text.rindex("\n") + 1
-    tokens.append(Token("", line, len(text) - line_start + 1, None))
-    return tokens
-
-
-def _unexpected(tok: Token) -> str:
-    return f"unexpected {tok.text!r}" if tok.text else "unexpected end of input"
+def _error(message: str, text: str, index: int, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ``ParseError`` at ``text[index]``; lines start after each ``\\n``."""
+    line_start = text.rfind("\n", 0, index) + 1
+    err = ParseError(message, text.count("\n", 0, index) + 1, index - line_start + 1, expected)
+    err.text = text
+    return err
 
 
 def _tree(cls: type[Formula], *children: Formula | str) -> Formula:
     return cls(*children)
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], build) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.build = build  # (node class, *children) -> node; a proposition's child is its name
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def binary(self, strength: int = 1) -> Formula:
-        """Operands joined by the binary operators of ``strength`` or tighter.
-
-        Precedence climbing: an operator's right operand takes every later
-        operator binding at least as tight, so each binds right-associatively.
-        """
-        left = self.operand()
-        while True:
-            op_strength = _BINARY.get(self.peek().node)
-            if op_strength is None or op_strength < strength:
-                return left
-            node = self.advance().node
-            left = self.build(node, left, self.binary(op_strength))
-
-    def operand(self) -> Formula:
-        tok = self.advance()
-        node = tok.node
-        if node is Prop:
-            return self.build(Prop, tok.text)
-        if node in _CONSTANTS:
-            return _CONSTANTS[node]
-        if node is not None and SYNTAX[node].strength == UNARY:
-            return self.build(node, self.operand())
-        if tok.text == "(":
-            inner = self.binary()
-            closing = self.peek()
-            if closing.text != ")":
-                raise ParseError("unbalanced parentheses", closing.line, closing.column, expected=("')'",))
-            self.advance()
-            return inner
-        raise ParseError(_unexpected(tok), tok.line, tok.column, expected=_ATOM_EXPECTED)
 
 
 def parse(text: str, automaton: ProgressionCache | None = None) -> Formula:
@@ -155,17 +88,59 @@ def parse(text: str, automaton: ProgressionCache | None = None) -> Formula:
 def parse_written(text: str, automaton: ProgressionCache | None = None) -> tuple[Formula, frozenset[str]]:
     """``parse(text, automaton)`` and the proposition names of the text's
     tokens, which include any that normalizing drops (``q`` in ``G (q | true)``)."""
-    try:
-        tokens = tokenize(text)
-        parser = _Parser(tokens, _tree if automaton is None else automaton.build)
-        phi = parser.binary()
-        trailing = parser.peek()
-        if trailing.text == ")":
-            raise ParseError("unbalanced parentheses", trailing.line, trailing.column)
-        if trailing.text:
-            raise ParseError(f"{_unexpected(trailing)} after formula", trailing.line, trailing.column)
-    except ParseError as err:
-        err.text = text
-        raise
-    written = frozenset(tok.text for tok in tokens if tok.node is Prop)
+    build = _tree if automaton is None else automaton.build  # a proposition's child is its name
+    tokens = []  # (spelling, index, node class); the class is None for parentheses and the end
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, index = m[kind], m.start(kind)
+        if kind == "bad":
+            raise _error(f"unknown operator or character {word!r}", text, index)
+        tokens.append((word, index, _SPELLINGS.get(word, Prop if kind == "word" else None)))
+    tokens.append(("", len(text), None))
+
+    operands: list[Formula] = []
+    pending: list[type[Formula] | None] = []  # operators not yet applied; None marks an open "("
+    want_operand = True
+    for word, index, node in tokens:
+        if want_operand:
+            if node is Prop:
+                operands.append(build(Prop, word))
+            elif node in _CONSTANTS:
+                operands.append(_CONSTANTS[node])
+            elif node in _UNARY or word == "(":
+                pending.append(node)
+                continue
+            else:
+                unexpected = f"unexpected {word!r}" if word else "unexpected end of input"
+                raise _error(unexpected, text, index, _ATOM_EXPECTED)
+        else:
+            # Apply the pending binary operators that bind tighter than this
+            # token: an equal one stays pending, so each binds to the right.
+            # Any other token binds loosest; after it, an open "(" is on top,
+            # or nothing is pending.
+            strength = _BINARY.get(node, 0)
+            while pending and _BINARY.get(pending[-1], 0) > strength:
+                right = operands.pop()
+                operands[-1] = build(pending.pop(), operands[-1], right)
+            if strength:
+                pending.append(node)
+                want_operand = True
+                continue
+            if pending and word == ")":
+                pending.pop()
+            elif pending:
+                raise _error("unbalanced parentheses", text, index, ("')'",))
+            elif word == ")":
+                raise _error("unbalanced parentheses", text, index)
+            elif word:
+                raise _error(f"unexpected {word!r} after formula", text, index)
+            else:
+                break
+        # An operand is complete: apply the unary operators written before it.
+        while pending and pending[-1] in _UNARY:
+            operands.append(build(pending.pop(), operands.pop()))
+        want_operand = False
+
+    (phi,) = operands
+    written = frozenset(word for word, _, node in tokens if node is Prop)
     return (phi if automaton is None else automaton.normalize(phi)), written

@@ -105,7 +105,8 @@ def check(row: Case, run: Callable[[list[str]], tuple[int, str, str]], workdir: 
         problems.append(f"stderr is not {row.err_is!r}")
     if row.err_has not in stderr:
         problems.append(f"stderr does not contain {row.err_has!r}")
-    if row.out is not None and not row.out(stdout, workdir):
+    # A run that already failed may have left no stdout for ``out`` to read.
+    if row.out is not None and not problems and not row.out(stdout, workdir):
         problems.append(f"stdout fails its check: {stdout[:200]!r}")
     return problems + [f"stderr was {stderr[:2000]!r}"] * bool(problems)
 
@@ -446,6 +447,25 @@ CASES = [
         err_is="error: unexpected end of input at line 1, column 7 (expected one of: identifier, 'true', 'false',"
         " '(', '!', 'G', 'F', 'X')\n  G(a ->\n        ^\n",
     ),
+    # Lines split at "\n" alone, and the caret's indent keeps the line's tabs.
+    case(
+        "parse-error-caret-after-tabs",
+        'parse "\t\ta &&"',
+        err_is="error: unexpected '&' at line 1, column 6 (expected one of: identifier, 'true', 'false', '(', '!',"
+        " 'G', 'F', 'X')\n  \t\ta &&\n  \t\t   ^\n",
+    ),
+    case(
+        "parse-error-caret-past-carriage-return",
+        'parse "a &\r b %"',
+        err_is="error: unknown operator or character '%' at line 1, column 8\n  a &\r b %\n         ^\n",
+    ),
+    # The parser keeps its own stacks, so nesting depth meets no recursion limit.
+    case(
+        "parse-deep-parentheses",
+        f'parse "{"(" * 5000}p{")" * 5000}"',
+        0,
+        out=lambda out, _: json.loads(out)["canonical"] == "p",
+    ),
     case(
         "progress-labels-and-steps-file",
         'progress "F p" --labels q --steps-file steps.txt',
@@ -496,6 +516,16 @@ CASES = [
         )
         for formula_id, formula in GROWING_FORMULAS.items()
         for mode in ("plain", "reset")
+    ),
+    case(
+        "audit-deep-parentheses",
+        AUDIT,
+        1,
+        files={
+            "config.json": {"constraints": [{"id": "c", "formula": f"G ({'(' * 2000}!bad{')' * 2000})"}]},
+            "trace.jsonl": [{"t": 1, "output": "step", "labels": ["bad"]}],
+        },
+        out=lambda out, _: json.loads(out)["reports"][0]["verdicts"] == ["violated"],
     ),
     case(
         "audit-without-config",
@@ -961,8 +991,9 @@ CASES = [
 
 
 def run_script(script: str, argv: list[str], workdir: Path) -> tuple[int, str, str]:
-    proc = subprocess.run([script, *argv], cwd=workdir, capture_output=True, text=True, encoding="utf-8")
-    return proc.returncode, proc.stdout, proc.stderr
+    # Decoded by hand: text mode would turn a "\r" the script echoes into "\n".
+    proc = subprocess.run([script, *argv], cwd=workdir, capture_output=True)
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
 def main() -> int:

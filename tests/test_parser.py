@@ -1,6 +1,7 @@
 """Grammar, precedence, rendering, and round-trip behavior."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from ltlguard.ltl import (
     props_of,
     render,
 )
+from ltlguard.ltl.ast import SYNTAX
 from helpers import DEFAULT_PROPS, random_formula
 
 
@@ -177,6 +179,108 @@ class TestParseErrors:
     def test_bad_prop_charset_rejected(self):
         with pytest.raises(ValueError, match="proposition"):
             Prop("has space")
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality by an explicit stack, for trees too deep for the
+    dataclass ``==``, which recurses."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, str):
+            if x != y:
+                return False
+            continue
+        stack += [(getattr(x, name), getattr(y, name)) for name in x.__match_args__]
+    return True
+
+
+class TestDeepInput:
+    """The parser keeps its own stacks: no depth or length meets Python's
+    recursion limit."""
+
+    N = 10_000
+
+    def test_nested_next(self):
+        expected = Prop("p")
+        for _ in range(self.N):
+            expected = Next(expected)
+        text = "X " * self.N + "p"
+        assert same_tree(parse(text), expected)
+        assert same_tree(parse(text, ProgressionCache()), expected)
+
+    def test_nested_parentheses(self):
+        text = "(" * self.N + "p" + ")" * self.N
+        assert parse(text) == Prop("p")
+        cache = ProgressionCache()
+        assert parse(text, cache) is cache.build(Prop, "p")
+
+    @pytest.mark.parametrize("cls", [And, Or, Implies, Until], ids=lambda cls: cls.__name__)
+    def test_chain_is_right_nested(self, cls):
+        props = [Prop(f"p{i}") for i in range(self.N)]
+        expected = props[-1]
+        for prop in reversed(props[:-1]):
+            expected = cls(prop, expected)
+        phi, written = parse_written(f" {SYNTAX[cls].ascii} ".join(p.name for p in props))
+        assert same_tree(phi, expected)
+        assert written == {p.name for p in props}
+
+
+class TestFuzzedParseOutcomes:
+    """Random strings over the formula alphabet and its faults, each parsed
+    plain and into an automaton."""
+
+    PIECES = (
+        "p", "q_1", "G", "F", "X", "U", "true", "false", "Gp", "!", "&", "|", "->",
+        "¬", "∧", "∨", "→", "□", "◇", "○", "(", ")", " ", "\n", "\t", "\r", "%", "-",
+    )
+    GAPS = (" ", " ", "", "\n", "\t", "\r")
+
+    def random_text(self, rng: random.Random) -> str:
+        """Random pieces, or a rendered random formula with random gaps and,
+        half the time, one random piece spliced in."""
+        if rng.random() < 0.5:
+            return "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 12)))
+        text = render(random_formula(rng, rng.randint(0, 4)), rng.choice(("ascii", "symbolic")))
+        text = "".join(rng.choice(self.GAPS) if c == " " else c for c in text)
+        if rng.random() < 0.5:
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(self.PIECES) + text[i + rng.randint(0, 1) :]
+        return text
+
+    def test_plain_and_automaton_agree_and_errors_point_at_their_token(self):
+        rng = random.Random(30)
+        cache = ProgressionCache()
+        errors = 0
+        for _ in range(20_000):
+            text = self.random_text(rng)
+            try:
+                plain, plain_written = parse_written(text)
+            except ParseError as err:
+                errors += 1
+                with pytest.raises(ParseError) as built:
+                    parse_written(text, cache)
+                fields = ("args", "line", "column", "expected", "text")
+                assert [getattr(built.value, f) for f in fields] == [getattr(err, f) for f in fields]
+                assert err.text == text
+                # The caret's invariant: the line holds the token at the column.
+                lines = text.split("\n")
+                line, message = lines[err.line - 1], str(err)
+                at = line[err.column - 1 :]
+                if at:
+                    quoted = re.match(r"(?:unexpected|unknown operator or character) '(.+?)'", message)
+                    assert not at[0].isspace() and "end of input" not in message
+                    assert at.startswith(quoted[1]) if quoted else message.startswith("unbalanced parentheses")
+                else:
+                    assert (err.line, err.column) == (len(lines), len(line) + 1)
+                    assert message.startswith(("unexpected end of input", "unbalanced parentheses"))
+            else:
+                built, built_written = parse_written(text, cache)
+                assert built is cache.normalize(plain)
+                assert built_written == plain_written
+        assert 5_000 < errors < 15_000, errors
 
 
 class TestRender:
