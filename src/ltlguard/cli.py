@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import EMBEDDED, ConfigError, build_labeler, build_model, endpoint_spec, load_config, read_json
 from .intervention import GuardedSession, run_guarded, violation_rate
 from .ltl import Formula, ParseError, ProgressionCache, TruthAssignment, parse, render
-from .ltl.ast import SYNTAX
+from .ltl.ast import SYNTAX, fold
 from .monitor import CrossCheckError, audit_log, new_state, score_f1, step
 from .synthbench import (
     LEVELS,
@@ -58,13 +58,9 @@ def _human(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _ast_dict(node: Formula | str) -> dict | str:
-    if isinstance(node, str):  # a proposition's name
-        return node
-    return {
-        "kind": SYNTAX[type(node)].kind,
-        **{name: _ast_dict(getattr(node, name)) for name in node.__match_args__},
-    }
+def _ast_dict(node: Formula, *parts: dict | str) -> dict:
+    """``fold``'s visit for the AST dump of ``ltlguard parse``."""
+    return {"kind": SYNTAX[type(node)].kind, **dict(zip(node.__match_args__, parts))}
 
 
 def _print_caret(err: BaseException | None) -> None:
@@ -110,7 +106,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     document = {
         "canonical": render(ProgressionCache().normalize(phi), "ascii"),
         "parsed": render(phi, "ascii"),
-        "ast": _ast_dict(phi),
+        "ast": fold(phi, _ast_dict),
     }
     write_json(document)
     return EXIT_OK

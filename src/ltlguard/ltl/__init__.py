@@ -17,8 +17,6 @@ from .ast import (
     TruthAssignment,
     Until,
     Verdict,
-    node_count,
-    props_of,
 )
 from .lasso import evaluate_lasso
 from .parser import ParseError, parse, parse_written
@@ -45,11 +43,9 @@ __all__ = [
     "Until",
     "Verdict",
     "evaluate_lasso",
-    "node_count",
     "parse",
     "parse_written",
     "progress",
-    "props_of",
     "render",
     "simplify",
     "verdict_of",

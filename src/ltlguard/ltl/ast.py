@@ -4,17 +4,20 @@ Nodes are immutable, hashable dataclasses; every rewrite builds new values.
 Structural equality (generated ``__eq__``) is the equality of the reference
 semantics.  Within one ``ProgressionCache`` (see ``progression``) equal
 nodes are the same object, so the compiled monitor compares residuals by
-identity.  ``SYNTAX`` is the one table of their concrete syntax.
+identity.  ``SYNTAX`` is the one table of their concrete syntax, and
+``fold`` walks a formula without recursion.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 TruthAssignment = frozenset[str]
+T = TypeVar("T")
 
 IDENT = r"[A-Za-z0-9_]+"  # proposition names; the parser's identifiers
 _PROP_NAME = re.compile(IDENT + r"\Z")
@@ -138,25 +141,43 @@ SYNTAX: dict[type[Formula], Syntax] = {
 RESERVED_WORDS = frozenset(s.ascii for s in SYNTAX.values() if s.ascii.isalpha())
 
 
-def props_of(phi: Formula) -> frozenset[str]:
-    """Set of proposition names occurring in ``phi``."""
-    match phi:
-        case Prop(name):
-            return frozenset({name})
-        case Not(child) | Next(child) | Eventually(child) | Always(child):
-            return props_of(child)
-        case And(left, right) | Or(left, right) | Implies(left, right) | Until(left, right):
-            return props_of(left) | props_of(right)
-        case _:
-            return frozenset()
+def fold(phi: Formula, visit: Callable[..., T], memo: dict[int, T] | None = None) -> T:
+    """``visit(node, *parts)`` of every node of ``phi`` in post-order, where
+    ``parts`` are the results for the node's fields in field order and a
+    proposition's one part is its name; returns the result for ``phi``.
 
-
-def node_count(phi: Formula) -> int:
-    """Number of AST nodes in ``phi``."""
-    match phi:
-        case Not(child) | Next(child) | Eventually(child) | Always(child):
-            return 1 + node_count(child)
-        case And(left, right) | Or(left, right) | Implies(left, right) | Until(left, right):
-            return 1 + node_count(left) + node_count(right)
-        case _:
-            return 1
+    The walk keeps its own stacks, so no depth meets Python's recursion
+    limit, and a result is held only until its parent's visit.  ``memo``,
+    if given, maps ``id(node)`` to the result for a node; ``fold`` reads
+    and extends it, so a subformula shared within ``phi``, or folded by an
+    earlier call with the same memo, is visited once.  It is sound only
+    while every node folded into it stays alive.
+    """
+    if memo is not None and id(phi) in memo:
+        return memo[id(phi)]
+    results: list[T] = []
+    stack: list[tuple[object, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            fields = node.__match_args__
+            if len(fields) == 2:
+                right = results.pop()
+                result = visit(node, results.pop(), right)
+            else:
+                result = visit(node, results.pop()) if fields else visit(node)
+        elif memo is not None and id(node) in memo:
+            results.append(memo[id(node)])
+            continue
+        elif type(node) is Prop:
+            result = visit(node, node.name)
+        elif isinstance(node, Formula):
+            stack.append((node, True))
+            stack += [(getattr(node, name), False) for name in reversed(node.__match_args__)]
+            continue
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        if memo is not None:
+            memo[id(node)] = result
+        results.append(result)
+    return results[0]

@@ -28,6 +28,7 @@ from .ast import (
     TruthAssignment,
     Until,
     Verdict,
+    fold,
 )
 
 
@@ -147,10 +148,6 @@ def simplify(phi: Formula) -> Formula:
             return TRUE
         return Implies(left, right)
     raise TypeError(f"not a formula: {phi!r}")
-
-
-# Each composite node class's children, in field order.
-_FIELDS = {cls: cls.__match_args__ for cls in (Not, And, Or, Implies, Next, Until, Eventually, Always)}
 
 
 def _operands(kind: type, phi: Formula) -> list[Formula]:
@@ -280,26 +277,18 @@ class ProgressionCache:
             if left is FALSE:
                 return TRUE
             return self._node(Implies, left, right)
-        raise TypeError(f"not a formula class: {cls!r}")
-
-    def _normalize(self, phi: Formula) -> Formula:
-        kind = type(phi)
-        if kind is Prop:
-            return self.build(Prop, phi.name)
-        if kind is TrueBool:
+        if cls is TrueBool:
             return TRUE
-        if kind is FalseBool:
+        if cls is FalseBool:
             return FALSE
-        if kind not in _FIELDS:
-            raise TypeError(f"not a formula: {phi!r}")
-        return self.build(kind, *[self._normalize(getattr(phi, name)) for name in _FIELDS[kind]])
+        raise TypeError(f"not a formula class: {cls!r}")
 
     def _state(self, phi: Formula) -> tuple:
         # A formula this automaton built (every node is kept alive, so its
         # identity is unique) is already normal; any other is normalized.
         state = self._states.get(id(phi))
         if state is None:
-            node = phi if id(phi) in self._props else self._normalize(phi)
+            node = phi if id(phi) in self._props else fold(phi, lambda f, *parts: self.build(type(f), *parts))
             state = self._states.get(id(node))
             if state is None:
                 state = self._states[id(node)] = (self._props[id(node)], {}, (node, verdict_of(node)))
@@ -333,49 +322,51 @@ class ProgressionCache:
 
     def _progress(self, phi: Formula, sigma: TruthAssignment) -> Formula:
         # The transition table's miss: progress a node of this automaton
-        # through the normalizing constructors, each shared subformula once.
+        # through the normalizing constructors, children before parents on
+        # an explicit stack and each shared subformula once.  An ``X``
+        # operand is the successor as it is, so the walk never enters one.
         done: dict[int, Formula] = {}
         not_, and_, or_ = self._not, self._and, self._or
-
-        def go(f: Formula) -> Formula:
-            result = done.get(id(f))
-            if result is not None:
-                return result
+        stack: list[tuple[Formula, bool]] = [(phi, False)]
+        while stack:
+            f, expanded = stack.pop()
             # Dispatch on the exact class: every node here was built by
             # this automaton, and a chain of class tests is cheaper than
             # class patterns on the miss path.
             kind = type(f)
-            if kind is Prop:
+            if expanded:
+                if kind is And:
+                    result = and_(done[id(f.left)], done[id(f.right)])
+                elif kind is Or:
+                    result = or_(done[id(f.left)], done[id(f.right)])
+                elif kind is Always:
+                    result = and_(done[id(f.child)], f)
+                elif kind is Eventually:
+                    result = or_(done[id(f.child)], f)
+                elif kind is Until:
+                    result = or_(done[id(f.right)], and_(done[id(f.left)], f))
+                elif kind is Not:
+                    result = not_(done[id(f.child)])
+                else:  # Implies
+                    result = or_(not_(done[id(f.left)]), done[id(f.right)])
+            elif id(f) in done:
+                continue
+            elif kind is Prop:
                 result = TRUE if f.name in sigma else FALSE
-            elif kind is And:
-                result = and_(go(f.left), go(f.right))
-            elif kind is Or:
-                result = or_(go(f.left), go(f.right))
-            elif kind is Always:
-                result = and_(go(f.child), f)
-            elif kind is Eventually:
-                result = or_(go(f.child), f)
-            elif kind is Until:
-                result = or_(go(f.right), and_(go(f.left), f))
             elif kind is Next:
                 result = f.child
-            elif kind is Not:
-                result = not_(go(f.child))
-            elif kind is Implies:
-                result = or_(not_(go(f.left)), go(f.right))
+            elif kind is And or kind is Or or kind is Until or kind is Implies:
+                stack += ((f, True), (f.right, False), (f.left, False))
+                continue
+            elif kind is Always or kind is Eventually or kind is Not:
+                stack += ((f, True), (f.child, False))
+                continue
             elif f is TRUE or f is FALSE:
                 result = f
             else:
                 raise TypeError(f"not a formula: {f!r}")
             done[id(f)] = result
-            return result
-
-        try:
-            return go(phi)
-        finally:
-            # ``go`` refers to itself through its closure; breaking that cycle
-            # lets reference counting free the automaton with its owner.
-            del go
+        return done[id(phi)]
 
 
 def verdict_of(phi: Formula) -> Verdict:

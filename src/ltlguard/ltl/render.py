@@ -9,52 +9,39 @@ the project README.
 
 from __future__ import annotations
 
-from .ast import ATOM, SYNTAX, UNARY, Formula, Syntax
+from functools import partial
 
-# Index of each style's spelling in a ``Syntax`` row.
-_STYLES = {style: Syntax._fields.index(style) for style in ("ascii", "symbolic")}
+from .ast import ATOM, SYNTAX, UNARY, Formula, Syntax, fold
 
 
-def _render(phi: Formula, style: int, memo: dict[int, str] | None) -> str:
-    if memo is not None:
-        text = memo.get(id(phi))
-        if text is not None:
-            return text
+def _render(style: int, phi: Formula, *parts: str) -> str:
+    # ``fold``'s visit, in the style whose spelling is ``Syntax[style]``.
     syntax = SYNTAX[type(phi)]
     op, strength = syntax[style], syntax.strength
     if strength == ATOM:
-        text = op or phi.name
-    elif strength == UNARY:
-        child = phi.child
-        text = _render(child, style, memo)
-        if SYNTAX[type(child)].strength < UNARY:
-            text = f"{op}({text})"
-        elif syntax.ascii.isalpha():
-            # Alphabetic operators need a space before an operand; the
-            # symbolic style spaces like the ascii one.
-            text = f"{op} {text}"
-        else:
-            text = f"{op}{text}"
-    else:
-        # Right-associative: parenthesize a left child of equal strength.
-        left, right = phi.left, phi.right
-        left_text, right_text = _render(left, style, memo), _render(right, style, memo)
-        if SYNTAX[type(left)].strength <= strength:
-            left_text = f"({left_text})"
-        if SYNTAX[type(right)].strength < strength:
-            right_text = f"({right_text})"
-        text = f"{left_text} {op} {right_text}"
-    if memo is not None:
-        memo[id(phi)] = text
-    return text
+        return op or parts[0]
+    if strength == UNARY:
+        (text,) = parts
+        if SYNTAX[type(phi.child)].strength < UNARY:
+            return f"{op}({text})"
+        # Alphabetic operators need a space before an operand; the symbolic
+        # style spaces like the ascii one.
+        return f"{op} {text}" if syntax.ascii.isalpha() else f"{op}{text}"
+    # Right-associative: parenthesize a left child of equal strength.
+    left_text, right_text = parts
+    if SYNTAX[type(phi.left)].strength <= strength:
+        left_text = f"({left_text})"
+    if SYNTAX[type(phi.right)].strength < strength:
+        right_text = f"({right_text})"
+    return f"{left_text} {op} {right_text}"
 
 
-def _phrase(node: Formula | str) -> str:
-    if isinstance(node, str):  # a proposition's name
-        return node
-    return SYNTAX[type(node)].english.format(
-        *(_phrase(getattr(node, name)) for name in node.__match_args__)
-    )
+# Each style's visit, by the style's name.
+_STYLES = {style: partial(_render, Syntax._fields.index(style)) for style in ("ascii", "symbolic")}
+
+
+def _phrase(phi: Formula, *parts: str) -> str:
+    return SYNTAX[type(phi)].english.format(*parts)
 
 
 def render(phi: Formula, style: str = "ascii", memo: dict[int, str] | None = None) -> str:
@@ -68,7 +55,7 @@ def render(phi: Formula, style: str = "ascii", memo: dict[int, str] | None = Non
     if style == "english":
         if memo is not None:
             raise ValueError("the english style takes no memo")
-        return f"{_phrase(phi)} must hold"
+        return f"{fold(phi, _phrase)} must hold"
     if style not in _STYLES:
         raise ValueError(f"unknown render style {style!r}")
-    return _render(phi, _STYLES[style], memo)
+    return fold(phi, _STYLES[style], memo)

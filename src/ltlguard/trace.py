@@ -205,7 +205,7 @@ def write_json(doc: object, path: str | Path | None = None) -> None:
     carries the indentation; only containers of containers are walked here.
     """
     chunks: list[str] = []
-    _indented(doc, "\n", chunks)
+    _indented(doc, chunks)
     chunks.append("\n")
     text = "".join(chunks)
     if path is None:
@@ -217,36 +217,42 @@ def write_json(doc: object, path: str | Path | None = None) -> None:
 _CONTAINERS = (list, tuple, dict)
 
 
-def _indented(value: object, newline: str, chunks: list[str]) -> None:
-    """Append ``value`` indented as ``json.dumps(..., indent=2)`` does at the
-    depth whose line break and indentation is ``newline``."""
-    if not isinstance(value, _CONTAINERS):
-        chunks.append(encode_basestring(value) if isinstance(value, str) else json.dumps(value))
-        return
-    if not value:
-        chunks.append("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = newline + "  "
-    items = value.values() if isinstance(value, dict) else value
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
-        text = json.dumps(value, ensure_ascii=False, separators=("," + inner, ": "))
-        chunks.append(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
-        return
-    separator = inner
-    if isinstance(value, dict):
-        chunks.append("{")
-        for key, item in value.items():
-            chunks.append(f"{separator}{encode_basestring(_key_text(key))}: ")
-            _indented(item, inner, chunks)
+def _indented(doc: object, chunks: list[str]) -> None:
+    """Append ``doc`` indented as ``json.dumps(..., indent=2)`` does.
+
+    The stack holds text to append and ``(value, newline)`` pairs to
+    expand, ``newline`` being the line break and indentation of the depth
+    the value starts at; the walk keeps its own stack because a document
+    can be as deep as a formula."""
+    stack: list[str | tuple[object, str]] = [(doc, "\n")]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            chunks.append(top)
+            continue
+        value, newline = top
+        if not isinstance(value, _CONTAINERS):
+            chunks.append(encode_basestring(value) if isinstance(value, str) else json.dumps(value))
+            continue
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            chunks.append(brackets)
+            continue
+        inner = newline + "  "
+        items = value.values() if brackets == "{}" else value
+        if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
+            text = json.dumps(value, ensure_ascii=False, separators=("," + inner, ": "))
+            chunks.append(f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}")
+            continue
+        keys = [f"{encode_basestring(_key_text(key))}: " for key in value] if brackets == "{}" else [""] * len(value)
+        chunks.append(brackets[0])
+        pending: list[str | tuple[object, str]] = []
+        separator = inner
+        for key, item in zip(keys, items):
+            pending += (separator + key, (item, inner))
             separator = "," + inner
-        chunks.append(newline + "}")
-    else:
-        chunks.append("[")
-        for item in value:
-            chunks.append(separator)
-            _indented(item, inner, chunks)
-            separator = "," + inner
-        chunks.append(newline + "]")
+        pending.append(newline + brackets[1])
+        stack += reversed(pending)
 
 
 def _key_text(key: object) -> str:

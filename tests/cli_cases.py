@@ -252,12 +252,12 @@ REPORT = {"constraint_id": "no_bad", "verdicts": ["violated"], "violations": 1, 
 ENTRY = {"t": 1, "residual": "F (a &"}
 NEEDS_LABELER = "guard mode needs a concrete labeler, not embedded labels"
 
-# Each residual gains a layer per step, over 200 steps of random labels.
+# Each residual gains a layer per step, over 600 steps of random labels.
 GROWING_FORMULAS = {"not-f-x-g": "!(F X G ok U G F !bad)", "f-g-until": "F G(!bad -> ok) U X F G ok"}
 GROWING_RNG = random.Random(24)
 GROWING_TRACE = [
     {"t": t, "output": "step", "labels": [p for p in ("ok", "bad") if GROWING_RNG.random() < 0.5]}
-    for t in range(1, 201)
+    for t in range(1, 601)
 ]
 
 # Values in the README config that the config reader rejects, each with
@@ -512,7 +512,7 @@ CASES = [
                 "config.json": {"constraints": [{"id": "c", "formula": formula}], "mode": mode},
                 "trace.jsonl": GROWING_TRACE,
             },
-            out=lambda out, _: len(json.loads(out)["reports"][0]["verdicts"]) == 200,
+            out=lambda out, _: len(json.loads(out)["reports"][0]["verdicts"]) == 600,
         )
         for formula_id, formula in GROWING_FORMULAS.items()
         for mode in ("plain", "reset")

@@ -27,6 +27,7 @@ from ltlguard.ltl import (
     Until,
     evaluate_lasso,
 )
+from ltlguard.ltl.ast import fold
 
 DEFAULT_PROPS = ("p0", "p1", "p2", "p3")
 
@@ -131,4 +132,30 @@ def lasso_equivalent(
         prefix, loop = random_lasso(rng, props, max_prefix, max_loop)
         if evaluate_lasso(a, prefix, loop) != evaluate_lasso(b, prefix, loop):
             return False
+    return True
+
+
+def props_of(phi: Formula) -> frozenset[str]:
+    """Set of proposition names occurring in ``phi``."""
+    return fold(phi, lambda node, *parts: frozenset(parts) if type(node) is Prop else frozenset().union(*parts))
+
+
+def node_count(phi: Formula) -> int:
+    """Number of AST nodes in ``phi``."""
+    return fold(phi, lambda node, *parts: 1 if type(node) is Prop else 1 + sum(parts))
+
+
+def same_tree(a, b) -> bool:
+    """Structural equality by an explicit stack, for trees too deep for the
+    dataclass ``==``, which recurses."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, str):
+            if x != y:
+                return False
+            continue
+        stack += [(getattr(x, name), getattr(y, name)) for name in x.__match_args__]
     return True

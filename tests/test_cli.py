@@ -213,7 +213,7 @@ class TestReferenceAgreement:
 class TestAuditCommand:
     def test_constant_temporal_operands_reduce_to_true(self, capsys, tmp_path):
         # Without the temporal unit laws the residual gains a layer per step
-        # and the audit dies of recursion depth within 300 steps.
+        # and never becomes true.
         config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
         write(config, {**RULE_CONFIG, "constraints": [{"id": "c", "formula": "X(G true U G true)"}]})
         write_trace(trace, ["idle"] * 300)

@@ -1,5 +1,6 @@
 """Grammar, precedence, rendering, and round-trip behavior."""
 
+import json
 import random
 import re
 
@@ -23,11 +24,13 @@ from ltlguard.ltl import (
     Until,
     parse,
     parse_written,
-    props_of,
     render,
+    verdict_of,
 )
+from ltlguard.cli import main
 from ltlguard.ltl.ast import SYNTAX
-from helpers import DEFAULT_PROPS, random_formula
+from ltlguard.monitor import REFERENCE
+from helpers import DEFAULT_PROPS, props_of, random_formula, same_tree
 
 
 class TestParse:
@@ -181,35 +184,102 @@ class TestParseErrors:
             Prop("has space")
 
 
-def same_tree(a, b) -> bool:
-    """Structural equality by an explicit stack, for trees too deep for the
-    dataclass ``==``, which recurses."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, str):
-            if x != y:
-                return False
-            continue
-        stack += [(getattr(x, name), getattr(y, name)) for name in x.__match_args__]
-    return True
+def deep(cls, n):
+    """The text of ``n`` nested ``X``s around ``p``, or of an ``n``-operand
+    chain of ``cls``, and the plain tree it parses to."""
+    if cls is Next:
+        phi = Prop("p")
+        for _ in range(n):
+            phi = Next(phi)
+        return "X " * n + "p", phi
+    props = [Prop(f"p{i}") for i in range(n)]
+    phi = props[-1]
+    for prop in reversed(props[:-1]):
+        phi = cls(prop, phi)
+    return f" {SYNTAX[cls].ascii} ".join(p.name for p in props), phi
+
+
+def spelled(cls, n, style):
+    """``deep(cls, n)``'s tree as ``render`` spells it in ``style``."""
+    syntax = SYNTAX[cls]
+    if cls is Next:
+        if style == "english":
+            return syntax.english.format("") * n + "p must hold"
+        return f"{getattr(syntax, style)} " * n + "p"
+    names = [f"p{i}" for i in range(n)]
+    if style == "english":
+        opening = "".join(syntax.english.format(name, "\0").split("\0")[0] for name in names[:-1])
+        return f"{opening}{names[-1]}{')' * (n - 1)} must hold"
+    return f" {getattr(syntax, style)} ".join(names)
+
+
+def operands(phi):
+    """The operands of ``phi``'s right-nested ``|`` chain, or ``[phi]``."""
+    out = []
+    while type(phi) is Or:
+        out.append(phi.left)
+        phi = phi.right
+    return [*out, phi]
+
+
+def closed_form(cls, n, built, draws):
+    """For each of ``draws``, the operands of the residual of ``built``, the
+    automaton's node of ``deep(cls, n)``, after that step, worked out from
+    the labels alone."""
+    if cls is Next:  # X^n p steps to X^(n-k) p
+        out = []
+        for _ in draws:
+            built = built.child
+            out.append([built])
+        return out
+    names, first = [f"p{i}" for i in range(n)], draws[0]
+    if cls is And:
+        return [[TRUE if all(name in first for name in names) else FALSE]] * len(draws)
+    if cls is Or:
+        return [[TRUE if any(name in first for name in names) else FALSE]] * len(draws)
+    if cls is Implies:
+        holds = names[-1] in first or not all(name in first for name in names[:-1])
+        return [[TRUE if holds else FALSE]] * len(draws)
+    # p0 U (p1 U ...): the residual is the disjunction of the suffix chains
+    # ``suffixes[j]`` for j in ``live``, in descending order.  It is true
+    # once the last operand holds, and false once no suffix lives on.
+    suffixes = [built]
+    while type(suffixes[-1]) is Until:
+        suffixes.append(suffixes[-1].right)
+    out, live = [], [0]
+    for labels in draws:
+        if live in ([TRUE], [FALSE]):
+            pass
+        elif names[-1] in labels:
+            live = [TRUE]
+        else:
+            live = [j for j in range(n - 2, live[-1] - 1, -1) if names[j] in labels] or [FALSE]
+        out.append(live if live in ([TRUE], [FALSE]) else [suffixes[j] for j in live])
+    return out
 
 
 class TestDeepInput:
-    """The parser keeps its own stacks: no depth or length meets Python's
-    recursion limit."""
+    """No depth or length meets Python's recursion limit: the parser keeps
+    its own stacks, and every other walk of a formula, outside the
+    reference engine, is ``fold`` or keeps its own stack."""
 
     N = 10_000
+    # Each spine node of a binary chain in an automaton keeps the set of its
+    # propositions, so building one costs time and memory quadratic in its
+    # length; chains meet an automaton at this length until chains are one
+    # node (ROADMAP item 2).
+    CHAIN = 2_000
+    CLASSES = [Next, And, Or, Implies, Until]
+
+    def assert_renders(self, cls, phi):
+        for style in ("ascii", "symbolic", "english"):
+            assert render(phi, style) == spelled(cls, self.N, style), style
 
     def test_nested_next(self):
-        expected = Prop("p")
-        for _ in range(self.N):
-            expected = Next(expected)
-        text = "X " * self.N + "p"
+        text, expected = deep(Next, self.N)
         assert same_tree(parse(text), expected)
         assert same_tree(parse(text, ProgressionCache()), expected)
+        self.assert_renders(Next, expected)
 
     def test_nested_parentheses(self):
         text = "(" * self.N + "p" + ")" * self.N
@@ -219,13 +289,58 @@ class TestDeepInput:
 
     @pytest.mark.parametrize("cls", [And, Or, Implies, Until], ids=lambda cls: cls.__name__)
     def test_chain_is_right_nested(self, cls):
-        props = [Prop(f"p{i}") for i in range(self.N)]
-        expected = props[-1]
-        for prop in reversed(props[:-1]):
-            expected = cls(prop, expected)
-        phi, written = parse_written(f" {SYNTAX[cls].ascii} ".join(p.name for p in props))
+        text, expected = deep(cls, self.N)
+        phi, written = parse_written(text)
         assert same_tree(phi, expected)
-        assert written == {p.name for p in props}
+        assert written == {f"p{i}" for i in range(self.N)}
+        self.assert_renders(cls, phi)
+
+    @pytest.mark.parametrize("n", ["long", 300])
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_automaton_steps_in_closed_form(self, cls, n):
+        n = (self.N if cls is Next else self.CHAIN) if n == "long" else n
+        text, phi = deep(cls, n)
+        cache = ProgressionCache()
+        built = cache.normalize(phi)
+        assert same_tree(built, phi)
+        start = None
+        if n == 300:  # shallow enough for the reference engine, which recurses
+            assert parse(text, cache) is built
+            start = REFERENCE.normalize(phi)
+        rng = random.Random(n)
+        names = ["p"] if cls is Next else [f"p{i}" for i in range(n)]
+        sparse = names[:3] + names[-2:-1]
+        # Each run starts with a dense label set, which decides a boolean
+        # chain either way, or with the sparse names; nine seeded sparse sets
+        # follow.  A U chain never meets a set of most names but the last,
+        # which would make its residual quadratic in its length.
+        firsts = [frozenset(names), frozenset(), frozenset(sparse)]
+        if cls is not Until:
+            firsts.append(frozenset(names[:-1]))
+        for first in firsts:
+            draws = [first, *(frozenset(p for p in sparse if rng.random() < 0.6) for _ in range(9))]
+            residual, reference = built, start
+            for labels, expected in zip(draws, closed_form(cls, n, built, draws)):
+                residual, verdict = cache.transition(residual, labels)
+                assert [id(x) for x in operands(residual)] == [id(x) for x in expected]
+                assert verdict is verdict_of(residual)
+                if reference is not None:
+                    reference, reference_verdict = REFERENCE.transition(reference, labels)
+                    assert same_tree(residual, reference) and verdict is reference_verdict
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_parse_command(self, cls, capsys):
+        # The AST dump is as deep as the formula and about 3.1·d² bytes, so
+        # 1,000 deep; the head before it is read alone, as ``json.loads``
+        # recurses.
+        n = 1_000
+        assert main(["parse", deep(cls, n)[0]]) == 0
+        out = capsys.readouterr().out
+        head, _, dump = out.partition(',\n  "ast": ')
+        document = json.loads(head + "}")
+        assert document["canonical"] == document["parsed"] == spelled(cls, n, "ascii")
+        assert dump.count(f'"kind": "{SYNTAX[cls].kind}"') == (n if cls is Next else n - 1)
+        assert dump.count('"kind": "prop"') == (1 if cls is Next else n)
 
 
 class TestFuzzedParseOutcomes:

@@ -22,13 +22,12 @@ from ltlguard.ltl import (
     Until,
     Verdict,
     evaluate_lasso,
-    node_count,
     parse,
     progress,
     simplify,
     verdict_of,
 )
-from helpers import DEFAULT_PROPS, lasso_equivalent, random_assignment, random_formula
+from helpers import DEFAULT_PROPS, lasso_equivalent, node_count, random_assignment, random_formula
 
 P = Prop("p")
 Q = Prop("q")
