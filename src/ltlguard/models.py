@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from .ltl import TruthAssignment
-from .trace import LabelingFunction, StepRecord, Trace, apply_labeler
+from .trace import LabelingFunction, Memo, StepRecord, Trace, apply_labeler
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +82,7 @@ class ScriptedModel:
             for dist in self.distributions:
                 if not dist or any(w < 0 for _, w in dist) or sum(w for _, w in dist) <= 0:
                     raise ValueError("each distribution needs nonnegative weights summing > 0")
+        object.__setattr__(self, "_draws", Memo(functools.partial(self._draw, self.distributions)))
 
     def next_output(self, history: Sequence[StepRecord], input: str, params: SampleParams) -> str:
         t = len(history) + 1
@@ -89,8 +90,13 @@ class ScriptedModel:
             if t <= len(self.outputs):
                 return self.outputs[t - 1]
             return self.stop_token
-        dist = self.distributions[min(t - 1, len(self.distributions) - 1)]
-        rng = random.Random(f"{params.seed}:{t}")
+        return self._draws[params.seed, t]
+
+    @staticmethod
+    def _draw(distributions: tuple[tuple[tuple[str, float], ...], ...], key: tuple[int, int]) -> str:
+        seed, t = key  # the text drawn at step index t, seeded by seed and t alone
+        dist = distributions[min(t - 1, len(distributions) - 1)]
+        rng = random.Random(f"{seed}:{t}")
         total = sum(w for _, w in dist)
         roll = rng.random() * total
         acc = 0.0
@@ -275,9 +281,6 @@ class EndpointModel:
             fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
 
-RULE_MEMO_SIZE = 4096  # outputs whose labels a ``RuleLabeler`` keeps
-
-
 @dataclass(frozen=True)
 class RuleLabeler:
     """Deterministic regex labeler over the latest step's output: one rule
@@ -292,20 +295,16 @@ class RuleLabeler:
             raise ValueError(f"rules for undeclared propositions: {sorted(extra)}")
         if missing := self.vocabulary - set(self.rules):
             raise ValueError(f"no rule for vocabulary propositions: {sorted(missing)}")
-        object.__setattr__(
-            self, "_compiled", {p: re.compile(rx) for p, rx in self.rules.items()}
-        )
+        compiled = {p: re.compile(rx) for p, rx in self.rules.items()}
         # Labels by output text: a sampled output repeats, its labels do not change.
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_labels", Memo(functools.partial(self._label, compiled)))
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
-        text = steps[-1].output
-        labels = self._memo.get(text)
-        if labels is None:
-            if len(self._memo) >= RULE_MEMO_SIZE:
-                self._memo.clear()
-            labels = self._memo[text] = frozenset(p for p, rx in self._compiled.items() if rx.search(text))
-        return labels
+        return self._labels[steps[-1].output]
+
+    @staticmethod
+    def _label(compiled: Mapping[str, re.Pattern], text: str) -> TruthAssignment:
+        return frozenset(p for p, rx in compiled.items() if rx.search(text))
 
 
 @functools.cache

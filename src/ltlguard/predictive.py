@@ -38,7 +38,7 @@ def advance(
     """Append (input, output), labeled, to ``steps`` and return the product
     state of ``states`` after it; a labeling failure leaves ``steps`` as it
     was."""
-    return product(states).step(label_step(labeler, steps, input, output))
+    return product(states).step(label_step(labeler, steps, StepRecord(len(steps) + 1, input, output)))
 
 
 def rollout(
@@ -62,7 +62,7 @@ def rollout(
     for offset, seed in enumerate(seeds):
         inp = input if offset == 0 else ""
         out = model.next_output(steps, inp, SampleParams(temperature=temperature, seed=seed))
-        states = states.step(label_step(labeler, steps, inp, out))
+        states = states.step(label_step(labeler, steps, StepRecord(len(steps) + 1, inp, out)))
         visited.append(states.verdicts)
     return steps[len(history)].output, dict(zip(states, zip(*visited)))
 

@@ -12,12 +12,12 @@ import json
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from types import MappingProxyType
 
 from ..ltl import TruthAssignment
-from ..trace import StepRecord
+from ..trace import Memo, StepRecord
 
 CATEGORIES = ("animal", "shape", "color", "number")
 
@@ -95,35 +95,40 @@ class AttributeEventLabeler:
         self.entities = entities
         self.tagged = entities > 1 if tagged is None else tagged
         vocab = load_vocabulary()
-        # Numbers are found by pattern, the other categories by word lookup.
-        self._by_category = {category: set(values) for category, values in vocab.items() if category != "number"}
-        self._numbers = set(vocab["number"])
         self.vocabulary = frozenset(
             prop_name(entity if self.tagged else None, category, value)
             for entity in range(1, entities + 1)
             for category, values in vocab.items()
             for value in values
         )
-
-    def _segment_props(self, entity: int | None, text: str) -> set[str]:
-        words = set(re.findall(r"[A-Za-z]+", text.lower()))
-        props: set[str] = set()
-        for category, values in self._by_category.items():
-            for value in words & values:
-                props.add(prop_name(entity, category, value))
-        for match in _NUMBER.findall(text):
-            number = int(match)
-            if number in self._numbers:
-                props.add(prop_name(entity, "number", number))
-        return props
+        # Labels by output text: a step's labels depend on its output alone.
+        # Numbers are found by pattern, the other categories by word lookup.
+        words = {category: set(values) for category, values in vocab.items() if category != "number"}
+        self._labels = Memo(partial(self._label, self.tagged, words, set(vocab["number"])))
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment:
-        text = steps[-1].output
-        if not self.tagged:
-            return frozenset(self._segment_props(None, text))
+        return self._labels[steps[-1].output]
+
+    @staticmethod
+    def _label(tagged: bool, words: Mapping[str, set[str]], numbers: set[int], text: str) -> TruthAssignment:
+        if not tagged:
+            return frozenset(_segment_props(words, numbers, None, text))
         props: set[str] = set()
         pieces = _ENTITY_SPLIT.split(text)
         # pieces = [lead, entity#, segment, entity#, segment, ...]
         for i in range(1, len(pieces) - 1, 2):
-            props |= self._segment_props(int(pieces[i]), pieces[i + 1])
+            props |= _segment_props(words, numbers, int(pieces[i]), pieces[i + 1])
         return frozenset(props)
+
+
+def _segment_props(words: Mapping[str, set[str]], numbers: set[int], entity: int | None, text: str) -> set[str]:
+    found = set(re.findall(r"[A-Za-z]+", text.lower()))
+    props: set[str] = set()
+    for category, values in words.items():
+        for value in found & values:
+            props.add(prop_name(entity, category, value))
+    for match in _NUMBER.findall(text):
+        number = int(match)
+        if number in numbers:
+            props.add(prop_name(entity, "number", number))
+    return props

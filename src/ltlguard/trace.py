@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -66,6 +66,25 @@ class LabelingFunction(Protocol):
     vocabulary: frozenset[str]
 
     def __call__(self, steps: Sequence[StepRecord]) -> TruthAssignment: ...
+
+
+LABEL_MEMO_SIZE = 4096  # keys whose answers a ``Memo`` keeps
+
+
+class Memo(dict):
+    """``memo[key]`` is ``compute(key)``, computed once for each of at most
+    ``LABEL_MEMO_SIZE`` keys; a full memo empties on a miss.  ``compute`` must not
+    refer to the memo's owner, or the cycle outlives the owner until collected."""
+
+    def __init__(self, compute: Callable[[Hashable], object]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: Hashable) -> object:
+        if len(self) >= LABEL_MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.compute(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -293,26 +312,23 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     write_jsonl([*meta, *map(step_to_dict, trace.steps)], path)
 
 
-def label_step(labeler: LabelingFunction, steps: list[StepRecord], input: str, output: str) -> TruthAssignment:
-    """Append (input, output) to ``steps`` as the next step, labeled by
-    ``labeler`` over ``steps`` with that step unlabeled last, and return
-    its labels.  A labeler failure or an undeclared proposition raises
-    ``LabelingError`` with the step's index; on any exception ``steps`` is
-    left as it was."""
-    t = len(steps) + 1
-    steps.append(StepRecord(t, input, output))
+def label_step(labeler: LabelingFunction, steps: list[StepRecord], step: StepRecord) -> TruthAssignment:
+    """Append ``step``, the unlabeled next step of ``steps``, labeled by
+    ``labeler`` over ``steps`` with ``step`` last, and return its labels.
+    A labeler failure or an undeclared proposition raises ``LabelingError``
+    with the step's index; on any exception ``steps`` is left as it was."""
+    steps.append(step)
     try:
         try:
             labels = labeler(steps)
         except Exception as err:
-            raise LabelingError(f"labeler failed: {err}", t) from err
-        extra = labels - labeler.vocabulary
-        if extra:
-            raise LabelingError(f"undeclared proposition(s): {', '.join(sorted(extra))}", t)
+            raise LabelingError(f"labeler failed: {err}", step.t) from err
+        if not labels <= labeler.vocabulary:
+            raise LabelingError(f"undeclared proposition(s): {', '.join(sorted(labels - labeler.vocabulary))}", step.t)
     except BaseException:
         del steps[-1]
         raise
-    steps[-1] = StepRecord(t, input, output, labels)
+    steps[-1] = StepRecord(step.t, step.input, step.output, labels)
     return labels
 
 
@@ -326,10 +342,10 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
     """
     steps: list[StepRecord] = []
     for step in trace.steps:
-        if step.labels is None or overwrite:
-            label_step(labeler, steps, step.input, step.output)
-        else:
+        if step.labels is not None and not overwrite:
             steps.append(step)
+        else:  # a step without labels is already the record the labeler must see
+            label_step(labeler, steps, step if step.labels is None else StepRecord(step.t, step.input, step.output))
     return Trace(tuple(steps), trace.metadata)
 
 

@@ -1236,6 +1236,27 @@ class TestLabelerHistories:
         assert code == 1
         assert digest == "e450b9b93d6911241252ac5d9c14b470f90c80cca92138cf7190fe3f1ab6553c"
 
+    def test_audit_keeps_embedded(self, capsys, tmp_path, monkeypatch):
+        # Without --relabel only the steps that lack labels (no key, or null)
+        # are labeled, each seeing the embedded labels of the steps before it.
+        config, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        write(config, RULE_CONFIG)
+        rows = [
+            {"t": t, "input": f"in {t}" if t % 4 == 1 else "", "output": ("bad", "goal idle", "idle")[t % 3]}
+            for t in range(1, 31)
+        ]
+        for row in rows:
+            if row["t"] % 7 == 0:
+                row["labels"] = None
+            elif row["t"] % 3:
+                row["labels"] = ["goal"] if row["t"] % 5 == 0 else []
+        trace.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code, digest = _spied_run(
+            ["audit", str(trace), "--config", str(config), "--out", str(tmp_path / "r.json")], capsys, monkeypatch
+        )
+        assert code == 1
+        assert digest == "c49420d5623f17b3e75bf284544d94b2bc4c5cc6df2d06d67cac1dbcfd8d24ba"
+
     @pytest.mark.parametrize(
         "strategy, digest",
         [

@@ -2,18 +2,20 @@
 
 import base64
 import collections
+import gc
 import json
 import random
 import re
 import socket
 import statistics
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlguard import models
+from ltlguard import trace
 from ltlguard.models import (
     EndpointFormatError,
     EndpointLabeler,
@@ -27,7 +29,8 @@ from ltlguard.models import (
     derive_seed,
     measure_labeler_accuracy,
 )
-from ltlguard.trace import LabelingError, StepRecord, Trace
+from ltlguard.synthbench.events import CATEGORIES, AttributeEvent, AttributeEventLabeler, load_vocabulary, render_step
+from ltlguard.trace import LABEL_MEMO_SIZE, LabelingError, StepRecord, Trace
 from mock_endpoint import MockEndpoint
 
 
@@ -68,6 +71,36 @@ class TestScriptedModel:
             model.next_output([], "", params(seed=s)) for s in range(4000)
         )
         assert counts["bad"] / 4000 == pytest.approx(0.3, abs=0.03)
+
+    @pytest.mark.parametrize("bound", [8, LABEL_MEMO_SIZE])
+    def test_memoized_draws_equal_fresh_draws(self, monkeypatch, bound):
+        # Each draw, repeated or new, is the text a fresh Random(f"{seed}:{t}")
+        # picks; two models never share a draw at the same (seed, t).
+        monkeypatch.setattr(trace, "LABEL_MEMO_SIZE", bound)
+
+        def fresh(dist, seed, t):
+            roll = random.Random(f"{seed}:{t}").random() * sum(w for _, w in dist)
+            acc = 0.0
+            for text, weight in dist:
+                acc += weight
+                if roll < acc:
+                    return text
+            return dist[-1][0]
+
+        scripts = [
+            ((("a", 0.2), ("b", 0.5), ("c", 0.3)), (("d", 1.0), ("e", 1.0))),
+            ((("x", 1.0), ("y", 3.0)),),
+        ]
+        models_ = [ScriptedModel(distributions=dists) for dists in scripts]
+        rng = random.Random(2803)
+        for i in range(3 * bound):
+            seed = 10**6 + i if i % 3 == 0 else rng.randrange(4)  # a new draw, or mostly repeats
+            t = rng.randint(1, 4)
+            history = [StepRecord(j, "", "?") for j in range(1, t)]
+            for model, dists in zip(models_, scripts):
+                expected = fresh(dists[min(t, len(dists)) - 1], seed, t)
+                assert model.next_output(history, "", params(seed=seed)) == expected
+                assert len(model._draws) <= bound
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -268,20 +301,74 @@ class TestRuleLabeler:
         steps = [StepRecord(1, "", "foo and bar")]
         assert labeler(steps) == labeler(steps) == frozenset({"x", "y"})
 
-    @pytest.mark.parametrize("bound", [8, models.RULE_MEMO_SIZE])
+    @pytest.mark.parametrize("bound", [8, LABEL_MEMO_SIZE])
     def test_memoized_labels_equal_fresh_evaluation(self, monkeypatch, bound):
-        monkeypatch.setattr(models, "RULE_MEMO_SIZE", bound)
+        # Every labeler that keeps labels by output (the rule labeler, and the
+        # untagged and a tagged event labeler) answers repeated and new
+        # outputs as a fresh evaluation does, its memo within the bound.
+        monkeypatch.setattr(trace, "LABEL_MEMO_SIZE", bound)
         rules = {"bad": r"\bbad\b", "ok": r"\bok\b", "stop": r"STOP$"}
-        labeler = RuleLabeler(frozenset(rules), rules)
         rng = random.Random(2802)
         words = ("bad", "ok", "okay", "STOP", "move", "")
-        for i in range(3 * bound):
+
+        def rule_output(i):
             text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 4)))
             if i % 3 == 0:
                 text += f" {i}"  # a new output, so that the memo fills
-            labels = labeler([StepRecord(1, "in", "ok"), StepRecord(2, "", text)])
-            assert labels == frozenset(p for p, rx in rules.items() if re.search(rx, text))
-            assert len(labeler._memo) <= bound
+            return text, frozenset(p for p, rx in rules.items() if re.search(rx, text))
+
+        def event_output(entities, tagged):
+            vocab = load_vocabulary()
+            few = {category: values[:2] for category, values in vocab.items()}
+
+            def output(i):
+                values = vocab if i % 3 == 0 else few  # mostly repeats, some new outputs
+                events = [
+                    AttributeEvent(e, *(rng.choice(values[category]) for category in CATEGORIES))
+                    for e in range(1, entities + 1)
+                ]
+                text = render_step(events, rng.randint(1, 4), tagged)
+                return text, frozenset().union(*(event.props(tagged) for event in events))
+
+            return output
+
+        cases = [
+            (RuleLabeler(frozenset(rules), rules), rule_output),
+            (AttributeEventLabeler(), event_output(1, False)),
+            (AttributeEventLabeler(entities=3, tagged=True), event_output(3, True)),
+        ]
+        for labeler, output in cases:
+            for i in range(3 * bound):
+                text, expected = output(i)
+                labels = labeler([StepRecord(1, "in", "ok"), StepRecord(2, "", text)])
+                assert labels == expected
+                assert len(labeler._labels) <= bound
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RuleLabeler(frozenset({"bad"}), {"bad": "bad"}),
+        lambda: AttributeEventLabeler(entities=3),
+        lambda: ScriptedModel(distributions=((("bad", 1.0),),)),
+    ],
+    ids=["rule", "event", "scripted"],
+)
+def test_memo_owner_is_freed_without_the_collector(build):
+    # A memo's function holds no reference to its owner, so a labeler or
+    # model dropped after use frees its memo at once, as a plain dict would.
+    owner = build()
+    if isinstance(owner, ScriptedModel):
+        owner.next_output([], "", params())
+    else:
+        owner([StepRecord(1, "", "bad")])
+    ref = weakref.ref(owner)
+    gc.disable()
+    try:
+        del owner
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestEndpointLabeler:

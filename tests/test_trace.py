@@ -303,12 +303,12 @@ class TestLabelStep:
                 seen.append((steps, steps[-1]))
                 return super().__call__(steps)
 
-        steps = [StepRecord(1, "", "a", frozenset())]
-        labels = label_step(Spy(), steps, "go", "B")
+        steps, step = [StepRecord(1, "", "a", frozenset())], StepRecord(2, "go", "B")
+        labels = label_step(Spy(), steps, step)
         assert labels == frozenset({"shout", "even_history"})
         assert steps == [StepRecord(1, "", "a", frozenset()), StepRecord(2, "go", "B", labels)]
-        # The labeler saw the caller's own list, the new step unlabeled last.
-        assert seen[0][0] is steps and seen[0][1] == StepRecord(2, "go", "B")
+        # The labeler saw the caller's own list and the caller's own record last.
+        assert seen[0][0] is steps and seen[0][1] is step
 
     @pytest.mark.parametrize(
         "error, expected, match",
@@ -328,7 +328,7 @@ class TestLabelStep:
         steps = [StepRecord(1, "", "a", frozenset())]
         before = list(steps)
         with pytest.raises(expected, match=match):
-            label_step(Raising(), steps, "", "b")
+            label_step(Raising(), steps, StepRecord(2, "", "b"))
         assert steps == before
 
     def test_undeclared_proposition_leaves_steps_unchanged(self):
@@ -341,7 +341,7 @@ class TestLabelStep:
         steps = [StepRecord(1, "", "a", frozenset())]
         before = list(steps)
         with pytest.raises(LabelingError, match="step 2: undeclared proposition\\(s\\): mystery"):
-            label_step(Rogue(), steps, "", "b")
+            label_step(Rogue(), steps, StepRecord(2, "", "b"))
         assert steps == before
 
 
