@@ -1,11 +1,11 @@
 """Abstract syntax trees for linear temporal logic formulas.
 
 Nodes are immutable, hashable dataclasses; every rewrite builds new values.
-Structural equality (generated ``__eq__``) is the equality of the reference
-semantics.  Within one ``ProgressionCache`` (see ``progression``) equal
-nodes are the same object, so the compiled monitor compares residuals by
-identity.  ``SYNTAX`` is the one table of their concrete syntax, and
-``fold`` walks a formula without recursion.
+Structural equality is the equality of the reference semantics.  Within one
+``ProgressionCache`` (see ``progression``) equal nodes are the same object,
+so the compiled monitor compares residuals by identity.  ``SYNTAX`` is the
+one table of their concrete syntax; ``fold`` walks a formula and ``same``
+decides structural equality, both without recursion.
 """
 
 from __future__ import annotations
@@ -181,3 +181,19 @@ def fold(phi: Formula, visit: Callable[..., T], memo: dict[int, T] | None = None
             memo[id(node)] = result
         results.append(result)
     return results[0]
+
+
+def same(a: Formula, b: Formula) -> bool:
+    """Structural equality, as ``==`` but by an explicit stack, so no depth
+    meets the recursion limit; a shared subtree is matched by identity."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        kind = type(x)
+        if kind is not type(y) or kind is Prop and x.name != y.name:
+            return False
+        if kind is not Prop:
+            stack += [(getattr(x, name), getattr(y, name)) for name in x.__match_args__]
+    return True

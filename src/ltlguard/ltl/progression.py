@@ -4,9 +4,12 @@
 requirement on the rest of the trace.  It is total and returns the raw
 rewrite; callers compose with ``simplify`` to reach the ``true``/``false``
 literals that terminal verdicts are read from.  These two are the
-reference semantics.  ``ProgressionCache`` computes the same composition
-on hash-consed nodes, normalizing as it builds instead of in a second
-pass, and memoizes it as a residual automaton.
+reference semantics.  ``simplify`` returns every node no rule changes as
+itself, so a step that keeps a residual returns it as itself, or as an
+equal copy where ``progress`` rebuilt a ``&``, ``|`` or ``!`` above it.
+``ProgressionCache`` computes the same composition on hash-consed nodes,
+normalizing as it builds instead of in a second pass, and memoizes it as
+a residual automaton.
 """
 
 from __future__ import annotations
@@ -64,34 +67,14 @@ def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _flatten(kind: type, phi: Formula, out: list[Formula]) -> None:
-    # Simplified chains are right-nested and no left operand is itself of
-    # the chain's kind, so walking the right spine flattens them in order.
-    while type(phi) is kind:
-        out.append(phi.left)  # type: ignore[attr-defined]
-        phi = phi.right  # type: ignore[attr-defined]
-    out.append(phi)
-
-
-def _rebuild(kind: type, children: list[Formula]) -> Formula:
-    node = children[-1]
-    for child in reversed(children[:-1]):
-        node = kind(child, node)
-    return node
-
-
-def _simplify_connective(
-    kind: type, unit: Formula, zero: Formula, left: Formula, right: Formula
-) -> Formula:
+def _simplify_connective(phi: Formula, unit: Formula, zero: Formula, left: Formula, right: Formula) -> Formula:
     # Flatten same-kind chains, drop units and duplicates, short-circuit on
-    # the absorbing element.  Children arrive already simplified.  Any
-    # instance of a constant's class is that constant, as under ``==``;
-    # duplicates are found by structural ``==``, since reference nodes are
-    # fresh objects.
-    unit_kind, zero_kind = type(unit), type(zero)
-    flat: list[Formula] = []
-    _flatten(kind, left, flat)
-    _flatten(kind, right, flat)
+    # the absorbing element.  ``left`` and ``right`` are ``phi``'s children,
+    # simplified.  Any instance of a constant's class is that constant, as
+    # under ``==``, and duplicates are found by structural ``==``.  Only a
+    # dropped operand or a re-associated left chain rebuilds the chain.
+    kind, unit_kind, zero_kind = type(phi), type(unit), type(zero)
+    flat = _operands(kind, left) + _operands(kind, right)
     children: list[Formula] = []
     for child in flat:
         child_kind = type(child)
@@ -100,9 +83,14 @@ def _simplify_connective(
         if child_kind is unit_kind or child in children:
             continue
         children.append(child)
+    if len(children) == len(flat) and type(left) is not kind:
+        return phi if left is phi.left and right is phi.right else kind(left, right)  # type: ignore[attr-defined]
     if not children:
         return unit
-    return _rebuild(kind, children)
+    node = children[-1]
+    for child in reversed(children[:-1]):
+        node = kind(child, node)
+    return node
 
 
 def simplify(phi: Formula) -> Formula:
@@ -117,15 +105,17 @@ def simplify(phi: Formula) -> Formula:
     # ``TrueBool``/``FalseBool`` instance is that constant.
     kind = type(phi)
     if kind is And:
-        return _simplify_connective(And, TRUE, FALSE, simplify(phi.left), simplify(phi.right))
+        return _simplify_connective(phi, TRUE, FALSE, simplify(phi.left), simplify(phi.right))
     if kind is Or:
-        return _simplify_connective(Or, FALSE, TRUE, simplify(phi.left), simplify(phi.right))
+        return _simplify_connective(phi, FALSE, TRUE, simplify(phi.left), simplify(phi.right))
     if kind is Prop or kind is TrueBool or kind is FalseBool:
         return phi
     if kind is Always or kind is Eventually or kind is Next:
         child = simplify(phi.child)
         child_kind = type(child)
-        return child if child_kind is TrueBool or child_kind is FalseBool else kind(child)
+        if child_kind is TrueBool or child_kind is FalseBool:
+            return child
+        return phi if child is phi.child else kind(child)
     if kind is Not:
         child = simplify(phi.child)
         child_kind = type(child)
@@ -135,10 +125,12 @@ def simplify(phi: Formula) -> Formula:
             return TRUE
         if child_kind is Not:
             return child.child
-        return Not(child)
+        return phi if child is phi.child else Not(child)
     if kind is Until:
         left, right = simplify(phi.left), simplify(phi.right)
-        return right if type(right) is TrueBool or type(left) is FalseBool else Until(left, right)
+        if type(right) is TrueBool or type(left) is FalseBool:
+            return right
+        return phi if left is phi.left and right is phi.right else Until(left, right)
     if kind is Implies:
         left, right = simplify(phi.left), simplify(phi.right)
         left_kind = type(left)
@@ -146,13 +138,13 @@ def simplify(phi: Formula) -> Formula:
             return right
         if left_kind is FalseBool:
             return TRUE
-        return Implies(left, right)
+        return phi if left is phi.left and right is phi.right else Implies(left, right)
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def _operands(kind: type, phi: Formula) -> list[Formula]:
-    # Normal-form chains are right-nested and no left operand is itself of
-    # the chain's kind, so walking the right spine flattens them.
+    # Normal-form and simplified chains are right-nested and no left operand
+    # is itself of the chain's kind, so walking the right spine flattens them.
     out = []
     while type(phi) is kind:
         out.append(phi.left)  # type: ignore[attr-defined]

@@ -41,6 +41,7 @@ from .ltl import (
     simplify,
     verdict_of,
 )
+from .ltl.ast import same
 from .trace import (
     StepRecord,
     Trace,
@@ -48,6 +49,7 @@ from .trace import (
     VerdictReport,
     WitnessEntry,
     WitnessEpisode,
+    report_to_dict,
 )
 
 
@@ -70,7 +72,7 @@ class _Reference:
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
         residual = simplify(progress(phi, labels))
-        if residual == phi:
+        if residual is not phi and same(residual, phi):
             residual = phi
         return residual, verdict_of(residual)
 
@@ -303,10 +305,11 @@ def _cross_check(
     Per constraint, a compiled run on a fresh automaton and an uncached run
     of ``simplify(progress(...))`` step densely through the trace side by
     side and must agree on every residual and verdict; the report of the
-    reference run, every step a change point, must equal the given one.
-    That comparison covers the witness episodes too: their residuals and
-    verdicts must be those of the reference run.  Raises ``CrossCheckError``
-    on the first disagreement.
+    reference run, every step a change point, must equal the given one,
+    witness residuals and verdicts included.  Both engines return an
+    unchanged residual as itself, so residuals, being immutable, are
+    compared (by ``same``) only on steps where either is a new object.
+    Raises ``CrossCheckError`` on the first disagreement.
     """
     cache = ProgressionCache()
     for given in reports:
@@ -314,23 +317,27 @@ def _cross_check(
         compiled = new_state(cid, constraints[cid], mode == "reset", cache)
         start = reference = new_state(cid, constraints[cid], mode == "reset", REFERENCE)
         references = []
+        agreed = None, None  # the compiled and reference residuals last found equal
         for i, (record, reported) in enumerate(zip(trace.steps, given.verdicts, strict=True)):
             compiled = step(compiled, record.labels)
             reference = step(reference, record.labels)
             references.append((i, reference))
-            if compiled.residual != reference.residual:
+            residuals = compiled.residual, reference.residual
+            if (residuals[0] is not agreed[0] or residuals[1] is not agreed[1]) and not same(*residuals):
                 raise CrossCheckError(
                     f"constraint {cid}: step {record.t}: compiled residual "
                     f"{render(compiled.residual)} differs from reference "
                     f"{render(reference.residual)}"
                 )
+            agreed = residuals
             verdict, expected = compiled.last_verdict, reference.last_verdict
             if verdict is not expected or reported is not expected:
                 raise CrossCheckError(
                     f"constraint {cid}: step {record.t}: reference verdict {expected.value}, "
                     f"compiled {verdict.value}, reported {reported.value}"
                 )
-        if report(trace.steps, start, references) != given:
+        memo: dict[int, str] = {}  # renderings; ``references`` and ``given`` keep the residuals alive
+        if report_to_dict(report(trace.steps, start, references), memo) != report_to_dict(given, memo):
             raise CrossCheckError(
                 f"constraint {cid}: reported counters or witnesses differ from the reference run"
             )

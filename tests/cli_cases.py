@@ -517,6 +517,21 @@ CASES = [
         for formula_id, formula in GROWING_FORMULAS.items()
         for mode in ("plain", "reset")
     ),
+    # The cross-check compares the residuals without recursion.
+    *(
+        case(
+            f"audit-growing-residual-cross-check-{formula_id}-{mode}",
+            AUDIT + " --cross-check",
+            EXIT_0_OR_1,
+            files={
+                "config.json": {"constraints": [{"id": "c", "formula": formula}], "mode": mode},
+                "trace.jsonl": GROWING_TRACE[:200],
+            },
+            out=lambda out, _: len(json.loads(out)["reports"][0]["verdicts"]) == 200,
+        )
+        for formula_id, formula in GROWING_FORMULAS.items()
+        for mode in ("plain", "reset")
+    ),
     case(
         "audit-deep-parentheses",
         AUDIT,

@@ -143,19 +143,3 @@ def props_of(phi: Formula) -> frozenset[str]:
 def node_count(phi: Formula) -> int:
     """Number of AST nodes in ``phi``."""
     return fold(phi, lambda node, *parts: 1 if type(node) is Prop else 1 + sum(parts))
-
-
-def same_tree(a, b) -> bool:
-    """Structural equality by an explicit stack, for trees too deep for the
-    dataclass ``==``, which recurses."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, str):
-            if x != y:
-                return False
-            continue
-        stack += [(getattr(x, name), getattr(y, name)) for name in x.__match_args__]
-    return True

@@ -14,9 +14,11 @@ from ltlguard.ltl import (
     FALSE,
     TRUE,
     Always,
+    And,
     Eventually,
     FalseBool,
     Next,
+    Prop,
     TrueBool,
     Verdict,
     evaluate_lasso,
@@ -493,6 +495,43 @@ class TestAuditLog:
         (report,) = audit_log(trace, constraints)
         assert report.verdicts == (I, S, S)
         with pytest.raises(CrossCheckError, match="constraint c: step 2"):
+            audit_log(trace, constraints, cross_check=True)
+
+    def test_cross_check_catches_a_compiled_residual_alone_changing(self, monkeypatch):
+        # The compiled G p now steps to G p & q, and the reference keeps its
+        # G p object: the verdicts stay inconclusive and only one residual
+        # is new, on a step after the residuals were last found equal.
+        progress_interned = ProgressionCache._progress
+
+        def corrupted(self, phi, sigma):
+            result = progress_interned(self, phi, sigma)
+            return self.build(And, result, self.build(Prop, "q")) if type(phi) is Always else result
+
+        monkeypatch.setattr(ProgressionCache, "_progress", corrupted)
+        trace = labeled_trace([{"p"}, {"p"}])
+        constraints = {"c": parse("X G p")}
+        (report,) = audit_log(trace, constraints)
+        assert report.verdicts == (I, I)
+        with pytest.raises(
+            CrossCheckError, match="^constraint c: step 2: compiled residual G p & q differs from reference G p$"
+        ):
+            audit_log(trace, constraints, cross_check=True)
+
+    def test_cross_check_catches_a_reference_residual_alone_changing(self, monkeypatch):
+        # The compiled X p now steps to itself, and the reference to p.
+        progress_interned = ProgressionCache._progress
+
+        def corrupted(self, phi, sigma):
+            if type(phi) is Next and type(phi.child) is Prop:
+                return phi
+            return progress_interned(self, phi, sigma)
+
+        monkeypatch.setattr(ProgressionCache, "_progress", corrupted)
+        trace = labeled_trace([set(), set()])
+        constraints = {"c": parse("X X p")}
+        (report,) = audit_log(trace, constraints)
+        assert report.verdicts == (I, I)
+        with pytest.raises(CrossCheckError, match="^constraint c: step 2: compiled residual X p differs from reference p$"):
             audit_log(trace, constraints, cross_check=True)
 
     def test_cross_check_rejects_a_flipped_verdict(self):

@@ -28,9 +28,9 @@ from ltlguard.ltl import (
     verdict_of,
 )
 from ltlguard.cli import main
-from ltlguard.ltl.ast import SYNTAX
+from ltlguard.ltl.ast import SYNTAX, same
 from ltlguard.monitor import REFERENCE
-from helpers import DEFAULT_PROPS, props_of, random_formula, same_tree
+from helpers import DEFAULT_PROPS, props_of, random_formula
 
 
 class TestParse:
@@ -277,8 +277,8 @@ class TestDeepInput:
 
     def test_nested_next(self):
         text, expected = deep(Next, self.N)
-        assert same_tree(parse(text), expected)
-        assert same_tree(parse(text, ProgressionCache()), expected)
+        assert same(parse(text), expected)
+        assert same(parse(text, ProgressionCache()), expected)
         self.assert_renders(Next, expected)
 
     def test_nested_parentheses(self):
@@ -291,7 +291,7 @@ class TestDeepInput:
     def test_chain_is_right_nested(self, cls):
         text, expected = deep(cls, self.N)
         phi, written = parse_written(text)
-        assert same_tree(phi, expected)
+        assert same(phi, expected)
         assert written == {f"p{i}" for i in range(self.N)}
         self.assert_renders(cls, phi)
 
@@ -302,7 +302,7 @@ class TestDeepInput:
         text, phi = deep(cls, n)
         cache = ProgressionCache()
         built = cache.normalize(phi)
-        assert same_tree(built, phi)
+        assert same(built, phi)
         start = None
         if n == 300:  # shallow enough for the reference engine, which recurses
             assert parse(text, cache) is built
@@ -326,7 +326,7 @@ class TestDeepInput:
                 assert verdict is verdict_of(residual)
                 if reference is not None:
                     reference, reference_verdict = REFERENCE.transition(reference, labels)
-                    assert same_tree(residual, reference) and verdict is reference_verdict
+                    assert same(residual, reference) and verdict is reference_verdict
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
     def test_parse_command(self, cls, capsys):

@@ -283,6 +283,33 @@ class TestReferenceAgainstAutomaton:
                     reference, compiled = objective, cache.normalize(objective)
 
 
+class TestReferenceIdentity:
+    """The reference ``simplify`` returns a node no rule changes as itself,
+    so it and the automaton return a new residual on the same steps."""
+
+    @pytest.mark.parametrize("constants", [False, True], ids=["props", "constants"])
+    def test_unchanged_nodes_are_returned_as_themselves(self, constants):
+        # ``simplify(f) is f`` exactly when ``simplify(f) == f``, with the
+        # right side's ``simplify`` the automaton's: an independent one.
+        rng = random.Random(3311 + constants)
+        for _ in range(300):
+            phi = random_formula(rng, depth=rng.randint(0, 6), constants=constants)
+            cache = ProgressionCache()
+            assert (simplify(phi) is phi) == (cache.normalize(phi) == phi), phi
+            reference, compiled = monitor.REFERENCE.normalize(phi), cache.normalize(phi)
+            assert simplify(reference) is reference, phi
+            for _ in range(8):
+                labels = random_assignment(rng, DEFAULT_PROPS)
+                raw = progress(reference, labels)
+                assert (simplify(raw) is raw) == (cache.normalize(raw) == raw), raw
+                next_reference = monitor.REFERENCE.transition(reference, labels)[0]
+                next_compiled = cache.transition(compiled, labels)[0]
+                assert simplify(next_reference) is next_reference, phi
+                # Both engines return a new residual on exactly the same steps.
+                assert (next_reference is reference) == (next_compiled is compiled), phi
+                reference, compiled = next_reference, next_compiled
+
+
 class TestMonitorReferenceLookup:
     def test_rebound_names_reach_the_reference_engine(self, monkeypatch):
         # The traced benchmark times the reference by rebinding these two
