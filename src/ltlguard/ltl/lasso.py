@@ -26,6 +26,7 @@ from .ast import (
     TrueBool,
     TruthAssignment,
     Until,
+    fold,
 )
 
 
@@ -44,46 +45,34 @@ def evaluate_lasso(
     def nxt(i: int) -> int:
         return i + 1 if i + 1 < n else p
 
-    # Keyed by identity: ``phi`` keeps its subformulas alive for the call.
-    cache: dict[int, list[bool]] = {}
-
-    def vec(f: Formula) -> list[bool]:
-        cached = cache.get(id(f))
-        if cached is not None:
-            return cached
+    def vec(f: Formula, *parts) -> list[bool]:
         match f:
             case TrueBool():
-                v = [True] * n
+                return [True] * n
             case FalseBool():
-                v = [False] * n
+                return [False] * n
             case Prop(name):
-                v = [name in states[i] for i in range(n)]
-            case Not(child):
-                v = [not x for x in vec(child)]
-            case And(left, right):
-                lv, rv = vec(left), vec(right)
-                v = [lv[i] and rv[i] for i in range(n)]
-            case Or(left, right):
-                lv, rv = vec(left), vec(right)
-                v = [lv[i] or rv[i] for i in range(n)]
-            case Implies(left, right):
-                lv, rv = vec(left), vec(right)
-                v = [(not lv[i]) or rv[i] for i in range(n)]
-            case Next(child):
-                cv = vec(child)
-                v = [cv[nxt(i)] for i in range(n)]
-            case Eventually(child):
-                v = _least_fixpoint(vec(child), [True] * n, n, nxt)
-            case Until(left, right):
-                v = _least_fixpoint(vec(right), vec(left), n, nxt)
-            case Always(child):
-                v = _greatest_fixpoint(vec(child), n, nxt)
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        cache[id(f)] = v
-        return v
+                return [name in state for state in states]
+            case Not():
+                return [not x for x in parts[0]]
+            case And():
+                return [x and y for x, y in zip(*parts)]
+            case Or():
+                return [x or y for x, y in zip(*parts)]
+            case Implies():
+                return [(not x) or y for x, y in zip(*parts)]
+            case Next():
+                return [parts[0][nxt(i)] for i in range(n)]
+            case Eventually():
+                return _least_fixpoint(parts[0], [True] * n, n, nxt)
+            case Until():
+                return _least_fixpoint(parts[1], parts[0], n, nxt)
+            case Always():
+                return _greatest_fixpoint(parts[0], n, nxt)
+        raise TypeError(f"not a formula: {f!r}")
 
-    return vec(phi)[0]
+    # Memoized by identity: ``phi`` keeps its subformulas alive for the call.
+    return fold(phi, vec, {})[0]
 
 
 def _least_fixpoint(

@@ -143,4 +143,5 @@ def parse_written(text: str, automaton: ProgressionCache | None = None) -> tuple
 
     (phi,) = operands
     written = frozenset(word for word, _, node in tokens if node is Prop)
-    return (phi if automaton is None else automaton.normalize(phi)), written
+    # The state keeps the written names: a superset of those its step reads.
+    return (phi if automaton is None else automaton._state(phi, written)[2][0]), written

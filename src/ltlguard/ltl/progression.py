@@ -165,37 +165,35 @@ class ProgressionCache:
     the parser builds a formula through it.  Hence ``normalize(phi)`` is
     ``simplify(phi)`` and ``progress_simplify(phi, sigma)`` is
     ``simplify(progress(phi, sigma))``, both as states of this automaton.
-    The automaton is a Moore machine: a
-    node's propositions are set when it is built and a state's verdict when
-    it is registered.  A state's transitions found so far are keyed by the
-    step's labels restricted to its propositions, each to the successor and
-    its verdict; a step is one lookup and a miss progresses the residual
-    once.  The automaton keeps every node it built alive, which keeps the
-    identities in its keys unique and makes ``rendered``, its memo of
-    ascii renderings by node identity, sound.  It lives as long as its
-    owner: a loaded config, one ``run_monitor`` call or a guarded session.
+    The automaton is a Moore machine: a state's names, a superset of the
+    propositions its step can read, and its verdict are set when it is
+    registered; a node keeps no data of its own.  A state's transitions
+    found so far are keyed by the step's labels restricted to its names,
+    each to the successor and its verdict; a step is one lookup and a miss
+    progresses the residual once.  The automaton keeps every node it built
+    alive, which keeps the identities in its keys unique and makes
+    ``rendered``, its memo of ascii renderings by node identity, sound.  It
+    lives as long as its owner: a loaded config, one ``run_monitor`` call
+    or a guarded session.
     """
 
-    __slots__ = ("_nodes", "_props", "_states", "rendered")
+    __slots__ = ("_nodes", "_states", "rendered")
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, Formula] = {}
-        self._props: dict[int, frozenset[str]] = {id(TRUE): frozenset(), id(FALSE): frozenset()}
-        # id(state) -> (its props, its transitions, (state, its verdict)); a
-        # transition maps projected labels to the successor's last entry.
+        # id(state) -> (its names, its transitions, (state, its verdict)); a
+        # transition maps labels restricted to the names to the successor's
+        # last entry.
         self._states: dict[int, tuple[frozenset[str], dict, tuple[Formula, Verdict]]] = {}
         self.rendered: dict[int, str] = {}  # id(node) -> render(node, "ascii")
+        self._state(TRUE, frozenset())
+        self._state(FALSE, frozenset())
 
     def _node(self, cls: type, *children: Formula) -> Formula:
         key = (cls, *map(id, children))
         node = self._nodes.get(key)
         if node is None:
             node = self._nodes[key] = cls(*children)
-            props = self._props
-            own = props[id(children[0])]
-            if len(children) == 2:
-                own = own | props[id(children[1])]
-            props[id(node)] = own
         return node
 
     def _temporal(self, cls: type, *children: Formula) -> Formula:
@@ -258,7 +256,6 @@ class ProgressionCache:
             node = self._nodes.get((Prop, name))
             if node is None:
                 node = self._nodes[(Prop, name)] = Prop(name)
-                self._props[id(node)] = frozenset(children)
             return node
         if cls is Next or cls is Eventually or cls is Always or cls is Until:
             return self._temporal(cls, *children)
@@ -275,15 +272,25 @@ class ProgressionCache:
             return FALSE
         raise TypeError(f"not a formula class: {cls!r}")
 
-    def _state(self, phi: Formula) -> tuple:
-        # A formula this automaton built (every node is kept alive, so its
-        # identity is unique) is already normal; any other is normalized.
+    def _state(self, phi: Formula, names: frozenset[str] | None = None) -> tuple:
+        # A state keeps a superset of the names its step can read: ``names``,
+        # given with a node of this automaton (those its text was written
+        # with, or its predecessor's, as progression adds none), or else the
+        # names gathered while normalizing ``phi``.
         state = self._states.get(id(phi))
+        if state is None and names is None:
+            gathered: set[str] = set()
+
+            def visit(f: Formula, *parts: Formula | str) -> Formula:
+                if type(f) is Prop:
+                    gathered.update(parts)
+                return self.build(type(f), *parts)
+
+            phi = fold(phi, visit)
+            names = frozenset(gathered)
+            state = self._states.get(id(phi))
         if state is None:
-            node = phi if id(phi) in self._props else fold(phi, lambda f, *parts: self.build(type(f), *parts))
-            state = self._states.get(id(node))
-            if state is None:
-                state = self._states[id(node)] = (self._props[id(node)], {}, (node, verdict_of(node)))
+            state = self._states[id(phi)] = (names, {}, (phi, verdict_of(phi)))
         return state
 
     def normalize(self, phi: Formula) -> Formula:
@@ -292,7 +299,9 @@ class ProgressionCache:
         return self._state(phi)[2][0]
 
     def props(self, phi: Formula) -> frozenset[str]:
-        """The propositions of ``normalize(phi)``: all a step of it can read."""
+        """A superset of the propositions of ``normalize(phi)``, which are all
+        a step of it can read: the names it was parsed or normalized from,
+        or those of the state it was first reached from."""
         return self._state(phi)[0]
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
@@ -305,7 +314,7 @@ class ProgressionCache:
         key = state[0] & labels
         successor = state[1].get(key)
         if successor is None:
-            successor = state[1][key] = self._state(self._progress(state[2][0], key))[2]
+            successor = state[1][key] = self._state(self._progress(state[2][0], key), state[0])[2]
         return successor
 
     def progress_simplify(self, phi: Formula, labels: TruthAssignment) -> Formula:

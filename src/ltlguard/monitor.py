@@ -222,8 +222,8 @@ def run_states(states: Sequence[MonitorState], records: Sequence[StepRecord]) ->
     """The report of each state stepped along ``records``, all stepped
     together, step by step, and each only when it may move.
 
-    An index maps each proposition to the states whose objective mentions
-    it.  A state is stepped when the step's labels meet its objective's
+    An index maps each proposition to the states whose objective may read
+    it (``props``).  A state is stepped when the step's labels meet those
     propositions, or while it is not settled: while a step with no labels
     would return a new state.  Any other step reads none of its
     propositions and so keeps it.  A stepped state's change point is kept

@@ -5,7 +5,9 @@ import json
 from dataclasses import replace
 
 from ltlguard import cli, monitor, trace
-from ltlguard.ltl import And, Not, Or, render
+from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
+from ltlguard.ltl import And, Not, Or, ProgressionCache, parse, render
+from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.synthbench import AttributeEventLabeler, gen_constraint_scaling
 from ltlguard.trace import Trace, save_trace
 
@@ -100,3 +102,45 @@ class TestCrossCheckComparisons:
         # constraint's first step costs one comparison.  The other 709
         # constraint-steps cost none.
         assert len(walks) <= 2 * changed + rebuilt + len(case.constraints)
+
+
+def _sizes(automaton):
+    """The automaton's counts of nodes, states and transitions."""
+    states = automaton._states.values()
+    return len(automaton._nodes), len(states), sum(len(transitions) for _, transitions, _ in states)
+
+
+class TestAutomatonSizes:
+    """A state reached on a transition miss keeps its predecessor's names,
+    which may exceed those it reads; these counts show that doing so splits
+    no transition key.  Each bound is the count measured when every node
+    kept exactly its own names, except that ``true`` and ``false`` are
+    states from the start, so the state count may exceed it by those two."""
+
+    def test_audit_case(self, tmp_path, monkeypatch):
+        _, argv = _audit_case(tmp_path)
+        loaded = []
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(load(path)) or loaded[-1])
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) in (0, 1)
+        nodes, states, transitions = _sizes(loaded[0].automaton)
+        assert nodes <= 1920 and states <= 121 + 2 and transitions <= 230
+
+    def test_guard_session(self):
+        # The ``guard-scripted`` constraints, parsed into the automaton, and
+        # a 300-step ``resample`` session at seed 5.
+        automaton = ProgressionCache()
+        texts = {"no_bad": "G !bad", "bad_then_ok": "G (bad -> F ok)", "ok_then_bad": "F (ok & X F bad)"}
+        session = GuardedSession(
+            model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
+            labeler=RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"}),
+            constraints={cid: parse(text, automaton) for cid, text in texts.items()},
+            policy=InterventionPolicy(strategy="resample", tau=0.5, n=5, k=3, m=5),
+            seed=5,
+            cache=automaton,
+        )
+        for _ in range(300):
+            guard_step(session, "")
+        nodes, states, transitions = _sizes(automaton)
+        assert nodes <= 13 and states <= 7 + 2 and transitions <= 10
+        assert len(session.states._table) <= 4

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from ltlguard.ltl import (
     ProgressionCache,
     Prop,
     Until,
+    evaluate_lasso,
     parse,
     parse_written,
     render,
@@ -93,6 +95,7 @@ class TestParseIntoAutomaton:
                     assert built is cache.normalize(parse(text))
                     assert cache.normalize(built) is built
                     assert written == props_of(phi)
+                    assert props_of(built) <= cache.props(built)
 
     def test_written_props_survive_normalizing(self):
         phi, written = parse_written("G (zzz | true) & G !bad", ProgressionCache())
@@ -213,6 +216,16 @@ def spelled(cls, n, style):
     return f" {getattr(syntax, style)} ".join(names)
 
 
+def peak_mib(call):
+    """The peak of the memory traced while ``call()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def operands(phi):
     """The operands of ``phi``'s right-nested ``|`` chain, or ``[phi]``."""
     out = []
@@ -264,10 +277,10 @@ class TestDeepInput:
     reference engine, is ``fold`` or keeps its own stack."""
 
     N = 10_000
-    # Each spine node of a binary chain in an automaton keeps the set of its
-    # propositions, so building one costs time and memory quadratic in its
-    # length; chains meet an automaton at this length until chains are one
-    # node (ROADMAP item 2).
+    # Building a binary chain in an automaton walks the spine below each new
+    # node, so it costs time quadratic in the chain's length, though memory
+    # linear in its nodes; chains meet an automaton at this length until
+    # chains are one node (ROADMAP item 2).
     CHAIN = 2_000
     CLASSES = [Next, And, Or, Implies, Until]
 
@@ -327,6 +340,23 @@ class TestDeepInput:
                 if reference is not None:
                     reference, reference_verdict = REFERENCE.transition(reference, labels)
                     assert same(residual, reference) and verdict is reference_verdict
+
+    def test_lasso_evaluates_deep_formulas(self):
+        assert evaluate_lasso(deep(Next, self.N)[1], [], [frozenset({"p"})])
+        assert evaluate_lasso(deep(Until, self.N)[1], [], [frozenset({f"p{self.N - 1}"})])
+
+    def test_chain_memory_is_linear_in_nodes(self):
+        # An automaton keeps names per state, not per node: a node that kept
+        # its propositions would make each chain's memory quadratic.  The
+        # step of a U chain on every name but the last builds about n²/2
+        # nodes.
+        text, _ = deep(And, 500)
+        assert peak_mib(lambda: parse(text, ProgressionCache())) < 2
+        text, _ = deep(Until, 200)
+        cache = ProgressionCache()
+        phi = parse(text, cache)
+        labels = frozenset(f"p{i}" for i in range(199))
+        assert peak_mib(lambda: cache.transition(phi, labels)) < 16
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
     def test_parse_command(self, cls, capsys):

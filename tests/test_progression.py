@@ -27,7 +27,7 @@ from ltlguard.ltl import (
     simplify,
     verdict_of,
 )
-from helpers import DEFAULT_PROPS, lasso_equivalent, node_count, random_assignment, random_formula
+from helpers import DEFAULT_PROPS, lasso_equivalent, node_count, props_of, random_assignment, random_formula
 
 P = Prop("p")
 Q = Prop("q")
@@ -260,7 +260,9 @@ class TestFreshConstants:
 
 class TestReferenceAgainstAutomaton:
     """``simplify(progress(...))`` and ``ProgressionCache.transition`` step
-    random formulas with constant leaves along random traces in lockstep."""
+    random formulas with constant leaves along random traces in lockstep.
+    Each state's names hold every proposition it reads and none that the
+    formula it came from was not written with."""
 
     @pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
     def test_seeded_differential(self, reset):
@@ -271,11 +273,13 @@ class TestReferenceAgainstAutomaton:
             objective = reference = simplify(phi)
             compiled = cache.normalize(phi)
             assert compiled == reference
+            assert props_of(compiled) <= cache.props(phi) <= props_of(phi)
             for _ in range(25):
                 labels = random_assignment(rng, DEFAULT_PROPS[:3])
                 reference = simplify(progress(reference, labels))
                 compiled, verdict = cache.transition(compiled, labels)
                 assert compiled == reference, phi
+                assert props_of(compiled) <= cache.props(compiled) <= props_of(phi), phi
                 assert verdict is verdict_of(reference), phi
                 if verdict is not Verdict.INCONCLUSIVE:
                     if not reset:

@@ -8,7 +8,6 @@ from helpers import PACKAGE_ROOT
 RECURSIVE = {
     "ltl.progression.progress": "reference oracle the compiled engine is checked against",
     "ltl.progression.simplify": "reference oracle the compiled engine is checked against",
-    "ltl.lasso.evaluate_lasso.<locals>.vec": "test oracle for verdict soundness",
     "trace.checked": "depth is fixed by the declared kind",
     "synthbench.generator.build_tree_formula.<locals>.node": "depth is TREE_DEPTH",
 }
