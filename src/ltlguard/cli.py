@@ -104,7 +104,7 @@ def _check_propositions(
 def cmd_parse(args: argparse.Namespace) -> int:
     phi = parse(args.formula)
     document = {
-        "canonical": render(ProgressionCache().normalize(phi), "ascii"),
+        "canonical": render(parse(args.formula, ProgressionCache()), "ascii"),
         "parsed": render(phi, "ascii"),
         "ast": fold(phi, _ast_dict),
     }

@@ -2,8 +2,9 @@
 
 An infinite word ``prefix . loop^omega`` has finitely many distinct
 positions, so satisfaction is decidable by evaluating subformulas
-bottom-up over those positions, with least fixed points for the
-eventuality operators and a greatest fixed point for invariance.
+bottom-up over those positions, with a least fixed point for the
+eventuality operators; invariance is decided as ``G φ = ¬F¬φ`` through the
+same least fixed point.
 Serves as the semantic oracle the progression machinery is tested
 against.
 """
@@ -68,7 +69,8 @@ def evaluate_lasso(
             case Until():
                 return _least_fixpoint(parts[1], parts[0], n, nxt)
             case Always():
-                return _greatest_fixpoint(parts[0], n, nxt)
+                eventually_not = _least_fixpoint([not x for x in parts[0]], [True] * n, n, nxt)
+                return [not x for x in eventually_not]
         raise TypeError(f"not a formula: {f!r}")
 
     # Memoized by identity: ``phi`` keeps its subformulas alive for the call.
@@ -87,18 +89,5 @@ def _least_fixpoint(
         for i in range(n - 1, -1, -1):
             if not v[i] and (target[i] or (hold[i] and v[nxt(i)])):
                 v[i] = True
-                changed = True
-    return v
-
-
-def _greatest_fixpoint(child: list[bool], n: int, nxt) -> list[bool]:
-    # v = child & X v, from top: survives only along everywhere-true runs.
-    v = list(child)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if v[i] and not (child[i] and v[nxt(i)]):
-                v[i] = False
                 changed = True
     return v

@@ -6,6 +6,8 @@ tightest: ``->``, ``|``, ``&``, ``U`` (all right-assoc), unary (``!``,
 accepted for every operator so that the symbolic rendering parses back.
 Given a residual automaton, the parser builds each node through its
 normalizing constructors, so no plain tree is built and walked again.
+It is the automaton's only door: a plain tree enters it through its ascii
+rendering.
 
 One operator-precedence pass (Dijkstra's shunting yard) reads the tokens
 with two explicit stacks and no recursion, so no depth or length of input

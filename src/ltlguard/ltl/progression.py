@@ -31,8 +31,9 @@ from .ast import (
     TruthAssignment,
     Until,
     Verdict,
-    fold,
 )
+from .parser import parse
+from .render import render
 
 
 def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
@@ -157,24 +158,24 @@ class ProgressionCache:
     """The residual automaton of one monitored run, on hash-consed nodes.
 
     Each node is built once per automaton, keyed by its class and the
-    identities of its children (a proposition by its name), so equal
-    nodes of one automaton are the same object.  The constructors apply
-    the ``simplify`` rules as they build: flatten same-kind chains, drop
-    units and duplicates, short-circuit on the absorbing element, collapse
-    double negation; ``build`` is one such step, over normal children, and
-    the parser builds a formula through it.  Hence ``normalize(phi)`` is
-    ``simplify(phi)`` and ``progress_simplify(phi, sigma)`` is
-    ``simplify(progress(phi, sigma))``, both as states of this automaton.
-    The automaton is a Moore machine: a state's names, a superset of the
-    propositions its step can read, and its verdict are set when it is
-    registered; a node keeps no data of its own.  A state's transitions
-    found so far are keyed by the step's labels restricted to its names,
-    each to the successor and its verdict; a step is one lookup and a miss
-    progresses the residual once.  The automaton keeps every node it built
-    alive, which keeps the identities in its keys unique and makes
-    ``rendered``, its memo of ascii renderings by node identity, sound.  It
-    lives as long as its owner: a loaded config, one ``run_monitor`` call
-    or a guarded session.
+    identities of its children (a proposition by its name), so equal nodes of
+    one automaton are the same object.  The constructors apply the
+    ``simplify`` rules as they build: flatten same-kind chains, drop units and
+    duplicates, short-circuit on the absorbing element, collapse double
+    negation; ``build`` is one such step, over normal children, and the
+    parser, the automaton's only door, builds a formula through it: a formula
+    from elsewhere is parsed in from its ascii rendering.  Hence
+    ``normalize(phi)`` is ``simplify(phi)`` and ``progress_simplify(phi,
+    sigma)`` is ``simplify(progress(phi, sigma))``, both as states of this
+    automaton.  The automaton is a Moore machine: a state's names, a superset
+    of the propositions its step can read, and its verdict are set when it is
+    registered; a node keeps no data of its own.  A state's transitions found
+    so far are keyed by the step's labels restricted to its names, each to the
+    successor and its verdict; a step is one lookup and a miss progresses the
+    residual once.  The automaton keeps every node it built alive, which keeps
+    the identities in its keys unique and makes ``rendered``, its memo of
+    ascii renderings by node identity, sound.  It lives as long as its owner:
+    a loaded config, one ``run_monitor`` call or a guarded session.
     """
 
     __slots__ = ("_nodes", "_states", "rendered")
@@ -275,33 +276,27 @@ class ProgressionCache:
     def _state(self, phi: Formula, names: frozenset[str] | None = None) -> tuple:
         # A state keeps a superset of the names its step can read: ``names``,
         # given with a node of this automaton (those its text was written
-        # with, or its predecessor's, as progression adds none), or else the
-        # names gathered while normalizing ``phi``.
+        # with, or its predecessor's, as progression adds none).  A formula
+        # from elsewhere enters through the parser, from its ascii rendering,
+        # of which the parser is the exact inverse.
         state = self._states.get(id(phi))
-        if state is None and names is None:
-            gathered: set[str] = set()
-
-            def visit(f: Formula, *parts: Formula | str) -> Formula:
-                if type(f) is Prop:
-                    gathered.update(parts)
-                return self.build(type(f), *parts)
-
-            phi = fold(phi, visit)
-            names = frozenset(gathered)
-            state = self._states.get(id(phi))
         if state is None:
+            if names is None:
+                return self._states[id(parse(render(phi), self))]
             state = self._states[id(phi)] = (names, {}, (phi, verdict_of(phi)))
         return state
 
     def normalize(self, phi: Formula) -> Formula:
         """``simplify(phi)`` as a state of this automaton; ``phi`` may be any
-        formula, and a state of this automaton is one lookup."""
+        formula, and a state of this automaton is one lookup.  Any other
+        formula costs a render and a parse into this automaton."""
         return self._state(phi)[2][0]
 
     def props(self, phi: Formula) -> frozenset[str]:
         """A superset of the propositions of ``normalize(phi)``, which are all
-        a step of it can read: the names it was parsed or normalized from,
-        or those of the state it was first reached from."""
+        a step of it can read: the names of the text it was first parsed
+        from (a formula from elsewhere, its rendering), or those of the
+        state it was first reached from."""
         return self._state(phi)[0]
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:

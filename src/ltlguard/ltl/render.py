@@ -14,9 +14,16 @@ from functools import partial
 from .ast import ATOM, SYNTAX, UNARY, Formula, Syntax, fold
 
 
+def _syntax(phi: Formula) -> Syntax:
+    syntax = SYNTAX.get(type(phi))
+    if syntax is None:
+        raise TypeError(f"not a formula class: {type(phi)!r}")
+    return syntax
+
+
 def _render(style: int, phi: Formula, *parts: str) -> str:
     # ``fold``'s visit, in the style whose spelling is ``Syntax[style]``.
-    syntax = SYNTAX[type(phi)]
+    syntax = _syntax(phi)
     op, strength = syntax[style], syntax.strength
     if strength == ATOM:
         return op or parts[0]
@@ -41,7 +48,7 @@ _STYLES = {style: partial(_render, Syntax._fields.index(style)) for style in ("a
 
 
 def _phrase(phi: Formula, *parts: str) -> str:
-    return SYNTAX[type(phi)].english.format(*parts)
+    return _syntax(phi).english.format(*parts)
 
 
 def render(phi: Formula, style: str = "ascii", memo: dict[int, str] | None = None) -> str:

@@ -66,6 +66,19 @@ class TestEvaluateLasso:
         assert evaluate_lasso(phi, [s("a")], [s("b")]) is True
         assert evaluate_lasso(phi, [s("b")], [s("a")]) is False
 
+    def test_always_holds_at_every_shift(self):
+        # G φ checked without the oracle's fixpoints: the word's suffixes are
+        # its len(prefix) + len(loop) shifts, and G φ holds iff φ holds on each.
+        rng = random.Random(3535)
+        for _ in range(3000):
+            phi = random_formula(rng, depth=rng.randint(0, 3))
+            prefix, loop = random_lasso(rng, DEFAULT_PROPS, max_prefix=4, max_loop=3)
+            holds, word = [], (prefix, loop)
+            for _ in range(len(prefix) + len(loop)):
+                holds.append(evaluate_lasso(phi, *word))
+                word = shift_lasso(*word)
+            assert evaluate_lasso(Always(phi), prefix, loop) == all(holds), (phi, prefix, loop)
+
 
 class TestProgressionIdentity:
     """Truth at position i equals truth of the progressed formula at i+1."""

@@ -81,21 +81,25 @@ class TestEstimateRisk:
         )["c"]
         assert estimate.probability == 1.0
 
-    def test_estimates_bernoulli_probability(self):
-        state = new_state("c", parse("G !bad"))
+    @pytest.mark.parametrize("reset", [False, True], ids=["plain", "reset"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_estimates_bernoulli_probability(self, k, reset):
+        # Each rollout step draws "bad" with probability 0.5 on its own, so
+        # G !bad is violated within k steps with probability 1 - 0.5^k.
+        state = new_state("c", parse("G !bad"), reset_mode=reset)
         estimate = estimate_risks(
             {"c": state},
             bernoulli_model(0.5),
             BAD_LABELER,
             PATTERNS["contains_violated"],
-            k=1,
+            k=k,
             m=2000,
             next_input="go",
             history=[],
             seed=99,
             temperature=0.8,
         )["c"]
-        assert estimate.probability == pytest.approx(0.5, abs=0.04)
+        assert estimate.probability == pytest.approx(1 - (1 - 0.5) ** k, abs=0.04)
 
     def test_deterministic_under_seed(self):
         states = {"c": new_state("c", parse("G !bad"))}

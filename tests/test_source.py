@@ -70,3 +70,18 @@ def test_the_check_sees_each_kind_of_self_call():
         "    def n(me):\n        return other.n()\n"
     )
     assert sorted(self_callers(ast.parse(source), "mod")) == ["mod.C.m", "mod.f", "mod.g.<locals>.h"]
+
+
+def test_only_the_parser_builds_automaton_nodes():
+    # The parser is the residual automaton's one door: a formula from
+    # elsewhere enters through its rendering, never through ``.build``.
+    package = PACKAGE_ROOT / "ltlguard"
+    builders = [
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "build"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert builders == ["ltl/parser.py"]
