@@ -1,11 +1,13 @@
 """Abstract syntax trees for linear temporal logic formulas.
 
 Nodes are immutable, hashable dataclasses; every rewrite builds new values.
-Structural equality is the equality of the reference semantics.  Within one
+Structural equality, ``same``, is their ``==`` and the equality of the
+reference semantics.  A constant has one instance, which ``TrueBool()`` or
+a copy of ``TRUE`` returns, so it is tested by identity.  Within one
 ``ProgressionCache`` (see ``progression``) equal nodes are the same object,
 so the compiled monitor compares residuals by identity.  ``SYNTAX`` is the
-one table of their concrete syntax; ``fold`` walks a formula and ``same``
-decides structural equality, both without recursion.
+one table of their concrete syntax; ``fold`` and ``same`` walk a formula
+without recursion.
 """
 
 from __future__ import annotations
@@ -29,22 +31,30 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes; ``==`` is ``same`` and ``hash`` a ``fold``, so neither recurses."""
+
+    def __eq__(self, other: object) -> bool:
+        return same(self, other) if isinstance(other, Formula) else NotImplemented
+
+    def __hash__(self) -> int:
+        return fold(self, lambda node, *parts: hash((type(node), *parts)), {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueBool(Formula):
-    pass
+    def __new__(cls) -> TrueBool:  # also serves copy, pickle and ``dataclasses.replace``
+        return TRUE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseBool(Formula):
-    pass
+    def __new__(cls) -> FalseBool:
+        return FALSE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prop(Formula):
     name: str
 
@@ -57,52 +67,52 @@ class Prop(Formula):
             raise ValueError(f"proposition name {self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     child: Formula
 
 
-TRUE = TrueBool()
-FALSE = FalseBool()
+TRUE: TrueBool = object.__new__(TrueBool)
+FALSE: FalseBool = object.__new__(FalseBool)
 
 # Binding strengths: a higher number binds tighter.  Binary operators are
 # right-associative; unary operators and atoms bind tightest.
@@ -184,8 +194,8 @@ def fold(phi: Formula, visit: Callable[..., T], memo: dict[int, T] | None = None
 
 
 def same(a: Formula, b: Formula) -> bool:
-    """Structural equality, as ``==`` but by an explicit stack, so no depth
-    meets the recursion limit; a shared subtree is matched by identity."""
+    """Structural equality, formulas' ``==``, by an explicit stack, so no
+    depth meets the recursion limit; a shared subtree is matched by identity."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from .ast import ATOM, FALSE, IDENT, SYNTAX, TRUE, UNARY, Formula, Prop
+from .ast import ATOM, IDENT, SYNTAX, UNARY, FalseBool, Formula, Prop, TrueBool
 
 if TYPE_CHECKING:
     from .progression import ProgressionCache
@@ -54,7 +54,6 @@ _TOKEN = re.compile(
     rf"\s*(?:(?P<word>{IDENT})|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<bad>\S))"
 )
 
-_CONSTANTS = {type(c): c for c in (TRUE, FALSE)}
 _UNARY = frozenset(cls for cls, syntax in SYNTAX.items() if syntax.strength == UNARY)
 _BINARY = {cls: syntax.strength for cls, syntax in SYNTAX.items() if syntax.strength < UNARY}
 
@@ -107,8 +106,8 @@ def parse_written(text: str, automaton: ProgressionCache | None = None) -> tuple
         if want_operand:
             if node is Prop:
                 operands.append(build(Prop, word))
-            elif node in _CONSTANTS:
-                operands.append(_CONSTANTS[node])
+            elif node is TrueBool or node is FalseBool:
+                operands.append(node())  # the constant's one instance
             elif node in _UNARY or word == "(":
                 pending.append(node)
                 continue

@@ -61,27 +61,23 @@ def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
         # Progressed through its boolean definition; the Implies node
         # itself survives only inside the untouched temporal operands.
         return Or(Not(progress(phi.left, sigma)), progress(phi.right, sigma))
-    if kind is TrueBool:
-        return TRUE
-    if kind is FalseBool:
-        return FALSE
+    if phi is TRUE or phi is FALSE:
+        return phi
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def _simplify_connective(phi: Formula, unit: Formula, zero: Formula, left: Formula, right: Formula) -> Formula:
     # Flatten same-kind chains, drop units and duplicates, short-circuit on
     # the absorbing element.  ``left`` and ``right`` are ``phi``'s children,
-    # simplified.  Any instance of a constant's class is that constant, as
-    # under ``==``, and duplicates are found by structural ``==``.  Only a
+    # simplified.  Duplicates are found by structural ``==``.  Only a
     # dropped operand or a re-associated left chain rebuilds the chain.
-    kind, unit_kind, zero_kind = type(phi), type(unit), type(zero)
+    kind = type(phi)
     flat = _operands(kind, left) + _operands(kind, right)
     children: list[Formula] = []
     for child in flat:
-        child_kind = type(child)
-        if child_kind is zero_kind:
+        if child is zero:
             return zero
-        if child_kind is unit_kind or child in children:
+        if child is unit or child in children:
             continue
         children.append(child)
     if len(children) == len(flat) and type(left) is not kind:
@@ -102,42 +98,38 @@ def simplify(phi: Formula) -> Formula:
     and ``G`` of ``true`` or ``false`` is that constant, ``φ U true`` is
     ``true`` and ``false U ψ`` is ``ψ``.  No semantic reasoning.
     """
-    # Dispatch on the exact class, and test constants by class: any
-    # ``TrueBool``/``FalseBool`` instance is that constant.
+    # Dispatch on the exact class; a constant is its one instance.
     kind = type(phi)
     if kind is And:
         return _simplify_connective(phi, TRUE, FALSE, simplify(phi.left), simplify(phi.right))
     if kind is Or:
         return _simplify_connective(phi, FALSE, TRUE, simplify(phi.left), simplify(phi.right))
-    if kind is Prop or kind is TrueBool or kind is FalseBool:
+    if kind is Prop or phi is TRUE or phi is FALSE:
         return phi
     if kind is Always or kind is Eventually or kind is Next:
         child = simplify(phi.child)
-        child_kind = type(child)
-        if child_kind is TrueBool or child_kind is FalseBool:
+        if child is TRUE or child is FALSE:
             return child
         return phi if child is phi.child else kind(child)
     if kind is Not:
         child = simplify(phi.child)
-        child_kind = type(child)
-        if child_kind is TrueBool:
+        if child is TRUE:
             return FALSE
-        if child_kind is FalseBool:
+        if child is FALSE:
             return TRUE
-        if child_kind is Not:
+        if type(child) is Not:
             return child.child
         return phi if child is phi.child else Not(child)
     if kind is Until:
         left, right = simplify(phi.left), simplify(phi.right)
-        if type(right) is TrueBool or type(left) is FalseBool:
+        if right is TRUE or left is FALSE:
             return right
         return phi if left is phi.left and right is phi.right else Until(left, right)
     if kind is Implies:
         left, right = simplify(phi.left), simplify(phi.right)
-        left_kind = type(left)
-        if left_kind is TrueBool:
+        if left is TRUE:
             return right
-        if left_kind is FalseBool:
+        if left is FALSE:
             return TRUE
         return phi if left is phi.left and right is phi.right else Implies(left, right)
     raise TypeError(f"not a formula: {phi!r}")
@@ -267,10 +259,8 @@ class ProgressionCache:
             if left is FALSE:
                 return TRUE
             return self._node(Implies, left, right)
-        if cls is TrueBool:
-            return TRUE
-        if cls is FalseBool:
-            return FALSE
+        if cls is TrueBool or cls is FalseBool:
+            return cls()  # the constant's one instance
         raise TypeError(f"not a formula class: {cls!r}")
 
     def _state(self, phi: Formula, names: frozenset[str] | None = None) -> tuple:
@@ -367,9 +357,8 @@ class ProgressionCache:
 
 def verdict_of(phi: Formula) -> Verdict:
     """Three-valued verdict of an already-simplified residual formula."""
-    kind = type(phi)
-    if kind is FalseBool:
+    if phi is FALSE:
         return Verdict.VIOLATED
-    if kind is TrueBool:
+    if phi is TRUE:
         return Verdict.SATISFIED
     return Verdict.INCONCLUSIVE

@@ -21,6 +21,7 @@ import os
 import random
 import re
 import socket
+import threading
 import time
 import urllib.parse
 import urllib.request
@@ -125,6 +126,9 @@ class EndpointFormatError(EndpointError):
     pass
 
 
+MAX_WAIT = threading.TIMEOUT_MAX / 2  # longest timeout or retry delay; ``time.sleep`` fails near TIMEOUT_MAX
+
+
 @dataclass
 class EndpointModel:
     """Client for a chat-completions-shaped HTTP endpoint.
@@ -151,6 +155,9 @@ class EndpointModel:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if not self.backoff >= 0:
             raise ValueError(f"backoff must be nonnegative, got {self.backoff}")
+        for name, value in (("timeout", self.timeout), ("backoff", self.backoff)):
+            if value > MAX_WAIT:
+                raise ValueError(f"{name} must be at most {MAX_WAIT:.0f} seconds, got {value}")
         url = urllib.parse.urlsplit(self.base_url.rstrip("/") + "/chat/completions")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
@@ -194,10 +201,11 @@ class EndpointModel:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error: EndpointError | None = None
+        delay = self.backoff
         for attempt in range(self.retries):
             if attempt:
-                delay = self.backoff * 2 ** (attempt - 1)
                 time.sleep(delay * (0.5 + random.random() / 2))
+                delay = min(2 * delay, MAX_WAIT)
             try:
                 status, data = self._post(payload, headers)
             except TimeoutError:

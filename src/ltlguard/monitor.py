@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 from .ltl import (
     FALSE,
     TRUE,
-    FalseBool,
     Formula,
     ProgressionCache,
-    TrueBool,
     TruthAssignment,
     Verdict,
     progress,
@@ -49,7 +47,6 @@ from .trace import (
     VerdictReport,
     WitnessEntry,
     WitnessEpisode,
-    report_to_dict,
 )
 
 
@@ -60,15 +57,12 @@ class CrossCheckError(AssertionError):
 class _Reference:
     """The reference progression as an engine: ``simplify(progress(...))``,
     uncached, with ``progress`` and ``simplify`` looked up at call time.  As
-    in the compiled automaton, an unchanged residual is ``phi`` itself and a
-    constant is the ``TRUE``/``FALSE`` singleton."""
+    in the compiled automaton, an unchanged residual is ``phi`` itself."""
 
     __slots__ = ()
 
     def normalize(self, phi: Formula) -> Formula:
-        phi = simplify(phi)
-        kind = type(phi)
-        return TRUE if kind is TrueBool else FALSE if kind is FalseBool else phi
+        return simplify(phi)
 
     def transition(self, phi: Formula, labels: TruthAssignment) -> tuple[Formula, Verdict]:
         residual = simplify(progress(phi, labels))
@@ -336,8 +330,7 @@ def _cross_check(
                     f"constraint {cid}: step {record.t}: reference verdict {expected.value}, "
                     f"compiled {verdict.value}, reported {reported.value}"
                 )
-        memo: dict[int, str] = {}  # renderings; ``references`` and ``given`` keep the residuals alive
-        if report_to_dict(report(trace.steps, start, references), memo) != report_to_dict(given, memo):
+        if report(trace.steps, start, references) != given:
             raise CrossCheckError(
                 f"constraint {cid}: reported counters or witnesses differ from the reference run"
             )

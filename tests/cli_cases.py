@@ -241,6 +241,21 @@ def judge(name, judge_config, err_is, **fields) -> Case:
     return case(name, fields.pop("cmd", JUDGE), files=files, err_is=err_is, **fields)
 
 
+def with_number(doc, number) -> str:
+    """``doc`` as JSON text with each ``"NUMBER"`` spelled ``number``, such
+    as ``1e400``, which JSON reads as infinity."""
+    return json.dumps(doc).replace('"NUMBER"', number)
+
+
+# Waits longer than ``time.sleep`` or a socket takes, each with its JSON
+# spelling and how the error prints it.
+TOO_LONG = [
+    (key, number, f"{key} must be at most 4611686018 seconds, got {float(number)}")
+    for key in ("timeout", "backoff")
+    for number in ("1e400", "1e10")
+]
+
+
 def bench(name, lines, err_is, cmd=EVAL) -> Case:
     """A ``bench eval`` of ``bench.jsonl`` that exits 2."""
     return case(name, cmd, files={"bench.jsonl": lines}, err_is=err_is)
@@ -802,6 +817,15 @@ CASES = [
         {"model": {**ENDPOINT, "retries": 0}},
         err_is="error: invalid config value: retries must be at least 1, got 0\n",
     ),
+    *(
+        guard(
+            f"guard-endpoint-{key}-{number}",
+            {},
+            files={"config.json": with_number(with_readme(model={**ENDPOINT, key: "NUMBER"}), number)},
+            err_is=f"error: invalid config value: {message}\n",
+        )
+        for key, number, message in TOO_LONG
+    ),
     # A nested endpoint spec must not turn into another model type.
     guard(
         "guard-endpoint-labeler-inner-type",
@@ -981,6 +1005,14 @@ CASES = [
         "judge-config-timeout-0",
         {"base_url": ENDPOINT["base_url"], "model": "m", "timeout": 0},
         "error: invalid config value: timeout must be positive, got 0\n",
+    ),
+    *(
+        judge(
+            f"judge-config-{key}-{number}",
+            with_number({**ENDPOINT, key: "NUMBER"}, number),
+            f"error: invalid config value: {message}\n",
+        )
+        for key, number, message in TOO_LONG
     ),
     judge(
         "judge-config-base-url-int",

@@ -587,13 +587,14 @@ class TestEndpointSpecValues:
             {"retries": 0}, {"retries": -2}, {"timeout": 0}, {"timeout": -1.5}, {"backoff": -1},
             {"base_url": 5}, {"model": None}, {"api_key_env": 5}, {"system_prompt": 5},
             {"audit_log_path": 5}, {"retries": 2.5}, {"retries": True}, {"max_tokens": 2.5},
-            {"timeout": "60"}, {"backoff": True},
+            {"timeout": "60"}, {"backoff": True}, {"timeout": 1e10}, {"timeout": float("inf")},
+            {"backoff": 1e10}, {"backoff": float("inf")},
         ],
         ids=[
             "retries-0", "retries-negative", "timeout-0", "timeout-negative", "backoff-negative",
             "base_url-int", "model-null", "api_key_env-int", "system_prompt-int",
             "audit_log_path-int", "retries-float", "retries-bool", "max_tokens-float",
-            "timeout-string", "backoff-bool",
+            "timeout-string", "backoff-bool", "timeout-1e10", "timeout-inf", "backoff-1e10", "backoff-inf",
         ],
     )
     def test_build_model_rejects(self, override):

@@ -4,6 +4,8 @@ import collections
 import json
 from dataclasses import replace
 
+import pytest
+
 from ltlguard import cli, monitor, trace
 from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
 from ltlguard.ltl import And, Not, Or, ProgressionCache, parse, render
@@ -65,6 +67,23 @@ class TestLabelerCalls:
         assert (tmp_path / "memo.json").read_bytes() == (tmp_path / "bound1.json").read_bytes()
 
 
+class TestTransitionMisses:
+    def test_audit_case(self, tmp_path, monkeypatch):
+        # A miss progresses a residual once and records one transition, so
+        # the misses are at most the automaton's transitions.
+        _, argv = _audit_case(tmp_path)
+        body = ProgressionCache._progress
+        misses = []
+
+        def counted_progress(self, phi, sigma):
+            misses.append(phi)
+            return body(self, phi, sigma)
+
+        monkeypatch.setattr(ProgressionCache, "_progress", counted_progress)
+        assert cli.main([*argv, "--out", str(tmp_path / "out.json")]) in (0, 1)
+        assert len(misses) <= 230
+
+
 class TestCrossCheckComparisons:
     def test_residuals_are_compared_only_where_one_changed(self, tmp_path, monkeypatch):
         # One ``audit-crosscheck``-shaped case: 5 simple constraints, 200 steps.
@@ -104,6 +123,22 @@ class TestCrossCheckComparisons:
         assert len(walks) <= 2 * changed + rebuilt + len(case.constraints)
 
 
+def _guard_session(strategy):
+    """A ``guard-scripted`` session of ``strategy`` at seed 5, its
+    constraints parsed into a fresh automaton."""
+    automaton = ProgressionCache()
+    texts = {"no_bad": "G !bad", "bad_then_ok": "G (bad -> F ok)", "ok_then_bad": "F (ok & X F bad)"}
+    return GuardedSession(
+        model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
+        labeler=RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"}),
+        constraints={cid: parse(text, automaton) for cid, text in texts.items()},
+        policy=InterventionPolicy(strategy=strategy, tau=0.5, n=5, k=3, m=5),
+        substitute=ScriptedModel(distributions=((("ok move", 1.0),),)),
+        seed=5,
+        cache=automaton,
+    )
+
+
 def _sizes(automaton):
     """The automaton's counts of nodes, states and transitions."""
     states = automaton._states.values()
@@ -127,20 +162,49 @@ class TestAutomatonSizes:
         assert nodes <= 1920 and states <= 121 + 2 and transitions <= 230
 
     def test_guard_session(self):
-        # The ``guard-scripted`` constraints, parsed into the automaton, and
-        # a 300-step ``resample`` session at seed 5.
-        automaton = ProgressionCache()
-        texts = {"no_bad": "G !bad", "bad_then_ok": "G (bad -> F ok)", "ok_then_bad": "F (ok & X F bad)"}
-        session = GuardedSession(
-            model=ScriptedModel(distributions=((("bad move", 0.3), ("ok move", 0.7)),)),
-            labeler=RuleLabeler(frozenset({"bad", "ok"}), {"bad": r"\bbad\b", "ok": r"\bok\b"}),
-            constraints={cid: parse(text, automaton) for cid, text in texts.items()},
-            policy=InterventionPolicy(strategy="resample", tau=0.5, n=5, k=3, m=5),
-            seed=5,
-            cache=automaton,
-        )
+        # A 300-step ``resample`` session.
+        session = _guard_session("resample")
         for _ in range(300):
             guard_step(session, "")
-        nodes, states, transitions = _sizes(automaton)
+        nodes, states, transitions = _sizes(session.states["no_bad"].automaton)
         assert nodes <= 13 and states <= 7 + 2 and transitions <= 10
         assert len(session.states._table) <= 4
+
+
+class CountedModel:
+    """A model that counts its calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def next_output(self, *args):
+        self.calls += 1
+        return self.model.next_output(*args)
+
+
+class TestGuardModelCalls:
+    """A 100-step session of each strategy on the ``guard-scripted`` config
+    at seed 5 calls the model and the substitute exactly as the policy says.
+    Each step costs one action call and, unless the strategy is ``none``,
+    an estimate of m·k calls.  An intervened step adds the intervention, n
+    rollouts of k calls for ``resample`` or one call otherwise, and the
+    post-pair check, two estimates of m·k calls."""
+
+    @pytest.mark.parametrize(
+        "strategy, intervened_at_most, calls_at_most",
+        [("none", 0, 100), ("resample", 76, 5020), ("inject", 84, 4204), ("switch", 76, 3956)],
+    )
+    def test_session(self, strategy, intervened_at_most, calls_at_most):
+        session = _guard_session(strategy)
+        session.model = model = CountedModel(session.model)
+        session.substitute = substitute = CountedModel(session.substitute)
+        for _ in range(100):
+            guard_step(session, "")
+        policy = session.policy
+        intervened = sum(outcome.intervened for outcome in session.outcomes)
+        estimate = policy.m * policy.k
+        per_step = 1 if strategy == "none" else estimate + 1
+        intervention = policy.n * policy.k if strategy == "resample" else 1
+        calls = model.calls + substitute.calls
+        assert calls == 100 * per_step + intervened * (intervention + 2 * estimate)
+        assert intervened <= intervened_at_most and calls <= calls_at_most

@@ -564,8 +564,8 @@ class TestAuditLog:
 
     @pytest.mark.parametrize("mode", ["plain", "reset"])
     def test_fresh_constant_objectives(self, mode):
-        # Any TrueBool/FalseBool instance is that constant.  Both engines
-        # normalize it to the singleton, so a pinned constant is no change
+        # ``TrueBool()`` and ``FalseBool()`` are the constants' one
+        # instances, so under both engines a pinned constant is no change
         # and adds no witness entry.
         trace = labeled_trace([{"p"}, set(), {"p"}, set()])
         built = {

@@ -273,8 +273,9 @@ def closed_form(cls, n, built, draws):
 
 class TestDeepInput:
     """No depth or length meets Python's recursion limit: the parser keeps
-    its own stacks, and every other walk of a formula, outside the
-    reference engine, is ``fold`` or keeps its own stack."""
+    its own stacks, and every other walk of a formula, ``==`` and ``hash``
+    included, outside the reference engine, is ``fold`` or keeps its own
+    stack."""
 
     N = 10_000
     # Building a binary chain in an automaton walks the spine below each new
@@ -293,6 +294,14 @@ class TestDeepInput:
         assert same(parse(text), expected)
         assert same(parse(text, ProgressionCache()), expected)
         self.assert_renders(Next, expected)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_equality_and_hash(self, cls):
+        text, phi = deep(cls, self.N)
+        copy = deep(cls, self.N)[1]
+        assert copy is not phi and copy == phi and hash(copy) == hash(phi)
+        other = parse(text.rpartition(" ")[0] + " other")  # another last proposition
+        assert other != phi and not other == phi
 
     def test_nested_parentheses(self):
         text = "(" * self.N + "p" + ")" * self.N

@@ -1,5 +1,8 @@
 """Progression rules, simplification, and verdict extraction."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -222,9 +225,18 @@ OPERAND_POSITIONS = [
 
 
 class TestFreshConstants:
-    """Any ``TrueBool``/``FalseBool`` instance is that constant, as under
-    structural ``==``: a fresh instance at any operand position, directly or
-    beside a chain, rewrites as the singleton does."""
+    """A constant has one instance: ``TrueBool()`` and ``FalseBool()``, and
+    every copy of a constant, return it.  So a constant built anew at any
+    operand position, directly or beside a chain, rewrites as the singleton
+    does."""
+
+    @pytest.mark.parametrize("constant", [TRUE, FALSE], ids=["true", "false"])
+    def test_one_instance(self, constant):
+        assert type(constant)() is constant
+        copies = [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)), dataclasses.replace]
+        for make in copies:
+            assert make(constant) is constant
+            assert make(Until(P, constant)).right is constant
 
     @pytest.mark.parametrize("cls, position", OPERAND_POSITIONS)
     @pytest.mark.parametrize("constant", [TRUE, FALSE], ids=["true", "false"])

@@ -3,6 +3,7 @@
 import ast
 
 from helpers import PACKAGE_ROOT
+from ltlguard.ltl import ast as formulas
 
 # The functions allowed to call themselves, each with why its depth is safe.
 RECURSIVE = {
@@ -85,3 +86,14 @@ def test_only_the_parser_builds_automaton_nodes():
         )
     ]
     assert builders == ["ltl/parser.py"]
+
+
+def test_formula_classes_inherit_one_equality():
+    # A generated ``==`` or ``hash`` on a node class would recurse.
+    classes = [
+        cls for cls in vars(formulas).values()
+        if isinstance(cls, type) and issubclass(cls, formulas.Formula) and cls is not formulas.Formula
+    ]
+    assert set(classes) == set(formulas.SYNTAX)
+    for cls in classes:
+        assert (cls.__eq__, cls.__hash__) == (formulas.Formula.__eq__, formulas.Formula.__hash__), cls
