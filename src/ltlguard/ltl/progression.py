@@ -20,14 +20,12 @@ from .ast import (
     And,
     Always,
     Eventually,
-    FalseBool,
     Formula,
     Implies,
     Next,
     Not,
     Or,
     Prop,
-    TrueBool,
     TruthAssignment,
     Until,
     Verdict,
@@ -43,10 +41,12 @@ def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
     kind = type(phi)
     if kind is Prop:
         return TRUE if phi.name in sigma else FALSE
-    if kind is And:
-        return And(progress(phi.left, sigma), progress(phi.right, sigma))
-    if kind is Or:
-        return Or(progress(phi.left, sigma), progress(phi.right, sigma))
+    if kind is And or kind is Or:  # along the spine: a chain's width adds no depth
+        operands = _operands(kind, phi)
+        node = progress(operands.pop(), sigma)
+        for operand in reversed(operands):
+            node = kind(progress(operand, sigma), node)
+        return node
     if kind is Always:
         return And(progress(phi.child, sigma), phi)
     if kind is Eventually:
@@ -66,30 +66,6 @@ def progress(phi: Formula, sigma: TruthAssignment) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _simplify_connective(phi: Formula, unit: Formula, zero: Formula, left: Formula, right: Formula) -> Formula:
-    # Flatten same-kind chains, drop units and duplicates, short-circuit on
-    # the absorbing element.  ``left`` and ``right`` are ``phi``'s children,
-    # simplified.  Duplicates are found by structural ``==``.  Only a
-    # dropped operand or a re-associated left chain rebuilds the chain.
-    kind = type(phi)
-    flat = _operands(kind, left) + _operands(kind, right)
-    children: list[Formula] = []
-    for child in flat:
-        if child is zero:
-            return zero
-        if child is unit or child in children:
-            continue
-        children.append(child)
-    if len(children) == len(flat) and type(left) is not kind:
-        return phi if left is phi.left and right is phi.right else kind(left, right)  # type: ignore[attr-defined]
-    if not children:
-        return unit
-    node = children[-1]
-    for child in reversed(children[:-1]):
-        node = kind(child, node)
-    return node
-
-
 def simplify(phi: Formula) -> Formula:
     """Apply the syntactic reduction rules to a fixed point.
 
@@ -100,10 +76,32 @@ def simplify(phi: Formula) -> Formula:
     """
     # Dispatch on the exact class; a constant is its one instance.
     kind = type(phi)
-    if kind is And:
-        return _simplify_connective(phi, TRUE, FALSE, simplify(phi.left), simplify(phi.right))
-    if kind is Or:
-        return _simplify_connective(phi, FALSE, TRUE, simplify(phi.left), simplify(phi.right))
+    if kind is And or kind is Or:
+        # One pass over the chain's operands, in this frame so that a chain
+        # nests no deeper than its node: simplify each, flatten one that
+        # comes back as a chain of this kind, drop units and repeats (by
+        # ``in``: identity, then ``==``), and short-circuit on the absorbing
+        # element.  Only a changed, dropped or flattened operand rebuilds
+        # the chain, right-nested.
+        unit, zero = (TRUE, FALSE) if kind is And else (FALSE, TRUE)
+        kept: list[Formula] = []
+        changed = False
+        for operand in _operands(kind, phi):
+            child = simplify(operand)
+            changed = changed or child is not operand or type(child) is kind
+            for part in _operands(kind, child):
+                if part is zero:
+                    return zero
+                if part is unit or part in kept:
+                    changed = True
+                else:
+                    kept.append(part)
+        if not changed:
+            return phi
+        node = kept.pop() if kept else unit
+        for child in reversed(kept):
+            node = kind(child, node)
+        return node
     if kind is Prop or phi is TRUE or phi is FALSE:
         return phi
     if kind is Always or kind is Eventually or kind is Next:
@@ -136,8 +134,8 @@ def simplify(phi: Formula) -> Formula:
 
 
 def _operands(kind: type, phi: Formula) -> list[Formula]:
-    # Normal-form and simplified chains are right-nested and no left operand
-    # is itself of the chain's kind, so walking the right spine flattens them.
+    # The operands along ``phi``'s right spine of ``kind``; normal-form and
+    # simplified chains have no left operand of that kind, so it flattens them.
     out = []
     while type(phi) is kind:
         out.append(phi.left)  # type: ignore[attr-defined]
@@ -259,8 +257,6 @@ class ProgressionCache:
             if left is FALSE:
                 return TRUE
             return self._node(Implies, left, right)
-        if cls is TrueBool or cls is FalseBool:
-            return cls()  # the constant's one instance
         raise TypeError(f"not a formula class: {cls!r}")
 
     def _state(self, phi: Formula, names: frozenset[str] | None = None) -> tuple:

@@ -183,8 +183,7 @@ class EndpointModel:
         }
         if self.max_tokens is not None:
             body["max_tokens"] = self.max_tokens
-        if params.seed is not None:
-            body["seed"] = params.seed
+        body["seed"] = params.seed
         response = self._post_with_retries(body)
         try:
             content = response["choices"][0]["message"]["content"]

@@ -275,6 +275,16 @@ GROWING_TRACE = [
     for t in range(1, 601)
 ]
 
+# A ban on any of 1,000 actions and a goal of all of them, over 3 steps of
+# 3 seeded labels each.
+WIDE_NAMES = [f"a{i}" for i in range(1000)]
+WIDE_CONSTRAINTS = [
+    {"id": "ban", "formula": f"G !({' | '.join(WIDE_NAMES)})"},
+    {"id": "all", "formula": f"F ({' & '.join(WIDE_NAMES)})"},
+]
+WIDE_RNG = random.Random(37)
+WIDE_TRACE = [{"t": t, "output": "step", "labels": WIDE_RNG.sample(WIDE_NAMES, 3)} for t in range(1, 4)]
+
 # Values in the README config that the config reader rejects, each with
 # what it says after "error: invalid config value: ".
 BAD_CONFIG_VALUES = [
@@ -545,6 +555,21 @@ CASES = [
             out=lambda out, _: len(json.loads(out)["reports"][0]["verdicts"]) == 200,
         )
         for formula_id, formula in GROWING_FORMULAS.items()
+        for mode in ("plain", "reset")
+    ),
+    # The reference engine takes a chain as one unit, so its width adds no
+    # recursion.
+    *(
+        case(
+            f"audit-wide-chain-cross-check-{mode}",
+            AUDIT + " --cross-check",
+            1,
+            files={
+                "config.json": {"constraints": WIDE_CONSTRAINTS, "mode": mode},
+                "trace.jsonl": WIDE_TRACE,
+            },
+            out=lambda out, _: [len(r["verdicts"]) for r in json.loads(out)["reports"]] == [3, 3],
+        )
         for mode in ("plain", "reset")
     ),
     case(

@@ -2,16 +2,17 @@
 
 import collections
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from ltlguard import cli, monitor, trace
 from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
-from ltlguard.ltl import And, Not, Or, ProgressionCache, parse, render
+from ltlguard.ltl import And, Not, Or, ProgressionCache, ast, parse, render
 from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.synthbench import AttributeEventLabeler, gen_constraint_scaling
-from ltlguard.trace import Trace, save_trace
+from ltlguard.trace import StepRecord, Trace, save_trace
 
 
 def _audit_case(tmp_path):
@@ -121,6 +122,32 @@ class TestCrossCheckComparisons:
         # constraint's first step costs one comparison.  The other 709
         # constraint-steps cost none.
         assert len(walks) <= 2 * changed + rebuilt + len(case.constraints)
+
+
+class TestReferenceChainComparisons:
+    """The reference ``simplify`` takes an ``&``/``|`` chain in one pass and
+    finds a repeated operand by ``in`` over the operands kept so far, so
+    the structural comparisons it makes grow with the square of the
+    chain's width, not with its cube."""
+
+    @pytest.mark.parametrize("n, bound", [(100, 60_000), (200, 240_000)])
+    def test_wide_chains_audit(self, n, bound, monkeypatch):
+        # A 10-step reset audit with --cross-check of two n-wide chains, 3
+        # seeded labels per step; the bounds are 4x apart, as n doubles.
+        names = [f"a{i}" for i in range(n)]
+        constraints = {"ban": parse(f"G !({' | '.join(names)})"), "all": parse(f"F ({' & '.join(names)})")}
+        rng = random.Random(n)
+        trace = Trace(tuple(StepRecord(t, "", "step", frozenset(rng.sample(names, 3))) for t in range(1, 11)))
+        body = ast.same
+        walks = []
+
+        def counted_same(a, b):
+            walks.append(a)
+            return body(a, b)
+
+        monkeypatch.setattr(ast, "same", counted_same)  # the one ``Formula.__eq__`` calls
+        monitor.audit_log(trace, constraints, "reset", cross_check=True)
+        assert len(walks) <= bound
 
 
 def _guard_session(strategy):

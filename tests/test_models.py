@@ -7,7 +7,9 @@ import json
 import random
 import re
 import socket
+import socketserver
 import statistics
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -36,6 +38,39 @@ from mock_endpoint import MockEndpoint
 
 def params(seed=0, temperature=0.0):
     return SampleParams(temperature=temperature, seed=seed)
+
+
+class RawServer:
+    """A local TCP server below HTTP.  Given a ``reply``, it reads each
+    connection's request head and sends the reply; then it closes the
+    connection.  ``heads`` holds one entry per connection, empty if unread."""
+
+    def __init__(self, reply=None):
+        heads = self.heads = []
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                head = b""
+                while reply is not None and b"\r\n\r\n" not in head:
+                    chunk = self.request.recv(4096)
+                    if not chunk:
+                        break
+                    head += chunk
+                heads.append(head)  # before the client can see the reply or the close
+                if reply is not None:
+                    self.request.sendall(reply)
+
+        self.server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+        return False
 
 
 class TestScriptedModel:
@@ -243,7 +278,8 @@ class TestConnectionReuse:
 
 
 class TestEnvironmentProxy:
-    """``HTTP_PROXY`` routes an ``http`` endpoint through the proxy."""
+    """``HTTP_PROXY`` routes an ``http`` endpoint through the proxy, and
+    ``HTTPS_PROXY`` an ``https`` one through a ``CONNECT`` tunnel."""
 
     def test_http_proxy_gets_absolute_target_and_credentials(self, monkeypatch):
         for name in ("http_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
@@ -258,6 +294,23 @@ class TestEnvironmentProxy:
         credentials = base64.b64encode(b"user:p@ss").decode("ascii")
         assert {r["headers"].get("Proxy-Authorization") for r in mock.requests} == {f"Basic {credentials}"}
         assert mock.connections == 1
+
+    def test_https_proxy_gets_credentials_on_connect_only(self, monkeypatch):
+        # The proxy refuses the tunnel, so no request is sent through it.
+        for name in ("https_proxy", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with RawServer(b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n") as proxy:
+            host, port = proxy.server.server_address
+            monkeypatch.setenv("HTTPS_PROXY", f"http://user:p%40ss@{host}:{port}")
+            model = EndpointModel(base_url="https://ltlguard.invalid/v1", model="m", retries=1)
+            with pytest.raises(EndpointError, match="Tunnel connection failed: 403"):
+                model.next_output([], "go", params())
+        (head,) = proxy.heads
+        request_line, *headers = head.decode("latin-1").split("\r\n")
+        assert request_line.startswith("CONNECT ltlguard.invalid:443 HTTP/1.")
+        credentials = base64.b64encode(b"user:p@ss").decode("ascii")
+        assert f"Proxy-Authorization: Basic {credentials}" in headers
+        assert (model._target, model._proxy_headers) == ("/v1/chat/completions", {})
 
 
 class TestStaleConnection:
@@ -274,6 +327,16 @@ class TestStaleConnection:
         assert outputs == ["ok"] * 3
         assert len(mock.requests) == 3
         assert mock.connections == 3
+
+    def test_connection_closed_before_its_first_reply_fails_the_attempt(self):
+        # Only a reused connection is replaced and the request sent again: a
+        # new one that the server closes is a failed attempt, retried.
+        with RawServer() as server:
+            host, port = server.server.server_address
+            model = EndpointModel(base_url=f"http://{host}:{port}/v1", model="m", retries=3, backoff=0)
+            with pytest.raises(EndpointError, match="transport failure"):
+                model.next_output([], "go", params())
+        assert len(server.heads) == 3
 
 
 class TestRuleLabeler:

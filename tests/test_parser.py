@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -275,7 +276,8 @@ class TestDeepInput:
     """No depth or length meets Python's recursion limit: the parser keeps
     its own stacks, and every other walk of a formula, ``==`` and ``hash``
     included, outside the reference engine, is ``fold`` or keeps its own
-    stack."""
+    stack.  The reference engine walks an ``&``/``|`` chain along its
+    spine, so only its other nesting meets the limit."""
 
     N = 10_000
     # Building a binary chain in an automaton walks the spine below each new
@@ -326,7 +328,9 @@ class TestDeepInput:
         built = cache.normalize(phi)
         assert same(built, phi)
         start = None
-        if n == 300:  # shallow enough for the reference engine, which recurses
+        # The reference engine recurses through ``X``, ``->`` and ``U``, and
+        # finds an ``&``/``|`` chain's repeats in time quadratic in its width.
+        if n == 300:
             assert parse(text, cache) is built
             start = REFERENCE.normalize(phi)
         rng = random.Random(n)
@@ -349,6 +353,27 @@ class TestDeepInput:
                 if reference is not None:
                     reference, reference_verdict = REFERENCE.transition(reference, labels)
                     assert same(residual, reference) and verdict is reference_verdict
+
+    @pytest.mark.parametrize("cls", [And, Or], ids=lambda cls: cls.__name__)
+    def test_reference_steps_wide_chain(self, cls):
+        n = 1_000
+        text, phi = deep(cls, n)
+        cache = ProgressionCache()
+        built = parse(text, cache)
+        names = [f"p{i}" for i in range(n)]
+        for labels in (frozenset(names), frozenset(), frozenset(names[:-1]), frozenset(names[-1:])):
+            assert REFERENCE.transition(phi, labels) == cache.transition(built, labels)
+
+    def test_reference_nests_a_chain_as_one_level(self):
+        # The reference engine recurses once per node on a path, so
+        # ``!(p & !(p & …))`` nested to 2/5 of the recursion limit takes 4/5
+        # of it; a chain that took a frame of its own would take 6/5.
+        levels = sys.getrecursionlimit() * 2 // 5
+        text = "!(p & " * levels + "p" + ")" * levels
+        cache = ProgressionCache()
+        phi, built = parse(text), parse(text, cache)
+        labels = frozenset({"p"})  # ``false`` would decide each ``&`` at its first operand
+        assert REFERENCE.transition(phi, labels) == cache.transition(built, labels)
 
     def test_lasso_evaluates_deep_formulas(self):
         assert evaluate_lasso(deep(Next, self.N)[1], [], [frozenset({"p"})])
