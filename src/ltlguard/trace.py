@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 import sys
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -189,24 +191,42 @@ def step_from_dict(obj: object) -> StepRecord:
     return StepRecord(step["t"], step.get("input") or "", step["output"], None if labels is None else frozenset(labels))
 
 
+_scan = make_scanner(json.JSONDecoder())  # the C scanner that ``json.loads`` decodes with
+_JSON_SPACE = " \t\r"  # the whitespace JSON allows around a value within a line
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` for each nonblank line of a JSONL file; a
     line that is not UTF-8 or not JSON raises ``TraceError`` naming the file
     and the line.  Bytes that are not UTF-8 are kept as escapes while the
-    file is read, so each line is checked, and its fault placed, alone."""
+    file is read, so each line is checked, and its fault placed, alone.
+
+    A line that holds one JSON value is decoded once, by ``json.loads``'s own
+    scanner; any other line is left to ``json.loads``, which skips it if it
+    is blank and otherwise raises the message its fault gets."""
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
+        text = fh.read()
+    for line_no, line in enumerate(text.split("\n"), 1):  # not ``splitlines``: U+2028 may sit in a string
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise TraceError(f"{path}: line {line_no}: not valid UTF-8: {err}") from err
+        stripped = line.strip(_JSON_SPACE)
+        try:
+            value, end = _scan(stripped, 0)
+        except (StopIteration, ValueError, RecursionError):  # no JSON value starts the line
+            end = -1
+        if end != len(stripped):
             if not line.strip():
                 continue
             try:
-                if not line.isascii():
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 value = json.loads(line)
-            except UnicodeDecodeError as err:
-                raise TraceError(f"{path}: line {line_no}: not valid UTF-8: {err}") from err
             except json.JSONDecodeError as err:
                 raise TraceError(f"{path}: line {line_no}: malformed JSON: {err.msg}") from err
-            yield line_no, value
+            except RecursionError as err:
+                raise TraceError(f"{path}: line {line_no}: malformed JSON: {err}") from err
+        yield line_no, value
 
 
 def write_jsonl(rows: Iterable[object], path: str | Path) -> None:
@@ -219,7 +239,8 @@ def write_json(doc: object, path: str | Path | None = None) -> None:
     """Write ``doc`` as one indented JSON document to ``path``, or to stdout.
 
     The bytes are those of ``json.dumps(doc, ensure_ascii=False, indent=2)``
-    and a newline.  The C encoder encodes the leaves, and encodes each
+    and a newline, where a report's ``_Verdicts`` counts as the list of its
+    verdicts' strings.  The C encoder encodes the leaves, and encodes each
     container that holds only leaves in one call whose item separator
     carries the indentation; only containers of containers are walked here.
     """
@@ -257,6 +278,9 @@ def _indented(doc: object, chunks: list[str]) -> None:
         if not value:
             chunks.append(brackets)
             continue
+        if type(value) is _Verdicts:
+            chunks.append(_verdict_list(value, newline))
+            continue
         inner = newline + "  "
         items = value.values() if brackets == "{}" else value
         if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items))):
@@ -274,6 +298,25 @@ def _indented(doc: object, chunks: list[str]) -> None:
         stack += reversed(pending)
 
 
+_BLOCK = 32  # the verdicts a verdict list is written by at a time
+
+
+def _verdict_list(verdicts: tuple[Verdict, ...], newline: str) -> str:
+    """``verdicts`` as ``json.dumps`` indents the list of their strings at the
+    depth of ``newline``.  A block of ``_BLOCK`` equal verdicts, as most of a
+    long run is, is written as one repeated string, any other block by one
+    join; a verdict's string needs no escape."""
+    inner = newline + "  "
+    separator = f'",{inner}"'
+    blocks = (verdicts[start:start + _BLOCK] for start in range(0, len(verdicts), _BLOCK))
+    text = "".join(
+        (_TEXT(block[0]) + separator) * len(block) if block.count(block[0]) == len(block)
+        else separator.join(map(_TEXT, block)) + separator
+        for block in blocks
+    )
+    return f'[{inner}"{text[:-len(separator)]}"{newline}]'
+
+
 def _key_text(key: object) -> str:
     """A mapping key as ``json`` spells it: a string as itself, a number,
     boolean or null as its JSON text."""
@@ -286,25 +329,71 @@ def _key_text(key: object) -> str:
 
 def load_trace(path: str | Path) -> Trace:
     """Load a JSONL trace, validating step-index contiguity; a file holding
-    only the metadata line is a trace of no steps."""
+    only the metadata line is a trace of no steps.  Text that holds a lone
+    surrogate, which UTF-8 cannot encode, is refused."""
     path = Path(path)
     steps: list[StepRecord] = []
     metadata: dict = {}
     rows = 0
     for rows, (line_no, obj) in enumerate(read_jsonl(path), 1):
-        try:
-            if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
-                metadata = read(obj, META_KEYS, "meta line")["meta"]
-                continue
-            step = step_from_dict(obj)
-        except ShapeError as err:
-            raise TraceError(f"{path}: line {line_no}: {err}") from err
+        step = _step(obj)
+        if step is None:
+            try:
+                if rows == 1 and isinstance(obj, dict) and "meta" in obj and "t" not in obj:
+                    metadata = read(obj, META_KEYS, "meta line")["meta"]
+                    continue
+                step = step_from_dict(obj)
+            except ShapeError as err:
+                raise TraceError(f"{path}: line {line_no}: {err}") from err
+            fault = _surrogate_fault(obj)
+            if fault:
+                raise TraceError(f"{path}: line {line_no}: {fault}")
         if step.t != len(steps) + 1:
             raise TraceError(f"{path}: non-contiguous step index at line {line_no}")
         steps.append(step)
     if not rows:
         raise TraceError(f"{path}: empty trace file")
     return Trace(tuple(steps), metadata)
+
+
+def _step(obj: object) -> StepRecord | None:
+    """The step ``obj`` holds if ``step_from_dict`` takes it and none of its
+    text holds a lone surrogate, else None.  On a JSON value, which is never
+    of a subclass, each exact type test agrees with ``checked``."""
+    if type(obj) is not dict:
+        return None
+    t, text, output, labels = obj.get("t"), obj.get("input"), obj.get("output"), obj.get("labels")
+    if text is None:
+        text = ""
+    if type(t) is not int or type(text) is not str or type(output) is not str:
+        return None
+    if labels is not None:
+        if type(labels) is not list or not all(type(label) is str for label in labels):
+            return None
+        labels = frozenset(labels)
+    ascii_only = output.isascii() and text.isascii() and (not labels or all(map(str.isascii, labels)))
+    if not ascii_only and _surrogate_fault(obj):
+        return None
+    return StepRecord(t, text, output, labels)
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a JSON escape may decode to one; UTF-8 cannot encode it
+
+
+def _surrogate_fault(obj: dict) -> str | None:
+    """What is wrong with a step that ``step_from_dict`` takes, if one of its
+    texts holds a lone surrogate: the first such text, named as ``checked``
+    names it, and where it holds one."""
+    texts = [("output", obj["output"]), ("input", obj.get("input") or "")]
+    texts += (("an item of labels", label) for label in obj.get("labels") or ())
+    for name, text in texts:
+        found = _SURROGATE.search(text)
+        if found:
+            return (
+                f"{name} holds the lone surrogate {found.group()!r} at position {found.start()}, "
+                "which UTF-8 cannot encode"
+            )
+    return None
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -352,11 +441,21 @@ def apply_labeler(trace: Trace, labeler: LabelingFunction, overwrite: bool = Fal
 _TEXT = operator.attrgetter("_value_")  # a verdict's string, read past ``Enum.value``
 
 
+class _Verdicts(tuple):
+    """A report's verdicts, which ``write_json`` writes as the list of their
+    strings without making that list."""
+
+
 def report_to_dict(report: VerdictReport, memo: dict[int, str] | None = None) -> dict:
     """``report`` as a dict; ``memo`` is passed to ``render`` for every residual."""
+    return _report_dict(report, list(map(_TEXT, report.verdicts)), memo)
+
+
+def _report_dict(report: VerdictReport, verdicts: object, memo: dict[int, str] | None) -> dict:
+    """``report`` as a dict whose ``"verdicts"`` are ``verdicts``."""
     return {
         "constraint_id": report.constraint_id,
-        "verdicts": list(map(_TEXT, report.verdicts)),
+        "verdicts": verdicts,
         "violations": report.violations,
         "satisfactions": report.satisfactions,
         "witnesses": [
@@ -415,10 +514,12 @@ def save_reports(reports: Iterable[VerdictReport], path: str | Path | None, extr
     """Write reports as a single JSON document to ``path``, or to stdout.
 
     Residuals are rendered through one memo for the document; the list of
-    reports keeps every rendered node alive while it is in use.
+    reports keeps every rendered node alive while it is in use.  The bytes
+    are those of ``write_json`` of the reports as ``report_to_dict`` gives
+    them, with ``extra``'s keys after ``"reports"``.
     """
     reports, memo = list(reports), {}
-    write_json({"reports": [report_to_dict(r, memo) for r in reports], **(extra or {})}, path)
+    write_json({"reports": [_report_dict(r, _Verdicts(r.verdicts), memo) for r in reports], **(extra or {})}, path)
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:
@@ -426,7 +527,7 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
     malformed field, raises ``TraceError`` naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # a JSON or a UTF-8 decoding error
+    except (ValueError, RecursionError) as err:  # a JSON or a UTF-8 decoding error, or nesting too deep
         raise TraceError(f"{path}: not valid JSON: {err}") from err
     try:
         return [report_from_dict(obj) for obj in read(doc, REPORT_DOCUMENT_KEYS, "report document")["reports"]]

@@ -675,6 +675,14 @@ CASES = [
         cmd=F1,
     ),
     audit(
+        "audit-f1-truth-nested-too-deeply",
+        trace("bad"),
+        None,
+        files={"truth.json": "[" * 100_000},
+        cmd=F1,
+        err_re=r"error: truth\.json: not valid JSON: maximum recursion depth exceeded[^\n]*\n",
+    ),
+    audit(
         "audit-f1-truth-residual-shows-caret",
         trace("bad"),
         "error: truth.json: malformed report: unexpected end of input at line 1, column 7 (expected one of:"
@@ -738,6 +746,30 @@ CASES = [
         "audit-trace-line-not-json",
         '{"t": 1, "output": "ok"}\nnope\n',
         "error: trace.jsonl: line 2: malformed JSON: Expecting value\n",
+    ),
+    # A JSON escape can spell half of a surrogate pair, which no report
+    # file can hold: the trace is refused before the audit writes one.
+    *(
+        audit(
+            f"audit-trace-lone-surrogate-{name}",
+            [*trace("ok"), {"t": 2, "output": "ok", **step}],
+            f"error: trace.jsonl: line 2: {text} holds the lone surrogate '\\ud800' at position {position}, "
+            "which UTF-8 cannot encode\n",
+            cmd=f"{AUDIT} --out rep.json",
+            absent=("rep.json",),
+        )
+        for name, step, text, position in [
+            ("output", {"output": "bad \ud800"}, "output", 4),
+            ("input", {"input": "\ud800"}, "input", 0),
+            ("label", {"labels": ["bad", "b\ud800d"]}, "an item of labels", 1),
+        ]
+    ),
+    # JSON nested deeper than the decoder goes.
+    audit(
+        "audit-trace-line-nested-too-deeply",
+        "[" * 100_000 + "\n",
+        None,
+        err_re=r"error: trace\.jsonl: line 1: malformed JSON: maximum recursion depth exceeded[^\n]*\n",
     ),
     audit(
         "audit-trace-step-not-an-object",
@@ -1004,6 +1036,12 @@ CASES = [
         "bench-eval-line-not-utf8",
         json.dumps(BENCH[0]).encode() + b"\n\xff\n",
         f"error: bench.jsonl: line 2: not valid UTF-8: {CODEC}\n",
+    ),
+    case(
+        "bench-eval-line-nested-too-deeply",
+        EVAL,
+        files={"bench.jsonl": "[" * 100_000 + "\n"},
+        err_re=r"error: bench\.jsonl: line 1: malformed JSON: maximum recursion depth exceeded[^\n]*\n",
     ),
     bench(
         "bench-eval-step-not-an-object",

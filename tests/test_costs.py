@@ -9,10 +9,10 @@ import pytest
 
 from ltlguard import cli, monitor, trace
 from ltlguard.intervention import GuardedSession, InterventionPolicy, guard_step
-from ltlguard.ltl import And, Not, Or, ProgressionCache, ast, parse, render
+from ltlguard.ltl import And, Not, Or, ProgressionCache, Verdict, ast, parse, render
 from ltlguard.models import RuleLabeler, ScriptedModel
 from ltlguard.synthbench import AttributeEventLabeler, gen_constraint_scaling
-from ltlguard.trace import StepRecord, Trace, save_trace
+from ltlguard.trace import StepRecord, Trace, TraceError, VerdictReport, save_trace
 
 
 def _audit_case(tmp_path):
@@ -66,6 +66,73 @@ class TestLabelerCalls:
         assert cli.main([*argv, "--out", str(tmp_path / "bound1.json")]) in (0, 1)
         assert sum(computed.values()) > len(computed)  # with one entry the memo misses on repeats
         assert (tmp_path / "memo.json").read_bytes() == (tmp_path / "bound1.json").read_bytes()
+
+
+def _count_calls(monkeypatch, *names):
+    """A counter of the calls of each ``(module, attribute)`` in ``names``,
+    by attribute, through wrappers rebound over them."""
+    calls = collections.Counter()
+
+    def rebind(module, name):
+        body = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return body(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in names:
+        rebind(module, name)
+    return calls
+
+
+class TestTraceDecodes:
+    """A trace line is decoded once, by the reader's own scanner and checks;
+    ``json.loads`` and ``step_from_dict`` run only on a line they refuse."""
+
+    @pytest.fixture
+    def case_path(self, tmp_path):
+        # The metadata line and 1,000 labeled steps.
+        case = gen_constraint_scaling(20, "complex", seed=3)
+        save_trace(case.trace, tmp_path / "trace.jsonl")
+        return case, tmp_path / "trace.jsonl"
+
+    def test_clean_trace(self, case_path, monkeypatch):
+        case, path = case_path
+        calls = _count_calls(monkeypatch, (json, "loads"), (trace, "step_from_dict"))
+        assert trace.load_trace(path) == case.trace
+        assert calls == {}
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["{nope", '{"t": 500, "output": 5}', '{"t": 500, "output": "\\ud800"}'],
+        ids=["json", "shape", "surrogate"],
+    )
+    def test_one_faulty_line(self, case_path, monkeypatch, fault):
+        _, path = case_path
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[500] = fault  # the line of step 500
+        path.write_text("\n".join(lines), encoding="utf-8")
+        calls = _count_calls(monkeypatch, (json, "loads"), (trace, "step_from_dict"))
+        with pytest.raises(TraceError, match="line 501: "):
+            trace.load_trace(path)
+        assert calls["loads"] <= 1 and calls["step_from_dict"] <= 1
+
+
+class TestReportEncodes:
+    def test_verdict_run_costs_no_string_encodes(self, tmp_path, monkeypatch):
+        # Every string the writer encodes goes through ``encode_basestring``,
+        # the C encoder's included once it is rebound; one run of verdicts
+        # adds none, however long.
+        calls = _count_calls(monkeypatch, (json.encoder, "encode_basestring"), (trace, "encode_basestring"))
+        counts = []
+        for steps in (10, 10_000):
+            calls.clear()
+            report = VerdictReport("c", (Verdict.INCONCLUSIVE,) * steps, 0, 0)
+            trace.save_reports([report], tmp_path / "reports.json", extra={"steps": steps})
+            counts.append(sum(calls.values()))
+        assert counts[0] == counts[1] > 0
 
 
 class TestTransitionMisses:

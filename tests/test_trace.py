@@ -3,22 +3,32 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltlguard.ltl import Verdict, parse
 from ltlguard.trace import (
     LabelingError,
     StepRecord,
     Trace,
     TraceError,
+    VerdictReport,
+    WitnessEntry,
+    WitnessEpisode,
     apply_labeler,
     checked,
     label_step,
     load_trace,
+    report_to_dict,
+    save_reports,
     save_trace,
     write_json,
 )
+
+
+NEWLINES = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
 
 
 def write_lines(path, lines):
@@ -107,12 +117,71 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match="line 2"):
             load_trace(path)
 
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_universal_newlines(self, tmp_path, newline):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"t": 1, "output": "a"} {"t": 2, "output": "b"}', "Extra data"),
+            ('\ufeff{"t": 1, "output": "a"}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('\u00a0{"t": 1, "output": "a"}', "Expecting value"),  # U+00A0 is no JSON whitespace
+        ],
+        ids=["two-values", "bom", "nbsp"],
+    )
+    def test_malformed_line_message(self, tmp_path, line, message):
         path = tmp_path / "t.jsonl"
-        lines = ['{"t": 1, "output": "caf\u00e9"}', '{"t": 2, "output": "b"}']
+        write_lines(path, [line])
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: line 1: malformed JSON: {message}"
+
+    # JSON writes U+0085 and U+2028 unescaped, and ``str.splitlines`` would
+    # break a line at either.
+    @pytest.mark.parametrize(
+        "newline, text",
+        [(newline, text) for text in ("caf\u00e9", "next\u0085line", "line\u2028sep") for newline in NEWLINES.values()],
+        ids=[f"{name}{text}" for text in ("", "-u0085", "-u2028") for name in NEWLINES],
+    )
+    def test_universal_newlines(self, tmp_path, newline, text):
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps({"t": 1, "output": text}, ensure_ascii=False), '{"t": 2, "output": "b"}']
         path.write_bytes(newline.join(line.encode("utf-8") for line in lines) + newline)
-        assert [s.output for s in load_trace(path).steps] == ["caf\u00e9", "b"]
+        assert [s.output for s in load_trace(path).steps] == [text, "b"]
+
+    @pytest.mark.parametrize("blank", ["", "  \t", "\u00a0", "\u3000 "])
+    def test_blank_lines_skipped(self, tmp_path, blank):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [blank, '{"t": 1, "output": "a"}', blank, '{"t": 2, "output": "b"}', blank])
+        assert [s.output for s in load_trace(path).steps] == ["a", "b"]
+
+    @pytest.mark.parametrize("value", ["5", "null", "[\"a\"]", "{}"])
+    def test_non_string_label_rejected(self, tmp_path, value):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [f'{{"t": 1, "output": "a", "labels": ["ok", {value}]}}'])
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: line 1: an item of labels must be a string, got {json.loads(value)!r}"
+
+    # A JSON escape can spell half of a surrogate pair, which no UTF-8 output
+    # can hold; a whole pair is one character.
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"output": "bad \ud800"}, "output holds the lone surrogate '\\ud800' at position 4"),
+            ({"input": "\udfff", "output": "ok"}, "input holds the lone surrogate '\\udfff' at position 0"),
+            ({"labels": ["ok", "b\udc00d"]}, "an item of labels holds the lone surrogate '\\udc00' at position 1"),
+        ],
+        ids=["output", "input", "label"],
+    )
+    def test_lone_surrogate_rejected(self, tmp_path, step, message):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, ['{"t": 1, "output": "a"}', json.dumps({"t": 2, "output": "ok", **step})])
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: line 2: {message}, which UTF-8 cannot encode"
+
+    def test_surrogate_pair_escape_loads(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, ['{"t": 1, "output": "\\ud83d\\ude00", "labels": ["\\ud83d\\ude00"]}'])
+        assert load_trace(path).steps == (StepRecord(1, "", "\U0001f600", frozenset({"\U0001f600"})),)
 
     def test_line_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -400,3 +469,65 @@ class TestWriteJson:
             json.dumps(doc, ensure_ascii=False, indent=2)
         with pytest.raises(TypeError):
             write_json(doc, None)
+
+
+# Texts with quotes, backslashes, control characters and non-ASCII.
+_WITNESS_TEXTS = [
+    "", "plain", 'say "hi"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "caf\u00e9 \u2713 \U0001f600\u2028",
+]
+_RESIDUALS = [parse(text) for text in ("true", "false", "G !bad", "F (ok & X F bad)", "bad U (ok | !bad)")]
+
+
+def _random_verdicts(rng: random.Random) -> tuple[Verdict, ...]:
+    """Runs of the three verdicts: alternating, of random lengths, or one run,
+    at lengths around the writer's blocks of 32."""
+    length = rng.choice([0, 1, 2, 31, 32, 33, 63, 64, 65, 100, 1000])
+    shape = rng.choice(["alternating", "runs", "one run"])
+    verdicts = [rng.choice(list(Verdict))]
+    while len(verdicts) < length:
+        if shape == "alternating":
+            verdicts.append(rng.choice([v for v in Verdict if v is not verdicts[-1]]))
+        elif shape == "runs":
+            verdicts += [rng.choice(list(Verdict))] * rng.randint(1, rng.choice([3, 40]))
+        else:
+            verdicts.append(verdicts[-1])
+    return tuple(verdicts[:length])
+
+
+def _random_report(rng: random.Random, cid: str) -> VerdictReport:
+    """A report with up to two witness episodes of up to three entries each."""
+    episodes = tuple(
+        WitnessEpisode(
+            rng.choice([Verdict.VIOLATED, Verdict.SATISFIED]),
+            tuple(
+                WitnessEntry(
+                    t, rng.choice(_WITNESS_TEXTS), rng.choice(_WITNESS_TEXTS),
+                    frozenset(rng.sample(_WITNESS_TEXTS, rng.randint(0, 3))), rng.choice(_RESIDUALS),
+                )
+                for t in range(1, rng.randint(0, 3) + 1)
+            ),
+        )
+        for _ in range(rng.choice([0, 0, 1, 2]))
+    )
+    return VerdictReport(cid, _random_verdicts(rng), rng.randint(0, 5), rng.randint(0, 5), episodes)
+
+
+class TestSaveReports:
+    """``save_reports`` writes the bytes of ``json.dumps(..., indent=2)`` of
+    the reports as ``report_to_dict`` gives them, whatever runs their
+    verdicts form."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_json_dumps(self, tmp_path, seed):
+        rng = random.Random(seed)
+        reports = [_random_report(rng, rng.choice(_WITNESS_TEXTS) + str(i)) for i in range(rng.randint(0, 4))]
+        f1 = {"pooled": {"precision": 0.5, "recall": 1.0, "f1": 2 / 3}, "per_constraint": {"c\u00e9": {"f1": 0.0}}}
+        extra = rng.choice([{}, {"mode": "reset", "trace_length": 7}, {"f1": f1}])
+        expected = json.dumps({"reports": [report_to_dict(r) for r in reports], **extra}, ensure_ascii=False, indent=2)
+        path = tmp_path / "reports.json"
+        save_reports(iter(reports), path, extra)
+        assert path.read_bytes() == (expected + "\n").encode("utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            save_reports(reports, None, extra)
+        assert out.getvalue() == expected + "\n"
